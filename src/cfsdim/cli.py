@@ -1,6 +1,7 @@
 """Command-line front end: ``cfsdim`` with one subcommand per operation.
 
-Exit codes: 0 ok, 1 IO/config error, 2 validation error, 3 budget exceeded.
+Exit codes: 0 ok, then the first row of ``EXIT_CODES`` that matches the
+exception: 1 IO/config error, 2 validation error, 3 budget exceeded.
 All randomness flows through --seed, so repeat runs are byte-identical.
 """
 
@@ -8,18 +9,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 
 from . import dimension, entropy, estimate, fourcorner, separation
-from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
-                  ValidationError, load_system, validate_probabilities,
-                  validate_system)
+from .ifs import (BudgetExceeded, ProbVector, ValidationError, load_system,
+                  validate_probabilities, validate_system)
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+
+class ConfigError(Exception):
+    """The descriptor file is not a well-formed descriptor."""
+
+
+# Every library exception derives from ValidationError or BudgetExceeded.
+EXIT_CODES = (
+    ((OSError, ConfigError), EXIT_IO, "config/IO error"),
+    ((ValidationError,), EXIT_VALIDATION, "validation error"),
+    ((BudgetExceeded,), EXIT_BUDGET, "budget exceeded"),
+)
 
 
 def _emit(obj, args) -> None:
@@ -31,36 +42,65 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _load_cfs(args):
-    sys_obj, p = load_system(args.system)
-    errs = validate_system(sys_obj)
+def _load(args, kind: str = "cfs"):
+    """The one descriptor loader: read ``args.system``, require descriptor
+    type ``kind`` ("cfs" or "four_corner"), validate it and resolve
+    ``--probabilities``.  Returns (system, probabilities).
+
+    The --probabilities rule: a JSON list gives that vector, "uniform" the
+    uniform vector and "natural" the natural weights of a four_corner
+    descriptor; without the flag a cfs descriptor's own "probabilities" are
+    used, else the uniform vector.
+    """
+    try:
+        with open(args.system) as fh:
+            desc = json.load(fh)
+        if not isinstance(desc, dict):
+            raise ConfigError(f"{args.system}: not a JSON object")
+        if kind == "cfs":
+            sys_obj, p = load_system(desc)
+        else:
+            sys_obj, p = fourcorner.FourCornerSystem.from_json_dict(desc), None
+    except ValidationError:
+        raise
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.system}: {exc}") from exc
+    four_corner = kind == "four_corner"
+    errs = [] if four_corner else validate_system(sys_obj)
     if errs:
         raise ValidationError("; ".join(errs))
-    if getattr(args, "probabilities", None) == "uniform" or p is None:
-        p = ProbVector.uniform(sys_obj)
-    errs = validate_probabilities(sys_obj, p)
+
+    spec = getattr(args, "probabilities", None)
+    if spec == "natural":
+        if not four_corner:
+            raise ValidationError(
+                "--probabilities natural needs a four_corner descriptor")
+        p = fourcorner.natural_p(sys_obj)[0]
+    elif spec == "uniform" or (spec is None and p is None):
+        p = (fourcorner.FourCornerProb.uniform() if four_corner
+             else ProbVector.uniform(sys_obj))
+    elif spec is not None:
+        try:
+            weights = json.loads(spec)
+            p = (fourcorner.FourCornerProb(weights) if four_corner
+                 else ProbVector(weights, mode=sys_obj.mode))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"--probabilities {spec}: {exc}") from exc
+    errs = [] if four_corner else validate_probabilities(sys_obj, p)
     if errs:
         raise ValidationError("; ".join(errs))
     return sys_obj, p
 
 
-def _load_4c(args) -> fourcorner.FourCornerSystem:
-    with open(args.system) as fh:
-        return fourcorner.FourCornerSystem.from_json_dict(json.load(fh))
-
-
 def cmd_measure_dim(args) -> int:
-    sys_obj, p = _load_cfs(args)
+    sys_obj, p = _load(args)
     rep = dimension.measure_dimension(sys_obj, p, tol=args.tol)
     _emit(rep.to_json_dict(), args)
     return EXIT_OK
 
 
 def cmd_attractor_dim(args) -> int:
-    sys_obj, _ = load_system(args.system)
-    errs = validate_system(sys_obj)
-    if errs:
-        raise ValidationError("; ".join(errs))
+    sys_obj, _ = _load(args)
     rep = dimension.attractor_dimension(sys_obj, tol=args.tol)
     out = rep.to_json_dict()
     if args.gd_depth:
@@ -77,7 +117,7 @@ def cmd_attractor_dim(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    sys_obj, p = _load_cfs(args)
+    sys_obj, p = _load(args)
     series = entropy.phi_series(sys_obj, p, tol=args.tol)
     out = {"series": series.to_json_dict(),
            "lower_bound": entropy.phi_lower_bound(sys_obj, p)}
@@ -89,7 +129,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_rw_entropy(args) -> int:
-    sys_obj, p = _load_cfs(args)
+    sys_obj, p = _load(args)
     closed = entropy.rw_entropy_closed(sys_obj, p, tol=args.tol)
     out = {"closed_form": closed.to_json_dict()}
     if args.depth:
@@ -100,10 +140,7 @@ def cmd_rw_entropy(args) -> int:
 
 
 def cmd_esc_probe(args) -> int:
-    sys_obj, _ = load_system(args.system)
-    errs = validate_system(sys_obj)
-    if errs:
-        raise ValidationError("; ".join(errs))
+    sys_obj, _ = _load(args)
     res = separation.esc_probe(sys_obj, args.n_max)
     if args.csv:
         lines = ["n,min_gap,implied_b"]
@@ -116,7 +153,7 @@ def cmd_esc_probe(args) -> int:
 
 
 def cmd_fourcorner(args) -> int:
-    sys_obj = _load_4c(args)
+    sys_obj, p = _load(args, "four_corner")
     conditions = fourcorner.validate_4c(sys_obj)
     out = {"conditions": conditions}
     if conditions["open_set_ok"]:
@@ -127,12 +164,6 @@ def cmd_fourcorner(args) -> int:
         out["suff_value"] = value
         out["suff_holds"] = holds
         out["set_dimension"] = fourcorner.set_dimension_4c(sys_obj).to_json_dict()
-        if args.probabilities == "natural":
-            p = prob
-        elif args.probabilities == "uniform":
-            p = fourcorner.FourCornerProb.uniform()
-        else:
-            p = fourcorner.FourCornerProb(json.loads(args.probabilities))
         out["measure_dimension"] = fourcorner.measure_dimension_4c(
             sys_obj, p, tol=args.tol).to_json_dict()
     _emit(out, args)
@@ -140,7 +171,7 @@ def cmd_fourcorner(args) -> int:
 
 
 def cmd_render(args) -> int:
-    sys_obj = _load_4c(args)
+    sys_obj, _ = _load(args, "four_corner")
     if args.mode == "cylinders":
         fourcorner.render_cylinders_svg(sys_obj, args.depth, args.out)
     else:
@@ -152,19 +183,27 @@ def cmd_render(args) -> int:
 
 def cmd_estimate(args) -> int:
     m_range = range(args.m_lo, args.m_hi + 1)
+    sys_obj, p = _load(args, "four_corner" if args.kind == "box2d" else "cfs")
     if args.kind == "box2d":
-        sys_obj = _load_4c(args)
         fit = estimate.box_dimension_2d(sys_obj, m_range, args.points,
                                         args.seed)
     elif args.kind == "box1d":
-        sys_obj, _ = load_system(args.system)
         fit = estimate.box_dimension_1d(sys_obj, m_range)
     else:
-        sys_obj, p = _load_cfs(args)
         fit = estimate.entropy_slope(sys_obj, p, args.points, m_range,
                                      args.seed)
     _emit(fit.to_json_dict(), args)
     return EXIT_OK
+
+
+# Options several subcommands take; each subcommand names the ones it reads.
+SHARED_OPTIONS = {
+    "probabilities": dict(help='a JSON list, "uniform", or "natural" '
+                               '(four_corner only); default: the '
+                               "descriptor's own, else uniform"),
+    "tol": dict(type=float, default=1e-10),
+    "seed": dict(type=int, default=0),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,26 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfsdim",
         description="Dimensions of self-similar measures and attractors for "
                     "common-fixed-point IFSs on the line.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("CFSDIM_THREADS", "1")),
-                        help="worker threads for parallel internals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, prob=True):
+    def add_common(p, *shared):
         p.add_argument("system", help="JSON system descriptor path")
-        if prob:
-            p.add_argument("--probabilities", default=None,
-                           help='"uniform", "natural" (4-corner), or JSON list')
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
+        for name in shared:
+            p.add_argument("--" + name, **SHARED_OPTIONS[name])
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("measure-dim", help="dimension of the self-similar measure")
-    add_common(p)
+    add_common(p, "probabilities", "tol")
     p.set_defaults(fn=cmd_measure_dim)
 
     p = sub.add_parser("attractor-dim", help="dimension of the attractor")
-    add_common(p, prob=False)
+    add_common(p, "tol")
     p.add_argument("--gd-depth", type=int, default=0,
                    help="also report the graph-directed roots s_1..s_k")
     p.add_argument("--box", type=int, default=0,
@@ -199,24 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_attractor_dim)
 
     p = sub.add_parser("phi", help="overlap entropy correction Phi(p)")
-    add_common(p)
+    add_common(p, "probabilities", "tol", "seed")
     p.add_argument("--mc-samples", type=int, default=0)
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("rw-entropy", help="random-walk entropy")
-    add_common(p)
+    add_common(p, "probabilities", "tol")
     p.add_argument("--depth", type=int, default=0,
                    help="also run the brute-force H_n to this depth")
     p.set_defaults(fn=cmd_rw_entropy)
 
     p = sub.add_parser("esc-probe", help="finite-depth separation probe")
-    add_common(p, prob=False)
+    add_common(p)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--csv", default=None, help="also write the per-n table as CSV")
     p.set_defaults(fn=cmd_esc_probe)
 
     p = sub.add_parser("fourcorner", help="4-corner conditions and dimensions")
-    add_common(p)
+    add_common(p, "probabilities", "tol")
     p.set_defaults(fn=cmd_fourcorner)
 
     p = sub.add_parser("render", help="render 4-corner cylinders or attractor")
@@ -230,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("estimate", help="empirical dimension estimates")
-    add_common(p)
+    add_common(p, "probabilities", "seed")
     p.add_argument("--kind", choices=["box1d", "box2d", "entropy"],
                    default="box1d")
     p.add_argument("--m-lo", type=int, default=4)
@@ -242,19 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, DegenerateMeasure) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=_sys.stderr)
-        return EXIT_BUDGET
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"config/IO error: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        for classes, code, label in EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{label}: {exc}", file=_sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(BudgetExceeded):
     pass
 
 

@@ -16,13 +16,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ifs import BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector, prune_zeros
+from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
+                  ValidationError, prune_zeros)
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
 
 
-class RunTooLong(RuntimeError):
+class RunTooLong(BudgetExceeded):
     """A Monte-Carlo run stayed inside one group past the step cap."""
 
 
@@ -83,11 +84,14 @@ def _group_masses(p: ProbVector) -> List[float]:
     return [float(sum(row)) for row in p.weights]
 
 
-def _check_not_degenerate(p: ProbVector) -> None:
-    for rho in _group_masses(p):
-        if rho >= 1.0 - 1e-15:
-            raise DegenerateMeasure(
-                "all probability mass sits in one fixed-point group")
+def _prune_nondegenerate(sys: CFSystem, p: ProbVector) -> tuple:
+    """prune_zeros, raising DegenerateMeasure when one group holds all the
+    mass up to rounding (the Phi evaluators need every group mass below 1)."""
+    sys, p, degenerate = prune_zeros(sys, p)
+    if degenerate or max(_group_masses(p)) >= 1.0 - 1e-15:
+        raise DegenerateMeasure(
+            "all probability mass sits in one fixed-point group")
+    return sys, p
 
 
 def _truncation_depth(rho: float, tol: float) -> int:
@@ -116,10 +120,7 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     The inner q-sum uses a multiplicative binomial recurrence; the outer sum
     stops once the per-group geometric tail drops below tol.
     """
-    sys, p, degenerate = prune_zeros(sys, p)
-    if degenerate:
-        raise DegenerateMeasure(
-            "all probability mass sits in one fixed-point group")
+    sys, p = _prune_nondegenerate(sys, p)
     value = 0.0
     tail = 0.0
     terms = 0
@@ -166,11 +167,8 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     which is what is sampled here.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
-    sys, p, degenerate = prune_zeros(sys, p)
-    if degenerate:
-        raise DegenerateMeasure(
-            "all probability mass sits in one fixed-point group")
+        raise ValidationError("samples must be >= 1")
+    sys, p = _prune_nondegenerate(sys, p)
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])
     # group index and in-group conditional weight per flat symbol
@@ -225,33 +223,36 @@ def rw_entropy_closed(sys: CFSystem, p: ProbVector,
     return RWEntropyResult(value=h + phi.value, method="closed-form")
 
 
-def _block_sums(row_p, length: int):
-    """(sum w, sum w log w) over the weights w of all count vectors of one
-    block: w = multinomial(counts) * prod p^count over the group's members."""
-    # DP over members: state = (weight, weight*log) aggregated by used length
-    # start: empty allocation
-    agg = {0: (1.0, 0.0)}
+def _block_sums(row_p, n: int) -> tuple:
+    """Lists S, SL over block lengths 0..n: S[l] = sum w and SL[l] = sum
+    w log w over the weights w = multinomial(counts) * prod p^count of all
+    count vectors of one block of length l.
+
+    One sweep over the members: giving c symbols to a member of weight p
+    after u symbols went to earlier members multiplies w by C(u+c, c) p^c.
+    Each update is formed in log space, so no factorial is ever evaluated.
+    """
+    logs = [0.0] + [math.log(k) for k in range(1, n + 1)]
+    S = [1.0] + [0.0] * n
+    SL = [0.0] * (n + 1)
     for pw in row_p:
-        pw = float(pw)
-        new: dict = {}
-        for used, (s, sl) in agg.items():
-            for c in range(0, length - used + 1):
-                if c == 0:
-                    w_c, lw_c = 1.0, 0.0
-                elif pw == 0.0:
-                    continue
-                else:
-                    lw_c = c * math.log(pw) - math.lgamma(c + 1)
-                    w_c = math.exp(lw_c)
-                key = used + c
-                ds, dsl = new.get(key, (0.0, 0.0))
-                new[key] = (ds + s * w_c, dsl + sl * w_c + s * w_c * lw_c)
-        agg = new
-    s, sl = agg.get(length, (0.0, 0.0))
-    # multiply by length! (shared multinomial numerator)
-    lfact = math.lgamma(length + 1)
-    fact = math.exp(lfact)
-    return s * fact, fact * (sl + s * lfact)
+        log_p = math.log(float(pw))
+        S2 = [0.0] * (n + 1)
+        SL2 = [0.0] * (n + 1)
+        for u in range(n + 1):
+            if S[u] == 0.0:
+                continue
+            log_s = math.log(S[u])
+            mean_log = SL[u] / S[u]
+            log_f = 0.0          # log(C(u+c, c) p^c)
+            for c in range(n - u + 1):
+                if c:
+                    log_f += logs[u + c] - logs[c] + log_p
+                t = math.exp(log_s + log_f)
+                S2[u + c] += t
+                SL2[u + c] += t * (mean_log + log_f)
+        S, SL = S2, SL2
+    return S, SL
 
 
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
@@ -270,9 +271,8 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
                                entropies=(0.0,) * n)
     if N * n * max(sys.group_sizes) ** 2 * n > budget:
         raise BudgetExceeded("signature DP budget exceeded")
-    # precompute per (group, block length) the pair (sum w, sum w log w)
-    bs = [[_block_sums(p.weights[g], ell) for ell in range(n + 1)]
-          for g in range(N)]
+    # per group, (sum w, sum w log w) for every block length
+    bs = [_block_sums(p.weights[g], n) for g in range(N)]
 
     # A[r][g], B[r][g]: signatures of total length r whose FIRST block has
     # group g; combine blocks left to right via suffix DP instead: S(r, g) =
@@ -290,8 +290,9 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
             for h in range(1, N + 1):
                 if h == g:
                     continue
+                S, SL = bs[h - 1]
                 for ell in range(1, r + 1):
-                    w, wl = bs[h - 1][ell]
+                    w, wl = S[ell], SL[ell]
                     if w == 0.0:
                         continue
                     a_rest = A[r - ell][h]

@@ -16,20 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dimension import DimensionReport, _bisect
-from .entropy import PhiResult, _tail_bound, _truncation_depth, shannon_entropy
-from .ifs import CFSystem, DegenerateMeasure, ProbVector, ValidationError
+from .entropy import phi_series
+from .ifs import CFSystem, ProbVector, ValidationError
 
 
-class ConditionsNotMet(ValueError):
-    pass
+class ConditionsNotMet(ValidationError):
+    """The rectangular open-set inequalities fail."""
 
 
-class RootOutsideBracket(ValueError):
-    pass
-
-
-class NoCaseApplies(RuntimeError):
-    """Internal error: the four-case dispatch should be exhaustive."""
+class RootOutsideBracket(ValidationError):
+    """The natural-weight equation has no sign change on its bracket."""
 
 
 @dataclass(frozen=True)
@@ -46,9 +42,14 @@ class FourCornerSystem:
                            tuple(tuple(float(v) for v in row) for row in gamma))
         object.__setattr__(self, "lam",
                            tuple(tuple(float(v) for v in row) for row in lam))
-        for grid in (self.gamma, self.lam):
+        for grid, name in ((self.gamma, "gamma"), (self.lam, "lambda")):
             if len(grid) != 2 or any(len(r) != 2 for r in grid):
                 raise ValidationError("gamma and lambda must be 2x2")
+            for i in range(2):
+                for j in range(2):
+                    if not (0 < grid[i][j] < 1):
+                        raise ValidationError(
+                            f"{name}[{i+1}][{j+1}] not in (0,1)")
 
     def maps(self):
         """The four affine maps as ((rx, cx), (ry, cy)) per map index 1..4."""
@@ -86,8 +87,8 @@ class FourCornerProb:
 
     def __init__(self, p: Sequence[float]):
         vals = tuple(float(v) for v in p)
-        if len(vals) != 4 or any(v < 0 for v in vals):
-            raise ValidationError("p must be 4 nonnegative reals")
+        if len(vals) != 4 or any(not math.isfinite(v) or v < 0 for v in vals):
+            raise ValidationError("p must be 4 finite nonnegative reals")
         if abs(sum(vals) - 1.0) > 1e-12:
             raise ValidationError(f"p must sum to 1, got {sum(vals)!r}")
         object.__setattr__(self, "p", vals)
@@ -110,11 +111,6 @@ def validate_4c(sys: FourCornerSystem) -> dict:
     domination inequalities; report-style output."""
     g, l = sys.gamma, sys.lam
     base = []
-    for grid, name in ((g, "gamma"), (l, "lambda")):
-        for i in range(2):
-            for j in range(2):
-                if not (0 < grid[i][j] < 1):
-                    base.append(f"{name}[{i+1}][{j+1}] not in (0,1)")
     if g[0][0] + g[1][0] > 1:
         base.append("gamma11 + gamma21 > 1")
     if g[0][1] + g[1][1] > 1:
@@ -152,46 +148,15 @@ def chis(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
     return chi_x, chi_y
 
 
-def _phi_pair_series(a: float, b: float, tol: float) -> tuple:
-    """sum_k sum_q C(k,q) a^{q+1} b^{k-q} (1-a-b) log((q+1)/(k+1)) with the
-    same truncation policy as the generic series; returns (value, tail)."""
-    rho = a + b
-    if a == 0.0 or rho >= 1.0 - 1e-15:
-        if rho >= 1.0 - 1e-15 and a > 0.0:
-            raise DegenerateMeasure("coordinate grouping carries all mass")
-        return 0.0, 0.0
-    out = 1.0 - rho
-    K = _truncation_depth(rho, tol)
-    acc = 0.0
-    for k in range(1, K + 1):
-        if b > 0.0:
-            w = b ** k
-            ratio = a / b
-            inner = 0.0
-            for q in range(0, k + 1):
-                if q > 0:
-                    w *= ratio * (k - q + 1) / q
-                inner += w * math.log((q + 1.0) / (k + 1.0))
-        else:
-            inner = 0.0
-        acc += inner
-    return a * out * acc, a * out * _tail_bound(rho, K)
+# Phi depends on the weights and their grouping only, so one line system of
+# the projections' shape (two groups of two maps) serves both coordinates.
+_PROJECTION_SHAPE = CFSystem([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def phi_xy(p: FourCornerProb, tol: float = 1e-12) -> tuple:
-    """(Phi_x, Phi_y) from the explicit coordinate series."""
-    p1, p2, p3, p4 = p.p
-    vx = tx = 0.0
-    for a, b in ((p1, p2), (p2, p1), (p3, p4), (p4, p3)):
-        v, t = _phi_pair_series(a, b, tol / 4)
-        vx += v
-        tx += t
-    vy = ty = 0.0
-    for a, b in ((p1, p3), (p3, p1), (p2, p4), (p4, p2)):
-        v, t = _phi_pair_series(a, b, tol / 4)
-        vy += v
-        ty += t
-    return vx, vy
+    """(Phi_x, Phi_y): the line-system Phi series of the x and y groupings."""
+    return (phi_series(_PROJECTION_SHAPE, p.x_grouping(), tol).value,
+            phi_series(_PROJECTION_SHAPE, p.y_grouping(), tol).value)
 
 
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
@@ -207,21 +172,20 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     chi_x, chi_y = chis(sys, p)
     phi_x, phi_y = phi_xy(p, tol)
     eps = 1e-12
+    # Exhaustive for finite inputs: a failed saturation test implies the
+    # overflow condition h + phi > chi + eps of the same coordinate.
     if chi_y >= chi_x - eps and chi_x >= h + phi_x - eps:
         case = "x-saturating"
         raw = (h + phi_x) / chi_x - phi_x / chi_y
-    elif chi_y >= chi_x - eps and h + phi_x >= chi_x - eps:
+    elif chi_y >= chi_x - eps:
         case = "x-overflow"
         raw = 1.0 + (h - chi_x) / chi_y
-    elif chi_x >= chi_y - eps and chi_y >= h + phi_y - eps:
+    elif chi_y >= h + phi_y - eps:
         case = "y-saturating"
         raw = (h + phi_y) / chi_y - phi_y / chi_x
-    elif chi_x >= chi_y - eps and h + phi_y >= chi_y - eps:
+    else:
         case = "y-overflow"
         raw = 1.0 + (h - chi_y) / chi_x
-    else:
-        raise NoCaseApplies(
-            f"h={h}, chi_x={chi_x}, chi_y={chi_y}, phi_x={phi_x}, phi_y={phi_y}")
     return DimensionReport(
         dimension=min(2.0, max(0.0, raw)), raw=raw, method="4corner-case",
         tolerance=tol,

@@ -9,6 +9,7 @@ rational mode, root-finding always runs in floating point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -22,7 +23,7 @@ class ValidationError(ValueError):
     """A system or probability vector violates a structural invariant."""
 
 
-class DegenerateMeasure(ValueError):
+class DegenerateMeasure(ValidationError):
     """All probability mass sits in a single fixed-point group."""
 
 
@@ -206,7 +207,9 @@ def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
         return errors
     for row in p.weights:
         for w in row:
-            if w < 0:
+            if not math.isfinite(w):
+                errors.append(f"NonFiniteWeight: {w}")
+            elif w < 0:
                 errors.append(f"NegativeWeight: {w}")
     tot = p.total()
     if isinstance(tot, Fraction):

@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
 from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, ProbVector, Symbol,
-                  map_of)
+                  ValidationError, map_of)
 
 DEFAULT_ENUM_BUDGET = 10**8
 
 
-class EmptyWord(ValueError):
+class EmptyWord(ValidationError):
     pass
 
 

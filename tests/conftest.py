@@ -5,6 +5,13 @@ import pytest
 from cfsdim import CFSystem, FourCornerSystem, ProbVector
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+
+# pyproject's pytest ``pythonpath`` reaches this process only; the CLI
+# determinism tests start ``python -m cfsdim.cli`` and need src/ as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
 
 
 def config_path(name: str) -> str:

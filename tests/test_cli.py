@@ -1,5 +1,6 @@
 """CLI contract: subcommand behaviour, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -7,14 +8,25 @@ import sys
 
 import pytest
 
+from cfsdim import (ProbVector, cli, dimension, entropy, estimate,
+                    fourcorner, ifs, measure_dimension, separation, words)
 from cfsdim.cli import main
 from conftest import config_path
+
+TWO_GROUP = config_path("two_group_overlap.json")
+FOUR_CORNER = config_path("four_corner_main.json")
 
 
 def run_main(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_descriptor(tmp_path, desc):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(desc))
+    return str(path)
 
 
 class TestMeasureDim:
@@ -175,3 +187,99 @@ class TestDeterminism:
         a, b = run(), run()
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestProbabilitiesRule:
+    def test_json_list_is_used(self, two_group_overlap, capsys):
+        weights = [[0.2031, 0.5469], [0.25]]
+        code, out, err = run_main(
+            ["measure-dim", TWO_GROUP, "--probabilities", json.dumps(weights)],
+            capsys)
+        assert code == 0 and "Traceback" not in err
+        expected = measure_dimension(two_group_overlap, ProbVector(weights),
+                                     tol=1e-10)
+        assert json.loads(out)["raw"] == expected.raw
+
+    def test_descriptor_probabilities_unless_overridden(
+            self, two_group_overlap, tmp_path, capsys):
+        weights = [[0.5, 0.2], [0.3]]
+        path = write_descriptor(
+            tmp_path, two_group_overlap.to_json_dict(ProbVector(weights)))
+        _, own, _ = run_main(["phi", path], capsys)
+        _, listed, _ = run_main(
+            ["phi", path, "--probabilities", json.dumps(weights)], capsys)
+        _, uniform, _ = run_main(["phi", path, "--probabilities", "uniform"],
+                                 capsys)
+        _, plain, _ = run_main(["phi", TWO_GROUP], capsys)
+        assert own == listed
+        assert uniform == plain != own
+
+
+BAD_RATIO_4C = {"type": "four_corner", "gamma": [[1.5, 0.1], [0.1, 0.8]],
+                "lambda": [[0.45, 0.09], [0.09, 0.45]]}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, code", [
+        (["measure-dim", TWO_GROUP, "--probabilities", "natural"], 2),
+        (["fourcorner", FOUR_CORNER], 0),
+        (["fourcorner", FOUR_CORNER, "--probabilities", "[0.5,"], 2),
+        (["fourcorner", FOUR_CORNER, "--probabilities", '"abc"'], 2),
+        (["fourcorner", FOUR_CORNER, "--probabilities",
+          "[NaN,0.5,0.25,0.25]"], 2),
+        (["rw-entropy", TWO_GROUP, "--depth", "200"], 0),
+    ], ids=["natural-on-line-system", "fourcorner-default-p",
+            "truncated-json", "json-string", "nan-weight", "depth-200"])
+    def test_command(self, argv, code, capsys):
+        got, _, err = run_main(argv, capsys)
+        assert got == code
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "{path}", "--out", "{dir}/fig.svg"],
+        ["estimate", "{path}", "--kind", "box2d"],
+    ], ids=["render", "estimate-box2d"])
+    def test_four_corner_ratio_out_of_range(self, argv, tmp_path, capsys):
+        path = write_descriptor(tmp_path, BAD_RATIO_4C)
+        argv = [a.format(path=path, dir=tmp_path) for a in argv]
+        code, _, err = run_main(argv, capsys)
+        assert code == 2
+        assert "not in (0,1)" in err
+
+    def test_descriptor_holding_a_list(self, tmp_path, capsys):
+        path = write_descriptor(tmp_path, [0.0, 1.0])
+        code, _, err = run_main(["measure-dim", path], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+
+
+def _exception_classes():
+    modules = (ifs, words, entropy, dimension, separation, fourcorner,
+               estimate, cli)
+    return sorted({obj for mod in modules for obj in vars(mod).values()
+                   if inspect.isclass(obj) and issubclass(obj, Exception)
+                   and obj.__module__.startswith("cfsdim")},
+                  key=lambda cls: cls.__name__)
+
+
+# The exit code README documents for each exception class of the package.
+DOCUMENTED_EXIT = {
+    "ConfigError": 1,
+    "ValidationError": 2, "DegenerateMeasure": 2, "ConditionsNotMet": 2,
+    "RootOutsideBracket": 2, "EmptyWord": 2,
+    "BudgetExceeded": 3, "RunTooLong": 3, "NonConvergence": 3,
+}
+
+
+@pytest.mark.parametrize("exc_class", _exception_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_every_exception_class_has_its_exit_code(exc_class, monkeypatch,
+                                                 capsys):
+    def fail(*args, **kwargs):
+        raise exc_class("injected failure")
+
+    monkeypatch.setattr(dimension, "measure_dimension", fail)
+    code, _, err = run_main(["measure-dim", TWO_GROUP], capsys)
+    assert code == DOCUMENTED_EXIT[exc_class.__name__]
+    assert "injected failure" in err
+    assert "Traceback" not in err

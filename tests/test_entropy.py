@@ -154,6 +154,14 @@ class TestRWEntropy:
         for n, H in enumerate(bf.entropies, start=1):
             assert H == pytest.approx(n * h, rel=1e-12)
 
+    def test_bruteforce_past_depth_170(self):
+        """Singleton groups identify every word, so H_n = n h_p exactly; at
+        n = 200 a factorial-based block sum overflows."""
+        sys = CFSystem([0.0, 0.5, 1.0], [[0.3], [0.2], [0.25]])
+        p = ProbVector([[0.2], [0.3], [0.5]])
+        bf = rw_entropy_bruteforce(sys, p, 200)
+        assert bf.value == pytest.approx(shannon_entropy(p), rel=1e-12)
+
     def test_bruteforce_matches_word_enumeration(self, two_group_overlap):
         """Signature DP vs the exact composed-map grouping oracle."""
         p = ProbVector([[0.5, 0.2], [0.3]])

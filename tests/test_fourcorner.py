@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from cfsdim import (ConditionsNotMet, FourCornerProb, FourCornerSystem,
-                    chis, measure_dimension_4c, natural_p, phi_series,
-                    phi_xy, set_dimension_4c, suff_check, validate_4c)
+from cfsdim import (ConditionsNotMet, DegenerateMeasure, FourCornerProb,
+                    FourCornerSystem, ValidationError, chis,
+                    measure_dimension_4c, natural_p, phi_series, phi_xy,
+                    set_dimension_4c, suff_check, validate_4c)
 from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
                                render_cylinders_svg, _cylinders)
 
@@ -82,6 +83,16 @@ class TestPhiXY:
         p = FourCornerProb([0.25, 0.25, 0.25, 0.25])
         vx, vy = phi_xy(p)
         assert vx == pytest.approx(vy, abs=1e-14)
+
+    def test_coordinate_group_holding_all_mass_rejected(self):
+        # 0.5 + 0.5 rounds to 1: the x grouping is degenerate
+        p = FourCornerProb([0.5, 0.5, 1e-16, 0.0])
+        with pytest.raises(DegenerateMeasure):
+            phi_xy(p)
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValidationError):
+            FourCornerProb([float("nan"), 0.5, 0.25, 0.25])
 
 
 class TestNaturalP:

@@ -118,6 +118,10 @@ class TestProbabilities:
         p = ProbVector([[1.5], [-0.5]])
         assert validate_probabilities(equal_halves, p)
 
+    def test_non_finite_weight(self, two_group_overlap):
+        p = ProbVector([[float("nan"), 0.5], [0.25]])
+        assert validate_probabilities(two_group_overlap, p)
+
 
 class TestRationalMode:
     def test_fractions_parsed_from_strings(self):
