@@ -104,8 +104,9 @@ def cmd_attractor_dim(args) -> int:
     rep = dimension.attractor_dimension(sys_obj, tol=args.tol)
     out = rep.to_json_dict()
     if args.gd_depth:
+        # a negative depth goes to gd_dimension, which rejects it
         seq = [dimension.gd_dimension(sys_obj, d, tol=args.tol)
-               for d in range(1, args.gd_depth + 1)]
+               for d in range(1, args.gd_depth + 1) or [args.gd_depth]]
         out["gd_sequence"] = seq
         out["gd_delta"] = rep.raw - seq[-1]
     if args.box:
@@ -157,13 +158,11 @@ def cmd_fourcorner(args) -> int:
     conditions = fourcorner.validate_4c(sys_obj)
     out = {"conditions": conditions}
     if conditions["open_set_ok"]:
-        prob, s = fourcorner.natural_p(sys_obj)
-        value, holds = fourcorner.suff_check(sys_obj)
-        out["s"] = s
-        out["natural_p"] = list(prob.p)
-        out["suff_value"] = value
-        out["suff_holds"] = holds
-        out["set_dimension"] = fourcorner.set_dimension_4c(sys_obj).to_json_dict()
+        set_dim = fourcorner.set_dimension_4c(sys_obj)
+        for key in ("s", "natural_p", "suff_value"):
+            out[key] = set_dim.diagnostics[key]
+        out["suff_holds"] = set_dim.diagnostics["suff_value"] > 0.0
+        out["set_dimension"] = set_dim.to_json_dict()
         out["measure_dimension"] = fourcorner.measure_dimension_4c(
             sys_obj, p, tol=args.tol).to_json_dict()
     _emit(out, args)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector, \
-    check_valid, prune_zeros
+    ValidationError, check_valid, prune_zeros
 
 BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -50,26 +50,31 @@ class GDMatrix:
     depth: Optional[int]         # None means the infinite-depth closed form
 
 
-def _bisect(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of a function with fn(lo), fn(hi) of opposite sign."""
+def _bisect(fn, lo: float, hi: float, tol: float) -> tuple:
+    """(root, hi): a root of fn bracketed by [lo, hi], hi doubling until
+    fn(lo) and fn(hi) differ in sign; hi is the bracket end used."""
     flo = fn(lo)
-    fhi = fn(hi)
     if flo == 0.0:
-        return lo
+        return lo, hi
+    fhi = fn(hi)
+    while flo * fhi > 0:
+        if math.isinf(hi):
+            raise ValueError(f"no sign change on [{lo}, inf)")
+        hi *= 2.0
+        fhi = fn(hi)
     if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
+        return hi, hi
+    end = hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0:
-            return mid
+            return mid, end
         if flo * fm < 0:
             hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), end
 
 
 def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
@@ -81,10 +86,7 @@ def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
     def f(s):
         return sum(r**s for r in rs) - 1.0
 
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-    return _bisect(f, 0.0, hi, tol)
+    return _bisect(f, 0.0, 1.0, tol)[0]
 
 
 def measure_dimension(sys: CFSystem, p: ProbVector,
@@ -120,10 +122,7 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
         return sum(math.prod(1.0 - float(lam)**s for lam in row)
                    for row in sys.ratios)
 
-    hi = 1.0
-    while F(hi) < N - 1:
-        hi *= 2.0
-    raw = _bisect(lambda s: F(s) - (N - 1), 0.0, hi, tol)
+    raw, hi = _bisect(lambda s: F(s) - (N - 1), 0.0, 1.0, tol)
     return DimensionReport(
         dimension=min(1.0, raw), raw=raw, method="attractor-formula",
         tolerance=tol, diagnostics={"bracket_hi": hi})
@@ -208,6 +207,8 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
                  tol: float = 1e-10) -> float:
     """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s."""
     check_valid(sys)
+    if depth is not None and depth < 1:
+        raise ValidationError(f"depth must be >= 1 or None, got {depth}")
 
     def g(s):
         return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
@@ -216,10 +217,7 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
     if g(lo) <= 0:
         # extremely small entries already: the root is essentially 0
         return lo
-    hi = similarity_dimension(sys.flat_ratios()) + 1.0
-    while g(hi) > 0:
-        hi *= 2.0
-    return _bisect(g, lo, hi, tol)
+    return _bisect(g, lo, 1.0, tol)[0]
 
 
 def special_det(x) -> float:

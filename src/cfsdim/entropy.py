@@ -263,6 +263,8 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
     over (remaining length, last group) propagating (sum W, sum W log W), so no
     signature is ever materialized.
     """
+    if n < 1:
+        raise ValidationError(f"depth n must be >= 1, got {n}")
     sys, p, degenerate = prune_zeros(sys, p)
     N = sys.n_groups
     if degenerate and len(p.flat()) == 1:

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import BudgetExceeded, CFSystem, ProbVector, check_valid, map_of
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                  check_valid, map_of)
 from .words import Word
 
 DEFAULT_COVER_BUDGET = 5_000_000
@@ -45,12 +46,16 @@ def _fit(xs, ys) -> tuple:
     return float(slope), r2
 
 
-def _trim_window(m_range: Sequence[int]) -> list:
-    """Drop the two coarsest and two finest scales when enough remain."""
+def _window(m_range: Sequence[int], points: int = 1) -> tuple:
+    """(sorted scales, fit window): the window drops the two coarsest and two
+    finest scales when enough remain.  A slope needs two distinct scales in
+    the window, and a sampled fit at least one point."""
     ms = sorted(m_range)
-    if len(ms) > 6:
-        return ms[2:-2]
-    return ms
+    window = ms[2:-2] if len(ms) > 6 else ms
+    if len(set(window)) < 2 or points < 1:
+        raise ValidationError(f"a scaling fit needs 2 or more scales and "
+                              f"points >= 1, got scales {ms}, points {points}")
+    return ms, window
 
 
 def _attractor_interval(sys: CFSystem) -> tuple:
@@ -104,9 +109,8 @@ def cover_boxes_1d(sys: CFSystem, m: int,
 def box_dimension_1d(sys: CFSystem, m_range: Sequence[int],
                      budget: int = DEFAULT_COVER_BUDGET) -> ScalingFit:
     """Least-squares slope of log2 N_m against m over the trimmed window."""
-    ms = sorted(m_range)
+    ms, window = _window(m_range)
     counts = [cover_boxes_1d(sys, m, budget=budget)[0] for m in ms]
-    window = _trim_window(ms)
     ys = [math.log2(counts[ms.index(m)]) for m in window]
     slope, r2 = _fit(window, ys)
     return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,
@@ -120,15 +124,14 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     reweights the map choice (the natural weights spread points far more
     evenly over the set than the uniform default)."""
     from .fourcorner import chaos_game_points
+    ms, window = _window(m_range, points)
     pts = chaos_game_points(sys, points, seed, weights=weights)
-    ms = sorted(m_range)
     counts = []
     for m in ms:
         scale = 2 ** m
         xi = np.clip((pts[:, 0] * scale).astype(np.int64), 0, scale - 1)
         yi = np.clip((pts[:, 1] * scale).astype(np.int64), 0, scale - 1)
         counts.append(int(np.unique(xi * scale + yi).size))
-    window = _trim_window(ms)
     ys = [math.log2(counts[ms.index(m)]) for m in window]
     slope, r2 = _fit(window, ys)
     return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,
@@ -163,7 +166,7 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
     """Dyadic entropy slope of the empirical self-similar measure; estimates
     dim(mu) as H(mu_hat, D_m) / (m log 2)."""
     check_valid(sys)
-    ms = sorted(m_range)
+    ms, window = _window(m_range, samples)
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min
     xs = sample_measure_points(sys, p, samples, min_scale=max(ms) + 2,
@@ -176,7 +179,6 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
         _, freq = np.unique(bins, return_counts=True)
         q = freq / samples
         entropies.append(float(-(q * np.log(q)).sum()))
-    window = _trim_window(ms)
     ys = [entropies[ms.index(m)] / math.log(2) for m in window]
     slope, r2 = _fit(window, ys)
     return ScalingFit(scales=tuple(ms), counts=tuple(entropies), slope=slope,

@@ -208,7 +208,7 @@ def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
         lo, hi = 0.5, 3.0
         if _natural_equation(sys, lo) * _natural_equation(sys, hi) > 0:
             raise RootOutsideBracket("no sign change on [0.5, 3]")
-    s = _bisect(lambda v: _natural_equation(sys, v), lo, hi, tol)
+    s = _bisect(lambda v: _natural_equation(sys, v), lo, hi, tol)[0]
     g, l = sys.gamma, sys.lam
     weights = (g[0][0] * l[0][0] ** (s - 1), g[0][1] * l[1][0] ** (s - 1),
                g[1][0] * l[0][1] ** (s - 1), g[1][1] * l[1][1] ** (s - 1))
@@ -216,41 +216,40 @@ def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
     return FourCornerProb(tuple(w / total for w in weights)), s
 
 
+def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
+    """The sufficiency expression at the natural weights p, through
+    lambda_i^{s-1} = p_i / gamma_i."""
+    (g1, g2), (g3, g4) = sys.gamma
+    p1, p2, p3, p4 = p.p
+    return (p1 * math.log((1.0 - p2) * g1 / p1)
+            + p2 * math.log((1.0 - p1) * g2 / p2)
+            + p3 * math.log((1.0 - p4) * g3 / p3)
+            + p4 * math.log((1.0 - p3) * g4 / p4))
+
+
 def suff_check(sys: FourCornerSystem) -> tuple:
     """Evaluate the sufficiency expression at the natural weights; the set
     dimension certificate needs it strictly positive."""
-    _, s = natural_p(sys)
-    g, l = sys.gamma, sys.lam
-    p1 = g[0][0] * l[0][0] ** (s - 1)
-    p2 = g[0][1] * l[1][0] ** (s - 1)
-    p3 = g[1][0] * l[0][1] ** (s - 1)
-    p4 = g[1][1] * l[1][1] ** (s - 1)
-    value = (p1 * math.log((1.0 - p2) / l[0][0] ** (s - 1))
-             + p2 * math.log((1.0 - p1) / l[1][0] ** (s - 1))
-             + p3 * math.log((1.0 - p4) / l[0][1] ** (s - 1))
-             + p4 * math.log((1.0 - p3) / l[1][1] ** (s - 1)))
+    value = _suff_value(sys, natural_p(sys)[0])
     return value, value > 0.0
 
 
 def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionReport:
     """Hausdorff dimension s of the generalised 4-corner set when the open
     set, domination, and sufficiency conditions all hold; otherwise s is
-    only an upper bound and is flagged as such."""
+    only an upper bound and is flagged as such.  The sufficiency expression
+    is evaluated at the reported s."""
     rep = validate_4c(sys)
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
     prob, s = natural_p(sys, tol=tol)
-    diagnostics = {"conditions": rep, "s": s, "natural_p": list(prob.p)}
+    value = _suff_value(sys, prob)
+    diagnostics = {"conditions": rep, "s": s, "natural_p": list(prob.p),
+                   "suff_value": value,
+                   "certified": rep["domination_ok"] and value > 0.0}
     if not rep["domination_ok"]:
-        diagnostics["certified"] = False
         diagnostics["note"] = "domination fails: s is an upper bound only"
-        return DimensionReport(dimension=min(2.0, s), raw=s,
-                               method="4corner-set", tolerance=tol,
-                               diagnostics=diagnostics)
-    value, holds = suff_check(sys)
-    diagnostics["suff_value"] = value
-    diagnostics["certified"] = bool(holds)
-    if not holds:
+    elif value <= 0.0:
         diagnostics["note"] = "sufficiency fails: s is an upper bound only"
     return DimensionReport(dimension=min(2.0, s), raw=s, method="4corner-set",
                            tolerance=tol, diagnostics=diagnostics)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional
 
-from .ifs import BudgetExceeded, CFSystem, check_valid
-from .words import BlockSignature, compose, enumerate_signatures, project
+from .ifs import CFSystem, ValidationError, check_valid
+from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
 DEFAULT_CLASS_BUDGET = 10**7
@@ -47,30 +46,6 @@ class SeparationReport:
         }
 
 
-def _signature_data(sys: CFSystem, n: int, budget: int):
-    """(signature, count vector, lambda product, Pi value) per class."""
-    out = []
-    for sig in enumerate_signatures(sys, n, budget=budget):
-        word = sig.representative()
-        cv = tuple(sorted(
-            ((b.group, member), count)
-            for b in sig.blocks for member, count in b.counts))
-        # aggregate duplicate members across blocks
-        agg: dict = {}
-        for key, count in cv:
-            agg[key] = agg.get(key, 0) + count
-        cv = tuple(sorted(agg.items()))
-        if sys.mode == "rational":
-            prod = Fraction(1)
-            for (g, m), c in cv:
-                prod *= sys.ratios[g - 1][m - 1] ** c
-        else:
-            prod = math.prod(float(sys.ratios[g - 1][m - 1]) ** c
-                             for (g, m), c in cv)
-        out.append((sig, cv, prod, project(sys, word)))
-    return out
-
-
 def collision_buckets(sys: CFSystem, n: int,
                       budget: int = DEFAULT_CLASS_BUDGET) -> List[list]:
     """Buckets of signature records with equal contraction product.
@@ -80,7 +55,9 @@ def collision_buckets(sys: CFSystem, n: int,
     relative 1e-12, catching multiplicative relations between the ratios.
     """
     check_valid(sys)
-    data = _signature_data(sys, n, budget)
+    if n < 1:
+        raise ValidationError(f"depth n must be >= 1, got {n}")
+    data = signature_classes(sys, n, budget)
     if sys.mode == "rational":
         buckets: dict = {}
         for rec in data:
@@ -153,6 +130,8 @@ def esc_probe(sys: CFSystem, n_max: int,
               budget: int = DEFAULT_CLASS_BUDGET) -> ProbeResult:
     """Run min_gap for n = 2..n_max.  Finite depth cannot certify the
     asymptotic separation condition; the verdict is explicitly heuristic."""
+    if n_max < 2:
+        raise ValidationError(f"n_max must be >= 2, got {n_max}")
     rows = []
     violated = False
     b_hat = None

@@ -186,44 +186,64 @@ def enumerate_words(sys: CFSystem, n: int,
         yield Word(combo)
 
 
-def _block_count_vectors(n_members: int, length: int):
-    """Compositions of ``length`` into n_members nonnegative parts."""
-    if n_members == 1:
-        yield (length,)
-        return
-    for head in range(length + 1):
-        for rest in _block_count_vectors(n_members - 1, length - head):
-            yield (head,) + rest
+def signature_classes(sys: CFSystem, n: int,
+                      budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[tuple]:
+    """Each block signature of words of length n >= 1 once, as the record
+    (signature, count vector, contraction product, Pi value).
+
+    A depth-first walk over block prefixes.  Each appended block extends the
+    running symbol counts and ``project``'s telescoping sum, in the same
+    order of operations, so float values are bit-identical to ``project``.
+    The product is the exact running scale in rational mode and the product
+    over the sorted count vector in float mode.
+    """
+    rational = sys.mode == "rational"
+    one = Fraction(1) if rational else 1.0
+    counts = {(s.group, s.member): 0 for s in sys.symbols()}  # sorted keys
+    blocks: list = []
+    emitted = 0
+
+    def rec(remaining: int, prev_group: int, value, scale, t_prev):
+        # value: the telescoped sum up to the last block's fixed point;
+        # scale: the product of the ratios of all blocks so far
+        nonlocal emitted
+        for g, (t, row) in enumerate(zip(sys.fixed_points, sys.ratios), 1):
+            if g == prev_group:
+                continue
+            g_value = t if prev_group == 0 else value + scale * (t - t_prev)
+            for length in range(1, remaining + 1):
+                # reversed, the multisets come in ascending count-vector order
+                for combo in reversed(list(itertools.combinations_with_replacement(
+                        range(1, len(row) + 1), length))):
+                    block = Block(g, tuple((m, len(list(run)))
+                                           for m, run in itertools.groupby(combo)))
+                    lam = math.prod((row[m - 1] ** c for m, c in block.counts),
+                                    start=one)
+                    for member, count in block.counts:
+                        counts[g, member] += count
+                    blocks.append(block)
+                    g_scale = scale * lam
+                    if length < remaining:
+                        yield from rec(remaining - length, g, g_value, g_scale, t)
+                    else:
+                        emitted += 1
+                        if emitted > budget:
+                            raise BudgetExceeded(f"signature budget {budget} exceeded")
+                        cv = tuple((k, c) for k, c in counts.items() if c)
+                        prod = g_scale if rational else math.prod(
+                            sys.ratios[i - 1][j - 1] ** c for (i, j), c in cv)
+                        yield (BlockSignature(tuple(blocks)), cv, prod,
+                               g_value - g_scale * t)
+                    blocks.pop()
+                    for member, count in block.counts:
+                        counts[g, member] -= count
+
+    yield from rec(n, 0, None, one, None)
 
 
 def enumerate_signatures(sys: CFSystem, n: int,
                          budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[BlockSignature]:
     """All block signatures realized by words of length n, each once."""
-    sizes = sys.group_sizes
-    N = len(sizes)
-    emitted = 0
-
-    def rec(remaining: int, prev_group: int, acc: list):
-        nonlocal emitted
-        if remaining == 0:
-            emitted += 1
-            if emitted > budget:
-                raise BudgetExceeded(f"signature budget {budget} exceeded")
-            yield BlockSignature(tuple(acc))
-            return
-        for g in range(1, N + 1):
-            if g == prev_group:
-                continue
-            for length in range(1, remaining + 1):
-                for cv in _block_count_vectors(sizes[g - 1], length):
-                    counts = tuple((j + 1, c) for j, c in enumerate(cv) if c > 0)
-                    if not counts:
-                        continue
-                    acc.append(Block(g, counts))
-                    yield from rec(remaining - length, g, acc)
-                    acc.pop()
-
     if n == 0:
         yield BlockSignature(())
-        return
-    yield from rec(n, 0, [])
+    yield from (rec[0] for rec in signature_classes(sys, n, budget))

@@ -15,6 +15,7 @@ from conftest import config_path
 
 TWO_GROUP = config_path("two_group_overlap.json")
 FOUR_CORNER = config_path("four_corner_main.json")
+CANTOR = config_path("cantor_quarter.json")
 
 
 def run_main(argv, capsys):
@@ -139,6 +140,28 @@ class TestFourCorner:
         assert rep["measure_dimension"]["raw"] == pytest.approx(rep["s"],
                                                                 abs=1e-9)
 
+    def test_natural_equation_solved_once_per_use(self, monkeypatch, capsys):
+        """--probabilities natural and the set dimension each solve it once,
+        and every reported value comes from the set-dimension report."""
+        solves = []
+        natural_p = fourcorner.natural_p
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return natural_p(*args, **kwargs)
+
+        monkeypatch.setattr(fourcorner, "natural_p", counted)
+        code, out, _ = run_main(["fourcorner", FOUR_CORNER,
+                                 "--probabilities", "natural"], capsys)
+        assert code == 0
+        assert len(solves) == 2
+        rep = json.loads(out)
+        diag = rep["set_dimension"]["diagnostics"]
+        assert rep["s"] == rep["set_dimension"]["raw"] == diag["s"]
+        assert rep["natural_p"] == diag["natural_p"]
+        assert rep["suff_value"] == diag["suff_value"]
+        assert rep["suff_holds"] == (diag["suff_value"] > 0)
+
 
 class TestRender:
     def test_cylinders(self, tmp_path, capsys):
@@ -228,8 +251,22 @@ class TestExitCodes:
         (["fourcorner", FOUR_CORNER, "--probabilities",
           "[NaN,0.5,0.25,0.25]"], 2),
         (["rw-entropy", TWO_GROUP, "--depth", "200"], 0),
+        (["rw-entropy", TWO_GROUP, "--depth", "-1"], 2),
+        (["attractor-dim", TWO_GROUP, "--gd-depth", "-2"], 2),
+        (["attractor-dim", TWO_GROUP, "--box", "2"], 2),
+        (["estimate", CANTOR, "--kind", "box1d", "--m-lo", "10",
+          "--m-hi", "5"], 2),
+        (["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "0",
+          "--m-lo", "2", "--m-hi", "6"], 2),
+        (["estimate", CANTOR, "--kind", "box1d", "--m-lo", "5",
+          "--m-hi", "5"], 2),
+        (["esc-probe", config_path("rational_three_symbol.json"),
+          "--n-max", "-3"], 2),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
-            "truncated-json", "json-string", "nan-weight", "depth-200"])
+            "truncated-json", "json-string", "nan-weight", "depth-200",
+            "depth-negative", "gd-depth-negative", "box-below-first-scale",
+            "m-lo-above-m-hi", "box2d-no-points", "one-scale",
+            "n-max-negative"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code

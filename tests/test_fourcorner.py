@@ -196,6 +196,8 @@ class TestSetDimension4C:
                                [[0.45, 0.09], [0.09, 0.45]])
         rep = set_dimension_4c(sys)
         assert rep.diagnostics["certified"] is False
+        assert rep.diagnostics["suff_value"] == pytest.approx(
+            suff_check(sys)[0], abs=1e-10)
 
 
 class TestRendering:

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cfsdim import (CFSystem, Word, collision_buckets, compose, esc_probe,
-                    min_gap)
+from cfsdim import (CFSystem, ValidationError, Word, collision_buckets,
+                    compose, esc_probe, min_gap)
 
 
 @pytest.fixture
@@ -56,6 +56,11 @@ class TestCollisionBuckets:
         buckets = collision_buckets(sys, 2)
         assert sum(len(b) for b in buckets) == \
             len({rec[0] for b in buckets for rec in b})
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_depth_below_one_rejected(self, rational_three_symbol, n):
+        with pytest.raises(ValidationError):
+            collision_buckets(rational_three_symbol, n)
 
 
 class TestMinGap:

@@ -11,7 +11,7 @@ from cfsdim import (CFSystem, ProbVector, Symbol, Word, class_weight, compose,
                     count_vector, decompose, enumerate_signatures,
                     enumerate_words, project, same_block_structure)
 from cfsdim.ifs import BudgetExceeded
-from cfsdim.words import EmptyWord
+from cfsdim.words import EmptyWord, signature_classes
 
 
 class TestDecompose:
@@ -184,3 +184,36 @@ class TestEnumeration:
         enumerated = list(enumerate_signatures(two_group_overlap, n))
         assert set(enumerated) == from_words
         assert len(enumerated) == len(from_words)
+
+
+class TestSignatureClasses:
+    """The walk's records against every word of their class."""
+
+    @pytest.mark.parametrize("sys", [
+        CFSystem(["0", "1"], [["1/2", "1/5"], ["1/7"]], mode="rational"),
+        CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]]),
+    ], ids=["rational_three_symbol", "two_group_overlap"])
+    def test_values_match_every_word(self, sys):
+        exact = sys.mode == "rational"
+        for n in range(1, 6):
+            by_sig: dict = {}
+            for w in enumerate_words(sys, n):
+                by_sig.setdefault(decompose(w), []).append(w)
+            records = list(signature_classes(sys, n))
+            assert len(records) == len(by_sig)
+            assert {rec[0] for rec in records} == set(by_sig)
+            for sig, cv, prod, pi in records:
+                for w in by_sig[sig]:
+                    m = compose(sys, w)
+                    if exact:
+                        assert prod == m.ratio
+                        assert pi == m.intercept
+                    else:
+                        assert prod == pytest.approx(m.ratio, rel=1e-12)
+                        assert pi == pytest.approx(m.intercept, abs=1e-12)
+                    assert cv == tuple(sorted(count_vector(w).items()))
+
+    def test_budget(self, two_group_overlap):
+        walk = signature_classes(two_group_overlap, 6, budget=10)
+        with pytest.raises(BudgetExceeded):
+            list(walk)
