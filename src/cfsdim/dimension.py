@@ -50,10 +50,13 @@ class GDMatrix:
     depth: Optional[int]         # None means the infinite-depth closed form
 
 
-def _bisect(fn, lo: float, hi: float, tol: float) -> tuple:
+def _bisect(fn, lo: float, hi: float, tol: float,
+            flo: Optional[float] = None) -> tuple:
     """(root, hi): a root of fn bracketed by [lo, hi], hi doubling until
-    fn(lo) and fn(hi) differ in sign; hi is the bracket end used."""
-    flo = fn(lo)
+    fn(lo) and fn(hi) differ in sign; hi is the bracket end used.  A caller
+    that already holds fn(lo) passes it as flo."""
+    if flo is None:
+        flo = fn(lo)
     if flo == 0.0:
         return lo, hi
     fhi = fn(hi)
@@ -214,10 +217,11 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
         return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
 
     lo = 1e-9
-    if g(lo) <= 0:
+    glo = g(lo)
+    if glo <= 0:
         # extremely small entries already: the root is essentially 0
         return lo
-    return _bisect(g, lo, 1.0, tol)[0]
+    return _bisect(g, lo, 1.0, tol, flo=glo)[0]
 
 
 def special_det(x) -> float:

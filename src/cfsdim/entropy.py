@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import List, Optional
 
 import numpy as np
@@ -21,6 +22,7 @@ from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
+PHI_TERM_CAP = 10**8
 
 
 class RunTooLong(BudgetExceeded):
@@ -117,38 +119,33 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
 
     Per symbol (l, m) with a = p_{l,m}, b = (group mass) - a:
     sum_k sum_q C(k,q) a^{q+1} b^{k-q} (1 - rho_l) log((q+1)/(k+1)).
-    The inner q-sum uses a multiplicative binomial recurrence; the outer sum
-    stops once the per-group geometric tail drops below tol.
+    Row k of C(k,q) a^q b^{k-q} is built from row k-1 by Pascal's rule, so
+    no term is lost to an underflowing restart; the outer sum stops once the
+    per-group geometric tail drops below tol.  Raises BudgetExceeded when
+    the terms would exceed PHI_TERM_CAP.
     """
     sys, p = _prune_nondegenerate(sys, p)
+    # single-member groups drop out: q = k always, log((k+1)/(k+1)) = 0
+    groups = [(float(sum(row)), row) for row in p.weights if len(row) > 1]
+    depths = [_truncation_depth(rho, tol / len(p.weights)) for rho, _ in groups]
+    terms = sum(len(row) * K * (K + 3) // 2
+                for (_, row), K in zip(groups, depths))
+    if terms > PHI_TERM_CAP:
+        raise BudgetExceeded(
+            f"Phi series needs {terms} terms, cap {PHI_TERM_CAP}")
     value = 0.0
     tail = 0.0
-    terms = 0
-    for gi, row in enumerate(p.weights):
-        rho = float(sum(row))
-        if len(row) == 1:
-            # single-member group: q = k always, log((k+1)/(k+1)) = 0
-            continue
-        K = _truncation_depth(rho, tol / max(1, len(p.weights)))
+    for (rho, row), K in zip(groups, depths):
         out = 1.0 - rho
-        for m, a in enumerate(row):
+        logs = [math.log(q + 1.0) for q in range(K + 1)]
+        for a in row:
             a = float(a)
             b = rho - a
+            v = [1.0]
             acc = 0.0
             for k in range(1, K + 1):
-                # w_q = C(k,q) a^q b^{k-q}, built by recurrence from q=0
-                if b > 0.0:
-                    w = b ** k
-                    ratio = a / b
-                    inner = 0.0
-                    for q in range(0, k + 1):
-                        if q > 0:
-                            w *= ratio * (k - q + 1) / q
-                        inner += w * math.log((q + 1.0) / (k + 1.0))
-                        terms += 1
-                else:
-                    inner = 0.0  # only q=k survives and its log vanishes
-                acc += inner
+                v = [b * x + a * y for x, y in zip(v + [0.0], [0.0] + v)]
+                acc += sum(map(mul, v, logs)) - logs[k] * sum(v)
             value += a * out * acc
             # |inner_k| <= log(k+1) rho^k, so the k > K remainder is bounded
             # by the geometric-log tail
@@ -260,8 +257,10 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
     """Exact H_1..H_n over block-signature classes by dynamic programming.
 
     H_n = -sum over signatures of W log W with W the class weight; the DP runs
-    over (remaining length, last group) propagating (sum W, sum W log W), so no
-    signature is ever materialized.
+    over (suffix length, first group) carrying sum W log W, so no signature
+    is ever materialized.  Sum W needs no table: by the law of total
+    probability the suffixes of length >= 1 that do not open with group h
+    weigh 1 - rho_h.
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
@@ -274,36 +273,21 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
     if N * n * max(sys.group_sizes) ** 2 * n > budget:
         raise BudgetExceeded("signature DP budget exceeded")
     # per group, (sum w, sum w log w) for every block length
-    bs = [_block_sums(p.weights[g], n) for g in range(N)]
-
-    # A[r][g], B[r][g]: signatures of total length r whose FIRST block has
-    # group g; combine blocks left to right via suffix DP instead: S(r, g) =
-    # aggregate over suffixes of length r starting with a block of group != g.
-    # Iterate bottom-up on r.
-    A = [[0.0] * (N + 1) for _ in range(n + 1)]
-    B = [[0.0] * (N + 1) for _ in range(n + 1)]
-    for g in range(N + 1):
-        A[0][g] = 1.0
-        B[0][g] = 0.0
+    bs = [_block_sums(row, n) for row in p.weights]
+    others = [1.0 - float(sum(row)) for row in p.weights]
+    # B[r][h]: sum W log W over the suffixes of length r opening with a block
+    # of group h; tot[r] - B[r][h] covers those that may follow such a block
+    B = [[0.0] * N for _ in range(n + 1)]
+    tot = [0.0] * (n + 1)
     for r in range(1, n + 1):
-        for g in range(N + 1):  # g = forbidden previous group (0 = none)
-            a_tot = 0.0
-            b_tot = 0.0
-            for h in range(1, N + 1):
-                if h == g:
-                    continue
-                S, SL = bs[h - 1]
-                for ell in range(1, r + 1):
-                    w, wl = S[ell], SL[ell]
-                    if w == 0.0:
-                        continue
-                    a_rest = A[r - ell][h]
-                    b_rest = B[r - ell][h]
-                    a_tot += w * a_rest
-                    b_tot += wl * a_rest + w * b_rest
-            A[r][g] = a_tot
-            B[r][g] = b_tot
-    entropies = tuple(-B[r][0] for r in range(1, n + 1))
+        for h, (S, SL) in enumerate(bs):
+            acc = SL[r]          # one block; the empty rest weighs 1
+            for ell in range(1, r):
+                rest = r - ell
+                acc += SL[ell] * others[h] + S[ell] * (tot[rest] - B[rest][h])
+            B[r][h] = acc
+        tot[r] = sum(B[r])
+    entropies = tuple(-t for t in tot[1:])
     increments = tuple(entropies[i + 1] - entropies[i]
                        for i in range(len(entropies) - 1))
     return RWEntropyResult(value=entropies[-1] / n, method="brute-force",

@@ -61,14 +61,6 @@ class FourCornerSystem:
             ((g[1][1], 1.0 - g[1][1]), (l[1][1], 1.0 - l[1][1])),
         )
 
-    def x_projection(self) -> CFSystem:
-        g = self.gamma
-        return CFSystem([0.0, 1.0], [[g[0][0], g[0][1]], [g[1][0], g[1][1]]])
-
-    def y_projection(self) -> CFSystem:
-        l = self.lam
-        return CFSystem([0.0, 1.0], [[l[0][0], l[0][1]], [l[1][0], l[1][1]]])
-
     def to_json_dict(self) -> dict:
         return {"type": "four_corner",
                 "gamma": [list(r) for r in self.gamma],
@@ -265,6 +257,8 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     chains advance in lockstep so the recursion vectorizes; each chain is
     burned in before any point is recorded.  Deterministic given seed.
     """
+    if points < 1:
+        raise ValidationError(f"points must be >= 1, got {points}")
     maps = sys.maps()
     rx = np.array([m[0][0] for m in maps])
     cx = np.array([m[0][1] for m in maps])
@@ -272,7 +266,7 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     cy = np.array([m[1][1] for m in maps])
     w = None if weights is None else np.asarray(weights, dtype=float)
     rng = np.random.default_rng(seed)
-    chains = min(chains, max(1, points))
+    chains = min(chains, points)
     steps = -(-points // chains)  # ceil
     x = np.full(chains, 0.5)
     y = np.full(chains, 0.5)
@@ -289,7 +283,10 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
 
 
 def _cylinders(sys: FourCornerSystem, depth: int):
-    """Depth-d images of the unit square as (x0, y0, w, h) rectangles."""
+    """Depth-d images of the unit square as (x0, y0, w, h) rectangles;
+    depth 0 is the unit square itself."""
+    if depth < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
     maps = sys.maps()
     rects = [(0.0, 0.0, 1.0, 1.0)]
     for _ in range(depth):

@@ -262,14 +262,29 @@ class TestExitCodes:
           "--m-hi", "5"], 2),
         (["esc-probe", config_path("rational_three_symbol.json"),
           "--n-max", "-3"], 2),
+        (["measure-dim", TWO_GROUP, "--tol", "0"], 3),
+        (["fourcorner", FOUR_CORNER, "--tol", "0"], 3),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
             "depth-negative", "gd-depth-negative", "box-below-first-scale",
             "m-lo-above-m-hi", "box2d-no-points", "one-scale",
-            "n-max-negative"])
+            "n-max-negative", "phi-tol-zero", "fourcorner-tol-zero"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--mode", "cylinders", "--depth", "0"], 0),
+        (["--mode", "cylinders", "--depth", "-3"], 2),
+        (["--mode", "attractor", "--points", "0"], 2),
+    ], ids=["unit-square", "depth-negative", "no-points"])
+    def test_render_range(self, flags, code, tmp_path, capsys):
+        out = tmp_path / "fig"
+        got, _, err = run_main(["render", FOUR_CORNER, *flags,
+                                "--out", str(out)], capsys)
+        assert got == code
+        assert out.exists() == (code == 0)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

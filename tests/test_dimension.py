@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cfsdim import (CFSystem, ProbVector, attractor_dimension, bn_matrix_check,
-                    gd_dimension, gd_matrix, lyapunov, measure_dimension,
-                    phi_series, shannon_entropy, similarity_dimension,
-                    special_det, spectral_radius)
+                    dimension, gd_dimension, gd_matrix, lyapunov,
+                    measure_dimension, phi_series, shannon_entropy,
+                    similarity_dimension, special_det, spectral_radius)
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
 
@@ -146,6 +146,20 @@ class TestGDDimension:
         s_inf = gd_dimension(two_group_overlap, None)
         s0 = attractor_dimension(two_group_overlap).raw
         assert s_inf == pytest.approx(s0, abs=1e-8)
+
+    def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
+        """g(1e-9) serves both the early exit and the bracket's low end."""
+        seen = []
+        real = dimension.spectral_radius
+
+        def counted(M, tol):
+            seen.append(M.s)
+            return real(M, tol)
+
+        monkeypatch.setattr(dimension, "spectral_radius", counted)
+        gd_dimension(two_group_overlap, 5)
+        assert seen[0] == 1e-9
+        assert len(seen) == len(set(seen))
 
 
 class TestSpecialDet:

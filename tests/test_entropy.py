@@ -3,6 +3,7 @@ entropy (closed form vs exact finite-depth brute force)."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,6 +81,41 @@ class TestPhiSeries:
         res = phi_series(sys, p, tol=1e-11)
         assert res.value <= 1e-14
         assert res.value + res.tail_bound >= phi_lower_bound(sys, p) - 1e-12
+
+    @pytest.mark.parametrize("weights", [
+        [[0.9, 0.05], [0.05]],
+        [[0.495, 0.495], [0.01]],
+    ], ids=["rho0.95", "rho0.99"])
+    def test_matches_log_space_series(self, two_group_overlap, weights):
+        """Once b^k underflows (k past about 250 at b = 0.05, about 1060 at
+        b = 0.495), a row restarted from b^k drops every later term."""
+        p = ProbVector(weights)
+        res = phi_series(two_group_overlap, p)
+        assert abs(res.value - _phi_log_space(p)) <= res.tail_bound + 1e-12
+
+
+def _phi_log_space(p, tail=1e-18):
+    """Independent oracle for Phi: the double series with every binomial
+    weight C(k,q) a^q b^(k-q) formed in log space from lgamma, summed until
+    rho^k drops below ``tail``."""
+    total = 0.0
+    for row in p.weights:
+        rho = sum(row)
+        if len(row) == 1:
+            continue
+        K = int(math.log(tail) / math.log(rho)) + 1
+        lgam = np.array([math.lgamma(j + 1.0) for j in range(K + 1)])
+        logs = np.log(np.arange(1.0, K + 2.0))
+        for a in row:
+            b = rho - a
+            acc = 0.0
+            for k in range(1, K + 1):
+                q = np.arange(k + 1)
+                log_w = (lgam[k] - lgam[q] - lgam[k - q] + q * math.log(a)
+                         + (k - q) * math.log(b))
+                acc += float(np.exp(log_w) @ (logs[q] - logs[k]))
+            total += a * (1.0 - rho) * acc
+    return total
 
 
 class TestPhiMonteCarlo:
@@ -162,12 +198,17 @@ class TestRWEntropy:
         bf = rw_entropy_bruteforce(sys, p, 200)
         assert bf.value == pytest.approx(shannon_entropy(p), rel=1e-12)
 
-    def test_bruteforce_matches_word_enumeration(self, two_group_overlap):
+    @pytest.mark.parametrize("sys, p", [
+        (CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]]),
+         ProbVector([[0.5, 0.2], [0.3]])),
+        (CFSystem([0.0, 1.0, 2.5], [[0.3, 0.2], [0.25, 0.15], [0.1]]),
+         ProbVector([[0.3, 0.1], [0.2, 0.25], [0.15]])),
+    ], ids=["two-groups", "three-groups"])
+    def test_bruteforce_matches_word_enumeration(self, sys, p):
         """Signature DP vs the exact composed-map grouping oracle."""
-        p = ProbVector([[0.5, 0.2], [0.3]])
-        bf = rw_entropy_bruteforce(two_group_overlap, p, 6)
+        bf = rw_entropy_bruteforce(sys, p, 6)
         for n in (2, 4, 6):
-            oracle = _entropy_by_word_enumeration(two_group_overlap, p, n)
+            oracle = _entropy_by_word_enumeration(sys, p, n)
             assert bf.entropies[n - 1] == pytest.approx(oracle, abs=1e-9)
 
     def test_increments_approach_closed_form(self, two_group_overlap,
