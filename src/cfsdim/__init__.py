@@ -7,11 +7,11 @@ from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, DegenerateMeasure,
                   prune_zeros, validate_probabilities, validate_system)
 from .words import (Block, BlockSignature, Word, class_weight, compose,
                     count_vector, decompose, enumerate_signatures,
-                    enumerate_words, project, same_block_structure)
+                    enumerate_words)
 from .entropy import (PhiResult, RWEntropyResult, lyapunov, phi_lower_bound,
                       phi_monte_carlo, phi_series, rw_entropy_bruteforce,
                       rw_entropy_closed, shannon_entropy)
-from .dimension import (DimensionReport, GDMatrix, attractor_dimension,
+from .dimension import (DimensionReport, attractor_dimension,
                         bn_matrix_check, gd_dimension, gd_matrix,
                         measure_dimension, similarity_dimension, special_det,
                         spectral_radius)

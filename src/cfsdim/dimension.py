@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector, \
+from .ifs import BudgetExceeded, CFSystem, ProbVector, \
     ValidationError, check_valid, prune_zeros
 
 BISECT_TOL = 1e-12
@@ -40,14 +40,6 @@ class DimensionReport:
         return {"dimension": self.dimension, "raw": self.raw,
                 "method": self.method, "tolerance": self.tolerance,
                 "diagnostics": self.diagnostics}
-
-
-@dataclass(frozen=True)
-class GDMatrix:
-    size: int
-    entries: np.ndarray
-    s: float
-    depth: Optional[int]         # None means the infinite-depth closed form
 
 
 def _bisect(fn, lo: float, hi: float, tol: float,
@@ -142,7 +134,7 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
     return sum(H[1:])
 
 
-def gd_matrix(sys: CFSystem, s: float, depth: Optional[int]) -> GDMatrix:
+def gd_matrix(sys: CFSystem, s: float, depth: Optional[int]) -> np.ndarray:
     """The N x N quotient matrix C_n^(s); depth=None gives the closed-form
     infinite-depth limit with entries prod_j (1 - lam_{k,j}^s)^{-1} - 1."""
     if s <= 0:
@@ -157,7 +149,7 @@ def gd_matrix(sys: CFSystem, s: float, depth: Optional[int]) -> GDMatrix:
             col[k] = _complete_homogeneous_sums(xs, depth)
     M = np.tile(col, (N, 1))
     np.fill_diagonal(M, 0.0)
-    return GDMatrix(size=N, entries=M, s=s, depth=depth)
+    return M
 
 
 def _balance(A: np.ndarray, sweeps: int = 50) -> np.ndarray:
@@ -185,7 +177,7 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
     """Perron root of a nonnegative irreducible matrix via power iteration
     on the balanced, rescaled matrix plus Id (the shift removes periodicity,
     balancing keeps the shift comparable to the root)."""
-    A = M.entries if isinstance(M, GDMatrix) else np.asarray(M, dtype=float)
+    A = np.asarray(M, dtype=float)
     n = A.shape[0]
     A = _balance(A)
     sigma = float(A.sum(axis=1).max())
@@ -240,11 +232,6 @@ def special_det(x) -> float:
     return (n - 1) * (-1.0)**(n + 1) * prod_all + (-1.0)**n * sum_omit
 
 
-def _multisets(n_members: int, length: int):
-    """Nondecreasing member tuples of the given length."""
-    return itertools.combinations_with_replacement(range(n_members), length)
-
-
 def bn_matrix(sys: CFSystem, s: float, depth: int,
               budget: int = 200_000):
     """The full B_n^(s) indexed by nondecreasing same-group multiset words of
@@ -253,8 +240,9 @@ def bn_matrix(sys: CFSystem, s: float, depth: int,
     for k, row in enumerate(sys.ratios):
         xs = [float(lam) for lam in row]
         for m in range(1, depth + 1):
-            for combo in _multisets(len(xs), m):
-                lam_pow = math.prod(xs[j] for j in combo) ** 1.0
+            for combo in itertools.combinations_with_replacement(
+                    range(len(xs)), m):
+                lam_pow = math.prod(xs[j] for j in combo)
                 vertices.append((k, lam_pow**s))
                 if len(vertices) > budget:
                     raise BudgetExceeded(

@@ -10,8 +10,9 @@ brute force for H_n over block-signature classes.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional
 
@@ -97,14 +98,13 @@ def _prune_nondegenerate(sys: CFSystem, p: ProbVector) -> tuple:
 
 
 def _truncation_depth(rho: float, tol: float) -> int:
-    """Smallest K with the geometric-log tail bound below tol for group mass rho."""
+    """Smallest K with the geometric-log tail bound below tol for group mass
+    rho, or the ceiling 10**7 when no K below it qualifies."""
     if rho <= 0.0:
         return 0
-    k = 1
-    while _tail_bound(rho, k) >= tol and k < 10**7:
-        # the bound decays like rho^k; jump in log-sized steps first
-        k = max(k + 1, int(k * 1.2))
-    return k
+    # the bound decreases in K, so the qualifying K form a suffix: bisect
+    return bisect.bisect_left(range(10**7), True,
+                              key=lambda k: _tail_bound(rho, k) < tol)
 
 
 def _tail_bound(rho: float, k: int) -> float:
@@ -254,7 +254,13 @@ def _block_sums(row_p, n: int) -> tuple:
 
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
                           budget: int = 10**7) -> RWEntropyResult:
-    """Exact H_1..H_n over block-signature classes by dynamic programming.
+    """Exact entropies H_1..H_n of the block-signature classes by dynamic
+    programming.
+
+    This is the entropy of the composed maps f_w only while no two distinct
+    signatures of the same length compose to the same map; an exact
+    coincidence between classes (which ``esc_probe`` reports in rational
+    mode) merges them, and the composed-map entropy is then smaller.
 
     H_n = -sum over signatures of W log W with W the class weight; the DP runs
     over (suffix length, first group) carrying sum W log W, so no signature

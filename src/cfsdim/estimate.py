@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                   check_valid, map_of)
-from .words import Word
 
 DEFAULT_COVER_BUDGET = 5_000_000
 
@@ -77,7 +76,6 @@ def cover_boxes_1d(sys: CFSystem, m: int,
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min
     maps = [map_of(sys, s) for s in sys.symbols()]
-    ratios = [float(mp.ratio) for mp in maps]
     target = 2.0 ** (-m)
     scale = 2 ** m
 

@@ -2,9 +2,9 @@
 maps placed at the corners of the unit square.
 
 Both coordinate projections are common-fixed-point systems on the line
-(x: maps 1,2 fixed at 0 and 3,4 at 1; y: maps 1,3 at 0 and 2,4 at 1), which
-yields a four-case dimension formula from the coordinate entropies and
-overlap corrections.
+(x: maps 1,2 fixed at 0 and 3,4 at 1; y: maps 1,3 at 0 and 2,4 at 1).  The
+measure dimension follows from their Lyapunov exponents and overlap
+corrections by the Ledrappier-Young rule, in four cases.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dimension import DimensionReport, _bisect
-from .entropy import phi_series
+from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import CFSystem, ProbVector, ValidationError
+
+CHAOS_BURN_IN = 100
+CHAOS_CHAINS = 4096
 
 
 class ConditionsNotMet(ValidationError):
@@ -128,56 +131,54 @@ def validate_4c(sys: FourCornerSystem) -> dict:
             "domination_ok": not dom, "domination_violations": dom}
 
 
+def _projections(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
+    """((x system, x weights), (y system, y weights)): each coordinate
+    projection is the common-fixed-point line system on {0, 1} whose group
+    rows are that coordinate's ratio rows."""
+    return ((CFSystem([0.0, 1.0], sys.gamma), p.x_grouping()),
+            (CFSystem([0.0, 1.0], sys.lam), p.y_grouping()))
+
+
 def chis(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
-    """(chi_x, chi_y): coordinate Lyapunov exponents.  Note the y pairing:
-    p2 goes with lambda[2][1] and p3 with lambda[1][2]."""
-    g, l = sys.gamma, sys.lam
-    p1, p2, p3, p4 = p.p
-    chi_x = -(p1 * math.log(g[0][0]) + p2 * math.log(g[0][1])
-              + p3 * math.log(g[1][0]) + p4 * math.log(g[1][1]))
-    chi_y = -(p1 * math.log(l[0][0]) + p2 * math.log(l[1][0])
-              + p3 * math.log(l[0][1]) + p4 * math.log(l[1][1]))
-    return chi_x, chi_y
+    """(chi_x, chi_y): the Lyapunov exponents of the two projections."""
+    return tuple(lyapunov(line, q) for line, q in _projections(sys, p))
 
 
-# Phi depends on the weights and their grouping only, so one line system of
-# the projections' shape (two groups of two maps) serves both coordinates.
-_PROJECTION_SHAPE = CFSystem([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
-
-
-def phi_xy(p: FourCornerProb, tol: float = 1e-12) -> tuple:
-    """(Phi_x, Phi_y): the line-system Phi series of the x and y groupings."""
-    return (phi_series(_PROJECTION_SHAPE, p.x_grouping(), tol).value,
-            phi_series(_PROJECTION_SHAPE, p.y_grouping(), tol).value)
+def phi_xy(sys: FourCornerSystem, p: FourCornerProb,
+           tol: float = 1e-12) -> tuple:
+    """(Phi_x, Phi_y): the Phi series of the two projections."""
+    return tuple(phi_series(line, q, tol).value
+                 for line, q in _projections(sys, p))
 
 
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                          tol: float = 1e-12) -> DimensionReport:
-    """Four-case self-affine measure dimension on the 4-corner set."""
+    """Four-case self-affine measure dimension on the 4-corner set.
+
+    Ledrappier-Young: the less contracted coordinate a carries the
+    projection's dimension, (h + Phi_a)/chi_a when chi_a >= h + Phi_a and 1
+    otherwise; the other coordinate b carries the entropy left over, at
+    rate chi_b.
+    """
     rep = validate_4c(sys)
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
     if max(p.p) >= 1.0 - 1e-15:
         return DimensionReport(dimension=0.0, raw=0.0, method="4corner-case",
                                tolerance=tol, diagnostics={"degenerate": True})
-    h = -sum(v * math.log(v) for v in p.p if v > 0)
+    h = shannon_entropy(p.x_grouping())
     chi_x, chi_y = chis(sys, p)
-    phi_x, phi_y = phi_xy(p, tol)
+    phi_x, phi_y = phi_xy(sys, p, tol)
     eps = 1e-12
-    # Exhaustive for finite inputs: a failed saturation test implies the
-    # overflow condition h + phi > chi + eps of the same coordinate.
-    if chi_y >= chi_x - eps and chi_x >= h + phi_x - eps:
-        case = "x-saturating"
-        raw = (h + phi_x) / chi_x - phi_x / chi_y
-    elif chi_y >= chi_x - eps:
-        case = "x-overflow"
-        raw = 1.0 + (h - chi_x) / chi_y
-    elif chi_y >= h + phi_y - eps:
-        case = "y-saturating"
-        raw = (h + phi_y) / chi_y - phi_y / chi_x
+    if chi_y >= chi_x - eps:
+        a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y
     else:
-        case = "y-overflow"
-        raw = 1.0 + (h - chi_y) / chi_x
+        a, chi_a, phi_a, chi_b = "y", chi_y, phi_y, chi_x
+    if chi_a >= h + phi_a - eps:
+        case, dim_a = f"{a}-saturating", (h + phi_a) / chi_a
+    else:
+        case, dim_a = f"{a}-overflow", 1.0
+    raw = dim_a + (h - chi_a * dim_a) / chi_b
     return DimensionReport(
         dimension=min(2.0, max(0.0, raw)), raw=raw, method="4corner-case",
         tolerance=tol,
@@ -185,27 +186,23 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                      "chi_y": chi_y, "phi_x": phi_x, "phi_y": phi_y})
 
 
-def _natural_equation(sys: FourCornerSystem, s: float) -> float:
-    g, l = sys.gamma, sys.lam
-    return (g[0][0] * l[0][0] ** (s - 1) + g[0][1] * l[1][0] ** (s - 1)
-            + g[1][0] * l[0][1] ** (s - 1) + g[1][1] * l[1][1] ** (s - 1)) - 1.0
-
-
 def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
     """(FourCornerProb, s): the affinity-natural weights p_i = gamma_i *
-    lambda_i^{s-1} with s the root of their sum = 1 on [1,2] (widened to
-    [0.5, 3] when needed)."""
-    lo, hi = 1.0, 2.0
-    if _natural_equation(sys, lo) * _natural_equation(sys, hi) > 0:
-        lo, hi = 0.5, 3.0
-        if _natural_equation(sys, lo) * _natural_equation(sys, hi) > 0:
-            raise RootOutsideBracket("no sign change on [0.5, 3]")
-    s = _bisect(lambda v: _natural_equation(sys, v), lo, hi, tol)[0]
-    g, l = sys.gamma, sys.lam
-    weights = (g[0][0] * l[0][0] ** (s - 1), g[0][1] * l[1][0] ** (s - 1),
-               g[1][0] * l[0][1] ** (s - 1), g[1][1] * l[1][1] ** (s - 1))
-    total = sum(weights)
-    return FourCornerProb(tuple(w / total for w in weights)), s
+    lambda_i^{s-1} with s the root of their sum = 1 on [0.5, 3]."""
+    pairs = [(g, l) for (g, _), (l, _) in sys.maps()]
+
+    def weights(s):
+        return [g * l ** (s - 1) for g, l in pairs]
+
+    def excess(s):
+        return sum(weights(s)) - 1.0
+
+    if excess(0.5) * excess(3.0) > 0:
+        raise RootOutsideBracket("no sign change on [0.5, 3]")
+    s = _bisect(excess, 0.5, 3.0, tol)[0]
+    w = weights(s)
+    total = sum(w)
+    return FourCornerProb(tuple(v / total for v in w)), s
 
 
 def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
@@ -248,14 +245,13 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
 
 
 def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
-                      burn_in: int = 100,
-                      weights: Optional[Sequence[float]] = None,
-                      chains: int = 4096) -> np.ndarray:
+                      weights: Optional[Sequence[float]] = None) -> np.ndarray:
     """(points, 2) array of chaos-game samples.
 
     Map choice is uniform unless ``weights`` is given.  Many independent
-    chains advance in lockstep so the recursion vectorizes; each chain is
-    burned in before any point is recorded.  Deterministic given seed.
+    chains (CHAOS_CHAINS) advance in lockstep so the recursion vectorizes;
+    each chain is burned in for CHAOS_BURN_IN steps before any point is
+    recorded.  Deterministic given seed.
     """
     if points < 1:
         raise ValidationError(f"points must be >= 1, got {points}")
@@ -266,17 +262,17 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     cy = np.array([m[1][1] for m in maps])
     w = None if weights is None else np.asarray(weights, dtype=float)
     rng = np.random.default_rng(seed)
-    chains = min(chains, points)
+    chains = min(CHAOS_CHAINS, points)
     steps = -(-points // chains)  # ceil
     x = np.full(chains, 0.5)
     y = np.full(chains, 0.5)
     out = np.empty((steps * chains, 2))
-    for i in range(burn_in + steps):
+    for i in range(CHAOS_BURN_IN + steps):
         c = rng.choice(4, size=chains, p=w)
         x = rx[c] * x + cx[c]
         y = ry[c] * y + cy[c]
-        if i >= burn_in:
-            j = (i - burn_in) * chains
+        if i >= CHAOS_BURN_IN:
+            j = (i - CHAOS_BURN_IN) * chains
             out[j:j + chains, 0] = x
             out[j:j + chains, 1] = y
     return out[:points]
@@ -320,10 +316,9 @@ def render_cylinders_svg(sys: FourCornerSystem, depth: int, out_path: str,
 
 
 def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
-                         out_path: str, size: int = 600,
-                         burn_in: int = 100) -> None:
+                         out_path: str, size: int = 600) -> None:
     """Binary PPM (P6) raster of chaos-game points."""
-    pts = chaos_game_points(sys, points, seed, burn_in=burn_in)
+    pts = chaos_game_points(sys, points, seed)
     img = np.full((size, size), 255, dtype=np.uint8)
     xi = np.clip((pts[:, 0] * size).astype(int), 0, size - 1)
     yi = np.clip(((1.0 - pts[:, 1]) * size).astype(int), 0, size - 1)

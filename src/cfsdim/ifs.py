@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -153,9 +153,6 @@ class ProbVector:
 
     def weight(self, s: Symbol) -> Number:
         return self.weights[s.group - 1][s.member - 1]
-
-    def group_mass(self, group: int) -> Number:
-        return sum(self.weights[group - 1])
 
     def total(self) -> Number:
         return sum(p for row in self.weights for p in row)

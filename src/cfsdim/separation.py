@@ -11,7 +11,7 @@ witness, or indeterminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .ifs import CFSystem, ValidationError, check_valid

@@ -97,10 +97,6 @@ def decompose(w: Word) -> BlockSignature:
     return BlockSignature(tuple(blocks))
 
 
-def same_block_structure(w1: Word, w2: Word) -> bool:
-    return decompose(w1) == decompose(w2)
-
-
 def compose(sys: CFSystem, w: Word) -> AffineMap1D:
     """Left-to-right composition f_{w_1} o f_{w_2} o ... o f_{w_n}."""
     if len(w) == 0:
@@ -109,35 +105,6 @@ def compose(sys: CFSystem, w: Word) -> AffineMap1D:
     for s in w.symbols[1:]:
         result = result.compose(map_of(sys, s))
     return result
-
-
-def project(sys: CFSystem, w: Word):
-    """Natural projection of a finite word, Pi(w) = f_w(0), via the block
-    telescoping formula.  Agrees with compose(sys, w).intercept."""
-    if len(w) == 0:
-        raise EmptyWord("cannot project the empty word")
-    sig = decompose(w)
-    one = Fraction(1) if sys.mode == "rational" else 1.0
-    blocks = sig.blocks
-
-    def block_ratio(b: Block):
-        lam = one
-        for member, count in b.counts:
-            lam *= sys.ratios[b.group - 1][member - 1] ** count
-        return lam
-
-    t_prev = sys.fixed_points[blocks[0].group - 1]
-    value = t_prev
-    scale = one
-    for prev, nxt in zip(blocks, blocks[1:]):
-        scale *= block_ratio(prev)
-        t_next = sys.fixed_points[nxt.group - 1]
-        value += scale * (t_next - t_prev)
-        t_prev = t_next
-    # f_w(0): telescope ends at 0 rather than at a fixed point
-    scale *= block_ratio(blocks[-1])
-    value -= scale * t_prev
-    return value
 
 
 def count_vector(w: Word) -> dict:
@@ -192,8 +159,10 @@ def signature_classes(sys: CFSystem, n: int,
     (signature, count vector, contraction product, Pi value).
 
     A depth-first walk over block prefixes.  Each appended block extends the
-    running symbol counts and ``project``'s telescoping sum, in the same
-    order of operations, so float values are bit-identical to ``project``.
+    running symbol counts and the telescoped projection
+    Pi(w) = f_w(0) = t_1 + sum_k Lambda_k (t_{k+1} - t_k) - Lambda_m t_m,
+    where t_k is the k-th block's fixed point and Lambda_k the product of the
+    ratios of the first k blocks; it agrees with compose(sys, w).intercept.
     The product is the exact running scale in rational mode and the product
     over the sorted count vector in float mode.
     """

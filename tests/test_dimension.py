@@ -80,25 +80,25 @@ class TestAttractorDimension:
 class TestGDMatrix:
     def test_depth_one_entries(self, two_group_overlap):
         M = gd_matrix(two_group_overlap, 1.0, 1)
-        assert M.entries[1, 0] == pytest.approx(0.3 + 0.2)
-        assert M.entries[0, 1] == pytest.approx(0.25)
-        assert M.entries[0, 0] == 0.0
+        assert M[1, 0] == pytest.approx(0.3 + 0.2)
+        assert M[0, 1] == pytest.approx(0.25)
+        assert M[0, 0] == 0.0
 
     def test_singleton_geometric(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
         M = gd_matrix(sys, 1.0, 3)
-        assert M.entries[0, 1] == pytest.approx(0.5 + 0.25 + 0.125)
+        assert M[0, 1] == pytest.approx(0.5 + 0.25 + 0.125)
 
     def test_singleton_infinite_depth(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
         M = gd_matrix(sys, 1.0, None)
-        assert M.entries[0, 1] == pytest.approx(1.0)
+        assert M[0, 1] == pytest.approx(1.0)
 
     def test_finite_entries_increase_to_limit(self, two_group_overlap):
-        limit = gd_matrix(two_group_overlap, 0.9, None).entries
-        prev = gd_matrix(two_group_overlap, 0.9, 1).entries
+        limit = gd_matrix(two_group_overlap, 0.9, None)
+        prev = gd_matrix(two_group_overlap, 0.9, 1)
         for depth in (2, 4, 8):
-            cur = gd_matrix(two_group_overlap, 0.9, depth).entries
+            cur = gd_matrix(two_group_overlap, 0.9, depth)
             assert np.all(cur + 1e-15 >= prev)
             assert np.all(cur <= limit + 1e-12)
             prev = cur
@@ -150,13 +150,13 @@ class TestGDDimension:
     def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
         """g(1e-9) serves both the early exit and the bracket's low end."""
         seen = []
-        real = dimension.spectral_radius
+        real = dimension.gd_matrix
 
-        def counted(M, tol):
-            seen.append(M.s)
-            return real(M, tol)
+        def counted(sys, s, depth):
+            seen.append(s)
+            return real(sys, s, depth)
 
-        monkeypatch.setattr(dimension, "spectral_radius", counted)
+        monkeypatch.setattr(dimension, "gd_matrix", counted)
         gd_dimension(two_group_overlap, 5)
         assert seen[0] == 1e-9
         assert len(seen) == len(set(seen))

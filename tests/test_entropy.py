@@ -11,6 +11,7 @@ from cfsdim import (CFSystem, DegenerateMeasure, ProbVector, Word, compose,
                     decompose, enumerate_words, lyapunov, phi_lower_bound,
                     phi_monte_carlo, phi_series, rw_entropy_bruteforce,
                     rw_entropy_closed, shannon_entropy)
+from cfsdim.entropy import _tail_bound, _truncation_depth
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -92,6 +93,18 @@ class TestPhiSeries:
         p = ProbVector(weights)
         res = phi_series(two_group_overlap, p)
         assert abs(res.value - _phi_log_space(p)) <= res.tail_bound + 1e-12
+
+
+class TestTruncationDepth:
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 5e-11, 1e-14])
+    def test_smallest_depth(self, rho, tol):
+        K = _truncation_depth(rho, tol)
+        assert _tail_bound(rho, K) < tol
+        assert K == 0 or _tail_bound(rho, K - 1) >= tol
+
+    def test_zero_tolerance_stops_at_ceiling(self):
+        assert _truncation_depth(0.5, 0.0) == 10**7
 
 
 def _phi_log_space(p, tail=1e-18):
@@ -210,6 +223,28 @@ class TestRWEntropy:
         for n in (2, 4, 6):
             oracle = _entropy_by_word_enumeration(sys, p, n)
             assert bf.entropies[n - 1] == pytest.approx(oracle, abs=1e-9)
+
+    def test_entropy_of_signature_classes_not_of_maps(self):
+        """With fixed points 0, 1/2, 1 some distinct signatures compose to
+        the same map exactly, so the DP's H_6 (signature classes) exceeds
+        the entropy of the composed maps."""
+        ratios = [["3/10", "1/5"], ["1/4", "3/20"], ["1/10"]]
+        exact = CFSystem(["0", "1/2", "1"], ratios, mode="rational")
+        sys = CFSystem([0.0, 0.5, 1.0], [[0.3, 0.2], [0.25, 0.15], [0.1]])
+        p = ProbVector([[0.3, 0.1], [0.2, 0.25], [0.15]])
+        by_sig, by_map = {}, {}
+        for w in enumerate_words(exact, 6):
+            weight = math.prod(p.weight(s) for s in w)
+            sig, m = decompose(w), compose(exact, w)
+            by_sig[sig] = by_sig.get(sig, 0.0) + weight
+            by_map[m] = by_map.get(m, 0.0) + weight
+        assert (len(by_sig), len(by_map)) == (9967, 9955)
+        h_sig = -sum(v * math.log(v) for v in by_sig.values())
+        h_map = -sum(v * math.log(v) for v in by_map.values())
+        h6 = rw_entropy_bruteforce(sys, p, 6).entropies[5]
+        assert h6 == pytest.approx(h_sig, abs=1e-9)
+        assert h6 == pytest.approx(8.626150, abs=1e-6)
+        assert h_map == pytest.approx(8.625437, abs=1e-6)
 
     def test_increments_approach_closed_form(self, two_group_overlap,
                                              uniform21):

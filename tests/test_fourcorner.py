@@ -2,15 +2,15 @@
 the four-case measure dimension, the natural weights, and rendering."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
-from cfsdim import (ConditionsNotMet, DegenerateMeasure, FourCornerProb,
-                    FourCornerSystem, ValidationError, chis,
-                    measure_dimension_4c, natural_p, phi_series, phi_xy,
-                    set_dimension_4c, suff_check, validate_4c)
+from cfsdim import (CFSystem, ConditionsNotMet, DegenerateMeasure,
+                    FourCornerProb, FourCornerSystem, ValidationError, chis,
+                    lyapunov, measure_dimension, measure_dimension_4c,
+                    natural_p, phi_series, phi_xy, set_dimension_4c,
+                    shannon_entropy, suff_check, validate_4c)
 from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
                                render_cylinders_svg, _cylinders)
 
@@ -62,33 +62,33 @@ class TestChis:
 
 class TestPhiXY:
     def _generic_phi(self, grouping):
-        from cfsdim import CFSystem
+        # another line system of the same shape: Phi ignores the ratios
         sys = CFSystem([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
         return phi_series(sys, grouping, tol=1e-12)
 
-    def test_matches_generic_series(self):
+    def test_matches_generic_series(self, four_corner_main):
         p = FourCornerProb([0.4, 0.3, 0.2, 0.1])
-        vx, vy = phi_xy(p, tol=1e-12)
+        vx, vy = phi_xy(four_corner_main, p, tol=1e-12)
         gx = self._generic_phi(p.x_grouping())
         gy = self._generic_phi(p.y_grouping())
         assert vx == pytest.approx(gx.value, abs=1e-10 + gx.tail_bound)
         assert vy == pytest.approx(gy.value, abs=1e-10 + gy.tail_bound)
 
-    def test_nonpositive(self):
+    def test_nonpositive(self, four_corner_main):
         p = FourCornerProb([0.3, 0.3, 0.2, 0.2])
-        vx, vy = phi_xy(p)
+        vx, vy = phi_xy(four_corner_main, p)
         assert vx <= 0.0 and vy <= 0.0
 
-    def test_symmetric_p_symmetric_phi(self):
+    def test_symmetric_p_symmetric_phi(self, four_corner_main):
         p = FourCornerProb([0.25, 0.25, 0.25, 0.25])
-        vx, vy = phi_xy(p)
+        vx, vy = phi_xy(four_corner_main, p)
         assert vx == pytest.approx(vy, abs=1e-14)
 
-    def test_coordinate_group_holding_all_mass_rejected(self):
+    def test_coordinate_group_holding_all_mass_rejected(self, four_corner_main):
         # 0.5 + 0.5 rounds to 1: the x grouping is degenerate
         p = FourCornerProb([0.5, 0.5, 1e-16, 0.0])
         with pytest.raises(DegenerateMeasure):
-            phi_xy(p)
+            phi_xy(four_corner_main, p)
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -164,6 +164,32 @@ class TestMeasureDimension4C:
         with pytest.raises(ConditionsNotMet):
             measure_dimension_4c(sys, FourCornerProb.uniform())
 
+    @pytest.mark.parametrize("gamma, lam, p, case", [
+        ([[0.8, 0.1], [0.1, 0.8]], [[0.45, 0.09], [0.09, 0.45]], None,
+         "x-overflow"),
+        ([[0.25, 0.25], [0.25, 0.25]], [[0.25, 0.25], [0.25, 0.25]],
+         [0.4, 0.1, 0.1, 0.4], "x-saturating"),
+        ([[0.45, 0.09], [0.09, 0.45]], [[0.8, 0.1], [0.1, 0.8]],
+         [0.4, 0.2, 0.2, 0.2], "y-overflow"),
+        ([[0.1, 0.1], [0.1, 0.1]], [[0.25, 0.25], [0.25, 0.25]],
+         [0.25, 0.25, 0.25, 0.25], "y-saturating"),
+    ], ids=["reference", "quarters", "y-overflow", "y-saturating"])
+    def test_ledrappier_young_rule(self, gamma, lam, p, case):
+        """raw = dim_a + (h - chi_a dim_a)/chi_b, with dim_a the line-system
+        measure dimension of the less contracted projection a."""
+        sys = FourCornerSystem(gamma, lam)
+        prob = natural_p(sys)[0] if p is None else FourCornerProb(p)
+        rep = measure_dimension_4c(sys, prob, tol=1e-12)
+        assert rep.diagnostics["case"] == case
+        lines = {"x": (CFSystem([0.0, 1.0], gamma), prob.x_grouping()),
+                 "y": (CFSystem([0.0, 1.0], lam), prob.y_grouping())}
+        chi = {c: lyapunov(*lines[c]) for c in lines}
+        a, b = ("x", "y") if chi["y"] >= chi["x"] - 1e-12 else ("y", "x")
+        dim_a = measure_dimension(*lines[a], tol=1e-12).dimension
+        h = shannon_entropy(prob.x_grouping())
+        assert rep.raw == pytest.approx(
+            dim_a + (h - chi[a] * dim_a) / chi[b], abs=1e-12)
+
     def test_duality_swap(self, four_corner_main):
         """Exchanging the two coordinates (gamma <-> lambda with the member
         transposition) swaps (chi_x, phi_x) and (chi_y, phi_y)."""
@@ -175,8 +201,8 @@ class TestMeasureDimension4C:
         cx, cy = chis(four_corner_main, p)
         cx2, cy2 = chis(swapped, q)
         assert (cx2, cy2) == pytest.approx((cy, cx))
-        vx, vy = phi_xy(p)
-        vx2, vy2 = phi_xy(q)
+        vx, vy = phi_xy(four_corner_main, p)
+        vx2, vy2 = phi_xy(swapped, q)
         assert (vx2, vy2) == pytest.approx((vy, vx))
 
 
@@ -210,7 +236,8 @@ class TestRendering:
     def test_svg_has_four_rects(self, four_corner_main, tmp_path):
         out = str(tmp_path / "cyl.svg")
         render_cylinders_svg(four_corner_main, 1, out)
-        text = open(out).read()
+        with open(out) as fh:
+            text = fh.read()
         assert text.count("<rect") == 5  # background + 4 cylinders
         assert text.startswith("<svg")
 
@@ -233,7 +260,8 @@ class TestRendering:
     def test_ppm_header(self, four_corner_main, tmp_path):
         out = str(tmp_path / "att.ppm")
         render_attractor_ppm(four_corner_main, 20_000, 0, out, size=100)
-        data = open(out, "rb").read()
+        with open(out, "rb") as fh:
+            data = fh.read()
         assert data.startswith(b"P6\n100 100\n255\n")
         assert len(data) == len(b"P6\n100 100\n255\n") + 100 * 100 * 3
 

@@ -2,7 +2,6 @@
 coincidence detection."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -95,11 +94,10 @@ class TestMinGap:
     def test_witness_words_reproduce_gap(self, two_group_overlap):
         rep = min_gap(two_group_overlap, 5)
         assert rep.witness is not None
-        from cfsdim import project
         w1 = rep.witness[0].representative()
         w2 = rep.witness[1].representative()
-        gap = abs(project(two_group_overlap, w1)
-                  - project(two_group_overlap, w2))
+        gap = abs(compose(two_group_overlap, w1).intercept
+                  - compose(two_group_overlap, w2).intercept)
         assert gap == pytest.approx(rep.min_gap, rel=1e-9)
 
     def test_implied_b_matches_gap(self, two_group_overlap):

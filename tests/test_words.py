@@ -1,6 +1,7 @@
-"""Words, block decomposition, composition, projection, class weights."""
+"""Words, block decomposition, composition, the signature walk and its
+projection, class weights."""
 
-import itertools
+import functools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfsdim import (CFSystem, ProbVector, Symbol, Word, class_weight, compose,
                     count_vector, decompose, enumerate_signatures,
-                    enumerate_words, project, same_block_structure)
+                    enumerate_words)
 from cfsdim.ifs import BudgetExceeded
 from cfsdim.words import EmptyWord, signature_classes
 
@@ -43,16 +44,16 @@ class TestDecompose:
 
 class TestSameBlockStructure:
     def test_within_block_permutation(self):
-        assert same_block_structure(Word.of((1, 1), (1, 2)),
-                                    Word.of((1, 2), (1, 1)))
+        assert decompose(Word.of((1, 1), (1, 2))) == \
+            decompose(Word.of((1, 2), (1, 1)))
 
     def test_across_group_swap_differs(self):
-        assert not same_block_structure(Word.of((1, 1), (2, 1)),
-                                        Word.of((2, 1), (1, 1)))
+        assert decompose(Word.of((1, 1), (2, 1))) != \
+            decompose(Word.of((2, 1), (1, 1)))
 
     def test_reflexive(self):
         w = Word.of((1, 1), (2, 1), (1, 2))
-        assert same_block_structure(w, w)
+        assert decompose(w) == decompose(w)
 
 
 class TestCompose:
@@ -75,35 +76,49 @@ class TestCompose:
         for n in range(2, 5):
             for w1 in enumerate_words(sys, n):
                 w2 = Word(tuple(reversed(w1.symbols)))
-                if same_block_structure(w1, w2):
+                if decompose(w1) == decompose(w2):
                     assert compose(sys, w1) == compose(sys, w2)
 
 
+HYPOTHESIS_SYSTEM = CFSystem([0.25, 0.9], [[0.3, 0.2], [0.25]])
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_pi(sys, n):
+    """{signature: Pi} for every class of length n, from the signature walk."""
+    return {sig: pi for sig, _, _, pi in signature_classes(sys, n)}
+
+
 class TestProject:
+    """The natural projection Pi(w) = f_w(0) as the signature walk carries it."""
+
     def test_single_symbol(self, equal_halves):
-        assert project(equal_halves, Word.of((2, 1))) == 0.5
+        w = Word.of((2, 1))
+        assert _walk_pi(equal_halves, 1)[decompose(w)] == 0.5
 
     def test_two_symbols(self, equal_halves):
-        assert project(equal_halves, Word.of((1, 1), (2, 1))) == pytest.approx(0.25)
+        w = Word.of((1, 1), (2, 1))
+        assert _walk_pi(equal_halves, 2)[decompose(w)] == pytest.approx(0.25)
 
     def test_fixed_point_absorbs(self, two_group_overlap):
         w = Word([Symbol(1, 1)] * 5)
-        assert project(two_group_overlap, w) == 0.0
+        assert _walk_pi(two_group_overlap, 5)[decompose(w)] == 0.0
 
-    @settings(max_examples=200)
+    # each new length walks all its classes once (17711 at length 10)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1)]),
-                    min_size=1, max_size=12))
+                    min_size=1, max_size=10))
     def test_matches_composition_intercept(self, pairs):
-        sys = CFSystem([0.25, 0.9], [[0.3, 0.2], [0.25]])
         w = Word.of(*pairs)
-        assert project(sys, w) == pytest.approx(
-            compose(sys, w).intercept, abs=1e-12)
+        assert _walk_pi(HYPOTHESIS_SYSTEM, len(w))[decompose(w)] == \
+            pytest.approx(compose(HYPOTHESIS_SYSTEM, w).intercept, abs=1e-12)
 
     def test_exact_in_rational_mode(self):
-        sys = CFSystem(["1/4", "9/10"], [["1/2", "1/3"], ["1/5"]],
-                       mode="rational")
-        for w in enumerate_words(sys, 4):
-            assert project(sys, w) == compose(sys, w).intercept
+        sys = CFSystem(["0", "1"], [["1/2", "1/5"], ["1/7"]], mode="rational")
+        for n in range(1, 9):
+            for sig, _, prod, pi in signature_classes(sys, n):
+                m = compose(sys, sig.representative())
+                assert (prod, pi) == (m.ratio, m.intercept)
 
 
 class TestCountVector:
