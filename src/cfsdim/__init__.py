@@ -11,9 +11,8 @@ from .words import (Block, BlockSignature, Word, class_weight, compose,
 from .entropy import (PhiResult, RWEntropyResult, lyapunov, phi_lower_bound,
                       phi_monte_carlo, phi_series, rw_entropy_bruteforce,
                       rw_entropy_closed, shannon_entropy)
-from .dimension import (DimensionReport, attractor_dimension,
-                        bn_matrix_check, gd_dimension, gd_matrix,
-                        measure_dimension, similarity_dimension, special_det,
+from .dimension import (DimensionReport, attractor_dimension, gd_dimension,
+                        gd_matrix, measure_dimension, similarity_dimension,
                         spectral_radius)
 from .separation import (ProbeResult, SeparationReport, collision_buckets,
                          esc_probe, min_gap)

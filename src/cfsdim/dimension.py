@@ -1,15 +1,15 @@
 """Dimension formulas: measure dimension, the attractor-dimension root, and
-the graph-directed finite-depth approximation with its spectral identities.
+the graph-directed finite-depth approximation, with their one root finder.
 
 The attractor dimension is the root s0 of sum_i prod_j (1 - lam_{i,j}^s) = N - 1.
 The depth-n graph-directed approximant s_n solves rho(C_n^(s)) = 1 for the
 N x N matrix whose (i,k) off-diagonal entry sums lam_j^s over nondecreasing
-group-k multisets of length <= n; s_n increases to s0.
+group-k multisets of length <= n; s_n increases to s0, and at infinite
+depth the equation is the attractor equation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, \
-    ValidationError, check_valid, prune_zeros
+    ValidationError, check_tol, check_valid, prune_zeros
 
 BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -46,7 +46,9 @@ def _bisect(fn, lo: float, hi: float, tol: float,
             flo: Optional[float] = None) -> tuple:
     """(root, hi): a root of fn bracketed by [lo, hi], hi doubling until
     fn(lo) and fn(hi) differ in sign; hi is the bracket end used.  A caller
-    that already holds fn(lo) passes it as flo."""
+    that already holds fn(lo) passes it as flo.  Halving stops at width tol
+    or when the midpoint rounds to an endpoint, so it ends for every tol."""
+    check_tol(tol)
     if flo is None:
         flo = fn(lo)
     if flo == 0.0:
@@ -54,7 +56,7 @@ def _bisect(fn, lo: float, hi: float, tol: float,
     fhi = fn(hi)
     while flo * fhi > 0:
         if math.isinf(hi):
-            raise ValueError(f"no sign change on [{lo}, inf)")
+            raise ValidationError(f"no sign change on [{lo}, inf)")
         hi *= 2.0
         fhi = fn(hi)
     if fhi == 0.0:
@@ -62,6 +64,8 @@ def _bisect(fn, lo: float, hi: float, tol: float,
     end = hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         fm = fn(mid)
         if fm == 0.0:
             return mid, end
@@ -76,7 +80,7 @@ def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
     """Unique s with sum r_i^s = 1 (r_i in (0,1))."""
     rs = [float(r) for r in ratios]
     if not rs or any(not (0 < r < 1) for r in rs):
-        raise ValueError("ratios must be a nonempty subset of (0,1)")
+        raise ValidationError("ratios must be a nonempty subset of (0,1)")
 
     def f(s):
         return sum(r**s for r in rs) - 1.0
@@ -88,6 +92,7 @@ def measure_dimension(sys: CFSystem, p: ProbVector,
                       tol: float = 1e-10) -> DimensionReport:
     """dim = min{1, (h_p + Phi(p)) / chi(p)} for the self-similar measure."""
     check_valid(sys)
+    check_tol(tol)
     sys2, p2, degenerate = prune_zeros(sys, p)
     if degenerate:
         return DimensionReport(dimension=0.0, raw=0.0,
@@ -134,19 +139,15 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
     return sum(H[1:])
 
 
-def gd_matrix(sys: CFSystem, s: float, depth: Optional[int]) -> np.ndarray:
-    """The N x N quotient matrix C_n^(s); depth=None gives the closed-form
-    infinite-depth limit with entries prod_j (1 - lam_{k,j}^s)^{-1} - 1."""
+def gd_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
+    """The N x N quotient matrix C_n^(s) at depth n >= 1."""
     if s <= 0:
-        raise ValueError("s must be positive")
+        raise ValidationError("s must be positive")
     N = sys.n_groups
     col = np.zeros(N)
     for k, row in enumerate(sys.ratios):
-        xs = [float(lam)**s for lam in row]
-        if depth is None:
-            col[k] = math.prod(1.0 / (1.0 - x) for x in xs) - 1.0
-        else:
-            col[k] = _complete_homogeneous_sums(xs, depth)
+        col[k] = _complete_homogeneous_sums([float(lam)**s for lam in row],
+                                            depth)
     M = np.tile(col, (N, 1))
     np.fill_diagonal(M, 0.0)
     return M
@@ -200,9 +201,14 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
 
 def gd_dimension(sys: CFSystem, depth: Optional[int],
                  tol: float = 1e-10) -> float:
-    """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s."""
+    """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s.
+    Depth None is the infinite-depth limit, whose equation is the attractor
+    equation, so it returns attractor_dimension(sys, tol).raw."""
     check_valid(sys)
-    if depth is not None and depth < 1:
+    check_tol(tol)
+    if depth is None:
+        return attractor_dimension(sys, tol).raw
+    if depth < 1:
         raise ValidationError(f"depth must be >= 1 or None, got {depth}")
 
     def g(s):
@@ -214,52 +220,3 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
         # extremely small entries already: the root is essentially 0
         return lo
     return _bisect(g, lo, 1.0, tol, flo=glo)[0]
-
-
-def special_det(x) -> float:
-    """Closed-form determinant of the matrix with -1 diagonal and x_j - 1
-    in column j off the diagonal:
-    (n-1)(-1)^{n+1} prod x_k + (-1)^n sum_k prod_{l != k} x_l.
-    """
-    xs = [float(v) for v in x]
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least 2 entries")
-    prod_all = math.prod(xs)
-    sum_omit = 0.0
-    for k in range(n):
-        sum_omit += math.prod(xs[:k] + xs[k + 1:])
-    return (n - 1) * (-1.0)**(n + 1) * prod_all + (-1.0)**n * sum_omit
-
-
-def bn_matrix(sys: CFSystem, s: float, depth: int,
-              budget: int = 200_000):
-    """The full B_n^(s) indexed by nondecreasing same-group multiset words of
-    length <= depth; entry (i, j) = lam_j^s when the fixed points differ."""
-    vertices = []   # (group index, lam^s of the multiset word)
-    for k, row in enumerate(sys.ratios):
-        xs = [float(lam) for lam in row]
-        for m in range(1, depth + 1):
-            for combo in itertools.combinations_with_replacement(
-                    range(len(xs)), m):
-                lam_pow = math.prod(xs[j] for j in combo)
-                vertices.append((k, lam_pow**s))
-                if len(vertices) > budget:
-                    raise BudgetExceeded(
-                        f"B_n vertex set exceeds budget {budget}")
-    V = len(vertices)
-    B = np.zeros((V, V))
-    for a, (ga, _) in enumerate(vertices):
-        for b, (gb, w) in enumerate(vertices):
-            if ga != gb:
-                B[a, b] = w
-    return B
-
-
-def bn_matrix_check(sys: CFSystem, s: float, depth: int,
-                    tol: float = 1e-12) -> tuple:
-    """Spectral radii of the full matrix B_n^(s) and its quotient C_n^(s);
-    they agree because the Perron eigenvector is constant on groups."""
-    rho_b = spectral_radius(bn_matrix(sys, s, depth), tol=tol)
-    rho_c = spectral_radius(gd_matrix(sys, s, depth), tol=tol)
-    return rho_b, rho_c

@@ -19,11 +19,12 @@ from typing import List, Optional
 import numpy as np
 
 from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
-                  ValidationError, prune_zeros)
+                  ValidationError, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
 PHI_TERM_CAP = 10**8
+RW_DP_CAP = 10**7
 
 
 class RunTooLong(BudgetExceeded):
@@ -124,6 +125,7 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     per-group geometric tail drops below tol.  Raises BudgetExceeded when
     the terms would exceed PHI_TERM_CAP.
     """
+    check_tol(tol)
     sys, p = _prune_nondegenerate(sys, p)
     # single-member groups drop out: q = k always, log((k+1)/(k+1)) = 0
     groups = [(float(sum(row)), row) for row in p.weights if len(row) > 1]
@@ -252,8 +254,8 @@ def _block_sums(row_p, n: int) -> tuple:
     return S, SL
 
 
-def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
-                          budget: int = 10**7) -> RWEntropyResult:
+def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
+                          n: int) -> RWEntropyResult:
     """Exact entropies H_1..H_n of the block-signature classes by dynamic
     programming.
 
@@ -276,7 +278,7 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector, n: int,
         return RWEntropyResult(value=0.0, method="brute-force", depth=n,
                                increments=(0.0,) * max(0, n - 1),
                                entropies=(0.0,) * n)
-    if N * n * max(sys.group_sizes) ** 2 * n > budget:
+    if N * n * max(sys.group_sizes) ** 2 * n > RW_DP_CAP:
         raise BudgetExceeded("signature DP budget exceeded")
     # per group, (sum w, sum w log w) for every block length
     bs = [_block_sums(row, n) for row in p.weights]

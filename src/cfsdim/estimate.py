@@ -63,8 +63,7 @@ def _attractor_interval(sys: CFSystem) -> tuple:
     return t_min, t_max
 
 
-def cover_boxes_1d(sys: CFSystem, m: int,
-                   budget: int = DEFAULT_COVER_BUDGET) -> tuple:
+def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     """(upper, lower) dyadic box counts at scale 2^-m.
 
     Cylinder intervals f_w([t_min, t_max]) are refined until shorter than
@@ -90,8 +89,9 @@ def cover_boxes_1d(sys: CFSystem, m: int,
         lo = (c + r * t_min - t_min) / diam
         if r >= target:
             visited += len(maps)
-            if visited > budget:
-                raise BudgetExceeded(f"cover refinement exceeded {budget}")
+            if visited > DEFAULT_COVER_BUDGET:
+                raise BudgetExceeded(
+                    f"cover refinement exceeded {DEFAULT_COVER_BUDGET}")
             for mp in maps:
                 stack.append((r * float(mp.ratio),
                               r * float(mp.intercept) + c))
@@ -104,11 +104,10 @@ def cover_boxes_1d(sys: CFSystem, m: int,
     return len(upper), len(lower)
 
 
-def box_dimension_1d(sys: CFSystem, m_range: Sequence[int],
-                     budget: int = DEFAULT_COVER_BUDGET) -> ScalingFit:
+def box_dimension_1d(sys: CFSystem, m_range: Sequence[int]) -> ScalingFit:
     """Least-squares slope of log2 N_m against m over the trimmed window."""
     ms, window = _window(m_range)
-    counts = [cover_boxes_1d(sys, m, budget=budget)[0] for m in ms]
+    counts = [cover_boxes_1d(sys, m)[0] for m in ms]
     ys = [math.log2(counts[ms.index(m)]) for m in window]
     slope, r2 = _fit(window, ys)
     return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .dimension import DimensionReport, _bisect
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import CFSystem, ProbVector, ValidationError
+from .ifs import (CFSystem, DegenerateMeasure, ProbVector, ValidationError,
+                  check_tol)
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
@@ -151,6 +152,16 @@ def phi_xy(sys: FourCornerSystem, p: FourCornerProb,
                  for line, q in _projections(sys, p))
 
 
+def _projection_phi(line: CFSystem, q: ProbVector, h: float,
+                    tol: float) -> float:
+    """Phi of one projection; -h when its grouping holds all the mass in one
+    group, where the projection is a point mass of random-walk entropy 0."""
+    try:
+        return phi_series(line, q, tol).value
+    except DegenerateMeasure:
+        return -h
+
+
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                          tol: float = 1e-12) -> DimensionReport:
     """Four-case self-affine measure dimension on the 4-corner set.
@@ -160,6 +171,7 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     otherwise; the other coordinate b carries the entropy left over, at
     rate chi_b.
     """
+    check_tol(tol)
     rep = validate_4c(sys)
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
@@ -168,7 +180,8 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                                tolerance=tol, diagnostics={"degenerate": True})
     h = shannon_entropy(p.x_grouping())
     chi_x, chi_y = chis(sys, p)
-    phi_x, phi_y = phi_xy(sys, p, tol)
+    phi_x, phi_y = (_projection_phi(line, q, h, tol)
+                    for line, q in _projections(sys, p))
     eps = 1e-12
     if chi_y >= chi_x - eps:
         a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y

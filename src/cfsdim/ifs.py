@@ -197,6 +197,12 @@ def check_valid(sys: CFSystem) -> None:
         raise ValidationError("; ".join(errs))
 
 
+def check_tol(tol: float) -> None:
+    """The one tolerance rule: a tolerance must be finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tolerance must be finite and > 0, got {tol}")
+
+
 def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
     errors = []
     if tuple(len(r) for r in p.weights) != sys.group_sizes:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .ifs import CFSystem, ValidationError, check_valid
+from .ifs import BudgetExceeded, CFSystem, ValidationError, check_valid
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
@@ -46,8 +46,7 @@ class SeparationReport:
         }
 
 
-def collision_buckets(sys: CFSystem, n: int,
-                      budget: int = DEFAULT_CLASS_BUDGET) -> List[list]:
+def collision_buckets(sys: CFSystem, n: int) -> List[list]:
     """Buckets of signature records with equal contraction product.
 
     Rational mode buckets by the exact product.  Float mode buckets by count
@@ -57,20 +56,21 @@ def collision_buckets(sys: CFSystem, n: int,
     check_valid(sys)
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
-    data = signature_classes(sys, n, budget)
-    if sys.mode == "rational":
-        buckets: dict = {}
-        for rec in data:
-            buckets.setdefault(rec[2], []).append(rec)
+    rational = sys.mode == "rational"
+    key = 2 if rational else 1          # the product or the count vector
+    buckets: dict = {}
+    for count, rec in enumerate(signature_classes(sys, n), 1):
+        if count > DEFAULT_CLASS_BUDGET:
+            raise BudgetExceeded(
+                f"signature class budget {DEFAULT_CLASS_BUDGET} exceeded")
+        buckets.setdefault(rec[key], []).append(rec)
+    if rational:
         return list(buckets.values())
-    by_cv: dict = {}
-    for rec in data:
-        by_cv.setdefault(rec[1], []).append(rec)
     # merge count-vector buckets with numerically equal products
-    keyed = sorted(by_cv.items(), key=lambda kv: kv[1][0][2])
+    keyed = sorted(buckets.values(), key=lambda bucket: bucket[0][2])
     merged: List[list] = []
     last_prod = None
-    for _, bucket in keyed:
+    for bucket in keyed:
         prod = bucket[0][2]
         if last_prod is not None and abs(prod - last_prod) <= FLOAT_MERGE_RTOL * abs(prod):
             merged[-1].extend(bucket)
@@ -80,10 +80,9 @@ def collision_buckets(sys: CFSystem, n: int,
     return merged
 
 
-def min_gap(sys: CFSystem, n: int,
-            budget: int = DEFAULT_CLASS_BUDGET) -> SeparationReport:
+def min_gap(sys: CFSystem, n: int) -> SeparationReport:
     """Minimum projection gap over same-bucket pairs of distinct signatures."""
-    buckets = collision_buckets(sys, n, budget=budget)
+    buckets = collision_buckets(sys, n)
     class_count = sum(len(b) for b in buckets)
     best = None
     witness = None
@@ -126,8 +125,7 @@ class ProbeResult:
                 "rows": [r.to_json_dict() for r in self.rows]}
 
 
-def esc_probe(sys: CFSystem, n_max: int,
-              budget: int = DEFAULT_CLASS_BUDGET) -> ProbeResult:
+def esc_probe(sys: CFSystem, n_max: int) -> ProbeResult:
     """Run min_gap for n = 2..n_max.  Finite depth cannot certify the
     asymptotic separation condition; the verdict is explicitly heuristic."""
     if n_max < 2:
@@ -136,7 +134,7 @@ def esc_probe(sys: CFSystem, n_max: int,
     violated = False
     b_hat = None
     for n in range(2, n_max + 1):
-        rep = min_gap(sys, n, budget=budget)
+        rep = min_gap(sys, n)
         rows.append(rep)
         if rep.exact_zero and sys.mode == "rational":
             violated = True

@@ -142,19 +142,18 @@ def class_weight(sig: BlockSignature, p: ProbVector):
     return math.exp(log_total)
 
 
-def enumerate_words(sys: CFSystem, n: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[Word]:
+def enumerate_words(sys: CFSystem, n: int) -> Iterator[Word]:
     """All words of length n in lexicographic order."""
     L = sys.n_maps
-    if L**n > budget:
-        raise BudgetExceeded(f"L^n = {L}^{n} exceeds budget {budget}")
+    if L**n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"L^n = {L}^{n} exceeds budget {DEFAULT_ENUM_BUDGET}")
     alphabet = sys.symbols()
     for combo in itertools.product(alphabet, repeat=n):
         yield Word(combo)
 
 
-def signature_classes(sys: CFSystem, n: int,
-                      budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[tuple]:
+def signature_classes(sys: CFSystem, n: int) -> Iterator[tuple]:
     """Each block signature of words of length n >= 1 once, as the record
     (signature, count vector, contraction product, Pi value).
 
@@ -196,8 +195,9 @@ def signature_classes(sys: CFSystem, n: int,
                         yield from rec(remaining - length, g, g_value, g_scale, t)
                     else:
                         emitted += 1
-                        if emitted > budget:
-                            raise BudgetExceeded(f"signature budget {budget} exceeded")
+                        if emitted > DEFAULT_ENUM_BUDGET:
+                            raise BudgetExceeded(f"signature budget "
+                                                 f"{DEFAULT_ENUM_BUDGET} exceeded")
                         cv = tuple((k, c) for k, c in counts.items() if c)
                         prod = g_scale if rational else math.prod(
                             sys.ratios[i - 1][j - 1] ** c for (i, j), c in cv)
@@ -210,9 +210,8 @@ def signature_classes(sys: CFSystem, n: int,
     yield from rec(n, 0, None, one, None)
 
 
-def enumerate_signatures(sys: CFSystem, n: int,
-                         budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[BlockSignature]:
+def enumerate_signatures(sys: CFSystem, n: int) -> Iterator[BlockSignature]:
     """All block signatures realized by words of length n, each once."""
     if n == 0:
         yield BlockSignature(())
-    yield from (rec[0] for rec in signature_classes(sys, n, budget))
+    yield from (rec[0] for rec in signature_classes(sys, n))

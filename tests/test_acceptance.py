@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from cfsdim import (CFSystem, FourCornerProb, FourCornerSystem, ProbVector,
-                    Word, attractor_dimension, bn_matrix_check, box_dimension_1d,
+                    Word, attractor_dimension, box_dimension_1d,
                     box_dimension_2d, compose, decompose, entropy_slope,
                     enumerate_words, gd_dimension, lyapunov,
                     measure_dimension, measure_dimension_4c, min_gap,
                     natural_p, phi_lower_bound, phi_monte_carlo, phi_series,
                     phi_xy, rw_entropy_bruteforce, shannon_entropy,
-                    similarity_dimension, special_det, suff_check,
-                    validate_4c)
+                    similarity_dimension, suff_check, validate_4c)
 from conftest import config_path
+from identities import bn_matrix_check, special_det
 
 REFERENCE_4C = FourCornerSystem([[0.8, 0.1], [0.1, 0.8]],
                                 [[0.45, 0.09], [0.09, 0.45]])

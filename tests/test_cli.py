@@ -1,8 +1,11 @@
 """CLI contract: subcommand behaviour, exit codes, determinism."""
 
+import ast
+import builtins
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -262,17 +265,38 @@ class TestExitCodes:
           "--m-hi", "5"], 2),
         (["esc-probe", config_path("rational_three_symbol.json"),
           "--n-max", "-3"], 2),
-        (["measure-dim", TWO_GROUP, "--tol", "0"], 3),
-        (["fourcorner", FOUR_CORNER, "--tol", "0"], 3),
+        (["measure-dim", TWO_GROUP, "--tol", "0"], 2),
+        (["fourcorner", FOUR_CORNER, "--tol", "0"], 2),
+        (["phi", TWO_GROUP, "--probabilities", "[[0.499,0.499],[0.002]]"], 3),
+        (["fourcorner", FOUR_CORNER, "--probabilities", "[0.5,0.5,0,0]"], 0),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
             "depth-negative", "gd-depth-negative", "box-below-first-scale",
             "m-lo-above-m-hi", "box2d-no-points", "one-scale",
-            "n-max-negative", "phi-tol-zero", "fourcorner-tol-zero"])
+            "n-max-negative", "phi-tol-zero", "fourcorner-tol-zero",
+            "phi-term-cap", "fourcorner-point-mass-projection"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["measure-dim", TWO_GROUP],
+        ["attractor-dim", TWO_GROUP],
+        ["attractor-dim", TWO_GROUP, "--gd-depth", "2"],
+        ["phi", TWO_GROUP],
+        ["rw-entropy", TWO_GROUP],
+        ["fourcorner", FOUR_CORNER],
+    ], ids=["measure-dim", "attractor-dim", "attractor-dim-gd", "phi",
+            "rw-entropy", "fourcorner"])
+    def test_tolerance_rule(self, argv, tol, capsys):
+        """A tolerance that is not finite or not positive is a validation
+        error."""
+        got, out, err = run_main([*argv, "--tol", tol], capsys)
+        assert got == 2
+        assert "tolerance must be finite and > 0" in err
+        assert out == ""
 
     @pytest.mark.parametrize("flags, code", [
         (["--mode", "cylinders", "--depth", "0"], 0),
@@ -303,6 +327,29 @@ class TestExitCodes:
         code, _, err = run_main(["measure-dim", path], capsys)
         assert code == 1
         assert "Traceback" not in err
+
+
+def test_library_raises_only_its_own_exceptions():
+    """Every raise under src/cfsdim names a package exception (or re-raises),
+    so each one maps to a row of cli.EXIT_CODES; a builtin such as
+    ValueError or RuntimeError would not."""
+    src = os.path.dirname(cli.__file__)
+    builtin = {name for name, obj in vars(builtins).items()
+               if inspect.isclass(obj) and issubclass(obj, BaseException)}
+    found = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in builtin \
+                    and exc.id != "SystemExit":
+                found.append(f"{fname}:{node.lineno} raise {exc.id}")
+    assert found == []
 
 
 def _exception_classes():

@@ -2,14 +2,18 @@
 and determinant identities backing it."""
 
 import math
+import subprocess
+import sys as _sys
 
 import numpy as np
 import pytest
 
-from cfsdim import (CFSystem, ProbVector, attractor_dimension, bn_matrix_check,
+from cfsdim import (CFSystem, ProbVector, ValidationError, attractor_dimension,
                     dimension, gd_dimension, gd_matrix, lyapunov,
                     measure_dimension, phi_series, shannon_entropy,
-                    similarity_dimension, special_det, spectral_radius)
+                    similarity_dimension, spectral_radius)
+from identities import (bn_matrix_check, gd_limit_matrix, perron_root,
+                        special_det)
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
 
@@ -25,7 +29,7 @@ class TestSimilarityDimension:
         assert similarity_dimension([0.25, 0.25]) == pytest.approx(0.5)
 
     def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             similarity_dimension([1.0, 0.5])
 
 
@@ -91,11 +95,11 @@ class TestGDMatrix:
 
     def test_singleton_infinite_depth(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
-        M = gd_matrix(sys, 1.0, None)
-        assert M[0, 1] == pytest.approx(1.0)
+        assert gd_limit_matrix(sys, 1.0)[0, 1] == pytest.approx(1.0)
+        assert gd_matrix(sys, 1.0, 60)[0, 1] == pytest.approx(1.0)
 
     def test_finite_entries_increase_to_limit(self, two_group_overlap):
-        limit = gd_matrix(two_group_overlap, 0.9, None)
+        limit = gd_limit_matrix(two_group_overlap, 0.9)
         prev = gd_matrix(two_group_overlap, 0.9, 1)
         for depth in (2, 4, 8):
             cur = gd_matrix(two_group_overlap, 0.9, depth)
@@ -143,9 +147,39 @@ class TestGDDimension:
         assert abs(s10 - s0) <= 1e-3
 
     def test_infinite_depth_equals_root(self, two_group_overlap):
+        """The limit matrix has spectral radius 1 at the attractor root, so
+        the infinite-depth equation is the attractor equation."""
         s_inf = gd_dimension(two_group_overlap, None)
-        s0 = attractor_dimension(two_group_overlap).raw
-        assert s_inf == pytest.approx(s0, abs=1e-8)
+        s0 = attractor_dimension(two_group_overlap, 1e-10).raw
+        assert s_inf == s0
+        assert perron_root(gd_limit_matrix(two_group_overlap, s0)) == \
+            pytest.approx(1.0, abs=1e-9)
+
+    def test_ends_at_any_positive_tolerance(self):
+        """Halving stops once the midpoint rounds to an endpoint, so a tol
+        below the float spacing still ends (in a subprocess, to time it)."""
+        code = ("from cfsdim import CFSystem, gd_dimension\n"
+                "sys = CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]])\n"
+                "print(repr(gd_dimension(sys, 2, tol=1e-300)))")
+        out = subprocess.run([_sys.executable, "-c", code], timeout=60,
+                             capture_output=True, text=True, check=True)
+        fine = float(out.stdout)
+        two_group = CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]])
+        assert abs(fine - gd_dimension(two_group, 2, tol=1e-10)) <= 1e-10
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_tolerance_rule(self, two_group_overlap, uniform21, tol):
+        for call in (lambda: gd_dimension(two_group_overlap, 2, tol=tol),
+                     lambda: gd_dimension(two_group_overlap, None, tol=tol),
+                     lambda: attractor_dimension(two_group_overlap, tol=tol),
+                     lambda: similarity_dimension([0.5, 0.25], tol=tol),
+                     lambda: measure_dimension(two_group_overlap, uniform21,
+                                               tol=tol),
+                     lambda: measure_dimension(
+                         two_group_overlap, ProbVector([[0.7, 0.3], [0.0]]),
+                         tol=tol)):
+            with pytest.raises(ValidationError, match="tolerance"):
+                call()
 
     def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
         """g(1e-9) serves both the early exit and the bracket's low end."""
@@ -188,7 +222,7 @@ class TestSpecialDet:
             assert abs(special_det(xs) - oracle) <= 1e-9 * scale
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             special_det([1.0])
 
 

@@ -190,6 +190,28 @@ class TestMeasureDimension4C:
         assert rep.raw == pytest.approx(
             dim_a + (h - chi[a] * dim_a) / chi[b], abs=1e-12)
 
+    @pytest.mark.parametrize("p, point_mass", [
+        ([0.5, 0.5, 0.0, 0.0], "x"),
+        ([0.5, 0.0, 0.5, 0.0], "y"),
+        ([0.3, 0.7, 0.0, 0.0], "x"),
+        ([0.0, 0.0, 0.4, 0.6], "x"),
+        ([0.5, 0.5, 1e-16, 0.0], "x"),
+    ], ids=["x0-halves", "y0-halves", "x0-uneven", "x1-uneven",
+            "x0-rounded"])
+    def test_point_mass_projection(self, four_corner_main, p, point_mass):
+        """The measure lives on an edge of the square: its dimension is the
+        line-system dimension of the projection that is not a point mass."""
+        prob = FourCornerProb(p)
+        rep = measure_dimension_4c(four_corner_main, prob, tol=1e-12)
+        assert rep.diagnostics["phi_" + point_mass] == \
+            -rep.diagnostics["entropy"]
+        other = ((CFSystem([0.0, 1.0], four_corner_main.lam),
+                  prob.y_grouping()) if point_mass == "x" else
+                 (CFSystem([0.0, 1.0], four_corner_main.gamma),
+                  prob.x_grouping()))
+        assert rep.raw == pytest.approx(
+            measure_dimension(*other, tol=1e-12).raw, abs=1e-12)
+
     def test_duality_swap(self, four_corner_main):
         """Exchanging the two coordinates (gamma <-> lambda with the member
         transposition) swaps (chi_x, phi_x) and (chi_y, phi_y)."""

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from cfsdim import (CFSystem, ValidationError, Word, collision_buckets,
-                    compose, esc_probe, min_gap)
+from cfsdim import (BudgetExceeded, CFSystem, ValidationError, Word,
+                    collision_buckets, compose, esc_probe, min_gap,
+                    separation)
 
 
 @pytest.fixture
@@ -60,6 +61,17 @@ class TestCollisionBuckets:
     def test_depth_below_one_rejected(self, rational_three_symbol, n):
         with pytest.raises(ValidationError):
             collision_buckets(rational_three_symbol, n)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_class_budget(self, rational_three_symbol, two_group_overlap,
+                          monkeypatch, mode):
+        """Depth 3 has 21 classes: a cap of 20 stops the probe."""
+        sys = rational_three_symbol if mode == "rational" else two_group_overlap
+        monkeypatch.setattr(separation, "DEFAULT_CLASS_BUDGET", 20)
+        with pytest.raises(BudgetExceeded):
+            esc_probe(sys, 3)
+        monkeypatch.setattr(separation, "DEFAULT_CLASS_BUDGET", 21)
+        assert esc_probe(sys, 3).rows[-1].class_count == 21
 
 
 class TestMinGap:

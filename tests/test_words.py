@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfsdim import (CFSystem, ProbVector, Symbol, Word, class_weight, compose,
                     count_vector, decompose, enumerate_signatures,
-                    enumerate_words)
+                    enumerate_words, words)
 from cfsdim.ifs import BudgetExceeded
 from cfsdim.words import EmptyWord, signature_classes
 
@@ -188,9 +188,10 @@ class TestEnumeration:
         assert len(set(map(tuple, (tuple(map(tuple, w)) for w in words)))) \
             == len(words)
 
-    def test_budget(self, two_group_overlap):
+    def test_budget(self, two_group_overlap, monkeypatch):
+        monkeypatch.setattr(words, "DEFAULT_ENUM_BUDGET", 10**6)
         with pytest.raises(BudgetExceeded):
-            list(enumerate_words(two_group_overlap, 30, budget=10**6))
+            list(enumerate_words(two_group_overlap, 30))
 
     def test_signatures_cover_all_words(self, two_group_overlap):
         n = 4
@@ -228,7 +229,8 @@ class TestSignatureClasses:
                         assert pi == pytest.approx(m.intercept, abs=1e-12)
                     assert cv == tuple(sorted(count_vector(w).items()))
 
-    def test_budget(self, two_group_overlap):
-        walk = signature_classes(two_group_overlap, 6, budget=10)
+    def test_budget(self, two_group_overlap, monkeypatch):
+        monkeypatch.setattr(words, "DEFAULT_ENUM_BUDGET", 10)
+        walk = signature_classes(two_group_overlap, 6)
         with pytest.raises(BudgetExceeded):
             list(walk)
