@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, \
     ValidationError, check_tol, check_valid, prune_zeros
@@ -139,10 +137,11 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
     return sum(H[1:])
 
 
-def gd_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
-    """The N x N quotient matrix C_n^(s) at depth n >= 1."""
+def gd_matrix(sys: CFSystem, s: float, depth: int):
+    """The N x N quotient matrix C_n^(s) at depth n >= 1, as a numpy array."""
     if s <= 0:
         raise ValidationError("s must be positive")
+    import numpy as np
     N = sys.n_groups
     col = np.zeros(N)
     for k, row in enumerate(sys.ratios):
@@ -153,7 +152,7 @@ def gd_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
     return M
 
 
-def _balance(A: np.ndarray, sweeps: int = 50) -> np.ndarray:
+def _balance(A, sweeps: int = 50):
     """Osborne-style diagonal similarity balancing: equalize off-diagonal
     row and column sums.  The spectral radius is invariant."""
     A = A.copy()
@@ -178,6 +177,7 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
     """Perron root of a nonnegative irreducible matrix via power iteration
     on the balanced, rescaled matrix plus Id (the shift removes periodicity,
     balancing keeps the shift comparable to the root)."""
+    import numpy as np
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
     A = _balance(A)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional
 
-import numpy as np
-
 from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
                   ValidationError, check_tol, prune_zeros)
 
@@ -168,6 +166,7 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     sys, p = _prune_nondegenerate(sys, p)
+    import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])
     # group index and in-group conditional weight per flat symbol
@@ -182,14 +181,25 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     cond = np.array(cond)
     rho = np.array(masses)
 
+    # the draw order (choice, geometric, binomial) fixes a seed's numbers;
+    # working in place and dropping each array once used keeps at most four
+    # sample-sized arrays alive
     idx = rng.choice(len(flat), size=samples, p=flat)
-    rho_i = rho[groups[idx]]
+    q = rho[groups[idx]]
+    np.subtract(1.0, q, out=q)       # out-of-group probability per sample
     # extra in-group steps after X1: failures before first out-of-group draw
-    g = rng.geometric(1.0 - rho_i) - 1
+    g = rng.geometric(q)
+    del q
+    g -= 1
     if np.any(g >= MC_RUN_CAP):
         raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
-    y = 1 + rng.binomial(g, cond[idx])
-    vals = np.log(y / (1.0 + g))
+    y = rng.binomial(g, cond[idx])
+    del idx
+    y += 1
+    g += 1
+    vals = np.true_divide(y, g)      # Y / (k - 1), both exact in float64
+    del y, g
+    np.log(vals, out=vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return PhiResult(value=mean, tail_bound=0.0, terms_used=samples,
@@ -278,8 +288,12 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
         return RWEntropyResult(value=0.0, method="brute-force", depth=n,
                                increments=(0.0,) * max(0, n - 1),
                                entropies=(0.0,) * n)
-    if N * n * max(sys.group_sizes) ** 2 * n > RW_DP_CAP:
-        raise BudgetExceeded("signature DP budget exceeded")
+    # the block sums fill about n(n+1)/2 cells per member, the DP as many
+    # per group
+    cells = (N + sys.n_maps) * n * (n + 1) // 2
+    if cells > RW_DP_CAP:
+        raise BudgetExceeded(
+            f"signature DP needs {cells} cells, cap {RW_DP_CAP}")
     # per group, (sum w, sum w log w) for every block length
     bs = [_block_sums(row, n) for row in p.weights]
     others = [1.0 - float(sum(row)) for row in p.weights]

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                   check_valid, map_of)
 
@@ -35,14 +33,18 @@ class ScalingFit:
 
 
 def _fit(xs, ys) -> tuple:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    """(slope, r2) of the least-squares line through the points (x, y)."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - my) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return slope, r2
 
 
 def _window(m_range: Sequence[int], points: int = 1) -> tuple:
@@ -120,6 +122,7 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     sample sizes, so only loose cross-checks should be asserted.  ``weights``
     reweights the map choice (the natural weights spread points far more
     evenly over the set than the uniform default)."""
+    import numpy as np
     from .fourcorner import chaos_game_points
     ms, window = _window(m_range, points)
     pts = chaos_game_points(sys, points, seed, weights=weights)
@@ -136,9 +139,10 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
 
 
 def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
-                          min_scale: int, seed: int) -> np.ndarray:
-    """Sample x = Pi(w) with symbols drawn from p, extending each word until
-    its contraction drops below 2^-min_scale."""
+                          min_scale: int, seed: int):
+    """numpy array of samples x = Pi(w) with symbols drawn from p, extending
+    each word until its contraction drops below 2^-min_scale."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     flat_p = np.array([float(w) for w in p.flat()])
     maps = [map_of(sys, s) for s in sys.symbols()]
@@ -162,6 +166,7 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
                   m_range: Sequence[int], seed: int) -> ScalingFit:
     """Dyadic entropy slope of the empirical self-similar measure; estimates
     dim(mu) as H(mu_hat, D_m) / (m log 2)."""
+    import numpy as np
     check_valid(sys)
     ms, window = _window(m_range, samples)
     t_min, t_max = _attractor_interval(sys)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .dimension import DimensionReport, _bisect
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (CFSystem, DegenerateMeasure, ProbVector, ValidationError,
@@ -258,8 +256,8 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
 
 
 def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
-                      weights: Optional[Sequence[float]] = None) -> np.ndarray:
-    """(points, 2) array of chaos-game samples.
+                      weights: Optional[Sequence[float]] = None):
+    """(points, 2) numpy array of chaos-game samples.
 
     Map choice is uniform unless ``weights`` is given.  Many independent
     chains (CHAOS_CHAINS) advance in lockstep so the recursion vectorizes;
@@ -268,6 +266,7 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     """
     if points < 1:
         raise ValidationError(f"points must be >= 1, got {points}")
+    import numpy as np
     maps = sys.maps()
     rx = np.array([m[0][0] for m in maps])
     cx = np.array([m[0][1] for m in maps])
@@ -331,6 +330,7 @@ def render_cylinders_svg(sys: FourCornerSystem, depth: int, out_path: str,
 def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
                          out_path: str, size: int = 600) -> None:
     """Binary PPM (P6) raster of chaos-game points."""
+    import numpy as np
     pts = chaos_game_points(sys, points, seed)
     img = np.full((size, size), 255, dtype=np.uint8)
     xi = np.clip((pts[:, 0] * size).astype(int), 0, size - 1)

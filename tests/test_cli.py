@@ -110,6 +110,20 @@ class TestPhiAndEntropy:
         rep = json.loads(out)
         assert rep["brute_force"]["depth"] == 8
 
+    def test_rw_entropy_cap_counts_dp_cells(self, capsys):
+        """The signature-DP cap counts the (N + members) n(n+1)/2 cells the
+        DP fills: groups (2, 1) run to depth 1999 and stop at 2000."""
+        code, out, _ = run_main(["rw-entropy", TWO_GROUP, "--depth", "1200"],
+                                capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["brute_force"]["increments"][-1] == pytest.approx(
+            rep["closed_form"]["value"], abs=1e-9)
+        code, out, err = run_main(["rw-entropy", TWO_GROUP, "--depth", "2000"],
+                                  capsys)
+        assert code == 3
+        assert "10005000 cells" in err and out == ""
+
 
 class TestEscProbe:
     def test_probe_with_csv(self, tmp_path, capsys):
@@ -213,6 +227,53 @@ class TestDeterminism:
         a, b = run(), run()
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+# One form of each command whose work is the paper's formulas, or the 1-D
+# cover count; none of them may need numpy.
+NUMPY_FREE_FORMS = [
+    ["measure-dim", TWO_GROUP, "--probabilities", "uniform"],
+    ["rw-entropy", TWO_GROUP, "--depth", "12"],
+    ["esc-probe", config_path("rational_three_symbol.json"), "--n-max", "6"],
+    ["fourcorner", FOUR_CORNER, "--probabilities", "natural"],
+    ["phi", TWO_GROUP],
+    ["estimate", CANTOR, "--kind", "box1d", "--m-lo", "6", "--m-hi", "12"],
+    ["attractor-dim", config_path("all_third.json"), "--box", "12"],
+]
+
+# Runs each argv of a JSON list through cfsdim.cli.main with numpy made
+# unimportable, and prints [exit code, stdout] per argv as a JSON list.
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import cfsdim.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cfsdim.cli.main(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+class TestNumpyFree:
+    def test_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cfsdim, cfsdim.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_formula_commands_run_without_numpy(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY,
+             json.dumps(NUMPY_FREE_FORMS)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for argv, (code, out) in zip(NUMPY_FREE_FORMS,
+                                     json.loads(proc.stdout)):
+            assert (code, out) == (0, run_main(argv, capsys)[1]), argv
 
 
 class TestProbabilitiesRule:

@@ -2,6 +2,7 @@
 entropy (closed form vs exact finite-depth brute force)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,30 @@ class TestPhiMonteCarlo:
         a = phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
         b = phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("weights, samples, seed, value, stderr", [
+        (None, 10**6, 7, -0.21387099174750107, 0.00034998680325390924),
+        ([[0.5, 0.3], [0.2]], 20000, 3, -0.32266463770745835,
+         0.0028374722848581928),
+    ])
+    def test_pinned_draws(self, two_group_overlap, uniform21, weights,
+                          samples, seed, value, stderr):
+        """A seed keeps its numbers: the draw order (choice, geometric,
+        binomial) and the arithmetic are fixed."""
+        p = uniform21 if weights is None else ProbVector(weights)
+        res = phi_monte_carlo(two_group_overlap, p, samples, seed)
+        assert (res.value, res.stderr) == (value, stderr)
+
+    def test_peak_memory(self, two_group_overlap, uniform21):
+        """At most five sample-sized float64 arrays are alive at once."""
+        samples = 10**6
+        tracemalloc.start()
+        try:
+            phi_monte_carlo(two_group_overlap, uniform21, samples, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * samples
 
 
 class TestPhiLowerBound:

@@ -9,7 +9,26 @@ import pytest
 from cfsdim import (CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
                     cover_boxes_1d, entropy_slope, measure_dimension)
-from cfsdim.estimate import sample_measure_points
+from cfsdim.estimate import _fit, sample_measure_points
+
+
+class TestFit:
+    @pytest.mark.parametrize("xs, ys", [
+        (range(6, 13), [math.log2(2 ** (m // 2) + m) for m in range(6, 13)]),
+        ([4, 5, 6, 7], [1.0, 2.5, 2.75, 4.5]),
+        ([1, 2, 3], [5.0, 5.0, 5.0]),
+    ])
+    def test_matches_polyfit(self, xs, ys):
+        """The closed-form line agrees with numpy's least-squares fit."""
+        xs = list(xs)
+        slope, r2 = _fit(xs, ys)
+        ref, intercept = np.polyfit(xs, ys, 1)
+        pred = ref * np.asarray(xs) + intercept
+        ss_tot = float(np.sum((np.asarray(ys) - np.mean(ys)) ** 2))
+        ref_r2 = 1.0 if ss_tot == 0 else \
+            1.0 - float(np.sum((ys - pred) ** 2)) / ss_tot
+        assert slope == pytest.approx(ref, abs=1e-12)
+        assert r2 == pytest.approx(ref_r2, abs=1e-12)
 
 
 class TestCoverBoxes1D:
