@@ -2,9 +2,9 @@
 the line whose maps share fixed points, with the 4-corner self-affine
 application and independent empirical cross-checks."""
 
-from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, DegenerateMeasure,
-                  ProbVector, Symbol, ValidationError, load_system, map_of,
-                  prune_zeros, validate_probabilities, validate_system)
+from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, ProbVector, Symbol,
+                  ValidationError, load_system, map_of, prune_zeros,
+                  validate_probabilities, validate_system)
 from .words import (Block, BlockSignature, Word, class_weight, compose,
                     count_vector, decompose, enumerate_signatures,
                     enumerate_words)

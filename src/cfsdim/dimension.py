@@ -16,7 +16,7 @@ from typing import Optional
 
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, \
-    ValidationError, check_tol, check_valid, prune_zeros
+    ValidationError, check_tol, check_valid
 
 BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -90,15 +90,9 @@ def measure_dimension(sys: CFSystem, p: ProbVector,
                       tol: float = 1e-10) -> DimensionReport:
     """dim = min{1, (h_p + Phi(p)) / chi(p)} for the self-similar measure."""
     check_valid(sys)
-    check_tol(tol)
-    sys2, p2, degenerate = prune_zeros(sys, p)
-    if degenerate:
-        return DimensionReport(dimension=0.0, raw=0.0,
-                               method="measure-formula", tolerance=tol,
-                               diagnostics={"degenerate": True})
-    h = shannon_entropy(p2)
-    chi = lyapunov(sys2, p2)
-    phi = phi_series(sys2, p2, tol)
+    phi = phi_series(sys, p, tol)
+    h = shannon_entropy(p)
+    chi = lyapunov(sys, p)
     raw = (h + phi.value) / chi
     return DimensionReport(
         dimension=min(1.0, max(0.0, raw)), raw=raw,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional
 
-from .ifs import (BudgetExceeded, CFSystem, DegenerateMeasure, ProbVector,
-                  ValidationError, check_tol, prune_zeros)
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                  check_samples, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
@@ -34,7 +34,7 @@ class PhiResult:
     value: float
     tail_bound: float
     terms_used: int
-    method: str                      # "series" | "monte-carlo" | "lower-bound"
+    method: str                      # "series" | "point-mass" | "monte-carlo"
     stderr: Optional[float] = None
 
     def to_json_dict(self) -> dict:
@@ -86,29 +86,32 @@ def _group_masses(p: ProbVector) -> List[float]:
     return [float(sum(row)) for row in p.weights]
 
 
-def _prune_nondegenerate(sys: CFSystem, p: ProbVector) -> tuple:
-    """prune_zeros, raising DegenerateMeasure when one group holds all the
-    mass up to rounding (the Phi evaluators need every group mass below 1)."""
-    sys, p, degenerate = prune_zeros(sys, p)
-    if degenerate or max(_group_masses(p)) >= 1.0 - 1e-15:
-        raise DegenerateMeasure(
-            "all probability mass sits in one fixed-point group")
-    return sys, p
+def _point_mass_bound(p: ProbVector) -> float:
+    """B(delta) >= h_RW for pruned weights p; delta is the weight outside
+    the heaviest group g (m members).  A word's map is fixed by the group
+    sequence (H2(delta) + delta log(N' - 1) per step), the members drawn
+    outside g (delta log M, M the most members of another group) and each
+    g-run's count vector ((m-1) delta log(1 + 1/delta) by Jensen)."""
+    masses = _group_masses(p)
+    g = masses.index(max(masses))
+    others = [row for i, row in enumerate(p.weights) if i != g]
+    delta = math.fsum(float(w) for row in others for w in row)
+    if delta == 0.0:
+        return 0.0
+    h2 = -delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)
+    return (h2 + delta * math.log(len(others) * max(map(len, others)))
+            + (len(p.weights[g]) - 1) * delta * math.log1p(1.0 / delta))
 
 
 def _truncation_depth(rho: float, tol: float) -> int:
     """Smallest K with the geometric-log tail bound below tol for group mass
-    rho, or the ceiling 10**7 when no K below it qualifies."""
-    if rho <= 0.0:
-        return 0
+    rho > 0, or the ceiling 10**7 when no K below it qualifies."""
     # the bound decreases in K, so the qualifying K form a suffix: bisect
     return bisect.bisect_left(range(10**7), True,
                               key=lambda k: _tail_bound(rho, k) < tol)
 
 
 def _tail_bound(rho: float, k: int) -> float:
-    if rho <= 0.0:
-        return 0.0
     return (rho ** (k + 1)) / (1.0 - rho) * (
         math.log(k + 2) + 1.0 / ((1.0 - rho) * (k + 2)))
 
@@ -120,13 +123,22 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     sum_k sum_q C(k,q) a^{q+1} b^{k-q} (1 - rho_l) log((q+1)/(k+1)).
     Row k of C(k,q) a^q b^{k-q} is built from row k-1 by Pascal's rule, so
     no term is lost to an underflowing restart; the outer sum stops once the
-    per-group geometric tail drops below tol.  Raises BudgetExceeded when
-    the terms would exceed PHI_TERM_CAP.
+    per-group geometric tail drops below tol.  As h + Phi = h_RW lies in
+    [0, B] for B the _point_mass_bound, B < tol answers Phi = -h with tail
+    bound B.  Raises BudgetExceeded past PHI_TERM_CAP terms, or when a
+    group mass rounds to 1 and that rule does not answer.
     """
     check_tol(tol)
-    sys, p = _prune_nondegenerate(sys, p)
+    sys, p, _ = prune_zeros(sys, p)
+    bound = _point_mass_bound(p)
+    if bound < tol:
+        return PhiResult(value=-shannon_entropy(p), tail_bound=bound,
+                         terms_used=0, method="point-mass")
     # single-member groups drop out: q = k always, log((k+1)/(k+1)) = 0
     groups = [(float(sum(row)), row) for row in p.weights if len(row) > 1]
+    if any(rho >= 1.0 for rho, _ in groups):
+        raise BudgetExceeded(f"a group mass rounds to 1 and the point-mass "
+                             f"bound {bound!r} is not below tol {tol!r}")
     depths = [_truncation_depth(rho, tol / len(p.weights)) for rho, _ in groups]
     terms = sum(len(row) * K * (K + 3) // 2
                 for (_, row), K in zip(groups, depths))
@@ -163,16 +175,20 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     k-1 = 1 + G with G geometric in the group mass and Y = 1 + Binom(G, a/rho),
     which is what is sampled here.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    sys, p = _prune_nondegenerate(sys, p)
+    check_samples(samples)
+    sys, p, one_group = prune_zeros(sys, p)
+    if one_group:                    # the walk never leaves it: h_RW = 0
+        return PhiResult(value=-shannon_entropy(p), tail_bound=0.0,
+                         terms_used=0, method="point-mass", stderr=0.0)
+    masses = _group_masses(p)
+    if max(masses) >= 1.0:
+        raise RunTooLong("a group mass rounds to 1: its runs never end")
     import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])
     # group index and in-group conditional weight per flat symbol
     groups = []
     cond = []
-    masses = _group_masses(p)
     for gi, row in enumerate(p.weights):
         for w in row:
             groups.append(gi)
@@ -223,13 +239,8 @@ def phi_lower_bound(sys: CFSystem, p: ProbVector) -> float:
 def rw_entropy_closed(sys: CFSystem, p: ProbVector,
                       tol: float = DEFAULT_TOL) -> RWEntropyResult:
     """h_RW = h_p + Phi(p) (assumes exponential separation for the system)."""
-    sys2, p2, degenerate = prune_zeros(sys, p)
-    if degenerate:
-        # Dirac measure at a fixed point: the composed-map entropy growth is 0
-        return RWEntropyResult(value=0.0, method="closed-form")
-    h = shannon_entropy(p2)
-    phi = phi_series(sys2, p2, tol)
-    return RWEntropyResult(value=h + phi.value, method="closed-form")
+    h_rw = shannon_entropy(p) + phi_series(sys, p, tol).value
+    return RWEntropyResult(value=h_rw, method="closed-form")
 
 
 def _block_sums(row_p, n: int) -> tuple:
@@ -282,12 +293,8 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
-    sys, p, degenerate = prune_zeros(sys, p)
+    sys, p, _ = prune_zeros(sys, p)
     N = sys.n_groups
-    if degenerate and len(p.flat()) == 1:
-        return RWEntropyResult(value=0.0, method="brute-force", depth=n,
-                               increments=(0.0,) * max(0, n - 1),
-                               entropies=(0.0,) * n)
     # the block sums fill about n(n+1)/2 cells per member, the DP as many
     # per group
     cells = (N + sys.n_maps) * n * (n + 1) // 2
@@ -309,7 +316,7 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
                 acc += SL[ell] * others[h] + S[ell] * (tot[rest] - B[rest][h])
             B[r][h] = acc
         tot[r] = sum(B[r])
-    entropies = tuple(-t for t in tot[1:])
+    entropies = tuple(0.0 - t for t in tot[1:])   # +0.0 for a point mass
     increments = tuple(entropies[i + 1] - entropies[i]
                        for i in range(len(entropies) - 1))
     return RWEntropyResult(value=entropies[-1] / n, method="brute-force",

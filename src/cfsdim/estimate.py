@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_valid, map_of)
+                  check_samples, check_valid, map_of)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 
@@ -47,15 +47,14 @@ def _fit(xs, ys) -> tuple:
     return slope, r2
 
 
-def _window(m_range: Sequence[int], points: int = 1) -> tuple:
+def _window(m_range: Sequence[int]) -> tuple:
     """(sorted scales, fit window): the window drops the two coarsest and two
     finest scales when enough remain.  A slope needs two distinct scales in
-    the window, and a sampled fit at least one point."""
+    the window."""
     ms = sorted(m_range)
     window = ms[2:-2] if len(ms) > 6 else ms
-    if len(set(window)) < 2 or points < 1:
-        raise ValidationError(f"a scaling fit needs 2 or more scales and "
-                              f"points >= 1, got scales {ms}, points {points}")
+    if len(set(window)) < 2:
+        raise ValidationError(f"a scaling fit needs 2 or more scales, got {ms}")
     return ms, window
 
 
@@ -124,7 +123,7 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     evenly over the set than the uniform default)."""
     import numpy as np
     from .fourcorner import chaos_game_points
-    ms, window = _window(m_range, points)
+    ms, window = _window(m_range)
     pts = chaos_game_points(sys, points, seed, weights=weights)
     counts = []
     for m in ms:
@@ -142,6 +141,7 @@ def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
                           min_scale: int, seed: int):
     """numpy array of samples x = Pi(w) with symbols drawn from p, extending
     each word until its contraction drops below 2^-min_scale."""
+    check_samples(samples)
     import numpy as np
     rng = np.random.default_rng(seed)
     flat_p = np.array([float(w) for w in p.flat()])
@@ -168,7 +168,7 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
     dim(mu) as H(mu_hat, D_m) / (m log 2)."""
     import numpy as np
     check_valid(sys)
-    ms, window = _window(m_range, samples)
+    ms, window = _window(m_range)
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min
     xs = sample_measure_points(sys, p, samples, min_scale=max(ms) + 2,

@@ -15,11 +15,13 @@ from typing import Optional, Sequence
 
 from .dimension import DimensionReport, _bisect
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import (CFSystem, DegenerateMeasure, ProbVector, ValidationError,
-                  check_tol)
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                  check_samples, weight_errors)
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
+# 4**d rectangles at about 600 B each with their SVG lines: about 160 MB
+CYLINDER_CAP = 4**9
 
 
 class ConditionsNotMet(ValidationError):
@@ -81,10 +83,10 @@ class FourCornerProb:
 
     def __init__(self, p: Sequence[float]):
         vals = tuple(float(v) for v in p)
-        if len(vals) != 4 or any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ValidationError("p must be 4 finite nonnegative reals")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValidationError(f"p must sum to 1, got {sum(vals)!r}")
+        errs = (weight_errors(vals) if len(vals) == 4
+                else [f"ShapeMismatch: p needs 4 weights, got {len(vals)}"])
+        if errs:
+            raise ValidationError("; ".join(errs))
         object.__setattr__(self, "p", vals)
 
     @classmethod
@@ -150,16 +152,6 @@ def phi_xy(sys: FourCornerSystem, p: FourCornerProb,
                  for line, q in _projections(sys, p))
 
 
-def _projection_phi(line: CFSystem, q: ProbVector, h: float,
-                    tol: float) -> float:
-    """Phi of one projection; -h when its grouping holds all the mass in one
-    group, where the projection is a point mass of random-walk entropy 0."""
-    try:
-        return phi_series(line, q, tol).value
-    except DegenerateMeasure:
-        return -h
-
-
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                          tol: float = 1e-12) -> DimensionReport:
     """Four-case self-affine measure dimension on the 4-corner set.
@@ -169,17 +161,12 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     otherwise; the other coordinate b carries the entropy left over, at
     rate chi_b.
     """
-    check_tol(tol)
     rep = validate_4c(sys)
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
-    if max(p.p) >= 1.0 - 1e-15:
-        return DimensionReport(dimension=0.0, raw=0.0, method="4corner-case",
-                               tolerance=tol, diagnostics={"degenerate": True})
     h = shannon_entropy(p.x_grouping())
     chi_x, chi_y = chis(sys, p)
-    phi_x, phi_y = (_projection_phi(line, q, h, tol)
-                    for line, q in _projections(sys, p))
+    phi_x, phi_y = phi_xy(sys, p, tol)
     eps = 1e-12
     if chi_y >= chi_x - eps:
         a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y
@@ -264,8 +251,7 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     each chain is burned in for CHAOS_BURN_IN steps before any point is
     recorded.  Deterministic given seed.
     """
-    if points < 1:
-        raise ValidationError(f"points must be >= 1, got {points}")
+    check_samples(points)
     import numpy as np
     maps = sys.maps()
     rx = np.array([m[0][0] for m in maps])
@@ -295,6 +281,9 @@ def _cylinders(sys: FourCornerSystem, depth: int):
     depth 0 is the unit square itself."""
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
+    if 4 ** min(depth, 64) > CYLINDER_CAP:     # no huge int for a huge depth
+        raise BudgetExceeded(f"depth {depth} needs 4**{depth} rectangles, "
+                             f"cap {CYLINDER_CAP}")
     maps = sys.maps()
     rects = [(0.0, 0.0, 1.0, 1.0)]
     for _ in range(depth):

@@ -17,14 +17,12 @@ from typing import Sequence, Union
 Number = Union[float, Fraction]
 
 PROB_SUM_TOL = 1e-12
+# The sampled oracles peak at 20 to 60 B per sample: at most about 600 MB
+SAMPLE_CAP = 10**7
 
 
 class ValidationError(ValueError):
     """A system or probability vector violates a structural invariant."""
-
-
-class DegenerateMeasure(ValidationError):
-    """All probability mass sits in a single fixed-point group."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -203,24 +201,34 @@ def check_tol(tol: float) -> None:
         raise ValidationError(f"tolerance must be finite and > 0, got {tol}")
 
 
-def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
+def check_samples(n: int) -> None:
+    """The one sample-count rule: at least one sample and at most
+    SAMPLE_CAP, checked before anything is allocated."""
+    if n < 1:
+        raise ValidationError(f"sample count must be >= 1, got {n}")
+    if n > SAMPLE_CAP:
+        raise BudgetExceeded(f"{n} samples exceed the cap {SAMPLE_CAP}")
+
+
+def weight_errors(weights: Sequence) -> list:
+    """The one weight rule: every weight finite and nonnegative, the total
+    1 (exactly in rational mode, within PROB_SUM_TOL in floats)."""
     errors = []
-    if tuple(len(r) for r in p.weights) != sys.group_sizes:
-        errors.append("ShapeMismatch: weights do not match system shape")
-        return errors
-    for row in p.weights:
-        for w in row:
-            if not math.isfinite(w):
-                errors.append(f"NonFiniteWeight: {w}")
-            elif w < 0:
-                errors.append(f"NegativeWeight: {w}")
-    tot = p.total()
-    if isinstance(tot, Fraction):
-        if tot != 1:
-            errors.append(f"SumNotOne: total={tot}")
-    elif abs(tot - 1.0) > PROB_SUM_TOL:
-        errors.append(f"SumNotOne: total={tot!r}")
+    for w in weights:
+        if not math.isfinite(w):
+            errors.append(f"NonFiniteWeight: {w}")
+        elif w < 0:
+            errors.append(f"NegativeWeight: {w}")
+    tot = sum(weights)
+    if abs(tot - 1) > (0 if isinstance(tot, Fraction) else PROB_SUM_TOL):
+        errors.append(f"SumNotOne: total={tot}")
     return errors
+
+
+def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
+    if tuple(len(r) for r in p.weights) != sys.group_sizes:
+        return ["ShapeMismatch: weights do not match system shape"]
+    return weight_errors(p.flat())
 
 
 def map_of(sys: CFSystem, s: Symbol) -> AffineMap1D:

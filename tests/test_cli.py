@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -302,6 +303,10 @@ class TestProbabilitiesRule:
         assert uniform == plain != own
 
 
+# All but 1e-16 (then 1e-17) of the mass in the first group
+NEAR_POINT_MASS = "[[0.5,0.4999999999999999],[1e-16]]"
+MASS_ROUNDING_TO_ONE = "[[0.5,0.5],[1e-17]]"
+
 BAD_RATIO_4C = {"type": "four_corner", "gamma": [[1.5, 0.1], [0.1, 0.8]],
                 "lambda": [[0.45, 0.09], [0.09, 0.45]]}
 
@@ -330,16 +335,69 @@ class TestExitCodes:
         (["fourcorner", FOUR_CORNER, "--tol", "0"], 2),
         (["phi", TWO_GROUP, "--probabilities", "[[0.499,0.499],[0.002]]"], 3),
         (["fourcorner", FOUR_CORNER, "--probabilities", "[0.5,0.5,0,0]"], 0),
+        (["measure-dim", TWO_GROUP, "--probabilities", NEAR_POINT_MASS], 0),
+        (["rw-entropy", TWO_GROUP, "--probabilities", NEAR_POINT_MASS], 0),
+        (["phi", TWO_GROUP, "--probabilities", NEAR_POINT_MASS], 0),
+        (["phi", TWO_GROUP, "--tol", "1e-300", "--probabilities",
+          MASS_ROUNDING_TO_ONE], 3),
+        (["phi", TWO_GROUP, "--mc-samples", "10", "--probabilities",
+          MASS_ROUNDING_TO_ONE], 3),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
             "depth-negative", "gd-depth-negative", "box-below-first-scale",
             "m-lo-above-m-hi", "box2d-no-points", "one-scale",
             "n-max-negative", "phi-tol-zero", "fourcorner-tol-zero",
-            "phi-term-cap", "fourcorner-point-mass-projection"])
+            "phi-term-cap", "fourcorner-point-mass-projection",
+            "measure-dim-near-point-mass", "rw-entropy-near-point-mass",
+            "phi-near-point-mass", "phi-series-mass-rounding-to-one",
+            "phi-mc-mass-rounding-to-one"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code
         assert "Traceback" not in err
+
+    def test_near_point_mass_answers(self, capsys):
+        """All but 1e-16 of the mass in one group: dimension 0, h_RW 0 and
+        Phi = -h, each within the point-mass bound B(1e-16) = 7.5e-15."""
+        args = [TWO_GROUP, "--probabilities", NEAR_POINT_MASS]
+        _, out, _ = run_main(["measure-dim", *args], capsys)
+        rep = json.loads(out)
+        assert rep["dimension"] == 0.0
+        assert 0.0 < rep["diagnostics"]["phi_tail_bound"] <= 1e-14
+        _, out, _ = run_main(["rw-entropy", *args], capsys)
+        assert json.loads(out)["closed_form"]["value"] == 0.0
+        _, out, _ = run_main(["phi", *args], capsys)
+        series = json.loads(out)["series"]
+        assert series["method"] == "point-mass"
+        assert series["value"] == -rep["diagnostics"]["entropy"]
+        assert series["tail_bound"] == rep["diagnostics"]["phi_tail_bound"]
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", TWO_GROUP, "--mc-samples", "101"],
+        ["render", FOUR_CORNER, "--mode", "attractor", "--points", "101",
+         "--out", "{dir}/fig"],
+        ["estimate", TWO_GROUP, "--kind", "entropy", "--points", "101",
+         "--m-lo", "2", "--m-hi", "6"],
+        ["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "101",
+         "--m-lo", "2", "--m-hi", "6"],
+        ["render", FOUR_CORNER, "--mode", "cylinders", "--depth", "4",
+         "--out", "{dir}/fig"],
+    ], ids=["phi-mc", "render-attractor", "estimate-entropy",
+            "estimate-box2d", "render-cylinders"])
+    def test_sample_caps(self, argv, tmp_path, monkeypatch, capsys):
+        """Sample counts above ifs.SAMPLE_CAP and cylinder pictures above
+        fourcorner.CYLINDER_CAP rectangles are budget errors, raised before
+        anything is allocated or written (caps lowered here to keep the
+        runs small)."""
+        monkeypatch.setattr(ifs, "SAMPLE_CAP", 100)
+        monkeypatch.setattr(fourcorner, "CYLINDER_CAP", 4**3)
+        argv = [a.format(dir=tmp_path) for a in argv]
+        got, out, err = run_main(argv, capsys)
+        assert got == 3
+        assert "budget exceeded" in err and "cap" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "fig").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     @pytest.mark.parametrize("argv", [
@@ -422,13 +480,34 @@ def _exception_classes():
                   key=lambda cls: cls.__name__)
 
 
-# The exit code README documents for each exception class of the package.
-DOCUMENTED_EXIT = {
-    "ConfigError": 1,
-    "ValidationError": 2, "DegenerateMeasure": 2, "ConditionsNotMet": 2,
-    "RootOutsideBracket": 2, "EmptyWord": 2,
-    "BudgetExceeded": 3, "RunTooLong": 3, "NonConvergence": 3,
-}
+def _documented_exit_codes():
+    """{exception class name: exit code} from README's exit-code table,
+    whose last column names the classes in backticks."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        rows = [line.split("|") for line in fh
+                if line.startswith("| ") and line.split("|")[1].strip()
+                in ("1", "2", "3")]
+    return {name.rsplit(".", 1)[-1]: int(cells[1])
+            for cells in rows for name in re.findall(r"`([\w.]+)`",
+                                                     cells[-2])}
+
+
+DOCUMENTED_EXIT = _documented_exit_codes()
+
+
+def test_readme_exit_table_matches_exit_codes():
+    """README's table and cli.EXIT_CODES name the same classes with the
+    same codes; a subclass is documented with its base class's code."""
+    table = {cls.__name__: code
+             for classes, code, _ in cli.EXIT_CODES for cls in classes}
+    assert {name: DOCUMENTED_EXIT[name] for name in table} == table
+    assert set(DOCUMENTED_EXIT) == \
+        set(table) | {cls.__name__ for cls in _exception_classes()}
+    for cls in _exception_classes():
+        base = next(code for classes, code, _ in cli.EXIT_CODES
+                    if issubclass(cls, classes))
+        assert DOCUMENTED_EXIT[cls.__name__] == base
 
 
 @pytest.mark.parametrize("exc_class", _exception_classes(),

@@ -53,10 +53,20 @@ class TestMeasureDimension:
         assert h == pytest.approx(math.log(3))
 
     def test_degenerate_is_zero(self, two_group_overlap):
-        rep = measure_dimension(two_group_overlap,
-                                ProbVector([[0.7, 0.3], [0.0]]))
+        p = ProbVector([[0.7, 0.3], [0.0]])
+        rep = measure_dimension(two_group_overlap, p)
+        assert (rep.dimension, rep.raw) == (0.0, 0.0)
+        assert rep.diagnostics["phi"] == -shannon_entropy(p)
+        assert rep.diagnostics["phi_tail_bound"] == 0.0
+
+    def test_near_point_mass_is_zero(self, two_group_overlap):
+        """All but 1e-16 of the mass in one group: the point-mass rule
+        answers, with its bound B(1e-16) = 7.5e-15."""
+        p = ProbVector([[0.5, 0.4999999999999999], [1e-16]])
+        rep = measure_dimension(two_group_overlap, p)
         assert rep.dimension == 0.0
-        assert rep.diagnostics.get("degenerate")
+        assert rep.diagnostics["phi"] == -rep.diagnostics["entropy"]
+        assert 0.0 < rep.diagnostics["phi_tail_bound"] <= 1e-14
 
 
 class TestAttractorDimension:

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfsdim import (CFSystem, DegenerateMeasure, ProbVector, Word, compose,
-                    decompose, enumerate_words, lyapunov, phi_lower_bound,
-                    phi_monte_carlo, phi_series, rw_entropy_bruteforce,
-                    rw_entropy_closed, shannon_entropy)
-from cfsdim.entropy import _tail_bound, _truncation_depth
+from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                    compose, decompose, enumerate_words, ifs, lyapunov,
+                    phi_lower_bound, phi_monte_carlo, phi_series,
+                    rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
+from cfsdim.entropy import RunTooLong, _tail_bound, _truncation_depth
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -29,6 +29,18 @@ def random_p(shape, rng_vals):
         rows.append([flat[i + j] / total for j in range(n)])
         i += n
     return ProbVector(rows)
+
+
+def point_mass_bound(delta, groups, others_max, heavy_members):
+    """B(delta) = H2(delta) + delta log((N'-1) M) + (m-1) delta
+    log(1 + 1/delta), written out from its definition."""
+    h2 = -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
+    return (h2 + delta * math.log((groups - 1) * others_max)
+            + (heavy_members - 1) * delta * math.log(1 + 1 / delta))
+
+
+# All but 1e-16 of the mass in the first group of two_group_overlap
+NEAR_POINT_MASS = [[0.5, 0.4999999999999999], [1e-16]]
 
 
 class TestShannonEntropy:
@@ -71,9 +83,55 @@ class TestPhiSeries:
         assert res.value == pytest.approx(V_STAR_21_UNIFORM, abs=1e-11)
         assert res.tail_bound <= 1e-12
 
-    def test_degenerate_rejected(self, two_group_overlap):
-        with pytest.raises(DegenerateMeasure):
-            phi_series(two_group_overlap, ProbVector([[0.5, 0.5], [0.0]]))
+    def test_point_mass_is_minus_h(self, two_group_overlap):
+        """One group holds all the mass: h_RW = 0, so Phi = -h exactly."""
+        p = ProbVector([[0.5, 0.5], [0.0]])
+        res = phi_series(two_group_overlap, p)
+        assert res.value == -math.log(2)
+        assert res.tail_bound == 0.0
+        assert (res.method, res.terms_used) == ("point-mass", 0)
+
+    def test_near_point_mass_within_its_bound(self, two_group_overlap):
+        p = ProbVector(NEAR_POINT_MASS)
+        res = phi_series(two_group_overlap, p)
+        assert res.method == "point-mass"
+        assert res.value == -shannon_entropy(p)
+        assert res.tail_bound == pytest.approx(
+            point_mass_bound(1e-16, 2, 1, 2), rel=1e-12)
+        assert 7e-15 < res.tail_bound <= 1e-14
+
+    def test_rule_needs_bound_below_tol(self, two_group_overlap):
+        """A bound above tol runs the series, which cannot reach a mass that
+        rounds to 1: a budget error, not a ZeroDivisionError."""
+        p = ProbVector([[0.5, 0.5], [1e-17]])
+        assert phi_series(two_group_overlap, p).method == "point-mass"
+        with pytest.raises(BudgetExceeded, match="rounds to 1"):
+            phi_series(two_group_overlap, p, tol=1e-300)
+
+    def test_random_walk_entropy_below_point_mass_bound(self):
+        """h + Phi <= B(delta) on random systems with 2 to 4 groups of 1 to
+        4 members and delta, the mass outside the heaviest group, in
+        [0.01, 0.5]."""
+        rng = np.random.default_rng(20260118)
+        for _ in range(200):
+            n_groups = int(rng.integers(2, 5))
+            sizes = rng.integers(1, 5, size=n_groups)
+            delta = float(rng.uniform(0.01, 0.5))
+            # group 0, the heaviest, holds 1 - delta; the others share delta
+            out = rng.dirichlet(np.ones(n_groups - 1)) * delta
+            masses = [1.0 - delta, *out]
+            rows = [list(m * rng.dirichlet(np.ones(k)))
+                    for m, k in zip(masses, sizes)]
+            delta = math.fsum(w for row in rows[1:] for w in row)
+            sys = CFSystem(range(n_groups), [[0.3] * k for k in sizes])
+            p = ProbVector(rows)
+            res = phi_series(sys, p, tol=1e-8)
+            bound = point_mass_bound(delta, n_groups,
+                                     max(map(len, rows[1:])), len(rows[0]))
+            # equality holds when every group has one member (h_RW = h =
+            # H2(delta)), so allow rounding
+            assert shannon_entropy(p) + res.value <= \
+                bound + res.tail_bound + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
@@ -133,6 +191,30 @@ def _phi_log_space(p, tail=1e-18):
 
 
 class TestPhiMonteCarlo:
+    def test_point_mass_is_exact(self, two_group_overlap):
+        res = phi_monte_carlo(two_group_overlap,
+                              ProbVector([[0.5, 0.5], [0.0]]), 1000, seed=0)
+        assert (res.value, res.stderr) == (-math.log(2), 0.0)
+        assert res.method == "point-mass"
+
+    def test_group_mass_rounding_to_one_is_a_budget_error(
+            self, two_group_overlap):
+        """Runs inside a group of float mass 1 never end; the sampler says
+        so before drawing."""
+        with pytest.raises(RunTooLong, match="rounds to 1"):
+            phi_monte_carlo(two_group_overlap,
+                            ProbVector([[0.5, 0.5], [1e-17]]), 10, seed=0)
+
+    def test_sample_count_rule(self, two_group_overlap, uniform21,
+                               monkeypatch):
+        monkeypatch.setattr(ifs, "SAMPLE_CAP", 100)
+        with pytest.raises(ValidationError, match="sample count"):
+            phi_monte_carlo(two_group_overlap, uniform21, 0, seed=0)
+        with pytest.raises(BudgetExceeded, match="cap 100"):
+            phi_monte_carlo(two_group_overlap, uniform21, 101, seed=0)
+        assert phi_monte_carlo(two_group_overlap, uniform21, 100,
+                               seed=0).terms_used == 100
+
     def test_exactly_zero_without_overlap(self, equal_halves):
         res = phi_monte_carlo(equal_halves, ProbVector.uniform(equal_halves),
                               1000, seed=0)

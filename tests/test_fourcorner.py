@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from cfsdim import (CFSystem, ConditionsNotMet, DegenerateMeasure,
-                    FourCornerProb, FourCornerSystem, ValidationError, chis,
-                    lyapunov, measure_dimension, measure_dimension_4c,
-                    natural_p, phi_series, phi_xy, set_dimension_4c,
-                    shannon_entropy, suff_check, validate_4c)
+from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
+                    FourCornerProb, FourCornerSystem, ProbVector,
+                    ValidationError, chis, fourcorner, ifs, lyapunov,
+                    measure_dimension, measure_dimension_4c, natural_p,
+                    phi_series, phi_xy, set_dimension_4c, shannon_entropy,
+                    suff_check, validate_4c)
 from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
                                render_cylinders_svg, _cylinders)
 
@@ -84,11 +85,41 @@ class TestPhiXY:
         vx, vy = phi_xy(four_corner_main, p)
         assert vx == pytest.approx(vy, abs=1e-14)
 
-    def test_coordinate_group_holding_all_mass_rejected(self, four_corner_main):
-        # 0.5 + 0.5 rounds to 1: the x grouping is degenerate
-        p = FourCornerProb([0.5, 0.5, 1e-16, 0.0])
-        with pytest.raises(DegenerateMeasure):
-            phi_xy(four_corner_main, p)
+    @pytest.mark.parametrize("weights, bound", [
+        ([0.5, 0.5, 0.0, 0.0], 0.0),
+        ([0.5, 0.5, 1e-16, 0.0], 1e-14),
+    ], ids=["point-mass", "mass-rounding-to-one"])
+    def test_coordinate_group_holding_all_mass_gives_minus_h(
+            self, four_corner_main, weights, bound):
+        """The x grouping holds all the mass in one group, exactly or up to
+        1e-16 (0.5 + 0.5 + 1e-16 rounds to 1): Phi_x = -h, within the
+        point-mass bound."""
+        p = FourCornerProb(weights)
+        h = shannon_entropy(p.x_grouping())
+        x_line = CFSystem([0.0, 1.0], four_corner_main.gamma)
+        res = phi_series(x_line, p.x_grouping(), tol=1e-12)
+        assert (res.value, res.method) == (-h, "point-mass")
+        assert res.tail_bound <= bound
+        assert phi_xy(four_corner_main, p)[0] == -h
+
+    @pytest.mark.parametrize("excess, ok", [(5e-13, True), (2e-12, False)])
+    def test_weight_rule_is_the_line_systems(self, excess, ok):
+        """FourCornerProb and validate_probabilities share one rule: the
+        sum may miss 1 by at most PROB_SUM_TOL."""
+        weights = [0.25, 0.25, 0.25, 0.25 + excess]
+        line = CFSystem([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
+        line_errors = ifs.validate_probabilities(
+            line, ProbVector([weights[:2], weights[2:]]))
+        assert (line_errors == []) == ok
+        if ok:
+            FourCornerProb(weights)
+        else:
+            with pytest.raises(ValidationError, match="SumNotOne"):
+                FourCornerProb(weights)
+
+    def test_wrong_number_of_weights_rejected(self):
+        with pytest.raises(ValidationError, match="4 weights"):
+            FourCornerProb([0.5, 0.5])
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -212,6 +243,14 @@ class TestMeasureDimension4C:
         assert rep.raw == pytest.approx(
             measure_dimension(*other, tol=1e-12).raw, abs=1e-12)
 
+    def test_one_map_is_a_point(self, four_corner_main):
+        """All mass on one map: both projections are point masses, and the
+        Ledrappier-Young rule gives 0 with no special case."""
+        rep = measure_dimension_4c(four_corner_main,
+                                   FourCornerProb([1.0, 0.0, 0.0, 0.0]))
+        assert (rep.dimension, rep.raw) == (0.0, 0.0)
+        assert rep.diagnostics["phi_x"] == rep.diagnostics["phi_y"] == 0.0
+
     def test_duality_swap(self, four_corner_main):
         """Exchanging the two coordinates (gamma <-> lambda with the member
         transposition) swaps (chi_x, phi_x) and (chi_y, phi_y)."""
@@ -278,6 +317,13 @@ class TestRendering:
         pts = chaos_game_points(four_corner_main, 10_000, seed=2,
                                 weights=prob.p)
         assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
+
+    def test_cylinder_cap(self, four_corner_main, monkeypatch):
+        monkeypatch.setattr(fourcorner, "CYLINDER_CAP", 4**3)
+        assert len(_cylinders(four_corner_main, 3)) == 4**3
+        for depth in (4, 10**9):
+            with pytest.raises(BudgetExceeded, match="rectangles"):
+                _cylinders(four_corner_main, depth)
 
     def test_ppm_header(self, four_corner_main, tmp_path):
         out = str(tmp_path / "att.ppm")
