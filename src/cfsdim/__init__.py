@@ -1,27 +1,48 @@
 """Hausdorff dimensions of self-similar measures and attractors for IFSs on
 the line whose maps share fixed points, with the 4-corner self-affine
-application and independent empirical cross-checks."""
+application and independent empirical cross-checks.
 
-from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, ProbVector, Symbol,
-                  ValidationError, load_system, map_of, prune_zeros,
-                  validate_probabilities, validate_system)
-from .words import (Block, BlockSignature, Word, class_weight, compose,
-                    count_vector, decompose, enumerate_signatures,
-                    enumerate_words)
-from .entropy import (PhiResult, RWEntropyResult, lyapunov, phi_lower_bound,
-                      phi_monte_carlo, phi_series, rw_entropy_bruteforce,
-                      rw_entropy_closed, shannon_entropy)
-from .dimension import (DimensionReport, attractor_dimension, gd_dimension,
-                        gd_matrix, measure_dimension, similarity_dimension,
-                        spectral_radius)
-from .separation import (ProbeResult, SeparationReport, collision_buckets,
-                         esc_probe, min_gap)
-from .fourcorner import (ConditionsNotMet, FourCornerProb, FourCornerSystem,
-                         chaos_game_points, chis, measure_dimension_4c,
-                         natural_p, phi_xy, render_attractor_ppm,
-                         render_cylinders_svg, set_dimension_4c, suff_check,
-                         validate_4c)
-from .estimate import (ScalingFit, box_dimension_1d, box_dimension_2d,
-                       cover_boxes_1d, entropy_slope)
+The public names resolve on first use (PEP 562), so ``import cfsdim`` loads
+no submodule and a caller pays only for the modules it touches.
+"""
 
+import importlib
+
+# submodule -> the public names it provides
+_EXPORTS = {
+    "ifs": ("AffineMap1D", "BudgetExceeded", "CFSystem", "ProbVector",
+            "Symbol", "ValidationError", "load_system", "map_of",
+            "prune_zeros", "validate_probabilities", "validate_system"),
+    "words": ("Block", "BlockSignature", "Word", "class_weight", "compose",
+              "count_vector", "decompose", "enumerate_signatures",
+              "enumerate_words"),
+    "entropy": ("PhiResult", "RWEntropyResult", "lyapunov", "phi_lower_bound",
+                "phi_monte_carlo", "phi_series", "rw_entropy_bruteforce",
+                "rw_entropy_closed", "shannon_entropy"),
+    "dimension": ("DimensionReport", "attractor_dimension", "gd_dimension",
+                  "gd_matrix", "measure_dimension", "similarity_dimension",
+                  "spectral_radius"),
+    "separation": ("ProbeResult", "SeparationReport", "collision_buckets",
+                   "esc_probe", "min_gap"),
+    "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
+                   "chaos_game_points", "chis", "measure_dimension_4c",
+                   "natural_p", "phi_xy", "render_attractor_ppm",
+                   "render_cylinders_svg", "set_dimension_4c", "suff_check",
+                   "validate_4c"),
+    "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
+                 "cover_boxes_1d", "entropy_slope"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # not cached in globals(): a name follows later rebinding in its module
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,6 +3,7 @@
 Exit codes: 0 ok, then the first row of ``EXIT_CODES`` that matches the
 exception: 1 IO/config error, 2 validation error, 3 budget exceeded.
 All randomness flows through --seed, so repeat runs are byte-identical.
+Each command imports the modules it runs, so a run loads no other.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import sys as _sys
 
-from . import dimension, entropy, estimate, fourcorner, separation
 from .ifs import (BudgetExceeded, ProbVector, ValidationError, load_system,
                   validate_probabilities, validate_system)
 
@@ -52,20 +52,22 @@ def _load(args, kind: str = "cfs"):
     descriptor; without the flag a cfs descriptor's own "probabilities" are
     used, else the uniform vector.
     """
+    four_corner = kind == "four_corner"
+    if four_corner:
+        from . import fourcorner
     try:
         with open(args.system) as fh:
             desc = json.load(fh)
         if not isinstance(desc, dict):
             raise ConfigError(f"{args.system}: not a JSON object")
-        if kind == "cfs":
-            sys_obj, p = load_system(desc)
-        else:
+        if four_corner:
             sys_obj, p = fourcorner.FourCornerSystem.from_json_dict(desc), None
+        else:
+            sys_obj, p = load_system(desc)
     except ValidationError:
         raise
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.system}: {exc}") from exc
-    four_corner = kind == "four_corner"
     errs = [] if four_corner else validate_system(sys_obj)
     if errs:
         raise ValidationError("; ".join(errs))
@@ -93,6 +95,7 @@ def _load(args, kind: str = "cfs"):
 
 
 def cmd_measure_dim(args) -> int:
+    from . import dimension
     sys_obj, p = _load(args)
     rep = dimension.measure_dimension(sys_obj, p, tol=args.tol)
     _emit(rep.to_json_dict(), args)
@@ -100,6 +103,7 @@ def cmd_measure_dim(args) -> int:
 
 
 def cmd_attractor_dim(args) -> int:
+    from . import dimension
     sys_obj, _ = _load(args)
     rep = dimension.attractor_dimension(sys_obj, tol=args.tol)
     out = rep.to_json_dict()
@@ -110,6 +114,7 @@ def cmd_attractor_dim(args) -> int:
         out["gd_sequence"] = seq
         out["gd_delta"] = rep.raw - seq[-1]
     if args.box:
+        from . import estimate
         fit = estimate.box_dimension_1d(sys_obj, range(4, args.box + 1))
         out["box_fit"] = fit.to_json_dict()
         out["box_delta"] = rep.dimension - fit.slope
@@ -118,6 +123,7 @@ def cmd_attractor_dim(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    from . import entropy
     sys_obj, p = _load(args)
     series = entropy.phi_series(sys_obj, p, tol=args.tol)
     out = {"series": series.to_json_dict(),
@@ -130,6 +136,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_rw_entropy(args) -> int:
+    from . import entropy
     sys_obj, p = _load(args)
     closed = entropy.rw_entropy_closed(sys_obj, p, tol=args.tol)
     out = {"closed_form": closed.to_json_dict()}
@@ -141,6 +148,7 @@ def cmd_rw_entropy(args) -> int:
 
 
 def cmd_esc_probe(args) -> int:
+    from . import separation
     sys_obj, _ = _load(args)
     res = separation.esc_probe(sys_obj, args.n_max)
     if args.csv:
@@ -154,6 +162,7 @@ def cmd_esc_probe(args) -> int:
 
 
 def cmd_fourcorner(args) -> int:
+    from . import fourcorner
     sys_obj, p = _load(args, "four_corner")
     conditions = fourcorner.validate_4c(sys_obj)
     out = {"conditions": conditions}
@@ -170,6 +179,7 @@ def cmd_fourcorner(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import fourcorner
     sys_obj, _ = _load(args, "four_corner")
     if args.mode == "cylinders":
         fourcorner.render_cylinders_svg(sys_obj, args.depth, args.out)
@@ -181,6 +191,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimate
     m_range = range(args.m_lo, args.m_hi + 1)
     sys_obj, p = _load(args, "four_corner" if args.kind == "box2d" else "cfs")
     if args.kind == "box2d":

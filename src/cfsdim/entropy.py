@@ -132,7 +132,8 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     sys, p, _ = prune_zeros(sys, p)
     bound = _point_mass_bound(p)
     if bound < tol:
-        return PhiResult(value=-shannon_entropy(p), tail_bound=bound,
+        # 0.0 - h, not -h: a one-symbol point mass reads +0.0, not -0.0
+        return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=bound,
                          terms_used=0, method="point-mass")
     # single-member groups drop out: q = k always, log((k+1)/(k+1)) = 0
     groups = [(float(sum(row)), row) for row in p.weights if len(row) > 1]
@@ -173,16 +174,20 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     Draw X1 ~ p; run i.i.d. until the first symbol outside group(X1) at step
     k; Y counts X1 among steps 1..k-1; average log(Y/(k-1)).  Equivalently,
     k-1 = 1 + G with G geometric in the group mass and Y = 1 + Binom(G, a/rho),
-    which is what is sampled here.
+    which is what is sampled here.  Raises RunTooLong before drawing when a
+    group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and after drawing when
+    one sampled run does.
     """
     check_samples(samples)
     sys, p, one_group = prune_zeros(sys, p)
     if one_group:                    # the walk never leaves it: h_RW = 0
-        return PhiResult(value=-shannon_entropy(p), tail_bound=0.0,
+        return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=0.0,
                          terms_used=0, method="point-mass", stderr=0.0)
     masses = _group_masses(p)
-    if max(masses) >= 1.0:
-        raise RunTooLong("a group mass rounds to 1: its runs never end")
+    # a run stays in a group of mass rho for 1/(1 - rho) steps on average
+    if (1.0 - max(masses)) * MC_RUN_CAP <= 1.0:
+        raise RunTooLong(f"a group mass rounds to 1 within 1/{MC_RUN_CAP}: "
+                         "its mean run 1/(1 - rho) reaches the step cap")
     import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])

@@ -70,12 +70,15 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     Cylinder intervals f_w([t_min, t_max]) are refined until shorter than
     2^-m (after rescaling the attractor into [0,1]); the upper count marks
     every box meeting a cylinder, the lower count only the box holding each
-    cylinder's left endpoint.
+    cylinder's left endpoint.  Maps with the same ratio at the same fixed
+    point are the same map and have the same subtree, so each distinct
+    (ratio, intercept) pair is refined once.
     """
     check_valid(sys)
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min
-    maps = [map_of(sys, s) for s in sys.symbols()]
+    maps = {(float(mp.ratio), float(mp.intercept))
+            for mp in (map_of(sys, s) for s in sys.symbols())}
     target = 2.0 ** (-m)
     scale = 2 ** m
 
@@ -93,9 +96,8 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
             if visited > DEFAULT_COVER_BUDGET:
                 raise BudgetExceeded(
                     f"cover refinement exceeded {DEFAULT_COVER_BUDGET}")
-            for mp in maps:
-                stack.append((r * float(mp.ratio),
-                              r * float(mp.intercept) + c))
+            for ratio, intercept in maps:
+                stack.append((r * ratio, r * intercept + c))
             continue
         hi = lo + r          # rescaled cylinder [lo, lo + r]
         b0 = int(math.floor(lo * scale))

@@ -91,6 +91,14 @@ class TestPhiSeries:
         assert res.tail_bound == 0.0
         assert (res.method, res.terms_used) == ("point-mass", 0)
 
+    def test_one_symbol_point_mass_is_plus_zero(self, two_group_overlap):
+        """h = 0, and Phi = 0.0 - h prints as 0.0, not -0.0."""
+        p = ProbVector([[1.0, 0.0], [0.0]])
+        for res in (phi_series(two_group_overlap, p),
+                    phi_monte_carlo(two_group_overlap, p, 100, seed=0)):
+            assert res.method == "point-mass"
+            assert math.copysign(1.0, res.value) == 1.0
+
     def test_near_point_mass_within_its_bound(self, two_group_overlap):
         p = ProbVector(NEAR_POINT_MASS)
         res = phi_series(two_group_overlap, p)
@@ -204,6 +212,20 @@ class TestPhiMonteCarlo:
         with pytest.raises(RunTooLong, match="rounds to 1"):
             phi_monte_carlo(two_group_overlap,
                             ProbVector([[0.5, 0.5], [1e-17]]), 10, seed=0)
+
+    def test_long_mean_run_is_rejected_before_drawing(
+            self, two_group_overlap):
+        """A group of mass 1 - 1e-12 runs 1e12 steps on average, past
+        MC_RUN_CAP: the sampler says so without allocating its arrays."""
+        p = ProbVector([[0.5, 0.499999999999], [1e-12]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(RunTooLong, match="mean run"):
+                phi_monte_carlo(two_group_overlap, p, 10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sample_count_rule(self, two_group_overlap, uniform21,
                                monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 
 from cfsdim import (CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
-                    cover_boxes_1d, entropy_slope, measure_dimension)
+                    cover_boxes_1d, entropy_slope, estimate,
+                    measure_dimension)
 from cfsdim.estimate import _fit, sample_measure_points
 
 
@@ -72,6 +73,16 @@ class TestBoxDimension1D:
         s0 = attractor_dimension(two_group_overlap).dimension
         fit = box_dimension_1d(two_group_overlap, range(6, 17))
         assert abs(fit.slope - s0) <= 0.05
+
+    def test_coinciding_maps_refined_once(self, all_third, monkeypatch):
+        """all_third's two maps at 0 are one map: the cover walks 2^k
+        cylinders, not 3^k, and counts as the two-map system does."""
+        monkeypatch.setattr(estimate, "DEFAULT_COVER_BUDGET", 10**4)
+        fit = box_dimension_1d(all_third, range(4, 17))
+        assert fit.counts == (10, 16, 28, 42, 70, 102, 154, 240, 362, 570,
+                              888, 1340, 2158)
+        distinct = CFSystem([0, 1], [[1 / 3], [1 / 3]])
+        assert box_dimension_1d(distinct, range(4, 17)) == fit
 
     def test_window_trimming(self, cantor_quarter):
         fit = box_dimension_1d(cantor_quarter, range(4, 15))
