@@ -12,8 +12,8 @@ import argparse
 import json
 import sys as _sys
 
-from .ifs import (BudgetExceeded, ProbVector, ValidationError, load_system,
-                  validate_probabilities, validate_system)
+from .ifs import (BudgetExceeded, ProbVector, ValidationError, check_shape,
+                  load_system)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -44,8 +44,9 @@ def _emit(obj, args) -> None:
 
 def _load(args, kind: str = "cfs"):
     """The one descriptor loader: read ``args.system``, require descriptor
-    type ``kind`` ("cfs" or "four_corner"), validate it and resolve
-    ``--probabilities``.  Returns (system, probabilities).
+    type ``kind`` ("cfs" or "four_corner"), build it (the constructors refuse
+    an invalid one) and resolve ``--probabilities``.  Returns (system,
+    probabilities).
 
     The --probabilities rule: a JSON list gives that vector, "uniform" the
     uniform vector and "natural" the natural weights of a four_corner
@@ -68,9 +69,6 @@ def _load(args, kind: str = "cfs"):
         raise
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.system}: {exc}") from exc
-    errs = [] if four_corner else validate_system(sys_obj)
-    if errs:
-        raise ValidationError("; ".join(errs))
 
     spec = getattr(args, "probabilities", None)
     if spec == "natural":
@@ -88,9 +86,8 @@ def _load(args, kind: str = "cfs"):
                  else ProbVector(weights, mode=sys_obj.mode))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"--probabilities {spec}: {exc}") from exc
-    errs = [] if four_corner else validate_probabilities(sys_obj, p)
-    if errs:
-        raise ValidationError("; ".join(errs))
+    if not four_corner:
+        check_shape(sys_obj, p)
     return sys_obj, p
 
 

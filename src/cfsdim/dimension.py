@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import BudgetExceeded, CFSystem, ProbVector, \
-    ValidationError, check_tol, check_valid
+from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
+    check_tol
 
 BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -89,7 +89,6 @@ def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
 def measure_dimension(sys: CFSystem, p: ProbVector,
                       tol: float = 1e-10) -> DimensionReport:
     """dim = min{1, (h_p + Phi(p)) / chi(p)} for the self-similar measure."""
-    check_valid(sys)
     phi = phi_series(sys, p, tol)
     h = shannon_entropy(p)
     chi = lyapunov(sys, p)
@@ -107,7 +106,6 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
     F is strictly increasing with F(0) = 0 and F(inf) = N, so the root exists
     and is unique; plain bisection.
     """
-    check_valid(sys)
     N = sys.n_groups
 
     def F(s):
@@ -198,7 +196,6 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
     """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s.
     Depth None is the infinite-depth limit, whose equation is the attractor
     equation, so it returns attractor_dimension(sys, tol).raw."""
-    check_valid(sys)
     check_tol(tol)
     if depth is None:
         return attractor_dimension(sys, tol).raw

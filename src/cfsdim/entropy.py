@@ -17,7 +17,7 @@ from operator import mul
 from typing import List, Optional
 
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_samples, check_tol, prune_zeros)
+                  check_samples, check_shape, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
@@ -73,6 +73,7 @@ def shannon_entropy(p: ProbVector) -> float:
 
 def lyapunov(sys: CFSystem, p: ProbVector) -> float:
     """Average contraction rate -sum p log lambda (nats, positive)."""
+    check_shape(sys, p)
     chi = 0.0
     for row_p, row_l in zip(p.weights, sys.ratios):
         for w, lam in zip(row_p, row_l):
@@ -129,7 +130,7 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     group mass rounds to 1 and that rule does not answer.
     """
     check_tol(tol)
-    sys, p, _ = prune_zeros(sys, p)
+    p = prune_zeros(sys, p)
     bound = _point_mass_bound(p)
     if bound < tol:
         # 0.0 - h, not -h: a one-symbol point mass reads +0.0, not -0.0
@@ -178,9 +179,9 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and after drawing when
     one sampled run does.
     """
-    check_samples(samples)
-    sys, p, one_group = prune_zeros(sys, p)
-    if one_group:                    # the walk never leaves it: h_RW = 0
+    check_samples(samples, seed)
+    p = prune_zeros(sys, p)
+    if len(p.weights) == 1:          # the walk never leaves it: h_RW = 0
         return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=0.0,
                          terms_used=0, method="point-mass", stderr=0.0)
     masses = _group_masses(p)
@@ -229,7 +230,7 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
 
 def phi_lower_bound(sys: CFSystem, p: ProbVector) -> float:
     """Jensen bound: Phi >= sum p_{l,m} log(p_{l,m} + mass outside group l)."""
-    sys, p, _ = prune_zeros(sys, p)
+    p = prune_zeros(sys, p)
     masses = _group_masses(p)
     bound = 0.0
     for gi, row in enumerate(p.weights):
@@ -298,11 +299,11 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
-    sys, p, _ = prune_zeros(sys, p)
-    N = sys.n_groups
+    p = prune_zeros(sys, p)
+    N = len(p.weights)
     # the block sums fill about n(n+1)/2 cells per member, the DP as many
     # per group
-    cells = (N + sys.n_maps) * n * (n + 1) // 2
+    cells = (N + len(p.flat())) * n * (n + 1) // 2
     if cells > RW_DP_CAP:
         raise BudgetExceeded(
             f"signature DP needs {cells} cells, cap {RW_DP_CAP}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_samples, check_valid, map_of)
+                  check_samples, check_shape, map_of)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 
@@ -74,7 +74,6 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     point are the same map and have the same subtree, so each distinct
     (ratio, intercept) pair is refined once.
     """
-    check_valid(sys)
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min
     maps = {(float(mp.ratio), float(mp.intercept))
@@ -143,7 +142,8 @@ def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
                           min_scale: int, seed: int):
     """numpy array of samples x = Pi(w) with symbols drawn from p, extending
     each word until its contraction drops below 2^-min_scale."""
-    check_samples(samples)
+    check_samples(samples, seed)
+    check_shape(sys, p)
     import numpy as np
     rng = np.random.default_rng(seed)
     flat_p = np.array([float(w) for w in p.flat()])
@@ -169,7 +169,6 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
     """Dyadic entropy slope of the empirical self-similar measure; estimates
     dim(mu) as H(mu_hat, D_m) / (m log 2)."""
     import numpy as np
-    check_valid(sys)
     ms, window = _window(m_range)
     t_min, t_max = _attractor_interval(sys)
     diam = t_max - t_min

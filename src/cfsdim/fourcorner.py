@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .dimension import DimensionReport, _bisect
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_samples, weight_errors)
+                  _refuse, check_samples, weight_errors)
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
@@ -83,10 +83,8 @@ class FourCornerProb:
 
     def __init__(self, p: Sequence[float]):
         vals = tuple(float(v) for v in p)
-        errs = (weight_errors(vals) if len(vals) == 4
+        _refuse(weight_errors(vals) if len(vals) == 4
                 else [f"ShapeMismatch: p needs 4 weights, got {len(vals)}"])
-        if errs:
-            raise ValidationError("; ".join(errs))
         object.__setattr__(self, "p", vals)
 
     @classmethod
@@ -251,7 +249,7 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     each chain is burned in for CHAOS_BURN_IN steps before any point is
     recorded.  Deterministic given seed.
     """
-    check_samples(points)
+    check_samples(points, seed)
     import numpy as np
     maps = sys.maps()
     rx = np.array([m[0][0] for m in maps])

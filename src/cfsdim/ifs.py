@@ -68,10 +68,17 @@ def _as_mode(value, mode: str):
     return float(value)
 
 
+def _refuse(errors: list) -> None:
+    """Raise one ValidationError naming every violated invariant, if any."""
+    if errors:
+        raise ValidationError("; ".join(errors))
+
+
 @dataclass(frozen=True)
 class CFSystem:
     """Common-fixed-point system: ``fixed_points[i]`` is shared by the maps
-    with ratios ``ratios[i]``."""
+    with ratios ``ratios[i]``.  Building one that breaks validate_system's
+    rules raises ValidationError."""
 
     fixed_points: tuple
     ratios: tuple          # tuple of tuples, ragged
@@ -87,6 +94,7 @@ class CFSystem:
                            tuple(tuple(_as_mode(r, mode) for r in row)
                                  for row in ratios))
         object.__setattr__(self, "mode", mode)
+        _refuse(validate_system(self))
 
     @property
     def n_groups(self) -> int:
@@ -138,7 +146,8 @@ class CFSystem:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Probability weights aligned with a CFSystem's ragged shape."""
+    """Probability weights aligned with a CFSystem's ragged shape.  Building
+    one that breaks weight_errors' rule raises ValidationError."""
 
     weights: tuple
     mode: str = "float"
@@ -148,6 +157,7 @@ class ProbVector:
                            tuple(tuple(_as_mode(p, mode) for p in row)
                                  for row in weights))
         object.__setattr__(self, "mode", mode)
+        _refuse(weight_errors(self.flat()))
 
     def weight(self, s: Symbol) -> Number:
         return self.weights[s.group - 1][s.member - 1]
@@ -180,7 +190,9 @@ def validate_system(sys: CFSystem) -> list:
                 errors.append(f"RatioOutOfRange: lambda[{i + 1}][{j + 1}]={lam}")
     seen = {}
     for i, t in enumerate(sys.fixed_points):
-        if t in seen:
+        if not math.isfinite(t):
+            errors.append(f"NonFiniteFixedPoint: t[{i + 1}]={t}")
+        elif t in seen:
             errors.append(f"DuplicateFixedPoint: t[{seen[t] + 1}] == t[{i + 1}]")
         else:
             seen[t] = i
@@ -189,23 +201,19 @@ def validate_system(sys: CFSystem) -> list:
     return errors
 
 
-def check_valid(sys: CFSystem) -> None:
-    errs = validate_system(sys)
-    if errs:
-        raise ValidationError("; ".join(errs))
-
-
 def check_tol(tol: float) -> None:
     """The one tolerance rule: a tolerance must be finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tolerance must be finite and > 0, got {tol}")
 
 
-def check_samples(n: int) -> None:
-    """The one sample-count rule: at least one sample and at most
-    SAMPLE_CAP, checked before anything is allocated."""
+def check_samples(n: int, seed: int) -> None:
+    """The one sampling rule: at least one sample, a nonnegative seed and at
+    most SAMPLE_CAP samples, checked before anything is allocated."""
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if n > SAMPLE_CAP:
         raise BudgetExceeded(f"{n} samples exceed the cap {SAMPLE_CAP}")
 
@@ -226,9 +234,16 @@ def weight_errors(weights: Sequence) -> list:
 
 
 def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
+    """The shape rule, the one rule that needs a system and weights together:
+    one weight per map, group by group (empty means ok)."""
     if tuple(len(r) for r in p.weights) != sys.group_sizes:
         return ["ShapeMismatch: weights do not match system shape"]
-    return weight_errors(p.flat())
+    return []
+
+
+def check_shape(sys: CFSystem, p: ProbVector) -> None:
+    """Raise ValidationError unless ``p`` has ``sys``'s shape."""
+    _refuse(validate_probabilities(sys, p))
 
 
 def map_of(sys: CFSystem, s: Symbol) -> AffineMap1D:
@@ -238,27 +253,13 @@ def map_of(sys: CFSystem, s: Symbol) -> AffineMap1D:
     return AffineMap1D(lam, t * (1 - lam))
 
 
-def prune_zeros(sys: CFSystem, p: ProbVector) -> tuple:
-    """Drop zero-weight symbols (and emptied groups).
-
-    Returns (system, probabilities, degenerate) where ``degenerate`` is True
-    when all mass sits in a single group, i.e. the self-similar measure is a
-    point mass at that group's fixed point.
-    """
-    errs = validate_probabilities(sys, p)
-    if errs:
-        raise ValidationError("; ".join(errs))
-    fps, rows, wrows = [], [], []
-    for t, lams, ws in zip(sys.fixed_points, sys.ratios, p.weights):
-        kept = [(lam, w) for lam, w in zip(lams, ws) if w > 0]
-        if kept:
-            fps.append(t)
-            rows.append([lam for lam, _ in kept])
-            wrows.append([w for _, w in kept])
-    new_sys = CFSystem(fps, rows, mode=sys.mode)
-    new_p = ProbVector(wrows, mode=p.mode)
-    degenerate = len(fps) <= 1
-    return new_sys, new_p, degenerate
+def prune_zeros(sys: CFSystem, p: ProbVector) -> ProbVector:
+    """``p`` without its zero weights and emptied groups, after checking
+    that ``p`` has ``sys``'s shape.  One group left means the self-similar
+    measure is a point mass at that group's fixed point."""
+    check_shape(sys, p)
+    rows = [[w for w in row if w > 0] for row in p.weights]
+    return ProbVector([row for row in rows if row], mode=p.mode)
 
 
 def load_system(path_or_dict) -> tuple:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .ifs import BudgetExceeded, CFSystem, ValidationError, check_valid
+from .ifs import BudgetExceeded, CFSystem, ValidationError
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
@@ -53,7 +53,6 @@ def collision_buckets(sys: CFSystem, n: int) -> List[list]:
     vector (the generic case) and then merges buckets whose products agree to
     relative 1e-12, catching multiplicative relations between the ratios.
     """
-    check_valid(sys)
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     rational = sys.mode == "rational"

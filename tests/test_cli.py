@@ -63,12 +63,40 @@ class TestMeasureDim:
         code, _, _ = run_main(["measure-dim", "/nonexistent.json"], capsys)
         assert code == 1
 
-    def test_invalid_system(self, tmp_path, capsys):
-        bad = tmp_path / "dup.json"
-        bad.write_text(json.dumps({"type": "cfs", "fixed_points": [0, 0],
-                                   "ratios": [[0.5], [0.5]]}))
-        code, _, _ = run_main(["measure-dim", str(bad)], capsys)
-        assert code == 2
+    @pytest.mark.parametrize("desc, line", [
+        ({"fixed_points": [0, 0], "ratios": [[0.5], [0.5]]},
+         "DuplicateFixedPoint: t[1] == t[2]"),
+        ({"fixed_points": [0, 1], "ratios": [[1.5], [0.5]]},
+         "RatioOutOfRange: lambda[1][1]=1.5"),
+        ({"fixed_points": [0, 1], "ratios": [[], [0.5]]},
+         "EmptyGroup: group 1 has no maps"),
+        ({"fixed_points": [0], "ratios": [[0.5]]},
+         "EmptyGroup: need at least 2 fixed points"),
+        ({"fixed_points": [0, 1, 2], "ratios": [[0.5], [0.5]]},
+         "ShapeMismatch: ratios rows != fixed points"),
+        ({"fixed_points": [0, 1], "ratios": [[0.5, 0.25], [0.5]],
+          "probabilities": [[0.5], [0.5]]},
+         "ShapeMismatch: weights do not match system shape"),
+        ({"fixed_points": [0, 1], "ratios": [[0.5], [0.5]],
+          "probabilities": [[0.5], [0.6]]}, "SumNotOne: total=1.1"),
+        ({"fixed_points": [0, 1], "ratios": [[0.5], [0.5]],
+          "probabilities": [[1.5], [-0.5]]}, "NegativeWeight: -0.5"),
+        ({"fixed_points": [0, 1], "ratios": [[0.5, 0.25], [0.5]],
+          "probabilities": [[math.nan, 0.5], [0.25]]}, "NonFiniteWeight: nan"),
+        ({"fixed_points": ["0", "1"], "ratios": [["1/2"], [0.5]],
+          "mode": "rational"}, "rational mode requires exact inputs, got 0.5"),
+        ({"fixed_points": [0, 1], "ratios": [[0.5], [0.5]], "mode": "exotic"},
+         "unknown mode 'exotic'"),
+        ({"fixed_points": [0, math.inf], "ratios": [[0.5], [0.5]]},
+         "NonFiniteFixedPoint: t[2]=inf"),
+    ], ids=["duplicate-fixed-point", "ratio-out-of-range", "empty-group",
+            "single-group", "rows-vs-fixed-points", "weights-shape",
+            "sum-not-one", "negative-weight", "non-finite-weight",
+            "rational-inexact", "unknown-mode", "non-finite-fixed-point"])
+    def test_invalid_system(self, desc, line, tmp_path, capsys):
+        path = write_descriptor(tmp_path, {"type": "cfs", **desc})
+        code, out, err = run_main(["measure-dim", path], capsys)
+        assert (code, out, err) == (2, "", f"validation error: {line}\n")
 
 
 class TestAttractorDim:
@@ -375,6 +403,28 @@ class TestProbabilitiesRule:
         assert own == listed
         assert uniform == plain != own
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["measure-dim", TWO_GROUP], "[[0.5,0.6],[0.1]]"),
+        (["fourcorner", FOUR_CORNER], "[0.5,0.6,0.1,0]"),
+    ], ids=["cfs", "four_corner"])
+    def test_invalid_flag_weights_name_the_flag(self, argv, spec, capsys):
+        code, out, err = run_main([*argv, "--probabilities", spec], capsys)
+        assert (code, out, err) == (
+            2, "", f"validation error: --probabilities {spec}: "
+                   "SumNotOne: total=1.2000000000000002\n")
+
+    def test_invalid_descriptor_weights_refused_under_the_flag(
+            self, tmp_path, capsys):
+        """The descriptor's own weights are built, and so checked, even when
+        --probabilities replaces them."""
+        path = write_descriptor(tmp_path, {
+            "type": "cfs", "fixed_points": [0, 1], "ratios": [[0.5], [0.5]],
+            "probabilities": [[0.5], [0.6]]})
+        code, out, err = run_main(["phi", path, "--probabilities", "uniform"],
+                                  capsys)
+        assert (code, out, err) == (2, "", "validation error: "
+                                           "SumNotOne: total=1.1\n")
+
 
 # All but 1e-16 (then 1e-17) of the mass in the first group
 NEAR_POINT_MASS = "[[0.5,0.4999999999999999],[1e-16]]"
@@ -415,6 +465,13 @@ class TestExitCodes:
           MASS_ROUNDING_TO_ONE], 3),
         (["phi", TWO_GROUP, "--mc-samples", "10", "--probabilities",
           MASS_ROUNDING_TO_ONE], 3),
+        (["phi", TWO_GROUP, "--mc-samples", "10", "--seed", "-1"], 2),
+        (["render", FOUR_CORNER, "--mode", "attractor", "--points", "10",
+          "--seed", "-1", "--out", os.devnull], 2),
+        (["estimate", TWO_GROUP, "--kind", "entropy", "--points", "10",
+          "--m-lo", "2", "--m-hi", "6", "--seed", "-3"], 2),
+        (["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "10",
+          "--m-lo", "2", "--m-hi", "6", "--seed", "-3"], 2),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
             "depth-negative", "gd-depth-negative", "box-below-first-scale",
@@ -423,7 +480,9 @@ class TestExitCodes:
             "phi-term-cap", "fourcorner-point-mass-projection",
             "measure-dim-near-point-mass", "rw-entropy-near-point-mass",
             "phi-near-point-mass", "phi-series-mass-rounding-to-one",
-            "phi-mc-mass-rounding-to-one"])
+            "phi-mc-mass-rounding-to-one", "phi-mc-negative-seed",
+            "render-negative-seed", "estimate-entropy-negative-seed",
+            "estimate-box2d-negative-seed"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code

@@ -8,7 +8,7 @@ import pytest
 
 from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     FourCornerProb, FourCornerSystem, ProbVector,
-                    ValidationError, chis, fourcorner, ifs, lyapunov,
+                    ValidationError, chis, fourcorner, lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, phi_xy, set_dimension_4c, shannon_entropy,
                     suff_check, validate_4c)
@@ -104,18 +104,16 @@ class TestPhiXY:
 
     @pytest.mark.parametrize("excess, ok", [(5e-13, True), (2e-12, False)])
     def test_weight_rule_is_the_line_systems(self, excess, ok):
-        """FourCornerProb and validate_probabilities share one rule: the
-        sum may miss 1 by at most PROB_SUM_TOL."""
+        """FourCornerProb and ProbVector share one rule: the sum may miss 1
+        by at most PROB_SUM_TOL."""
         weights = [0.25, 0.25, 0.25, 0.25 + excess]
-        line = CFSystem([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
-        line_errors = ifs.validate_probabilities(
-            line, ProbVector([weights[:2], weights[2:]]))
-        assert (line_errors == []) == ok
-        if ok:
-            FourCornerProb(weights)
-        else:
-            with pytest.raises(ValidationError, match="SumNotOne"):
-                FourCornerProb(weights)
+        for build in (lambda: ProbVector([weights[:2], weights[2:]]),
+                      lambda: FourCornerProb(weights)):
+            if ok:
+                build()
+            else:
+                with pytest.raises(ValidationError, match="SumNotOne"):
+                    build()
 
     def test_wrong_number_of_weights_rejected(self):
         with pytest.raises(ValidationError, match="4 weights"):

@@ -7,32 +7,66 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfsdim import (AffineMap1D, CFSystem, ProbVector, Symbol,
-                    ValidationError, load_system, map_of, prune_zeros,
+                    ValidationError, entropy_slope, load_system, lyapunov,
+                    map_of, phi_series, prune_zeros, rw_entropy_closed,
                     validate_probabilities, validate_system)
+from cfsdim.estimate import sample_measure_points
 
 
 class TestValidateSystem:
+    """A CFSystem that breaks a rule of validate_system cannot be built."""
+
     def test_canonical_two_map_system_ok(self, equal_halves):
         assert validate_system(equal_halves) == []
 
     def test_duplicate_fixed_point(self):
-        sys = CFSystem([0.0, 0.0], [[0.5], [0.5]])
-        errs = validate_system(sys)
-        assert any("DuplicateFixedPoint" in e for e in errs)
+        with pytest.raises(ValidationError,
+                           match=r"^DuplicateFixedPoint: t\[1\] == t\[2\]$"):
+            CFSystem([0.0, 0.0], [[0.5], [0.5]])
 
     def test_ratio_out_of_range(self):
-        sys = CFSystem([0.0, 1.0], [[1.0], [0.5]])
-        errs = validate_system(sys)
-        assert any("RatioOutOfRange" in e for e in errs)
+        with pytest.raises(ValidationError,
+                           match=r"^RatioOutOfRange: lambda\[1\]\[1\]=1.0$"):
+            CFSystem([0.0, 1.0], [[1.0], [0.5]])
+
+    @pytest.mark.parametrize("ratio", [1.5, 0.0, -0.5, float("nan"),
+                                       float("inf")])
+    def test_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(ValidationError, match="RatioOutOfRange"):
+            CFSystem([0.0, 1.0], [[0.5], [ratio]])
 
     def test_empty_group(self):
-        sys = CFSystem([0.0, 1.0], [[], [0.5]])
-        errs = validate_system(sys)
-        assert any("EmptyGroup" in e for e in errs)
+        with pytest.raises(ValidationError,
+                           match="^EmptyGroup: group 1 has no maps$"):
+            CFSystem([0.0, 1.0], [[], [0.5]])
 
     def test_single_group_rejected(self):
-        sys = CFSystem([0.0], [[0.5]])
-        assert validate_system(sys)
+        with pytest.raises(ValidationError,
+                           match="^EmptyGroup: need at least 2 fixed points$"):
+            CFSystem([0.0], [[0.5]])
+
+    def test_rows_and_fixed_points_differ(self):
+        with pytest.raises(ValidationError,
+                           match="^ShapeMismatch: ratios rows != fixed points$"):
+            CFSystem([0.0, 1.0, 2.0], [[0.5], [0.5]])
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_fixed_point(self, t):
+        with pytest.raises(ValidationError, match="^NonFiniteFixedPoint: t"):
+            CFSystem([0.0, t], [[0.5], [0.5]])
+
+    def test_every_violation_is_named(self):
+        with pytest.raises(ValidationError) as info:
+            CFSystem([0.0, 0.0], [[1.5], [0.5]])
+        assert str(info.value) == ("RatioOutOfRange: lambda[1][1]=1.5; "
+                                   "DuplicateFixedPoint: t[1] == t[2]")
+
+    def test_equal_maps_cannot_reach_the_formulas(self):
+        """Both maps x -> x/2: h_RW is 0, not the log 2 that h_p + Phi would
+        give, so the system is refused before any formula runs."""
+        with pytest.raises(ValidationError, match="DuplicateFixedPoint"):
+            rw_entropy_closed(CFSystem([0, 0], [[0.5], [0.5]]),
+                              ProbVector([[0.5], [0.5]]))
 
 
 class TestMapOf:
@@ -82,25 +116,26 @@ class TestComposition:
 class TestPruneZeros:
     def test_drops_zero_symbols(self, two_group_overlap):
         p = ProbVector([[0.5, 0.0], [0.5]])
-        sys2, p2, degenerate = prune_zeros(two_group_overlap, p)
-        assert sys2.group_sizes == (1, 1)
-        assert p2.flat() == [0.5, 0.5]
-        assert not degenerate
+        assert prune_zeros(two_group_overlap, p).weights == ((0.5,), (0.5,))
 
     def test_all_mass_one_group_degenerate(self, two_group_overlap):
+        """One group left: the measure is a point mass at its fixed point."""
         p = ProbVector([[0.5, 0.5], [0.0]])
-        _, _, degenerate = prune_zeros(two_group_overlap, p)
-        assert degenerate
+        assert prune_zeros(two_group_overlap, p).weights == ((0.5, 0.5),)
 
     def test_identity_on_positive_weights(self, two_group_overlap):
         p = ProbVector.uniform(two_group_overlap)
-        sys2, p2, degenerate = prune_zeros(two_group_overlap, p)
-        assert sys2.group_sizes == two_group_overlap.group_sizes
-        assert p2.flat() == p.flat()
-        assert not degenerate
+        assert prune_zeros(two_group_overlap, p) == p
+
+    def test_shape_mismatch_rejected(self, two_group_overlap):
+        with pytest.raises(ValidationError, match="^ShapeMismatch: weights"):
+            prune_zeros(two_group_overlap, ProbVector([[0.5], [0.5]]))
 
 
 class TestProbabilities:
+    """A ProbVector that breaks weight_errors' rule cannot be built; the
+    shape rule is checked where a system meets its weights."""
+
     def test_uniform_sums_to_one(self, two_group_overlap):
         p = ProbVector.uniform(two_group_overlap)
         assert validate_probabilities(two_group_overlap, p) == []
@@ -108,19 +143,45 @@ class TestProbabilities:
 
     def test_shape_mismatch(self, two_group_overlap):
         p = ProbVector([[0.5], [0.5]])
-        assert validate_probabilities(two_group_overlap, p)
+        assert validate_probabilities(two_group_overlap, p) == [
+            "ShapeMismatch: weights do not match system shape"]
 
-    def test_sum_not_one(self, equal_halves):
-        p = ProbVector([[0.5], [0.6]])
-        assert validate_probabilities(equal_halves, p)
+    # the same number of weights, grouped (1, 2) against the system's (2, 1)
+    @pytest.mark.parametrize("call", [
+        lambda sys, p: lyapunov(sys, p),
+        lambda sys, p: phi_series(sys, p),
+        lambda sys, p: sample_measure_points(sys, p, 10, 4, 0),
+        lambda sys, p: entropy_slope(sys, p, 10, range(2, 6), 0),
+    ], ids=["lyapunov", "phi_series", "sample_measure_points",
+            "entropy_slope"])
+    def test_shape_mismatch_rejected_where_weights_meet_ratios(
+            self, two_group_overlap, call):
+        p = ProbVector([[0.5], [0.25, 0.25]])
+        with pytest.raises(ValidationError, match="^ShapeMismatch: weights"):
+            call(two_group_overlap, p)
 
-    def test_negative_weight(self, equal_halves):
-        p = ProbVector([[1.5], [-0.5]])
-        assert validate_probabilities(equal_halves, p)
+    def test_sum_not_one(self):
+        with pytest.raises(ValidationError, match=r"^SumNotOne: total=1.1$"):
+            ProbVector([[0.5], [0.6]])
 
-    def test_non_finite_weight(self, two_group_overlap):
-        p = ProbVector([[float("nan"), 0.5], [0.25]])
-        assert validate_probabilities(two_group_overlap, p)
+    def test_negative_weight(self):
+        with pytest.raises(ValidationError, match="^NegativeWeight: -0.5$"):
+            ProbVector([[1.5], [-0.5]])
+
+    def test_non_finite_weight(self):
+        with pytest.raises(ValidationError, match="^NonFiniteWeight: nan$"):
+            ProbVector([[float("nan"), 0.5], [0.25]])
+
+    @pytest.mark.parametrize("weights, match", [
+        ([[0.9], [0.9]], "SumNotOne"),
+        ([[0.5], [0.5 + 2e-12]], "SumNotOne"),
+        ([[1.0], [-1e-300]], "NegativeWeight"),
+        ([[float("inf")], [0.0]], "NonFiniteWeight"),
+        ([], "SumNotOne"),
+    ], ids=["sum-1.8", "sum-past-tol", "tiny-negative", "infinite", "empty"])
+    def test_invalid_weights_cannot_be_built(self, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            ProbVector(weights)
 
 
 class TestRationalMode:
@@ -130,8 +191,18 @@ class TestRationalMode:
         assert isinstance(sys.fixed_points[1], Fraction)
 
     def test_float_input_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^rational mode requires exact inputs, got 0.5$"):
             CFSystem([0.5], [[0.5]], mode="rational")
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^rational mode requires exact inputs"):
+            ProbVector([["1/2"], [0.5]], mode="rational")
+
+    def test_weights_sum_to_one_exactly(self):
+        with pytest.raises(ValidationError, match="^SumNotOne: total=5/6$"):
+            ProbVector([["1/2"], ["1/3"]], mode="rational")
 
     def test_uniform_is_exact(self):
         sys = CFSystem(["0", "1"], [["1/2", "1/3"], ["1/5"]], mode="rational")
