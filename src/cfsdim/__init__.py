@@ -7,6 +7,7 @@ no submodule and a caller pays only for the modules it touches.
 """
 
 import importlib
+import sys
 
 # submodule -> the public names it provides
 _EXPORTS = {
@@ -40,9 +41,10 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # not cached in globals(): a name follows later rebinding in its module
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _MODULE_OF:
-        module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    short = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if short is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__name__}.{short}"
+    # a loaded submodule costs one dict lookup, not a trip through importlib
+    module = sys.modules.get(path) or importlib.import_module(path)
+    return module if short == name else getattr(module, name)

@@ -21,6 +21,7 @@ from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
+_MC_CHUNK = 1 << 16
 PHI_TERM_CAP = 10**8
 RW_DP_CAP = 10**7
 
@@ -176,8 +177,14 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     k; Y counts X1 among steps 1..k-1; average log(Y/(k-1)).  Equivalently,
     k-1 = 1 + G with G geometric in the group mass and Y = 1 + Binom(G, a/rho),
     which is what is sampled here.  Raises RunTooLong before drawing when a
-    group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and after drawing when
+    group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and while drawing when
     one sampled run does.
+
+    Each stage (choice, geometric, binomial) draws all its samples before
+    the next starts, in chunks of _MC_CHUNK: the generator's stream runs
+    element by element, so a seed's numbers are those of whole-array draws.
+    Three sample-sized arrays stay alive, about 13 B per sample: the symbol
+    index, the run length G as int32 and the float64 log ratio.
     """
     check_samples(samples, seed)
     p = prune_zeros(sys, p)
@@ -192,38 +199,40 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])
-    # group index and in-group conditional weight per flat symbol
-    groups = []
-    cond = []
-    for gi, row in enumerate(p.weights):
-        for w in row:
-            groups.append(gi)
-            cond.append(float(w) / masses[gi])
-    groups = np.array(groups)
-    cond = np.array(cond)
-    rho = np.array(masses)
+    # out-of-group probability and in-group conditional weight per symbol
+    leave = np.array([1.0 - masses[gi]
+                      for gi, row in enumerate(p.weights) for _ in row])
+    cond = np.array([float(w) / masses[gi]
+                     for gi, row in enumerate(p.weights) for w in row])
+    chunks = [slice(i, min(i + _MC_CHUNK, samples))
+              for i in range(0, samples, _MC_CHUNK)]
 
-    # the draw order (choice, geometric, binomial) fixes a seed's numbers;
-    # working in place and dropping each array once used keeps at most four
-    # sample-sized arrays alive
-    idx = rng.choice(len(flat), size=samples, p=flat)
-    q = rho[groups[idx]]
-    np.subtract(1.0, q, out=q)       # out-of-group probability per sample
+    idx = np.empty(samples, dtype=np.min_scalar_type(len(flat) - 1))
+    for c in chunks:
+        idx[c] = rng.choice(len(flat), size=c.stop - c.start, p=flat)
     # extra in-group steps after X1: failures before first out-of-group draw
-    g = rng.geometric(q)
-    del q
-    g -= 1
-    if np.any(g >= MC_RUN_CAP):
-        raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
-    y = rng.binomial(g, cond[idx])
-    del idx
-    y += 1
-    g += 1
-    vals = np.true_divide(y, g)      # Y / (k - 1), both exact in float64
-    del y, g
-    np.log(vals, out=vals)
+    g = np.empty(samples, dtype=np.int32)
+    for c in chunks:
+        run = rng.geometric(leave[idx[c]])
+        run -= 1
+        if np.any(run >= MC_RUN_CAP):
+            raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
+        g[c] = run
+    vals = np.empty(samples)
+    for c in chunks:
+        y = rng.binomial(g[c], cond[idx[c]])
+        y += 1
+        # Y / (k - 1), both exact in float64
+        np.log(np.true_divide(y, g[c] + 1), out=vals[c])
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    stderr = 0.0
+    if samples > 1:
+        # std(ddof=1) by numpy's own steps, the deviations squared in place
+        # of a sample-sized copy
+        np.subtract(vals, mean, out=vals)
+        np.square(vals, out=vals)
+        stderr = (math.sqrt(float(vals.sum()) / (samples - 1))
+                  / math.sqrt(samples))
     return PhiResult(value=mean, tail_bound=0.0, terms_used=samples,
                      method="monte-carlo", stderr=stderr)
 

@@ -20,7 +20,8 @@ from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
-# 4**d rectangles at about 600 B each with their SVG lines: about 160 MB
+# 4**d rectangles at about 220 B each (the SVG is written line by line):
+# about 60 MB and a 28 MB file at the cap, which bounds the file and the time
 CYLINDER_CAP = 4**9
 
 
@@ -240,16 +241,16 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
                            tolerance=tol, diagnostics=diagnostics)
 
 
-def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
-                      weights: Optional[Sequence[float]] = None):
-    """(points, 2) numpy array of chaos-game samples.
+def _chaos_steps(sys: FourCornerSystem, points: int, seed: int,
+                 weights: Optional[Sequence[float]] = None):
+    """Yield the chaos game one recorded step at a time as (x, y) arrays over
+    the chains, the last step cut so that ``points`` points come out.
 
     Map choice is uniform unless ``weights`` is given.  Many independent
     chains (CHAOS_CHAINS) advance in lockstep so the recursion vectorizes;
     each chain is burned in for CHAOS_BURN_IN steps before any point is
-    recorded.  Deterministic given seed.
+    recorded.  Deterministic given seed; callers check the sample rule.
     """
-    check_samples(points, seed)
     import numpy as np
     maps = sys.maps()
     rx = np.array([m[0][0] for m in maps])
@@ -262,16 +263,28 @@ def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
     steps = -(-points // chains)  # ceil
     x = np.full(chains, 0.5)
     y = np.full(chains, 0.5)
-    out = np.empty((steps * chains, 2))
     for i in range(CHAOS_BURN_IN + steps):
         c = rng.choice(4, size=chains, p=w)
         x = rx[c] * x + cx[c]
         y = ry[c] * y + cy[c]
         if i >= CHAOS_BURN_IN:
-            j = (i - CHAOS_BURN_IN) * chains
-            out[j:j + chains, 0] = x
-            out[j:j + chains, 1] = y
-    return out[:points]
+            left = points - (i - CHAOS_BURN_IN) * chains
+            yield (x, y) if left >= chains else (x[:left], y[:left])
+
+
+def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
+                      weights: Optional[Sequence[float]] = None):
+    """(points, 2) numpy array of chaos-game samples: the steps of
+    _chaos_steps, one after the other."""
+    check_samples(points, seed)
+    import numpy as np
+    out = np.empty((points, 2))
+    j = 0
+    for x, y in _chaos_steps(sys, points, seed, weights):
+        out[j:j + len(x), 0] = x
+        out[j:j + len(x), 1] = y
+        j += len(x)
+    return out
 
 
 def _cylinders(sys: FourCornerSystem, depth: int):
@@ -295,34 +308,33 @@ def _cylinders(sys: FourCornerSystem, depth: int):
 
 def render_cylinders_svg(sys: FourCornerSystem, depth: int, out_path: str,
                          size: int = 600) -> None:
-    """SVG of all depth-d cylinder rectangles (y axis flipped to screen)."""
+    """SVG of all depth-d cylinder rectangles (y axis flipped to screen),
+    each line written as it is formatted."""
     rects = _cylinders(sys, depth)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>',
-    ]
-    for x0, y0, w, h in rects:
-        px = x0 * size
-        py = (1.0 - y0 - h) * size
-        lines.append(
-            f'<rect x="{px:.4f}" y="{py:.4f}" width="{w * size:.4f}" '
-            f'height="{h * size:.4f}" fill="none" stroke="black" '
-            f'stroke-width="1"/>')
-    lines.append("</svg>")
     with open(out_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                 f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+                 f'<rect x="0" y="0" width="{size}" height="{size}" '
+                 f'fill="white"/>\n')
+        fh.writelines(
+            f'<rect x="{x0 * size:.4f}" y="{(1.0 - y0 - h) * size:.4f}" '
+            f'width="{w * size:.4f}" height="{h * size:.4f}" fill="none" '
+            f'stroke="black" stroke-width="1"/>\n'
+            for x0, y0, w, h in rects)
+        fh.write("</svg>\n")
 
 
 def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
                          out_path: str, size: int = 600) -> None:
-    """Binary PPM (P6) raster of chaos-game points."""
+    """Binary PPM (P6) raster of chaos-game points, marked step by step:
+    memory does not grow with ``points``."""
+    check_samples(points, seed)
     import numpy as np
-    pts = chaos_game_points(sys, points, seed)
     img = np.full((size, size), 255, dtype=np.uint8)
-    xi = np.clip((pts[:, 0] * size).astype(int), 0, size - 1)
-    yi = np.clip(((1.0 - pts[:, 1]) * size).astype(int), 0, size - 1)
-    img[yi, xi] = 0
+    for x, y in _chaos_steps(sys, points, seed):
+        xi = np.clip((x * size).astype(int), 0, size - 1)
+        yi = np.clip(((1.0 - y) * size).astype(int), 0, size - 1)
+        img[yi, xi] = 0
     header = f"P6\n{size} {size}\n255\n".encode()
     rgb = np.repeat(img[:, :, None], 3, axis=2)
     with open(out_path, "wb") as fh:

@@ -11,13 +11,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-Number = Union[float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# fractions loads on the rational branches only: a float run never imports it
+Number = Union[float, "Fraction"]
 
 PROB_SUM_TOL = 1e-12
-# The sampled oracles peak at 20 to 60 B per sample: at most about 600 MB
+# Traced peaks per sample: render O(1) (it marks its raster step by step),
+# Monte-Carlo Phi about 15 B, entropy slope 49 B and box2d about 50 B, so
+# at most about 500 MB at the cap
 SAMPLE_CAP = 10**7
 
 
@@ -57,6 +62,7 @@ class AffineMap1D:
 
 def _as_mode(value, mode: str):
     if mode == "rational":
+        from fractions import Fraction
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -124,8 +130,8 @@ class CFSystem:
         return [r for row in self.ratios for r in row]
 
     def to_json_dict(self, probabilities: "ProbVector | None" = None) -> dict:
-        def enc(v):
-            return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+        def enc(v):   # each value is a float or a Fraction
+            return v if isinstance(v, float) else f"{v.numerator}/{v.denominator}"
         d = {
             "type": "cfs",
             "fixed_points": [enc(t) for t in self.fixed_points],
@@ -172,6 +178,7 @@ class ProbVector:
     def uniform(cls, sys: CFSystem) -> "ProbVector":
         L = sys.n_maps
         if sys.mode == "rational":
+            from fractions import Fraction
             return cls([[Fraction(1, L)] * n for n in sys.group_sizes],
                        mode="rational")
         return cls([[1.0 / L] * n for n in sys.group_sizes])
@@ -228,7 +235,8 @@ def weight_errors(weights: Sequence) -> list:
         elif w < 0:
             errors.append(f"NegativeWeight: {w}")
     tot = sum(weights)
-    if abs(tot - 1) > (0 if isinstance(tot, Fraction) else PROB_SUM_TOL):
+    # a float total is checked within PROB_SUM_TOL, any other (Fraction) exactly
+    if abs(tot - 1) > (PROB_SUM_TOL if isinstance(tot, float) else 0):
         errors.append(f"SumNotOne: total={tot}")
     return errors
 

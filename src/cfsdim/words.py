@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
 from .ifs import (AffineMap1D, BudgetExceeded, CFSystem, ProbVector, Symbol,
@@ -123,6 +122,7 @@ def class_weight(sig: BlockSignature, p: ProbVector):
     Multinomials go through log-space in float mode; exact in rational mode.
     """
     if p.mode == "rational":
+        from fractions import Fraction
         total = Fraction(1)
         for b in sig.blocks:
             total *= math.factorial(b.length)
@@ -166,7 +166,10 @@ def signature_classes(sys: CFSystem, n: int) -> Iterator[tuple]:
     over the sorted count vector in float mode.
     """
     rational = sys.mode == "rational"
-    one = Fraction(1) if rational else 1.0
+    one = 1.0
+    if rational:
+        from fractions import Fraction
+        one = Fraction(1)
     counts = {(s.group, s.member): 0 for s in sys.symbols()}  # sorted keys
     blocks: list = []
     emitted = 0

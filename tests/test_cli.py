@@ -306,6 +306,24 @@ class TestNumpyFree:
             assert (code, out) == (0, run_main(argv, capsys)[1]), argv
 
 
+class TestFractionsFree:
+    def test_float_run_leaves_fractions_unloaded(self):
+        """fractions (and decimal, which it imports) load on the rational
+        branches only."""
+        script = """
+import contextlib, io, sys
+import cfsdim.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cfsdim.cli.main(sys.argv[1:])
+print(code, *(m in sys.modules for m in ("fractions", "decimal")))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "measure-dim", TWO_GROUP,
+             "--probabilities", "uniform"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"]
+
+
 # Runs cfsdim.cli.main(argv) on the command line's argv and prints the
 # cfsdim modules it loaded.
 LOADED_MODULES = """

@@ -1,7 +1,9 @@
 """The 4-corner self-affine system: conditions, coordinate entropies,
 the four-case measure dimension, the natural weights, and rendering."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,26 @@ from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
 # Frozen root of sum gamma_i * lambda_i^{s-1} = 1 at the reference
 # parameters, from the bisection oracle at tol 1e-14.
 S_STAR = 1.64301670663502
+
+# sha256 of the rendered files before the renderers streamed their output;
+# streaming must not change a byte
+PPM_SHA256 = "2ff950919782cdc827286f176d15f7b3180c90e919b9465c7c85780b49631bb1"
+SVG_SHA256 = "88f7afe2d81e2855dc0a228550d5531ac5a221c16a899fab485be6c4776f1cfd"
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak traced bytes while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 @pytest.fixture
@@ -330,6 +352,51 @@ class TestRendering:
             data = fh.read()
         assert data.startswith(b"P6\n100 100\n255\n")
         assert len(data) == len(b"P6\n100 100\n255\n") + 100 * 100 * 3
+
+
+    def test_ppm_bytes_pinned(self, four_corner_main, tmp_path):
+        out = str(tmp_path / "att.ppm")
+        render_attractor_ppm(four_corner_main, 20_000, 0, out, size=100)
+        assert sha256_of(out) == PPM_SHA256
+
+    def test_svg_bytes_pinned(self, four_corner_main, tmp_path):
+        out = str(tmp_path / "cyl.svg")
+        render_cylinders_svg(four_corner_main, 4, out)
+        assert sha256_of(out) == SVG_SHA256
+
+    def test_chaos_game_points_are_the_rendered_steps(self, four_corner_main,
+                                                      tmp_path):
+        """The raster marks exactly the pixels of chaos_game_points, with a
+        point count that cuts the last step short."""
+        points, size = 10_001, 64
+        out = str(tmp_path / "att.ppm")
+        render_attractor_ppm(four_corner_main, points, 5, out, size=size)
+        with open(out, "rb") as fh:
+            data = fh.read()
+        header = f"P6\n{size} {size}\n255\n".encode()
+        img = np.frombuffer(data[len(header):], dtype=np.uint8)
+        pts = chaos_game_points(four_corner_main, points, seed=5)
+        want = np.full((size, size), 255, dtype=np.uint8)
+        xi = np.clip((pts[:, 0] * size).astype(int), 0, size - 1)
+        yi = np.clip(((1.0 - pts[:, 1]) * size).astype(int), 0, size - 1)
+        want[yi, xi] = 0
+        assert np.array_equal(img.reshape(size, size, 3)[:, :, 0], want)
+
+    def test_ppm_memory_does_not_grow_with_points(self, four_corner_main,
+                                                  tmp_path):
+        out = str(tmp_path / "att.ppm")
+        render_attractor_ppm(four_corner_main, 20_000, 0, out)   # warm up
+        small = traced_peak(render_attractor_ppm, four_corner_main, 20_000,
+                            0, out)
+        large = traced_peak(render_attractor_ppm, four_corner_main, 10**6,
+                            0, out)
+        assert large <= small + 2**19
+
+    def test_svg_memory_per_rectangle(self, four_corner_main, tmp_path):
+        depth = 7
+        peak = traced_peak(render_cylinders_svg, four_corner_main, depth,
+                           str(tmp_path / "cyl.svg"))
+        assert peak <= 250 * 4**depth
 
 
 class TestJsonDescriptor:
