@@ -12,8 +12,8 @@ import argparse
 import json
 import sys as _sys
 
-from .ifs import (BudgetExceeded, ProbVector, ValidationError, check_shape,
-                  load_system)
+from .ifs import (BudgetExceeded, ProbVector, Report, ValidationError,
+                  check_shape, load_system)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -34,7 +34,9 @@ EXIT_CODES = (
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write ``obj`` as JSON: a report, or a dict that may hold reports."""
+    text = json.dumps(obj, indent=2, sort_keys=True,
+                      default=Report.to_json_dict)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -95,7 +97,7 @@ def cmd_measure_dim(args) -> int:
     from . import dimension
     sys_obj, p = _load(args)
     rep = dimension.measure_dimension(sys_obj, p, tol=args.tol)
-    _emit(rep.to_json_dict(), args)
+    _emit(rep, args)
     return EXIT_OK
 
 
@@ -113,7 +115,7 @@ def cmd_attractor_dim(args) -> int:
     if args.box:
         from . import estimate
         fit = estimate.box_dimension_1d(sys_obj, range(4, args.box + 1))
-        out["box_fit"] = fit.to_json_dict()
+        out["box_fit"] = fit
         out["box_delta"] = rep.dimension - fit.slope
     _emit(out, args)
     return EXIT_OK
@@ -123,11 +125,11 @@ def cmd_phi(args) -> int:
     from . import entropy
     sys_obj, p = _load(args)
     series = entropy.phi_series(sys_obj, p, tol=args.tol)
-    out = {"series": series.to_json_dict(),
+    out = {"series": series,
            "lower_bound": entropy.phi_lower_bound(sys_obj, p)}
     if args.mc_samples:
         mc = entropy.phi_monte_carlo(sys_obj, p, args.mc_samples, args.seed)
-        out["monte_carlo"] = mc.to_json_dict()
+        out["monte_carlo"] = mc
     _emit(out, args)
     return EXIT_OK
 
@@ -136,10 +138,10 @@ def cmd_rw_entropy(args) -> int:
     from . import entropy
     sys_obj, p = _load(args)
     closed = entropy.rw_entropy_closed(sys_obj, p, tol=args.tol)
-    out = {"closed_form": closed.to_json_dict()}
+    out = {"closed_form": closed}
     if args.depth:
-        bf = entropy.rw_entropy_bruteforce(sys_obj, p, args.depth)
-        out["brute_force"] = bf.to_json_dict()
+        out["brute_force"] = entropy.rw_entropy_bruteforce(sys_obj, p,
+                                                           args.depth)
     _emit(out, args)
     return EXIT_OK
 
@@ -154,7 +156,7 @@ def cmd_esc_probe(args) -> int:
             lines.append(f"{row.depth},{row.min_gap},{row.implied_b}")
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    _emit(res.to_json_dict(), args)
+    _emit(res, args)
     return EXIT_OK
 
 
@@ -168,9 +170,9 @@ def cmd_fourcorner(args) -> int:
         for key in ("s", "natural_p", "suff_value"):
             out[key] = set_dim.diagnostics[key]
         out["suff_holds"] = set_dim.diagnostics["suff_value"] > 0.0
-        out["set_dimension"] = set_dim.to_json_dict()
+        out["set_dimension"] = set_dim
         out["measure_dimension"] = fourcorner.measure_dimension_4c(
-            sys_obj, p, tol=args.tol).to_json_dict()
+            sys_obj, p, tol=args.tol)
     _emit(out, args)
     return EXIT_OK
 
@@ -199,7 +201,7 @@ def cmd_estimate(args) -> int:
     else:
         fit = estimate.entropy_slope(sys_obj, p, args.points, m_range,
                                      args.seed)
-    _emit(fit.to_json_dict(), args)
+    _emit(fit, args)
     return EXIT_OK
 
 

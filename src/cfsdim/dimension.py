@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
-    check_tol
+from .ifs import BudgetExceeded, CFSystem, ProbVector, Report, \
+    ValidationError, check_tol
 
 BISECT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -27,17 +27,12 @@ class NonConvergence(BudgetExceeded):
 
 
 @dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Report):
     dimension: float             # capped to [0, 1]
     raw: float                   # uncapped root / ratio
     method: str
     tolerance: float
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"dimension": self.dimension, "raw": self.raw,
-                "method": self.method, "tolerance": self.tolerance,
-                "diagnostics": self.diagnostics}
 
 
 def _bisect(fn, lo: float, hi: float, tol: float,

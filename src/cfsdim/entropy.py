@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import List, Optional
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_samples, check_shape, check_tol, prune_zeros)
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, Report,
+                  ValidationError, check_samples, check_shape, check_tol,
+                  prune_zeros)
 
 DEFAULT_TOL = 1e-10
 MC_RUN_CAP = 10**6
@@ -31,35 +32,22 @@ class RunTooLong(BudgetExceeded):
 
 
 @dataclass(frozen=True)
-class PhiResult:
+class PhiResult(Report):
     value: float
     tail_bound: float
     terms_used: int
     method: str                      # "series" | "point-mass" | "monte-carlo"
     stderr: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method,
-             "terms_used": self.terms_used, "tail_bound": self.tail_bound}
-        if self.stderr is not None:
-            d["stderr"] = self.stderr
-        return d
-
 
 @dataclass(frozen=True)
-class RWEntropyResult:
+class RWEntropyResult(Report):
     value: float
     method: str                      # "closed-form" | "brute-force"
-    depth: Optional[int] = None
-    increments: tuple = ()           # H_2 - H_1, ..., H_n - H_{n-1}
-    entropies: tuple = ()            # H_1, ..., H_n (brute force only)
-
-    def to_json_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method}
-        if self.depth is not None:
-            d["depth"] = self.depth
-            d["increments"] = list(self.increments)
-        return d
+    depth: Optional[int] = None      # depth, increments: brute force only
+    increments: Optional[tuple] = None   # H_2 - H_1, ..., H_n - H_{n-1}
+    entropies: tuple = field(default=(),   # H_1, ..., H_n, never printed
+                             metadata={"json": False})
 
 
 def shannon_entropy(p: ProbVector) -> float:

@@ -12,24 +12,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  check_samples, check_shape, map_of)
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, Report,
+                  ValidationError, check_samples, check_shape, map_of)
 
 DEFAULT_COVER_BUDGET = 5_000_000
+# the largest scale exponent m for which box2d's cell key x * 2^m + y fits
+# in int64
+MAX_SCALE = 31
 
 
 @dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(Report):
     scales: tuple
     counts: tuple             # box counts or entropies per scale
     slope: float
     r2: float
     window: tuple             # (m_lo, m_hi) actually used in the fit
-
-    def to_json_dict(self) -> dict:
-        return {"scales": list(self.scales), "counts": list(self.counts),
-                "slope": self.slope, "r2": self.r2,
-                "window": list(self.window)}
 
 
 def _fit(xs, ys) -> tuple:
@@ -49,13 +47,26 @@ def _fit(xs, ys) -> tuple:
 
 def _window(m_range: Sequence[int]) -> tuple:
     """(sorted scales, fit window): the window drops the two coarsest and two
-    finest scales when enough remain.  A slope needs two distinct scales in
-    the window."""
+    finest scales when enough remain.  Every scale lies in 0..MAX_SCALE, and
+    a slope needs two distinct scales in the window."""
     ms = sorted(m_range)
+    if ms and not 0 <= ms[0] <= ms[-1] <= MAX_SCALE:
+        raise ValidationError(f"scale exponents must lie in 0..{MAX_SCALE}, "
+                              f"got {ms[0]}..{ms[-1]}")
     window = ms[2:-2] if len(ms) > 6 else ms
     if len(set(window)) < 2:
         raise ValidationError(f"a scaling fit needs 2 or more scales, got {ms}")
     return ms, window
+
+
+def _scaling_fit(ms: list, window: list, counts: list,
+                 bits=math.log2) -> ScalingFit:
+    """The least-squares fit of bits(count) against m over the window: log2
+    of a box count by default."""
+    ys = [bits(counts[ms.index(m)]) for m in window]
+    slope, r2 = _fit(window, ys)
+    return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,
+                      r2=r2, window=(window[0], window[-1]))
 
 
 def _attractor_interval(sys: CFSystem) -> tuple:
@@ -109,11 +120,7 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
 def box_dimension_1d(sys: CFSystem, m_range: Sequence[int]) -> ScalingFit:
     """Least-squares slope of log2 N_m against m over the trimmed window."""
     ms, window = _window(m_range)
-    counts = [cover_boxes_1d(sys, m)[0] for m in ms]
-    ys = [math.log2(counts[ms.index(m)]) for m in window]
-    slope, r2 = _fit(window, ys)
-    return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,
-                      r2=r2, window=(window[0], window[-1]))
+    return _scaling_fit(ms, window, [cover_boxes_1d(sys, m)[0] for m in ms])
 
 
 def box_dimension_2d(sys, m_range: Sequence[int], points: int,
@@ -132,10 +139,7 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
         xi = np.clip((pts[:, 0] * scale).astype(np.int64), 0, scale - 1)
         yi = np.clip((pts[:, 1] * scale).astype(np.int64), 0, scale - 1)
         counts.append(int(np.unique(xi * scale + yi).size))
-    ys = [math.log2(counts[ms.index(m)]) for m in window]
-    slope, r2 = _fit(window, ys)
-    return ScalingFit(scales=tuple(ms), counts=tuple(counts), slope=slope,
-                      r2=r2, window=(window[0], window[-1]))
+    return _scaling_fit(ms, window, counts)
 
 
 def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
@@ -182,7 +186,5 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
         _, freq = np.unique(bins, return_counts=True)
         q = freq / samples
         entropies.append(float(-(q * np.log(q)).sum()))
-    ys = [entropies[ms.index(m)] / math.log(2) for m in window]
-    slope, r2 = _fit(window, ys)
-    return ScalingFit(scales=tuple(ms), counts=tuple(entropies), slope=slope,
-                      r2=r2, window=(window[0], window[-1]))
+    return _scaling_fit(ms, window, entropies,
+                        bits=lambda nats: nats / math.log(2))

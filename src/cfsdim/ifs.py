@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -32,6 +32,31 @@ class ValidationError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An enumeration would visit more states than the configured budget."""
+
+
+@dataclass(frozen=True)
+class Report:
+    """A result: ``to_json_dict`` derives its JSON from the fields.  A
+    required field always appears, as null when None; a field whose default
+    is None appears only while it is not None; a field marked
+    ``metadata={"json": False}`` never appears."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name))
+                for f in fields(self) if f.metadata.get("json", True)
+                and not (f.default is None and getattr(self, f.name) is None)}
+
+
+def _json_value(v):
+    """``v`` as plain JSON data: reports, dicts, tuples and lists recursively,
+    an object with ``to_json`` (a word or a block signature) through it."""
+    if isinstance(v, Report):
+        return v.to_json_dict()
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    return v.to_json() if hasattr(v, "to_json") else v
 
 
 @dataclass(frozen=True, order=True)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .ifs import BudgetExceeded, CFSystem, ValidationError
+from .ifs import BudgetExceeded, CFSystem, Report, ValidationError
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
@@ -22,28 +22,15 @@ DEFAULT_CLASS_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Report):
     depth: int
     class_count: int
     min_gap: Optional[float]          # None when no comparable pair exists
     exact_zero: bool
     witness: Optional[tuple]          # (signature, signature) for the min gap
+    witness_words: Optional[tuple]    # a representative word of each
     implied_b: Optional[float]
     mode: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "class_count": self.class_count,
-            "min_gap": None if self.min_gap is None else float(self.min_gap),
-            "exact_zero": self.exact_zero,
-            "implied_b": self.implied_b,
-            "mode": self.mode,
-            "witness": None if self.witness is None else
-                [sig.to_json() for sig in self.witness],
-            "witness_words": None if self.witness is None else
-                [sig.representative().to_json() for sig in self.witness],
-        }
 
 
 def collision_buckets(sys: CFSystem, n: int) -> List[list]:
@@ -102,26 +89,19 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
                 witness = (sig_a, sig_b)
         if exact_zero:
             break
-    if best is None:
-        return SeparationReport(depth=n, class_count=class_count, min_gap=None,
-                                exact_zero=False, witness=None,
-                                implied_b=None, mode=sys.mode)
-    gap_f = float(best)
-    implied_b = None if gap_f == 0.0 else -math.log2(gap_f) / n
-    return SeparationReport(depth=n, class_count=class_count, min_gap=gap_f,
-                            exact_zero=exact_zero, witness=witness,
-                            implied_b=implied_b, mode=sys.mode)
+    gap = None if best is None else float(best)
+    return SeparationReport(
+        depth=n, class_count=class_count, min_gap=gap, exact_zero=exact_zero,
+        witness=witness, witness_words=None if witness is None else
+        tuple(sig.representative() for sig in witness),
+        implied_b=-math.log2(gap) / n if gap else None, mode=sys.mode)
 
 
 @dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Report):
     rows: tuple                       # SeparationReport per depth
     verdict: str                      # consistent-up-to-n | violated-with-witness | indeterminate
     b_hat: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "b_hat": self.b_hat,
-                "rows": [r.to_json_dict() for r in self.rows]}
 
 
 def esc_probe(sys: CFSystem, n_max: int) -> ProbeResult:

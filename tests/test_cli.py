@@ -239,6 +239,197 @@ class TestEstimateCommand:
         assert json.loads(out)["slope"] == pytest.approx(0.5, abs=0.05)
 
 
+JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float",
+              str: "str", list: "array", dict: "object"}
+
+
+def json_shape(value) -> dict:
+    """{path: JSON types} of every value nested in ``value``: the items of
+    an array share the path "<array>[]", and member-number keys (a block
+    signature's counts) share "*"."""
+    shape = {}
+
+    def walk(v, path):
+        shape.setdefault(path, set()).add(JSON_TYPES[type(v)])
+        if isinstance(v, dict):
+            for k, x in v.items():
+                walk(x, f"{path}.{'*' if k.isdigit() else k}")
+        elif isinstance(v, list):
+            for x in v:
+                walk(x, path + "[]")
+
+    walk(value, "$")
+    return {path: "|".join(sorted(types)) for path, types in shape.items()}
+
+
+OUTPUT_COMMANDS = {
+    "measure-dim": ["measure-dim", TWO_GROUP],
+    "attractor-dim": ["attractor-dim", config_path("all_third.json"),
+                      "--gd-depth", "3", "--box", "8"],
+    "phi": ["phi", TWO_GROUP],
+    "phi-mc": ["phi", TWO_GROUP, "--mc-samples", "1000"],
+    "rw-entropy": ["rw-entropy", TWO_GROUP],
+    "rw-entropy-depth": ["rw-entropy", TWO_GROUP, "--depth", "4"],
+    "esc-probe-all-third": ["esc-probe", config_path("all_third.json"),
+                            "--n-max", "4"],
+    "esc-probe-rational": ["esc-probe",
+                           config_path("rational_three_symbol.json"),
+                           "--n-max", "4"],
+    "fourcorner": ["fourcorner", FOUR_CORNER],
+    "estimate-box1d": ["estimate", CANTOR, "--kind", "box1d", "--m-lo", "4",
+                       "--m-hi", "8"],
+    "estimate-box2d": ["estimate", FOUR_CORNER, "--kind", "box2d",
+                       "--points", "2000", "--m-lo", "2", "--m-hi", "6"],
+    "estimate-entropy": ["estimate", TWO_GROUP, "--kind", "entropy",
+                         "--points", "2000", "--m-lo", "2", "--m-hi", "6"],
+}
+
+# Each command's key paths and JSON types, recorded before the results
+# shared one serialiser; a null value and an absent key are different shapes.
+OUTPUT_SHAPES = {
+    "measure-dim": {
+        "$": "object", "$.diagnostics": "object",
+        "$.diagnostics.entropy": "float", "$.diagnostics.lyapunov": "float",
+        "$.diagnostics.phi": "float", "$.diagnostics.phi_tail_bound": "float",
+        "$.dimension": "float", "$.method": "str", "$.raw": "float",
+        "$.tolerance": "float",
+    },
+    "attractor-dim": {
+        "$": "object", "$.box_delta": "float", "$.box_fit": "object",
+        "$.box_fit.counts": "array", "$.box_fit.counts[]": "int",
+        "$.box_fit.r2": "float", "$.box_fit.scales": "array",
+        "$.box_fit.scales[]": "int", "$.box_fit.slope": "float",
+        "$.box_fit.window": "array", "$.box_fit.window[]": "int",
+        "$.diagnostics": "object", "$.diagnostics.bracket_hi": "float",
+        "$.dimension": "float", "$.gd_delta": "float",
+        "$.gd_sequence": "array", "$.gd_sequence[]": "float",
+        "$.method": "str", "$.raw": "float", "$.tolerance": "float",
+    },
+    "phi": {
+        "$": "object", "$.lower_bound": "float", "$.series": "object",
+        "$.series.method": "str", "$.series.tail_bound": "float",
+        "$.series.terms_used": "int", "$.series.value": "float",
+    },
+    "phi-mc": {
+        "$": "object", "$.lower_bound": "float", "$.monte_carlo": "object",
+        "$.monte_carlo.method": "str", "$.monte_carlo.stderr": "float",
+        "$.monte_carlo.tail_bound": "float",
+        "$.monte_carlo.terms_used": "int", "$.monte_carlo.value": "float",
+        "$.series": "object", "$.series.method": "str",
+        "$.series.tail_bound": "float", "$.series.terms_used": "int",
+        "$.series.value": "float",
+    },
+    "rw-entropy": {
+        "$": "object", "$.closed_form": "object",
+        "$.closed_form.method": "str", "$.closed_form.value": "float",
+    },
+    "rw-entropy-depth": {
+        "$": "object", "$.brute_force": "object",
+        "$.brute_force.depth": "int", "$.brute_force.increments": "array",
+        "$.brute_force.increments[]": "float", "$.brute_force.method": "str",
+        "$.brute_force.value": "float", "$.closed_form": "object",
+        "$.closed_form.method": "str", "$.closed_form.value": "float",
+    },
+    "esc-probe-all-third": {
+        "$": "object", "$.b_hat": "null", "$.rows": "array",
+        "$.rows[]": "object", "$.rows[].class_count": "int",
+        "$.rows[].depth": "int", "$.rows[].exact_zero": "bool",
+        "$.rows[].implied_b": "null", "$.rows[].min_gap": "float",
+        "$.rows[].mode": "str", "$.rows[].witness": "array",
+        "$.rows[].witness[]": "array", "$.rows[].witness[][]": "object",
+        "$.rows[].witness[][].counts": "object",
+        "$.rows[].witness[][].counts.*": "int",
+        "$.rows[].witness[][].group": "int",
+        "$.rows[].witness_words": "array",
+        "$.rows[].witness_words[]": "array",
+        "$.rows[].witness_words[][]": "array",
+        "$.rows[].witness_words[][][]": "int", "$.verdict": "str",
+    },
+    "esc-probe-rational": {
+        "$": "object", "$.b_hat": "float", "$.rows": "array",
+        "$.rows[]": "object", "$.rows[].class_count": "int",
+        "$.rows[].depth": "int", "$.rows[].exact_zero": "bool",
+        "$.rows[].implied_b": "float", "$.rows[].min_gap": "float",
+        "$.rows[].mode": "str", "$.rows[].witness": "array",
+        "$.rows[].witness[]": "array", "$.rows[].witness[][]": "object",
+        "$.rows[].witness[][].counts": "object",
+        "$.rows[].witness[][].counts.*": "int",
+        "$.rows[].witness[][].group": "int",
+        "$.rows[].witness_words": "array",
+        "$.rows[].witness_words[]": "array",
+        "$.rows[].witness_words[][]": "array",
+        "$.rows[].witness_words[][][]": "int", "$.verdict": "str",
+    },
+    "fourcorner": {
+        "$": "object", "$.conditions": "object",
+        "$.conditions.domination_ok": "bool",
+        "$.conditions.domination_violations": "array",
+        "$.conditions.open_set_ok": "bool",
+        "$.conditions.open_set_violations": "array",
+        "$.measure_dimension": "object",
+        "$.measure_dimension.diagnostics": "object",
+        "$.measure_dimension.diagnostics.case": "str",
+        "$.measure_dimension.diagnostics.chi_x": "float",
+        "$.measure_dimension.diagnostics.chi_y": "float",
+        "$.measure_dimension.diagnostics.entropy": "float",
+        "$.measure_dimension.diagnostics.phi_x": "float",
+        "$.measure_dimension.diagnostics.phi_y": "float",
+        "$.measure_dimension.dimension": "float",
+        "$.measure_dimension.method": "str",
+        "$.measure_dimension.raw": "float",
+        "$.measure_dimension.tolerance": "float", "$.natural_p": "array",
+        "$.natural_p[]": "float", "$.s": "float", "$.set_dimension": "object",
+        "$.set_dimension.diagnostics": "object",
+        "$.set_dimension.diagnostics.certified": "bool",
+        "$.set_dimension.diagnostics.conditions": "object",
+        "$.set_dimension.diagnostics.conditions.domination_ok": "bool",
+        "$.set_dimension.diagnostics.conditions.domination_violations": "array",
+        "$.set_dimension.diagnostics.conditions.open_set_ok": "bool",
+        "$.set_dimension.diagnostics.conditions.open_set_violations": "array",
+        "$.set_dimension.diagnostics.natural_p": "array",
+        "$.set_dimension.diagnostics.natural_p[]": "float",
+        "$.set_dimension.diagnostics.s": "float",
+        "$.set_dimension.diagnostics.suff_value": "float",
+        "$.set_dimension.dimension": "float", "$.set_dimension.method": "str",
+        "$.set_dimension.raw": "float", "$.set_dimension.tolerance": "float",
+        "$.suff_holds": "bool", "$.suff_value": "float",
+    },
+    "estimate-box1d": {
+        "$": "object", "$.counts": "array", "$.counts[]": "int",
+        "$.r2": "float", "$.scales": "array", "$.scales[]": "int",
+        "$.slope": "float", "$.window": "array", "$.window[]": "int",
+    },
+    "estimate-box2d": {
+        "$": "object", "$.counts": "array", "$.counts[]": "int",
+        "$.r2": "float", "$.scales": "array", "$.scales[]": "int",
+        "$.slope": "float", "$.window": "array", "$.window[]": "int",
+    },
+    "estimate-entropy": {
+        "$": "object", "$.counts": "array", "$.counts[]": "float",
+        "$.r2": "float", "$.scales": "array", "$.scales[]": "int",
+        "$.slope": "float", "$.window": "array", "$.window[]": "int",
+    },
+}
+
+
+class TestOutputShape:
+    @pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+    def test_keys_and_types_pinned(self, name, capsys):
+        code, out, _ = run_main(OUTPUT_COMMANDS[name], capsys)
+        assert code == 0
+        assert json_shape(json.loads(out)) == OUTPUT_SHAPES[name]
+
+    def test_library_report_is_the_printed_json(self, capsys):
+        """The CLI prints the library's to_json_dict as it is; the dump and
+        load only turn a block signature's integer member keys into the
+        strings JSON keys are."""
+        path = config_path("rational_three_symbol.json")
+        code, out, _ = run_main(["esc-probe", path, "--n-max", "5"], capsys)
+        assert code == 0
+        lib = separation.esc_probe(ifs.load_system(path)[0], 5).to_json_dict()
+        assert json.loads(json.dumps(lib)) == json.loads(out)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["phi", config_path("two_group_overlap.json"),
@@ -490,6 +681,12 @@ class TestExitCodes:
           "--m-lo", "2", "--m-hi", "6", "--seed", "-3"], 2),
         (["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "10",
           "--m-lo", "2", "--m-hi", "6", "--seed", "-3"], 2),
+        (["estimate", CANTOR, "--kind", "entropy", "--m-lo", "58",
+          "--m-hi", "66"], 2),
+        (["estimate", FOUR_CORNER, "--kind", "box2d", "--m-lo", "60",
+          "--m-hi", "64"], 2),
+        (["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "1000",
+          "--m-lo", "28", "--m-hi", "31"], 0),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
             "depth-negative", "gd-depth-negative", "box-below-first-scale",
@@ -500,11 +697,25 @@ class TestExitCodes:
             "phi-near-point-mass", "phi-series-mass-rounding-to-one",
             "phi-mc-mass-rounding-to-one", "phi-mc-negative-seed",
             "render-negative-seed", "estimate-entropy-negative-seed",
-            "estimate-box2d-negative-seed"])
+            "estimate-box2d-negative-seed", "entropy-scale-past-int64",
+            "box2d-scale-past-int64", "box2d-largest-scale"])
     def test_command(self, argv, code, capsys):
         got, _, err = run_main(argv, capsys)
         assert got == code
         assert "Traceback" not in err
+
+    def test_scale_past_float_range_exits_at_once(self):
+        """A scale exponent lies in 0..estimate.MAX_SCALE (31, the largest m
+        whose box2d cell key x * 2^m + y fits in int64), checked before any
+        sampling.  At m = 1100, 2.0**-(m + 2) underflows to 0.0 and a started
+        sampler would never stop refining: the timeout turns a hang into a
+        failure."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfsdim.cli", "estimate", CANTOR,
+             "--kind", "entropy", "--m-hi", "1100"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "scale exponents must lie in 0..31, got 4..1100" in proc.stderr
 
     def test_near_point_mass_answers(self, capsys):
         """All but 1e-16 of the mass in one group: dimension 0, h_RW 0 and
