@@ -153,7 +153,9 @@ def cmd_esc_probe(args) -> int:
     if args.csv:
         lines = ["n,min_gap,implied_b"]
         for row in res.rows:
-            lines.append(f"{row.depth},{row.min_gap},{row.implied_b}")
+            # an empty field where the JSON has null
+            lines.append(",".join("" if v is None else str(v) for v in
+                                  (row.depth, row.min_gap, row.implied_b)))
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     _emit(res, args)

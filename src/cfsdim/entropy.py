@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import mul
 from typing import List, Optional
 
@@ -246,81 +247,80 @@ def rw_entropy_closed(sys: CFSystem, p: ProbVector,
     return RWEntropyResult(value=h_rw, method="closed-form")
 
 
-def _block_sums(row_p, n: int) -> tuple:
-    """Lists S, SL over block lengths 0..n: S[l] = sum w and SL[l] = sum
-    w log w over the weights w = multinomial(counts) * prod p^count of all
-    count vectors of one block of length l.
+def _block_entropies(row_p, rho: float, n: int,
+                     log_fact: List[float]) -> List[float]:
+    """SL[l] = sum w log w over the weights w = multinomial(counts) * prod
+    p^count of all count vectors of one block of length l, for l = 0..n, in
+    a group of mass rho.
 
-    One sweep over the members: giving c symbols to a member of weight p
-    after u symbols went to earlier members multiplies w by C(u+c, c) p^c.
-    Each update is formed in log space, so no factorial is ever evaluated.
+    The weights of length l are rho^l times the multinomial law of the counts
+    with q_j = p_j / rho, whose marginals are Bin(l, q_j), so
+    SL[l] = rho^l [log l! + l sum_j q_j log p_j - sum_j E log c_j!].  Row l
+    of Bin(l, q) comes from row l-1 by Pascal's rule and is dotted with the
+    cumulative log-factorials log_fact, so no factorial is ever evaluated.
+    One member's count is always l; two members share one row, read forwards
+    for c and backwards for l - c.
     """
-    logs = [0.0] + [math.log(k) for k in range(1, n + 1)]
-    S = [1.0] + [0.0] * n
-    SL = [0.0] * (n + 1)
-    for pw in row_p:
-        log_p = math.log(float(pw))
-        S2 = [0.0] * (n + 1)
-        SL2 = [0.0] * (n + 1)
-        for u in range(n + 1):
-            if S[u] == 0.0:
-                continue
-            log_s = math.log(S[u])
-            mean_log = SL[u] / S[u]
-            log_f = 0.0          # log(C(u+c, c) p^c)
-            for c in range(n - u + 1):
-                if c:
-                    log_f += logs[u + c] - logs[c] + log_p
-                t = math.exp(log_s + log_f)
-                S2[u + c] += t
-                SL2[u + c] += t * (mean_log + log_f)
-        S, SL = S2, SL2
-    return S, SL
+    ps = [float(w) for w in row_p]
+    slope = math.fsum(w / rho * math.log(w) for w in ps)
+    excess = [0.0] * (n + 1)     # sum_j E log c_j! - log l!
+    if len(ps) > 1:
+        for w in (ps if len(ps) > 2 else ps[:1]):
+            q = w / rho
+            b, v = 1.0 - q, [1.0]
+            for ell in range(1, n + 1):
+                v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
+                excess[ell] += sum(map(mul, v, log_fact))
+                if len(ps) == 2:
+                    excess[ell] += sum(map(mul, reversed(v), log_fact))
+        excess = [e - lf for e, lf in zip(excess, log_fact)]
+    return [rho ** ell * (ell * slope - e) for ell, e in enumerate(excess)]
 
 
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
                           n: int) -> RWEntropyResult:
-    """Exact entropies H_1..H_n of the block-signature classes by dynamic
-    programming.
+    """Exact entropies H_1..H_n of the block-signature classes, in O(N n)
+    steps after the block entropies.
 
     This is the entropy of the composed maps f_w only while no two distinct
     signatures of the same length compose to the same map; an exact
     coincidence between classes (which ``esc_probe`` reports in rational
     mode) merges them, and the composed-map entropy is then smaller.
 
-    H_n = -sum over signatures of W log W with W the class weight; the DP runs
-    over (suffix length, first group) carrying sum W log W, so no signature
-    is ever materialized.  Sum W needs no table: by the law of total
-    probability the suffixes of length >= 1 that do not open with group h
-    weigh 1 - rho_h.
+    -H_r = sum_h B_h(r), with B_h(r) the sum of W log W over the signature
+    suffixes of length r opening with a block of group h.  A group's blocks
+    of length l weigh rho_h^l (the multinomial theorem) and the suffixes not
+    opening with group h weigh 1 - rho_h, so splitting off the first block
+    B_h(r) = SL_h(r) + (1 - rho_h) sum_{l<r} SL_h(l)
+             + sum_{l<r} rho_h^l (sum_g B_g(r-l) - B_h(r-l)).
+    As the masses sum to 1 this telescopes to the increment
+    H_r - H_{r-1} = -sum_h [SL_h(r) + (1 - 2 rho_h) SL_h(r-1)
+                            + (1 - rho_h)^2 sum_{0<l<r-1} SL_h(l)],
+    so no signature and no table over (r, h) is ever built.
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     p = prune_zeros(sys, p)
-    N = len(p.weights)
-    # the block sums fill about n(n+1)/2 cells per member, the DP as many
-    # per group
-    cells = (N + len(p.flat())) * n * (n + 1) // 2
+    # one binomial row per member of a group of three or more, one for a
+    # pair, none for a single member; each row fills n(n+3)/2 cells, the
+    # increments one per group and depth
+    rows = sum(len(row) if len(row) > 2 else len(row) - 1
+               for row in p.weights)
+    cells = rows * n * (n + 3) // 2 + len(p.weights) * n
     if cells > RW_DP_CAP:
         raise BudgetExceeded(
             f"signature DP needs {cells} cells, cap {RW_DP_CAP}")
-    # per group, (sum w, sum w log w) for every block length
-    bs = [_block_sums(row, n) for row in p.weights]
-    others = [1.0 - float(sum(row)) for row in p.weights]
-    # B[r][h]: sum W log W over the suffixes of length r opening with a block
-    # of group h; tot[r] - B[r][h] covers those that may follow such a block
-    B = [[0.0] * N for _ in range(n + 1)]
-    tot = [0.0] * (n + 1)
-    for r in range(1, n + 1):
-        for h, (S, SL) in enumerate(bs):
-            acc = SL[r]          # one block; the empty rest weighs 1
-            for ell in range(1, r):
-                rest = r - ell
-                acc += SL[ell] * others[h] + S[ell] * (tot[rest] - B[rest][h])
-            B[r][h] = acc
-        tot[r] = sum(B[r])
-    entropies = tuple(0.0 - t for t in tot[1:])   # +0.0 for a point mass
-    increments = tuple(entropies[i + 1] - entropies[i]
-                       for i in range(len(entropies) - 1))
+    log_fact = list(accumulate(map(math.log, range(1, n + 1)), initial=0.0))
+    deltas = [0.0] * n           # H_r - H_{r-1} for r = 1..n
+    for row, rho in zip(p.weights, _group_masses(p)):
+        sl = _block_entropies(row, rho, n, log_fact)
+        a, c = 1.0 - 2.0 * rho, (1.0 - rho) ** 2
+        prefix = 0.0             # sum_{0<l<r-1} SL(l)
+        for r in range(1, n + 1):
+            # subtracting from +0.0 keeps a point mass at +0.0
+            deltas[r - 1] -= sl[r] + a * sl[r - 1] + c * prefix
+            prefix += sl[r - 1]
+    entropies = tuple(accumulate(deltas))
     return RWEntropyResult(value=entropies[-1] / n, method="brute-force",
-                           depth=n, increments=increments, entropies=entropies)
+                           depth=n, increments=tuple(deltas[1:]),
+                           entropies=entropies)

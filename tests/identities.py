@@ -6,6 +6,10 @@ here, as test oracles on ``numpy.linalg.eigvals``: the full matrix B_n^(s)
 has the quotient's spectral radius, the infinite-depth limit of C_n^(s) has
 a closed form, and the determinant of the matrix with -1 diagonal and
 x_j - 1 off it has a closed form.
+
+The library's signature DP takes its block sums from binomial marginals and
+its suffix sums from the multinomial theorem; the direct log-space sweep and
+the O(N n^2) DP it replaced stay here as its oracle.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import math
 import numpy as np
 
 from cfsdim import CFSystem, ValidationError, gd_matrix, spectral_radius
+from cfsdim.ifs import prune_zeros
 
 
 def perron_root(M) -> float:
@@ -72,3 +77,57 @@ def gd_limit_matrix(sys: CFSystem, s: float) -> np.ndarray:
     M = np.tile(col, (sys.n_groups, 1))
     np.fill_diagonal(M, 0.0)
     return M
+
+
+def block_sums(row_p, n: int) -> tuple:
+    """Lists S, SL over block lengths 0..n: S[l] = sum w and SL[l] = sum
+    w log w over the weights w = multinomial(counts) * prod p^count of all
+    count vectors of one block of length l.
+
+    One sweep over the members: giving c symbols to a member of weight p
+    after u symbols went to earlier members multiplies w by C(u+c, c) p^c.
+    Each update is formed in log space, so no factorial is ever evaluated.
+    """
+    logs = [0.0] + [math.log(k) for k in range(1, n + 1)]
+    S = [1.0] + [0.0] * n
+    SL = [0.0] * (n + 1)
+    for pw in row_p:
+        log_p = math.log(float(pw))
+        S2 = [0.0] * (n + 1)
+        SL2 = [0.0] * (n + 1)
+        for u in range(n + 1):
+            if S[u] == 0.0:
+                continue
+            log_s = math.log(S[u])
+            mean_log = SL[u] / S[u]
+            log_f = 0.0          # log(C(u+c, c) p^c)
+            for c in range(n - u + 1):
+                if c:
+                    log_f += logs[u + c] - logs[c] + log_p
+                t = math.exp(log_s + log_f)
+                S2[u + c] += t
+                SL2[u + c] += t * (mean_log + log_f)
+        S, SL = S2, SL2
+    return S, SL
+
+
+def signature_entropies(sys: CFSystem, p, n: int) -> tuple:
+    """H_1..H_n of the block-signature classes by the O(N n^2) DP over
+    (suffix length, first group, first block length): B[r][h] sums W log W
+    over the suffixes of length r opening with a block of group h, and the
+    suffixes of length >= 1 that do not open with group h weigh 1 - rho_h."""
+    p = prune_zeros(sys, p)
+    N = len(p.weights)
+    bs = [block_sums(row, n) for row in p.weights]
+    others = [1.0 - float(sum(row)) for row in p.weights]
+    B = [[0.0] * N for _ in range(n + 1)]
+    tot = [0.0] * (n + 1)
+    for r in range(1, n + 1):
+        for h, (S, SL) in enumerate(bs):
+            acc = SL[r]          # one block; the empty rest weighs 1
+            for ell in range(1, r):
+                rest = r - ell
+                acc += SL[ell] * others[h] + S[ell] * (tot[rest] - B[rest][h])
+            B[r][h] = acc
+        tot[r] = sum(B[r])
+    return tuple(-t for t in tot[1:])

@@ -141,18 +141,19 @@ class TestPhiAndEntropy:
         assert rep["brute_force"]["depth"] == 8
 
     def test_rw_entropy_cap_counts_dp_cells(self, capsys):
-        """The signature-DP cap counts the (N + members) n(n+1)/2 cells the
-        DP fills: groups (2, 1) run to depth 1999 and stop at 2000."""
-        code, out, _ = run_main(["rw-entropy", TWO_GROUP, "--depth", "1200"],
+        """The signature-DP cap counts the cells the DP fills, n(n+3)/2 per
+        binomial row plus N per depth: groups (2, 1) need one row, so they
+        run to depth 4468 and stop at 4469."""
+        code, out, _ = run_main(["rw-entropy", TWO_GROUP, "--depth", "4468"],
                                 capsys)
         assert code == 0
         rep = json.loads(out)
         assert rep["brute_force"]["increments"][-1] == pytest.approx(
             rep["closed_form"]["value"], abs=1e-9)
-        code, out, err = run_main(["rw-entropy", TWO_GROUP, "--depth", "2000"],
+        code, out, err = run_main(["rw-entropy", TWO_GROUP, "--depth", "4469"],
                                   capsys)
         assert code == 3
-        assert "10005000 cells" in err and out == ""
+        assert "10001622 cells" in err and out == ""
 
 
 class TestEscProbe:
@@ -166,6 +167,17 @@ class TestEscProbe:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "n,min_gap,implied_b"
         assert len(lines) == 5  # header + n = 2..5
+
+    def test_probe_csv_writes_null_as_empty_field(self, tmp_path, capsys):
+        """all_third's equal maps meet at gap 0, where no b is implied: the
+        CSV leaves that field empty where the JSON has null."""
+        csv = tmp_path / "probe.csv"
+        code, out, _ = run_main(
+            ["esc-probe", config_path("all_third.json"), "--n-max", "3",
+             "--csv", str(csv)], capsys)
+        assert code == 0
+        assert [r["implied_b"] for r in json.loads(out)["rows"]] == [None] * 2
+        assert csv.read_text() == "n,min_gap,implied_b\n2,0.0,\n3,0.0,\n"
 
     def test_violation_witness(self, capsys):
         code, out, _ = run_main(

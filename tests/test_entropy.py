@@ -2,6 +2,7 @@
 entropy (closed form vs exact finite-depth brute force)."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                     phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
 from cfsdim.entropy import RunTooLong, _tail_bound, _truncation_depth
+from identities import signature_entropies
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -384,3 +386,81 @@ class TestRWEntropy:
         errs = [abs(inc - target) for inc in bf.increments]
         assert errs[-1] < errs[0]
         assert errs[-1] <= 1e-3
+
+
+# (ratios, weights) per group shape; the last has a zero weight, whose map
+# the DP must drop as if it were not there
+DP_SYSTEMS = {
+    "1-1": ([[0.3], [0.25]], [[0.45], [0.55]]),
+    "2-1": ([[0.3, 0.2], [0.25]], [[0.35, 0.25], [0.4]]),
+    "1-3": ([[0.2], [0.3, 0.2, 0.1]], [[0.3], [0.35, 0.2, 0.15]]),
+    "2-2": ([[0.3, 0.2], [0.25, 0.1]], [[0.1, 0.4], [0.3, 0.2]]),
+    "2-1-1": ([[0.3, 0.2], [0.25], [0.1]], [[0.3, 0.3], [0.25], [0.15]]),
+    "2-2-zero": ([[0.3, 0.2], [0.25, 0.1]], [[0.1, 0.4], [0.5, 0.0]]),
+}
+
+# increments of H_n against h_p + Phi: five measures, group masses up to 0.9
+CERTIFICATE_CASES = [
+    ([[0.3, 0.2], [0.25]], [[1 / 3, 1 / 3], [1 / 3]]),
+    ([[0.3, 0.2], [0.25]], [[0.45, 0.35], [0.2]]),
+    ([[0.3, 0.2], [0.25, 0.1]], [[0.1, 0.4], [0.3, 0.2]]),
+    ([[0.3, 0.2], [0.25], [0.1]], [[0.3, 0.3], [0.25], [0.15]]),
+    ([[0.2], [0.3, 0.2, 0.1]], [[0.1], [0.5, 0.3, 0.1]]),
+]
+
+
+def _line_system(ratios):
+    return CFSystem([float(k) for k in range(len(ratios))], ratios)
+
+
+class TestSignatureDP:
+    @pytest.mark.parametrize("n", [1, 2, 12, 60, 200, 1200])
+    @pytest.mark.parametrize("name", list(DP_SYSTEMS))
+    def test_matches_quadratic_oracle(self, name, n):
+        """The O(N n) DP against the log-space block sums and O(N n^2) DP it
+        replaced; the oracle sees the system with zero-weight maps removed."""
+        ratios, weights = DP_SYSTEMS[name]
+        got = rw_entropy_bruteforce(_line_system(ratios), ProbVector(weights),
+                                    n).entropies
+        kept = [[(lam, w) for lam, w in zip(rr, ww) if w > 0]
+                for rr, ww in zip(ratios, weights)]
+        want = signature_entropies(
+            _line_system([[lam for lam, _ in row] for row in kept]),
+            ProbVector([[w for _, w in row] for row in kept]), n)
+        assert len(got) == n
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_matches_word_enumeration(self, shape, seed, data):
+        """Random systems of 2-3 groups with 1-3 members.  Fixed points and
+        distinct ratios are six-digit decimals drawn from the seed, in
+        rational mode, so words compose to exactly equal maps just when they
+        share a signature class."""
+        rng = random.Random(seed)
+        L = sum(shape)
+        nums = iter(rng.sample(range(50_000, 400_000), L))
+        sys = CFSystem(
+            [f"{k}.{rng.randrange(10**6):06d}" for k in range(len(shape))],
+            [[f"0.{next(nums):06d}" for _ in range(m)] for m in shape],
+            mode="rational")
+        p = random_p(shape, data.draw(
+            st.lists(st.floats(0.01, 1.0), min_size=L, max_size=L)))
+        # at most 3000 words: n <= 5, and n <= 3 for 8 or 9 maps
+        n = data.draw(st.integers(1, min(5, int(math.log(3000, L)))))
+        got = rw_entropy_bruteforce(sys, p, n).entropies[-1]
+        assert got == pytest.approx(_entropy_by_word_enumeration(sys, p, n),
+                                    abs=1e-9)
+
+    @pytest.mark.parametrize("ratios, weights", CERTIFICATE_CASES)
+    def test_increments_fall_to_closed_form(self, ratios, weights):
+        """Delta_n = H_n - H_{n-1} does not increase and stays above
+        h_RW = h_p + Phi, so each Delta_n is an upper bound on h_RW.  1e-13
+        allows for rounding in the increments, 1e-10 for that of h_RW."""
+        sys, p = _line_system(ratios), ProbVector(weights)
+        inc = rw_entropy_bruteforce(sys, p, 40).increments
+        phi = phi_series(sys, p)
+        floor = shannon_entropy(p) + phi.value - phi.tail_bound - 1e-10
+        assert all(b <= a + 1e-13 for a, b in zip(inc, inc[1:]))
+        assert min(inc) >= floor
