@@ -14,9 +14,7 @@ _EXPORTS = {
     "ifs": ("AffineMap1D", "BudgetExceeded", "CFSystem", "ProbVector",
             "Symbol", "ValidationError", "load_system", "map_of",
             "prune_zeros", "validate_probabilities", "validate_system"),
-    "words": ("Block", "BlockSignature", "Word", "class_weight", "compose",
-              "count_vector", "decompose", "enumerate_signatures",
-              "enumerate_words"),
+    "words": ("Block", "BlockSignature", "Word"),
     "entropy": ("PhiResult", "RWEntropyResult", "lyapunov", "phi_lower_bound",
                 "phi_monte_carlo", "phi_series", "rw_entropy_bruteforce",
                 "rw_entropy_closed", "shannon_entropy"),
@@ -28,8 +26,7 @@ _EXPORTS = {
     "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
                    "chaos_game_points", "chis", "measure_dimension_4c",
                    "natural_p", "phi_xy", "render_attractor_ppm",
-                   "render_cylinders_svg", "set_dimension_4c", "suff_check",
-                   "validate_4c"),
+                   "render_cylinders_svg", "set_dimension_4c", "validate_4c"),
     "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
                  "cover_boxes_1d", "entropy_slope"),
 }

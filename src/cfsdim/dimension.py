@@ -35,15 +35,13 @@ class DimensionReport(Report):
     diagnostics: dict = field(default_factory=dict)
 
 
-def _bisect(fn, lo: float, hi: float, tol: float,
-            flo: Optional[float] = None) -> tuple:
+def _bisect(fn, lo: float, hi: float, tol: float) -> tuple:
     """(root, hi): a root of fn bracketed by [lo, hi], hi doubling until
-    fn(lo) and fn(hi) differ in sign; hi is the bracket end used.  A caller
-    that already holds fn(lo) passes it as flo.  Halving stops at width tol
-    or when the midpoint rounds to an endpoint, so it ends for every tol."""
+    fn(lo) and fn(hi) differ in sign; hi is the bracket end used.  Halving
+    stops at width tol or when the midpoint rounds to an endpoint, so it
+    ends for every tol."""
     check_tol(tol)
-    if flo is None:
-        flo = fn(lo)
+    flo = fn(lo)
     if flo == 0.0:
         return lo, hi
     fhi = fn(hi)
@@ -125,9 +123,10 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
 
 
 def gd_matrix(sys: CFSystem, s: float, depth: int):
-    """The N x N quotient matrix C_n^(s) at depth n >= 1, as a numpy array."""
-    if s <= 0:
-        raise ValidationError("s must be positive")
+    """The N x N quotient matrix C_n^(s) at depth n >= 1 and s >= 0, as a
+    numpy array."""
+    if s < 0:
+        raise ValidationError(f"s must be >= 0, got {s}")
     import numpy as np
     N = sys.n_groups
     col = np.zeros(N)
@@ -188,9 +187,10 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
 
 def gd_dimension(sys: CFSystem, depth: Optional[int],
                  tol: float = 1e-10) -> float:
-    """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s.
-    Depth None is the infinite-depth limit, whose equation is the attractor
-    equation, so it returns attractor_dimension(sys, tol).raw."""
+    """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s and at
+    least N - 1 >= 1 at s = 0, so the root lies in [0, inf).  Depth None is
+    the infinite-depth limit, whose equation is the attractor equation, so
+    it returns attractor_dimension(sys, tol).raw."""
     check_tol(tol)
     if depth is None:
         return attractor_dimension(sys, tol).raw
@@ -200,9 +200,4 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
     def g(s):
         return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
 
-    lo = 1e-9
-    glo = g(lo)
-    if glo <= 0:
-        # extremely small entries already: the root is essentially 0
-        return lo
-    return _bisect(g, lo, 1.0, tol, flo=glo)[0]
+    return _bisect(g, 0.0, 1.0, tol)[0]

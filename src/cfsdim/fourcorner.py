@@ -215,13 +215,6 @@ def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
             + p4 * math.log((1.0 - p3) * g4 / p4))
 
 
-def suff_check(sys: FourCornerSystem) -> tuple:
-    """Evaluate the sufficiency expression at the natural weights; the set
-    dimension certificate needs it strictly positive."""
-    value = _suff_value(sys, natural_p(sys)[0])
-    return value, value > 0.0
-
-
 def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionReport:
     """Hausdorff dimension s of the generalised 4-corner set when the open
     set, domination, and sufficiency conditions all hold; otherwise s is

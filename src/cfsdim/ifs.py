@@ -151,9 +151,6 @@ class CFSystem:
     def fixed_point(self, s: Symbol) -> Number:
         return self.fixed_points[s.group - 1]
 
-    def flat_ratios(self) -> list:
-        return [r for row in self.ratios for r in row]
-
     def to_json_dict(self, probabilities: "ProbVector | None" = None) -> dict:
         def enc(v):   # each value is a float or a Fraction
             return v if isinstance(v, float) else f"{v.numerator}/{v.denominator}"
@@ -189,12 +186,6 @@ class ProbVector:
                                  for row in weights))
         object.__setattr__(self, "mode", mode)
         _refuse(weight_errors(self.flat()))
-
-    def weight(self, s: Symbol) -> Number:
-        return self.weights[s.group - 1][s.member - 1]
-
-    def total(self) -> Number:
-        return sum(p for row in self.weights for p in row)
 
     def flat(self) -> list:
         return [p for row in self.weights for p in row]

@@ -18,6 +18,9 @@ from .ifs import BudgetExceeded, CFSystem, Report, ValidationError
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
+# The one cap on the signature walk, checked before it starts.  A bucketed
+# class record holds about 1 KB resident (142 MB at the 121 393 classes of
+# rational_three_symbol at depth 12), so the cap is about 10 GB.
 DEFAULT_CLASS_BUDGET = 10**7
 
 
@@ -33,6 +36,33 @@ class SeparationReport(Report):
     mode: str
 
 
+def count_classes(sys: CFSystem, n: int) -> int:
+    """The number of block signatures of length n, counted from the group
+    sizes alone; BudgetExceeded once a length up to n has more than
+    DEFAULT_CLASS_BUDGET of them.
+
+    A block of length l in a group of m members has C(l+m-1, m-1) count
+    vectors, and the signatures of length r that start in group g take
+    such a block followed by a signature of length r - l that starts in
+    another group.  The count never falls with the length, so the first
+    length past the cap stops the count.
+    """
+    # first[r][g]: the signatures of length r whose first block is in group
+    # g; total[r] their sum, with the empty signature as total[0] = 1
+    first, total = [[0] * sys.n_groups], [1]
+    for r in range(1, n + 1):
+        first.append([sum(math.comb(l + m - 1, m - 1)
+                          * (total[r - l] - first[r - l][g])
+                          for l in range(1, r + 1))
+                      for g, m in enumerate(sys.group_sizes)])
+        total.append(sum(first[r]))
+        if total[r] > DEFAULT_CLASS_BUDGET:
+            raise BudgetExceeded(
+                f"signature class budget {DEFAULT_CLASS_BUDGET} exceeded: "
+                f"{total[r]} classes at depth {r}")
+    return total[n]
+
+
 def collision_buckets(sys: CFSystem, n: int) -> List[list]:
     """Buckets of signature records with equal contraction product.
 
@@ -42,13 +72,11 @@ def collision_buckets(sys: CFSystem, n: int) -> List[list]:
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
+    count_classes(sys, n)
     rational = sys.mode == "rational"
     key = 2 if rational else 1          # the product or the count vector
     buckets: dict = {}
-    for count, rec in enumerate(signature_classes(sys, n), 1):
-        if count > DEFAULT_CLASS_BUDGET:
-            raise BudgetExceeded(
-                f"signature class budget {DEFAULT_CLASS_BUDGET} exceeded")
+    for rec in signature_classes(sys, n):
         buckets.setdefault(rec[key], []).append(rec)
     if rational:
         return list(buckets.values())
@@ -106,9 +134,12 @@ class ProbeResult(Report):
 
 def esc_probe(sys: CFSystem, n_max: int) -> ProbeResult:
     """Run min_gap for n = 2..n_max.  Finite depth cannot certify the
-    asymptotic separation condition; the verdict is explicitly heuristic."""
+    asymptotic separation condition; the verdict is explicitly heuristic.
+    The class count at n_max is checked against the cap before any depth
+    runs."""
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
+    count_classes(sys, n_max)
     rows = []
     violated = False
     b_hat = None

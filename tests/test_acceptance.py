@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from cfsdim import (CFSystem, FourCornerProb, FourCornerSystem, ProbVector,
-                    Word, attractor_dimension, box_dimension_1d,
-                    box_dimension_2d, compose, decompose, entropy_slope,
-                    enumerate_words, gd_dimension, lyapunov,
-                    measure_dimension, measure_dimension_4c, min_gap,
-                    natural_p, phi_lower_bound, phi_monte_carlo, phi_series,
-                    phi_xy, rw_entropy_bruteforce, shannon_entropy,
-                    similarity_dimension, suff_check, validate_4c)
+                    attractor_dimension, box_dimension_1d, box_dimension_2d,
+                    entropy_slope, gd_dimension, lyapunov, measure_dimension,
+                    measure_dimension_4c, min_gap, natural_p,
+                    phi_lower_bound, phi_monte_carlo, phi_series, phi_xy,
+                    rw_entropy_bruteforce, set_dimension_4c, shannon_entropy,
+                    validate_4c)
 from conftest import config_path
 from identities import bn_matrix_check, special_det
+from oracles import word_records
 
 REFERENCE_4C = FourCornerSystem([[0.8, 0.1], [0.1, 0.8]],
                                 [[0.45, 0.09], [0.09, 0.45]])
@@ -210,8 +210,8 @@ def test_criterion_08_four_corner_reference_point():
     start = time.time()
     rep = validate_4c(REFERENCE_4C)
     assert rep["open_set_ok"] and rep["domination_ok"]
-    value, holds = suff_check(REFERENCE_4C)
-    assert holds and value > 0
+    value = set_dimension_4c(REFERENCE_4C, tol=1e-14).diagnostics["suff_value"]
+    assert value > 0
     prob, s = natural_p(REFERENCE_4C)
     dim = measure_dimension_4c(REFERENCE_4C, prob, tol=1e-12)
     h = dim.diagnostics["entropy"]
@@ -292,9 +292,7 @@ def test_criterion_11_exact_overlap_soundness():
     for n in range(1, 9):
         by_sig = {}
         by_map = {}
-        for w in enumerate_words(sys, n):
-            sig = decompose(w)
-            m = compose(sys, w)
+        for sig, m, _ in word_records(sys, n):
             key = (m.ratio, m.intercept)
             by_sig.setdefault(sig, set()).add(key)
             by_map.setdefault(key, set()).add(sig)

@@ -598,6 +598,28 @@ print(json.dumps({
         assert json.loads(proc.stdout) == {
             "all": sorted(cfsdim._MODULE_OF), "bound": True, "nope": False}
 
+    def test_public_names_are_pinned(self):
+        """The package exports what it computes with; a check-only oracle
+        (word enumeration, composition, class weights) lives in the tests."""
+        assert cfsdim.__all__ == [
+            "AffineMap1D", "Block", "BlockSignature", "BudgetExceeded",
+            "CFSystem", "ConditionsNotMet", "DimensionReport",
+            "FourCornerProb", "FourCornerSystem", "PhiResult", "ProbVector",
+            "ProbeResult", "RWEntropyResult", "ScalingFit",
+            "SeparationReport", "Symbol", "ValidationError", "Word",
+            "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
+            "chaos_game_points", "chis", "collision_buckets",
+            "cover_boxes_1d", "entropy_slope", "esc_probe", "gd_dimension",
+            "gd_matrix", "load_system", "lyapunov", "map_of",
+            "measure_dimension", "measure_dimension_4c", "min_gap",
+            "natural_p", "phi_lower_bound", "phi_monte_carlo", "phi_series",
+            "phi_xy", "prune_zeros", "render_attractor_ppm",
+            "render_cylinders_svg", "rw_entropy_bruteforce",
+            "rw_entropy_closed", "set_dimension_4c", "shannon_entropy",
+            "similarity_dimension", "spectral_radius", "validate_4c",
+            "validate_probabilities", "validate_system"]
+        assert len(cfsdim.__all__) == 52
+
 
 class TestProbabilitiesRule:
     def test_json_list_is_used(self, two_group_overlap, capsys):

@@ -87,7 +87,8 @@ class TestAttractorDimension:
 
     def test_at_most_similarity_dimension(self, two_group_overlap):
         s0 = attractor_dimension(two_group_overlap).raw
-        sim = similarity_dimension(two_group_overlap.flat_ratios())
+        sim = similarity_dimension(
+            [r for row in two_group_overlap.ratios for r in row])
         assert s0 <= sim + 1e-12
 
 
@@ -97,6 +98,14 @@ class TestGDMatrix:
         assert M[1, 0] == pytest.approx(0.3 + 0.2)
         assert M[0, 1] == pytest.approx(0.25)
         assert M[0, 0] == 0.0
+
+    def test_zero_exponent_counts_multisets(self, two_group_overlap):
+        """At s = 0 each entry counts the group's multisets of length <= n;
+        a negative s is refused."""
+        M = gd_matrix(two_group_overlap, 0.0, 2)
+        assert (M[1, 0], M[0, 1]) == (2 + 3, 1 + 1)
+        with pytest.raises(ValidationError):
+            gd_matrix(two_group_overlap, -1e-300, 2)
 
     def test_singleton_geometric(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
@@ -146,6 +155,11 @@ class TestGDDimension:
     def test_infinite_depth_full_interval(self, equal_halves):
         assert gd_dimension(equal_halves, None) == pytest.approx(1.0, abs=1e-9)
 
+    def test_root_at_zero_is_zero(self, equal_halves):
+        """At depth 1 the matrix is [[0, 1], [1, 0]] for every s, so the
+        root is exactly 0: no positive floor stands in for it."""
+        assert gd_dimension(equal_halves, 1) == 0.0
+
     def test_monotone_in_depth(self, two_group_overlap):
         seq = [gd_dimension(two_group_overlap, d) for d in range(1, 11)]
         assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
@@ -192,7 +206,7 @@ class TestGDDimension:
                 call()
 
     def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
-        """g(1e-9) serves both the early exit and the bracket's low end."""
+        """The bracket starts at g(0), and no point is evaluated twice."""
         seen = []
         real = dimension.gd_matrix
 
@@ -202,7 +216,7 @@ class TestGDDimension:
 
         monkeypatch.setattr(dimension, "gd_matrix", counted)
         gd_dimension(two_group_overlap, 5)
-        assert seen[0] == 1e-9
+        assert seen[0] == 0.0
         assert len(seen) == len(set(seen))
 
 

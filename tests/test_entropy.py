@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                    compose, decompose, enumerate_words, ifs, lyapunov,
-                    phi_lower_bound, phi_monte_carlo, phi_series,
+from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError, ifs,
+                    lyapunov, phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
 from cfsdim.entropy import RunTooLong, _tail_bound, _truncation_depth
 from identities import signature_entropies
+from oracles import word_records
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -300,9 +300,7 @@ def _entropy_by_word_enumeration(sys, p, n):
     """Independent oracle for H_n: enumerate all words, group by the exact
     composed map, and take the entropy of the induced map distribution."""
     by_map = {}
-    for w in enumerate_words(sys, n):
-        weight = math.prod(p.weight(s) for s in w)
-        m = compose(sys, w)
+    for _, m, weight in word_records(sys, n, p):
         key = (round(m.ratio, 14), round(m.intercept, 14))
         by_map[key] = by_map.get(key, 0.0) + weight
     return -sum(v * math.log(v) for v in by_map.values() if v > 0)
@@ -365,9 +363,7 @@ class TestRWEntropy:
         sys = CFSystem([0.0, 0.5, 1.0], [[0.3, 0.2], [0.25, 0.15], [0.1]])
         p = ProbVector([[0.3, 0.1], [0.2, 0.25], [0.15]])
         by_sig, by_map = {}, {}
-        for w in enumerate_words(exact, 6):
-            weight = math.prod(p.weight(s) for s in w)
-            sig, m = decompose(w), compose(exact, w)
+        for sig, m, weight in word_records(exact, 6, p):
             by_sig[sig] = by_sig.get(sig, 0.0) + weight
             by_map[m] = by_map.get(m, 0.0) + weight
         assert (len(by_sig), len(by_map)) == (9967, 9955)

@@ -13,7 +13,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     ValidationError, chis, fourcorner, lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, phi_xy, set_dimension_4c, shannon_entropy,
-                    suff_check, validate_4c)
+                    validate_4c)
 from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
                                render_cylinders_svg, _cylinders)
 
@@ -167,17 +167,23 @@ class TestNaturalP:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def _suff_value(sys):
+    """The sufficiency expression at the natural weights."""
+    return set_dimension_4c(sys, tol=1e-14).diagnostics["suff_value"]
+
+
 class TestSuffCheck:
     def test_reference_point_holds(self, four_corner_main):
-        value, holds = suff_check(four_corner_main)
-        assert holds
+        value = _suff_value(four_corner_main)
+        assert value > 0.0
         assert value == pytest.approx(0.50918, abs=1e-4)
 
     def test_symmetric_quarters_boundary(self, quarters):
         # every log argument is (1 - 1/4) / 1 < 1 ... evaluate and only
-        # assert consistency of the flag with the sign
-        value, holds = suff_check(quarters)
-        assert holds == (value > 0.0)
+        # assert consistency of the certificate with the sign
+        diag = set_dimension_4c(quarters, tol=1e-14).diagnostics
+        assert diag["certified"] == (diag["conditions"]["domination_ok"]
+                                     and diag["suff_value"] > 0.0)
 
 
 class TestMeasureDimension4C:
@@ -304,7 +310,7 @@ class TestSetDimension4C:
         rep = set_dimension_4c(sys)
         assert rep.diagnostics["certified"] is False
         assert rep.diagnostics["suff_value"] == pytest.approx(
-            suff_check(sys)[0], abs=1e-10)
+            _suff_value(sys), abs=1e-10)
 
 
 class TestRendering:

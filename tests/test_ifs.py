@@ -139,7 +139,7 @@ class TestProbabilities:
     def test_uniform_sums_to_one(self, two_group_overlap):
         p = ProbVector.uniform(two_group_overlap)
         assert validate_probabilities(two_group_overlap, p) == []
-        assert p.total() == pytest.approx(1.0)
+        assert sum(p.flat()) == pytest.approx(1.0)
 
     def test_shape_mismatch(self, two_group_overlap):
         p = ProbVector([[0.5], [0.5]])
@@ -207,7 +207,7 @@ class TestRationalMode:
     def test_uniform_is_exact(self):
         sys = CFSystem(["0", "1"], [["1/2", "1/3"], ["1/5"]], mode="rational")
         p = ProbVector.uniform(sys)
-        assert p.total() == 1
+        assert sum(p.flat()) == 1
 
 
 class TestSerialization:

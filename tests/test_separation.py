@@ -2,12 +2,17 @@
 coincidence detection."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
-from cfsdim import (BudgetExceeded, CFSystem, ValidationError, Word,
-                    collision_buckets, compose, esc_probe, min_gap,
-                    separation)
+from cfsdim import (BudgetExceeded, CFSystem, ValidationError,
+                    collision_buckets, esc_probe, min_gap, separation)
+from cfsdim.separation import count_classes
+from cfsdim.words import signature_classes
+from conftest import config_path
+from oracles import compose, word, word_records
 
 
 @pytest.fixture
@@ -74,6 +79,61 @@ class TestCollisionBuckets:
         assert esc_probe(sys, 3).rows[-1].class_count == 21
 
 
+def _shaped(sizes, mode):
+    """A system with group sizes ``sizes``: fixed points 0, 1, ... and
+    member ratios 1/2, 1/3, ..., offset by three per group."""
+    ratios = [[f"1/{2 + 3 * g + m}" for m in range(k)]
+              for g, k in enumerate(sizes)]
+    sys = CFSystem(list(range(len(sizes))), ratios, mode="rational")
+    if mode == "rational":
+        return sys
+    return CFSystem([float(t) for t in sys.fixed_points],
+                    [[float(r) for r in row] for row in sys.ratios])
+
+
+class TestClassCap:
+    """The class count from the group sizes against the signature walk, and
+    the cap it enforces before the walk starts."""
+
+    # depths 1-8, less where the walk would pass 10^5 classes: (2, 2, 1)
+    # has 207 391 classes at depth 8 and (3, 1, 1, 2) 482 985 at depth 7
+    @pytest.mark.parametrize("sizes, depth", [
+        ((1, 1), 8), ((2, 1), 8), ((1, 3), 8), ((2, 2, 1), 7),
+        ((3, 1, 1, 2), 6)], ids=lambda v: "-".join(map(str, v))
+        if isinstance(v, tuple) else None)
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_count_matches_walk(self, sizes, depth, mode):
+        sys = _shaped(sizes, mode)
+        for n in range(1, depth + 1):
+            assert count_classes(sys, n) == \
+                sum(1 for _ in signature_classes(sys, n))
+
+    def test_count_matches_probe_rows(self, rational_three_symbol):
+        res = esc_probe(rational_three_symbol, 8)
+        assert [r.class_count for r in res.rows] == \
+            [count_classes(rational_three_symbol, n) for n in range(2, 9)]
+
+    def test_checked_before_the_walk(self, two_group_overlap, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(separation, "signature_classes", walk)
+        monkeypatch.setattr(separation, "DEFAULT_CLASS_BUDGET", 20)
+        with pytest.raises(BudgetExceeded, match="21 classes at depth 3"):
+            esc_probe(two_group_overlap, 3)
+        with pytest.raises(BudgetExceeded):
+            collision_buckets(two_group_overlap, 3)
+
+    def test_deep_probe_exits_at_once(self):
+        """At n = 40 the walk would run for hours; the count stops it."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfsdim.cli", "esc-probe",
+             config_path("two_group_overlap.json"), "--n-max", "40"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3
+        assert "signature class budget" in proc.stderr
+
+
 class TestMinGap:
     def test_osc_gap_positive(self, osc_quarters):
         rep = min_gap(osc_quarters, 4)
@@ -94,8 +154,8 @@ class TestMinGap:
 
     def test_exact_coincidence_witnessed(self, coincidence_system):
         # sanity: the engineered overlap really is exact
-        m1 = compose(coincidence_system, Word.of((1, 1), (2, 1)))
-        m2 = compose(coincidence_system, Word.of((3, 1), (1, 1)))
+        m1 = compose(coincidence_system, word((1, 1), (2, 1)))
+        m2 = compose(coincidence_system, word((3, 1), (1, 1)))
         assert m1 == m2
         rep = min_gap(coincidence_system, 2)
         assert rep.exact_zero
@@ -144,11 +204,8 @@ class TestSameSignatureSameMap:
     def test_every_class_is_map_constant(self, rational_three_symbol):
         """The exact-overlap half: all words sharing a signature compose to
         the identical map (exact arithmetic)."""
-        from cfsdim import decompose, enumerate_words
         for n in (3, 5):
             by_sig = {}
-            for w in enumerate_words(rational_three_symbol, n):
-                m = compose(rational_three_symbol, w)
-                sig = decompose(w)
+            for sig, m, _ in word_records(rational_three_symbol, n):
                 by_sig.setdefault(sig, set()).add((m.ratio, m.intercept))
             assert all(len(maps) == 1 for maps in by_sig.values())

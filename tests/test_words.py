@@ -1,23 +1,24 @@
-"""Words, block decomposition, composition, the signature walk and its
-projection, class weights."""
+"""The signature walk and its projection against the word-level oracles,
+and those oracles themselves: block decomposition, composition, count
+vectors, class weights and enumeration."""
 
 import functools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfsdim import (CFSystem, ProbVector, Symbol, Word, class_weight, compose,
-                    count_vector, decompose, enumerate_signatures,
-                    enumerate_words, words)
+import oracles
+from cfsdim import CFSystem, ProbVector, Symbol, Word
 from cfsdim.ifs import BudgetExceeded
-from cfsdim.words import EmptyWord, signature_classes
+from cfsdim.words import signature_classes
+from oracles import (EmptyWord, class_weight, compose, count_vector, decompose,
+                     enumerate_signatures, enumerate_words, word)
 
 
 class TestDecompose:
     def test_runs_become_blocks(self):
-        w = Word.of((1, 1), (1, 2), (1, 1), (2, 1), (1, 1))
+        w = word((1, 1), (1, 2), (1, 1), (2, 1), (1, 1))
         sig = decompose(w)
         assert [b.group for b in sig.blocks] == [1, 2, 1]
         assert dict(sig.blocks[0].counts) == {1: 2, 2: 1}
@@ -25,7 +26,7 @@ class TestDecompose:
         assert dict(sig.blocks[2].counts) == {1: 1}
 
     def test_repeated_symbol_single_block(self):
-        sig = decompose(Word.of((2, 1), (2, 1)))
+        sig = decompose(word((2, 1), (2, 1)))
         assert len(sig.blocks) == 1
         assert dict(sig.blocks[0].counts) == {1: 2}
 
@@ -33,38 +34,38 @@ class TestDecompose:
         assert decompose(Word([])).blocks == ()
 
     def test_block_lengths_sum_to_word_length(self):
-        w = Word.of((1, 1), (1, 2), (2, 1), (2, 1), (1, 1))
-        assert decompose(w).word_length == len(w)
+        w = word((1, 1), (1, 2), (2, 1), (2, 1), (1, 1))
+        assert sum(b.length for b in decompose(w).blocks) == len(w)
 
     def test_adjacent_blocks_differ_in_group(self):
-        w = Word.of((1, 1), (1, 2), (2, 1), (1, 1), (1, 1))
+        w = word((1, 1), (1, 2), (2, 1), (1, 1), (1, 1))
         groups = [b.group for b in decompose(w).blocks]
         assert all(a != b for a, b in zip(groups, groups[1:]))
 
 
 class TestSameBlockStructure:
     def test_within_block_permutation(self):
-        assert decompose(Word.of((1, 1), (1, 2))) == \
-            decompose(Word.of((1, 2), (1, 1)))
+        assert decompose(word((1, 1), (1, 2))) == \
+            decompose(word((1, 2), (1, 1)))
 
     def test_across_group_swap_differs(self):
-        assert decompose(Word.of((1, 1), (2, 1))) != \
-            decompose(Word.of((2, 1), (1, 1)))
+        assert decompose(word((1, 1), (2, 1))) != \
+            decompose(word((2, 1), (1, 1)))
 
     def test_reflexive(self):
-        w = Word.of((1, 1), (2, 1), (1, 2))
+        w = word((1, 1), (2, 1), (1, 2))
         assert decompose(w) == decompose(w)
 
 
 class TestCompose:
     def test_single_symbol(self, equal_halves):
-        m = compose(equal_halves, Word.of((1, 1)))
+        m = compose(equal_halves, word((1, 1)))
         assert (m.ratio, m.intercept) == (0.5, 0.0)
 
     def test_hand_composition(self, equal_halves):
-        m12 = compose(equal_halves, Word.of((1, 1), (2, 1)))
+        m12 = compose(equal_halves, word((1, 1), (2, 1)))
         assert (m12.ratio, m12.intercept) == pytest.approx((0.25, 0.25))
-        m21 = compose(equal_halves, Word.of((2, 1), (1, 1)))
+        m21 = compose(equal_halves, word((2, 1), (1, 1)))
         assert (m21.ratio, m21.intercept) == pytest.approx((0.25, 0.5))
 
     def test_empty_word_rejected(self, equal_halves):
@@ -93,11 +94,11 @@ class TestProject:
     """The natural projection Pi(w) = f_w(0) as the signature walk carries it."""
 
     def test_single_symbol(self, equal_halves):
-        w = Word.of((2, 1))
+        w = word((2, 1))
         assert _walk_pi(equal_halves, 1)[decompose(w)] == 0.5
 
     def test_two_symbols(self, equal_halves):
-        w = Word.of((1, 1), (2, 1))
+        w = word((1, 1), (2, 1))
         assert _walk_pi(equal_halves, 2)[decompose(w)] == pytest.approx(0.25)
 
     def test_fixed_point_absorbs(self, two_group_overlap):
@@ -109,7 +110,7 @@ class TestProject:
     @given(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1)]),
                     min_size=1, max_size=10))
     def test_matches_composition_intercept(self, pairs):
-        w = Word.of(*pairs)
+        w = word(*pairs)
         assert _walk_pi(HYPOTHESIS_SYSTEM, len(w))[decompose(w)] == \
             pytest.approx(compose(HYPOTHESIS_SYSTEM, w).intercept, abs=1e-12)
 
@@ -123,15 +124,15 @@ class TestProject:
 
 class TestCountVector:
     def test_basic(self):
-        cv = count_vector(Word.of((1, 1), (1, 1), (2, 1)))
+        cv = count_vector(word((1, 1), (1, 1), (2, 1)))
         assert cv == {(1, 1): 2, (2, 1): 1}
 
     def test_empty(self):
         assert count_vector(Word([])) == {}
 
     def test_additive_under_concatenation(self):
-        w1 = Word.of((1, 1), (2, 1))
-        w2 = Word.of((1, 2), (1, 1))
+        w1 = word((1, 1), (2, 1))
+        w2 = word((1, 2), (1, 1))
         combined = count_vector(Word(w1.symbols + w2.symbols))
         merged = dict(count_vector(w1))
         for k, v in count_vector(w2).items():
@@ -141,12 +142,12 @@ class TestCountVector:
 
 class TestClassWeight:
     def test_one_block_two_orderings(self):
-        sig = decompose(Word.of((1, 1), (1, 2)))
+        sig = decompose(word((1, 1), (1, 2)))
         p = ProbVector([[0.3, 0.2], [0.5]])
         assert class_weight(sig, p) == pytest.approx(2 * 0.3 * 0.2)
 
     def test_trivial_multinomials(self):
-        sig = decompose(Word.of((1, 1), (2, 1)))
+        sig = decompose(word((1, 1), (2, 1)))
         p = ProbVector([[0.3, 0.2], [0.5]])
         assert class_weight(sig, p) == pytest.approx(0.3 * 0.5)
 
@@ -155,9 +156,7 @@ class TestClassWeight:
         p = ProbVector([[0.5, 0.2], [0.3]])
         n = 5
         by_sig = {}
-        for w in enumerate_words(two_group_overlap, n):
-            weight = math.prod(p.weight(s) for s in w)
-            sig = decompose(w)
+        for sig, _, weight in oracles.word_records(two_group_overlap, n, p):
             by_sig[sig] = by_sig.get(sig, 0.0) + weight
         for sig, total in by_sig.items():
             assert class_weight(sig, p) == pytest.approx(total, rel=1e-10)
@@ -165,7 +164,7 @@ class TestClassWeight:
     def test_rational_exact(self):
         sys = CFSystem(["0", "1"], [["1/2", "1/3"], ["1/5"]], mode="rational")
         p = ProbVector([["1/2", "1/4"], ["1/4"]], mode="rational")
-        sig = decompose(Word.of((1, 1), (1, 2), (1, 1)))
+        sig = decompose(word((1, 1), (1, 2), (1, 1)))
         assert class_weight(sig, p) == 3 * Fraction(1, 2) ** 2 * Fraction(1, 4)
 
     def test_partition_of_unity(self, two_group_overlap):
@@ -189,7 +188,7 @@ class TestEnumeration:
             == len(words)
 
     def test_budget(self, two_group_overlap, monkeypatch):
-        monkeypatch.setattr(words, "DEFAULT_ENUM_BUDGET", 10**6)
+        monkeypatch.setattr(oracles, "ENUM_BUDGET", 10**6)
         with pytest.raises(BudgetExceeded):
             list(enumerate_words(two_group_overlap, 30))
 
@@ -228,9 +227,3 @@ class TestSignatureClasses:
                         assert prod == pytest.approx(m.ratio, rel=1e-12)
                         assert pi == pytest.approx(m.intercept, abs=1e-12)
                     assert cv == tuple(sorted(count_vector(w).items()))
-
-    def test_budget(self, two_group_overlap, monkeypatch):
-        monkeypatch.setattr(words, "DEFAULT_ENUM_BUDGET", 10)
-        walk = signature_classes(two_group_overlap, 6)
-        with pytest.raises(BudgetExceeded):
-            list(walk)
