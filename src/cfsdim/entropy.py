@@ -107,17 +107,67 @@ def _tail_bound(rho: float, k: int) -> float:
         math.log(k + 2) + 1.0 / ((1.0 - rho) * (k + 2)))
 
 
-def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiResult:
-    """Truncated evaluation of the Phi double series.
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = ulp(0.5) the unit roundoff."""
+    return n * math.ulp(0.5) / (1.0 - n * math.ulp(0.5))
 
-    Per symbol (l, m) with a = p_{l,m}, b = (group mass) - a:
-    sum_k sum_q C(k,q) a^{q+1} b^{k-q} (1 - rho_l) log((q+1)/(k+1)).
-    Row k of C(k,q) a^q b^{k-q} is built from row k-1 by Pascal's rule, so
-    no term is lost to an underflowing restart; the outer sum stops once the
-    per-group geometric tail drops below tol.  As h + Phi = h_RW lies in
-    [0, B] for B the _point_mass_bound, B < tol answers Phi = -h with tail
-    bound B.  Raises BudgetExceeded past PHI_TERM_CAP terms, or when a
-    group mass rounds to 1 and that rule does not answer.
+
+def _row_cells(row, n: int) -> int:
+    """Cells _log_moments fills up to depth n: k+1 in rows k = 1..n-1, one
+    row per member of three or more, one for a pair, none for one member."""
+    return (len(row) if len(row) > 2 else len(row) - 1) * (n - 1) * (n + 2) // 2
+
+
+def _log_moments(row, rho: float, n: int, logs: List[float]) -> List[float]:
+    """D_k = sum_j q_j E log(Y_jk + 1) - log(k + 1), Y_jk ~ Bin(k, q_j), for
+    k < n over the members p_j = rho q_j of a group; logs[c] = log(c + 1).
+    As E log Y_{k+1}! - E log Y_k! = q E log(Y_k + 1), D_k is the step k ->
+    k+1 of sum_j E log Y_jk! - log k!, in [-log(k + 1), 0] and 0 for one
+    member.  Row k comes from row k-1 by Pascal's rule; a pair shares one,
+    read forwards for Y and backwards for k - Y."""
+    ps = [float(w) for w in row]
+    members = ps[:len(ps) if len(ps) > 2 else len(ps) - 1]
+    d = [0.0] * n
+    for w in members:
+        # 1 - b is exact (Sterbenz), so q + b == 1 and no row drifts
+        b = 1.0 - w / rho
+        q = 1.0 - b
+        v = [1.0]
+        for k in range(1, n):
+            v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
+            d[k] += q * sum(map(mul, v, logs))
+            if len(ps) == 2:
+                d[k] += b * sum(map(mul, reversed(v), logs))
+    return [x - lg for x, lg in zip(d, logs)] if members else d
+
+
+def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiResult:
+    """Truncated Phi series, with a bound on its error.
+
+    Phi sums a (1 - rho) rho^k E log((Y + 1)/(k + 1)), Y ~ Bin(k, a / rho),
+    over k >= 1 and the members a of each group of mass rho: by k, rho
+    (1 - rho) sum_k rho^k D_k (_log_moments) per group, stopped at the first
+    K whose geometric-log tail (|D_k| <= log(k + 1)) is below tol over the
+    number of groups.  As h + Phi = h_RW lies in [0, B] for B the
+    _point_mass_bound, B < tol answers Phi = -h with tail bound B.  Raises
+    BudgetExceeded past PHI_TERM_CAP binomial-row cells, or when a group
+    mass rounds to 1 and that rule does not answer.
+
+    The tail bound adds rounding, against the series at the weights as
+    doubles (Higham, Accuracy and Stability of Numerical Algorithms, 3.1,
+    4.2: theta_n is the relative error of n roundings, |theta_n| <= gamma_n;
+    L = log(k + 1)).  Each q_j is within gamma_2 q_j + u/2 (rho, division,
+    q = 1 - (1 - q)) and d/dq E log(Y + 1) lies in [0, 1/q], so D_k moves by
+    at most gamma_{m+2} (L + 1) over the m members.  Until L is subtracted
+    every operand is nonnegative: k steps of a product and a sum, k sums in
+    the dot with logs (an ulp each), the weight q_j and m - 1 sums leave the
+    member sum, in [0, (1 + gamma_{m+2}) L], exact to theta_{3k+m+3}.  So
+    D_k is within gamma_{3k+3m+10} (L + 1) and term k, after rho**k (rho
+    within u, pow an ulp), within gamma_{4k+3m+13} rho^k (L + 1).  The
+    fsums, rho and the last two products give theta_5 and 1 - rho a
+    relative gamma_1 / (1 - rho), x <= gamma_6 / (1 - rho) in all, so at
+    most 2 x |value| as the cap keeps 1 - rho above 1e-6.  The bound itself
+    is exact to a relative O((K + 1 / (1 - rho)) u).
     """
     check_tol(tol)
     p = prune_zeros(sys, p)
@@ -126,36 +176,32 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
         # 0.0 - h, not -h: a one-symbol point mass reads +0.0, not -0.0
         return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=bound,
                          terms_used=0, method="point-mass")
-    # single-member groups drop out: q = k always, log((k+1)/(k+1)) = 0
-    groups = [(float(sum(row)), row) for row in p.weights if len(row) > 1]
+    # single-member groups drop out: D_k = 0
+    groups = [(math.fsum(map(float, row)), row)
+              for row in p.weights if len(row) > 1]
     if any(rho >= 1.0 for rho, _ in groups):
         raise BudgetExceeded(f"a group mass rounds to 1 and the point-mass "
                              f"bound {bound!r} is not below tol {tol!r}")
     depths = [_truncation_depth(rho, tol / len(p.weights)) for rho, _ in groups]
-    terms = sum(len(row) * K * (K + 3) // 2
-                for (_, row), K in zip(groups, depths))
-    if terms > PHI_TERM_CAP:
+    cells = sum(_row_cells(row, K + 1) for (_, row), K in zip(groups, depths))
+    if cells > PHI_TERM_CAP:
         raise BudgetExceeded(
-            f"Phi series needs {terms} terms, cap {PHI_TERM_CAP}")
-    value = 0.0
-    tail = 0.0
+            f"Phi series needs {cells} binomial-row cells, cap {PHI_TERM_CAP}")
+    logs = [math.log(c + 1.0) for c in range(max(depths, default=0) + 1)]
+    values, bounds = [], []
     for (rho, row), K in zip(groups, depths):
         out = 1.0 - rho
-        logs = [math.log(q + 1.0) for q in range(K + 1)]
-        for a in row:
-            a = float(a)
-            b = rho - a
-            v = [1.0]
-            acc = 0.0
-            for k in range(1, K + 1):
-                v = [b * x + a * y for x, y in zip(v + [0.0], [0.0] + v)]
-                acc += sum(map(mul, v, logs)) - logs[k] * sum(v)
-            value += a * out * acc
-            # |inner_k| <= log(k+1) rho^k, so the k > K remainder is bounded
-            # by the geometric-log tail
-            tail += a * out * _tail_bound(rho, K)
-    return PhiResult(value=value, tail_bound=tail, terms_used=terms,
-                     method="series")
+        powers = [rho ** k for k in range(K + 1)]
+        value = rho * out * math.fsum(
+            map(mul, powers, _log_moments(row, rho, K + 1, logs)))
+        rounding = math.fsum(
+            powers[k] * (logs[k] + 1.0) * _gamma(4 * k + 3 * len(row) + 13)
+            for k in range(1, K + 1))
+        values.append(value)
+        bounds.append(rho * out * (_tail_bound(rho, K) + rounding)
+                      + 2.0 * abs(value) * _gamma(6) / out)
+    return PhiResult(value=math.fsum(values), tail_bound=math.fsum(bounds),
+                     terms_used=cells, method="series")
 
 
 def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
@@ -247,36 +293,6 @@ def rw_entropy_closed(sys: CFSystem, p: ProbVector,
     return RWEntropyResult(value=h_rw, method="closed-form")
 
 
-def _block_entropies(row_p, rho: float, n: int,
-                     log_fact: List[float]) -> List[float]:
-    """SL[l] = sum w log w over the weights w = multinomial(counts) * prod
-    p^count of all count vectors of one block of length l, for l = 0..n, in
-    a group of mass rho.
-
-    The weights of length l are rho^l times the multinomial law of the counts
-    with q_j = p_j / rho, whose marginals are Bin(l, q_j), so
-    SL[l] = rho^l [log l! + l sum_j q_j log p_j - sum_j E log c_j!].  Row l
-    of Bin(l, q) comes from row l-1 by Pascal's rule and is dotted with the
-    cumulative log-factorials log_fact, so no factorial is ever evaluated.
-    One member's count is always l; two members share one row, read forwards
-    for c and backwards for l - c.
-    """
-    ps = [float(w) for w in row_p]
-    slope = math.fsum(w / rho * math.log(w) for w in ps)
-    excess = [0.0] * (n + 1)     # sum_j E log c_j! - log l!
-    if len(ps) > 1:
-        for w in (ps if len(ps) > 2 else ps[:1]):
-            q = w / rho
-            b, v = 1.0 - q, [1.0]
-            for ell in range(1, n + 1):
-                v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
-                excess[ell] += sum(map(mul, v, log_fact))
-                if len(ps) == 2:
-                    excess[ell] += sum(map(mul, reversed(v), log_fact))
-        excess = [e - lf for e, lf in zip(excess, log_fact)]
-    return [rho ** ell * (ell * slope - e) for ell, e in enumerate(excess)]
-
-
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
                           n: int) -> RWEntropyResult:
     """Exact entropies H_1..H_n of the block-signature classes, in O(N n)
@@ -287,33 +303,31 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
     coincidence between classes (which ``esc_probe`` reports in rational
     mode) merges them, and the composed-map entropy is then smaller.
 
-    -H_r = sum_h B_h(r), with B_h(r) the sum of W log W over the signature
-    suffixes of length r opening with a block of group h.  A group's blocks
-    of length l weigh rho_h^l (the multinomial theorem) and the suffixes not
-    opening with group h weigh 1 - rho_h, so splitting off the first block
+    A group's blocks of length l weigh rho^l times the multinomial law of
+    their counts (marginals Bin(l, q_j)), so their sum of w log w is SL(l) =
+    rho^l (l sum_j q_j log p_j - X_l), X_l = sum_{k<l} D_k (_log_moments).
+    -H_r = sum_h B_h(r), B_h(r) the sum of W log W over the signature
+    suffixes of length r opening with group h; the suffixes not opening with
+    h weigh 1 - rho_h, so splitting off the first block
     B_h(r) = SL_h(r) + (1 - rho_h) sum_{l<r} SL_h(l)
-             + sum_{l<r} rho_h^l (sum_g B_g(r-l) - B_h(r-l)).
-    As the masses sum to 1 this telescopes to the increment
+             + sum_{l<r} rho_h^l (sum_g B_g(r-l) - B_h(r-l)),
+    which telescopes, as the masses sum to 1, to the increment
     H_r - H_{r-1} = -sum_h [SL_h(r) + (1 - 2 rho_h) SL_h(r-1)
-                            + (1 - rho_h)^2 sum_{0<l<r-1} SL_h(l)],
-    so no signature and no table over (r, h) is ever built.
+                            + (1 - rho_h)^2 sum_{0<l<r-1} SL_h(l)].
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     p = prune_zeros(sys, p)
-    # one binomial row per member of a group of three or more, one for a
-    # pair, none for a single member; each row fills n(n+3)/2 cells, the
-    # increments one per group and depth
-    rows = sum(len(row) if len(row) > 2 else len(row) - 1
-               for row in p.weights)
-    cells = rows * n * (n + 3) // 2 + len(p.weights) * n
+    cells = sum(_row_cells(row, n) for row in p.weights) + len(p.weights) * n
     if cells > RW_DP_CAP:
         raise BudgetExceeded(
             f"signature DP needs {cells} cells, cap {RW_DP_CAP}")
-    log_fact = list(accumulate(map(math.log, range(1, n + 1)), initial=0.0))
+    logs = [math.log(c + 1.0) for c in range(n)]
     deltas = [0.0] * n           # H_r - H_{r-1} for r = 1..n
     for row, rho in zip(p.weights, _group_masses(p)):
-        sl = _block_entropies(row, rho, n, log_fact)
+        slope = math.fsum(float(w) / rho * math.log(float(w)) for w in row)
+        excess = accumulate(_log_moments(row, rho, n, logs), initial=0.0)
+        sl = [rho ** ell * (ell * slope - x) for ell, x in enumerate(excess)]
         a, c = 1.0 - 2.0 * rho, (1.0 - rho) ** 2
         prefix = 0.0             # sum_{0<l<r-1} SL(l)
         for r in range(1, n + 1):

@@ -141,19 +141,19 @@ class TestPhiAndEntropy:
         assert rep["brute_force"]["depth"] == 8
 
     def test_rw_entropy_cap_counts_dp_cells(self, capsys):
-        """The signature-DP cap counts the cells the DP fills, n(n+3)/2 per
-        binomial row plus N per depth: groups (2, 1) need one row, so they
-        run to depth 4468 and stop at 4469."""
-        code, out, _ = run_main(["rw-entropy", TWO_GROUP, "--depth", "4468"],
+        """The signature-DP cap counts the cells the DP fills, (n-1)(n+2)/2
+        per binomial row (rows 1..n-1) plus N per depth: groups (2, 1) need
+        one row, so they run to depth 4469 and stop at 4470."""
+        code, out, _ = run_main(["rw-entropy", TWO_GROUP, "--depth", "4469"],
                                 capsys)
         assert code == 0
         rep = json.loads(out)
         assert rep["brute_force"]["increments"][-1] == pytest.approx(
             rep["closed_form"]["value"], abs=1e-9)
-        code, out, err = run_main(["rw-entropy", TWO_GROUP, "--depth", "4469"],
+        code, out, err = run_main(["rw-entropy", TWO_GROUP, "--depth", "4470"],
                                   capsys)
         assert code == 3
-        assert "10001622 cells" in err and out == ""
+        assert "10001624 cells" in err and out == ""
 
 
 class TestEscProbe:

@@ -21,6 +21,11 @@ from oracles import word_records
 # -0.21366 +- 0.00011, bracketing the series value below.
 V_STAR_21_UNIFORM = -0.21384847298967688
 
+# Phi for weights [[0.5, 0.49], [0.01]] (as doubles) on two_group_overlap,
+# from 40-digit mpmath on the per-member closed form a (1 - rho)
+# [F(a / (1 - b)) / (1 - b) - F(rho)], F(y) = sum_q log(q + 1) y^q, b = rho - a
+PHI_MASS_099 = -0.65893242587094896653
+
 
 def random_p(shape, rng_vals):
     """Build a normalized ProbVector over a ragged shape from raw values."""
@@ -152,16 +157,29 @@ class TestPhiSeries:
         assert res.value <= 1e-14
         assert res.value + res.tail_bound >= phi_lower_bound(sys, p) - 1e-12
 
-    @pytest.mark.parametrize("weights", [
-        [[0.9, 0.05], [0.05]],
-        [[0.495, 0.495], [0.01]],
-    ], ids=["rho0.95", "rho0.99"])
-    def test_matches_log_space_series(self, two_group_overlap, weights):
+    @pytest.mark.parametrize("ratios, weights", [
+        ([[0.3, 0.2], [0.25]], [[0.9, 0.05], [0.05]]),
+        ([[0.3, 0.2], [0.25]], [[0.495, 0.495], [0.01]]),
+        ([[0.3, 0.2, 0.1], [0.25]], [[0.3, 0.3, 0.3], [0.1]]),
+    ], ids=["rho0.95", "rho0.99", "three-members"])
+    def test_matches_log_space_series(self, ratios, weights):
         """Once b^k underflows (k past about 250 at b = 0.05, about 1060 at
-        b = 0.495), a row restarted from b^k drops every later term."""
+        b = 0.495), a row restarted from b^k drops every later term.  A pair
+        reads one binomial row both ways and a group of three builds one
+        per member; both meet the oracle within the bound alone, as it
+        covers rounding."""
         p = ProbVector(weights)
-        res = phi_series(two_group_overlap, p)
-        assert abs(res.value - _phi_log_space(p)) <= res.tail_bound + 1e-12
+        res = phi_series(CFSystem([0.0, 1.0], ratios), p)
+        assert abs(res.value - _phi_log_space(p)) <= res.tail_bound
+
+    def test_bound_covers_rounding_near_mass_one(self, two_group_overlap):
+        """At group mass 0.99 and tol 1e-13 the truncation tail is below
+        5e-16, but rounding can reach several times that (4.6e-15 with one
+        row of C(k, q) a^q b^(k-q) per member): the bound covers both, and
+        stays below 1e-11."""
+        res = phi_series(two_group_overlap,
+                         ProbVector([[0.5, 0.49], [0.01]]), tol=1e-13)
+        assert abs(res.value - PHI_MASS_099) <= res.tail_bound < 1e-11
 
 
 class TestTruncationDepth:
