@@ -104,6 +104,8 @@ def cmd_measure_dim(args) -> int:
 def cmd_attractor_dim(args) -> int:
     from . import dimension
     sys_obj, _ = _load(args)
+    if args.gd_depth > 0:        # the whole sequence's budget, before any root
+        dimension.gd_cells(sys_obj, args.gd_depth, sequence=True)
     rep = dimension.attractor_dimension(sys_obj, tol=args.tol)
     out = rep.to_json_dict()
     if args.gd_depth:

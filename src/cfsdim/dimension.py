@@ -18,8 +18,13 @@ from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, Report, \
     ValidationError, check_tol
 
-BISECT_TOL = 1e-12
+ROOT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
+# One evaluation at depth n fills n cells of the homogeneous-sum recurrence
+# per map, about 0.1 us each.  At the cap one evaluation of each of s_1..s_n
+# (n(n+1)/2 cells per map) takes about a second, and the whole sequence,
+# at about 11 evaluations per root, some 12 s (n = 2581 on three maps)
+GD_CELL_CAP = 10**7
 
 
 class NonConvergence(BudgetExceeded):
@@ -35,39 +40,73 @@ class DimensionReport(Report):
     diagnostics: dict = field(default_factory=dict)
 
 
-def _bisect(fn, lo: float, hi: float, tol: float) -> tuple:
-    """(root, hi): a root of fn bracketed by [lo, hi], hi doubling until
-    fn(lo) and fn(hi) differ in sign; hi is the bracket end used.  Halving
-    stops at width tol or when the midpoint rounds to an endpoint, so it
-    ends for every tol."""
+def _root(fn, lo: float, hi: float, tol: float) -> tuple:
+    """(root, (a, b), evaluations): a root of fn, the final bracket [a, b]
+    on which fn changes sign (a == b when fn is exactly 0 there) and the
+    number of calls of fn.  hi doubles, and lo moves up to the last hi,
+    until fn(lo) and fn(hi) differ in sign; fn(lo) == 0 returns lo.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic interpolation or a secant step from the best
+    end b, a bisection step when that would not shrink the bracket fast
+    enough, and a step of at least tol/4 towards the other end c, so the
+    point past a root within tol/4 of b closes the bracket.  It stops at
+    width tol/2, or when the midpoint rounds to an end, so it ends for every
+    tol and the root is within tol/2 of a sign change.  Each new point lies
+    strictly inside the bracket, which every earlier point bounded, so no
+    point is evaluated twice.  Signs are compared, never multiplied.
+    """
     check_tol(tol)
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo, hi
-    fhi = fn(hi)
-    while flo * fhi > 0:
+    start = lo
+    fa = fn(lo)
+    if fa == 0.0:
+        return lo, (lo, lo), 1
+    fb, evals = fn(hi), 2
+    while fb != 0.0 and (fa > 0.0) == (fb > 0.0):
         if math.isinf(hi):
-            raise ValidationError(f"no sign change on [{lo}, inf)")
+            raise ValidationError(f"no sign change on [{start}, inf)")
+        lo, fa = hi, fb
         hi *= 2.0
-        fhi = fn(hi)
-    if fhi == 0.0:
-        return hi, hi
-    end = hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        fb, evals = fn(hi), evals + 1
+    a, b, c, fc = lo, hi, lo, fa
+    d = e = b - a
+    tol1 = 0.25 * tol
+    while fb != 0.0:
+        if abs(fc) < abs(fb):        # b is the end nearer the root
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        xm = 0.5 * (c - b)
+        mid = b + xm
+        if abs(xm) <= tol1 or mid == b or mid == c:
             break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, end
-        if flo * fm < 0:
-            hi = mid
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:               # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:                    # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = xm
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), end
+            e = d = xm
+        a, fa = b, fb
+        x = b + (d if abs(d) > tol1 else math.copysign(tol1, xm))
+        if not min(b, c) < x < max(b, c):
+            x = mid                  # the step rounded onto an end
+        b, fb, evals = x, fn(x), evals + 1
+        if fb != 0.0 and (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa            # the sign change lies on [a, b]
+            e = d = b - a
+    return b, ((b, b) if fb == 0.0 else (min(b, c), max(b, c))), evals
 
 
-def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
+def similarity_dimension(ratios, tol: float = ROOT_TOL) -> float:
     """Unique s with sum r_i^s = 1 (r_i in (0,1))."""
     rs = [float(r) for r in ratios]
     if not rs or any(not (0 < r < 1) for r in rs):
@@ -76,7 +115,7 @@ def similarity_dimension(ratios, tol: float = BISECT_TOL) -> float:
     def f(s):
         return sum(r**s for r in rs) - 1.0
 
-    return _bisect(f, 0.0, 1.0, tol)[0]
+    return _root(f, 0.0, 1.0, tol)[0]
 
 
 def measure_dimension(sys: CFSystem, p: ProbVector,
@@ -97,7 +136,8 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
     """Root of F(s) = sum_i prod_j (1 - lam_{i,j}^s) = N - 1.
 
     F is strictly increasing with F(0) = 0 and F(inf) = N, so the root exists
-    and is unique; plain bisection.
+    and is unique; _root finds it and diagnostics report its final
+    sign-change bracket and the evaluations of F it took.
     """
     N = sys.n_groups
 
@@ -105,10 +145,11 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
         return sum(math.prod(1.0 - float(lam)**s for lam in row)
                    for row in sys.ratios)
 
-    raw, hi = _bisect(lambda s: F(s) - (N - 1), 0.0, 1.0, tol)
+    raw, bracket, evaluations = _root(lambda s: F(s) - (N - 1), 0.0, 1.0, tol)
     return DimensionReport(
         dimension=min(1.0, raw), raw=raw, method="attractor-formula",
-        tolerance=tol, diagnostics={"bracket_hi": hi})
+        tolerance=tol,
+        diagnostics={"bracket": list(bracket), "evaluations": evaluations})
 
 
 def _complete_homogeneous_sums(xs, depth: int) -> float:
@@ -120,6 +161,20 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
         for m in range(1, depth + 1):
             H[m] = H[m] + x * H[m - 1]
     return sum(H[1:])
+
+
+def gd_cells(sys: CFSystem, depth: int, sequence: bool = False) -> int:
+    """The homogeneous-sum cells one evaluation of s_depth fills (with
+    ``sequence``, one evaluation of each of s_1..s_depth); BudgetExceeded
+    past GD_CELL_CAP.  Checked before the first root, as count_classes
+    guards the probe."""
+    per_map = depth * (depth + 1) // 2 if sequence else depth
+    cells = per_map * sum(sys.group_sizes)
+    if cells > GD_CELL_CAP:
+        raise BudgetExceeded(
+            f"graph-directed roots to depth {depth} need {cells} "
+            f"homogeneous-sum cells per evaluation, cap {GD_CELL_CAP}")
+    return cells
 
 
 def gd_matrix(sys: CFSystem, s: float, depth: int):
@@ -196,8 +251,9 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
         return attractor_dimension(sys, tol).raw
     if depth < 1:
         raise ValidationError(f"depth must be >= 1 or None, got {depth}")
+    gd_cells(sys, depth)
 
     def g(s):
         return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
 
-    return _bisect(g, 0.0, 1.0, tol)[0]
+    return _root(g, 0.0, 1.0, tol)[0]

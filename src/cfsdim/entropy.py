@@ -94,6 +94,18 @@ def _point_mass_bound(p: ProbVector) -> float:
             + (len(p.weights[g]) - 1) * delta * math.log1p(1.0 / delta))
 
 
+def _point_mass(p: ProbVector, bound: float, **extra) -> PhiResult:
+    """Phi = -h for pruned weights p whose h_RW lies in [0, bound].  The
+    tail bound adds the rounding of h (Higham, 3.1 and 4.2): each of the n
+    nonnegative terms -w log w is within gamma_3 (the log, the product), and
+    their sum within gamma_{n-1} more."""
+    h = shannon_entropy(p)
+    # 0.0 - h, not -h: a one-symbol point mass reads +0.0, not -0.0
+    return PhiResult(value=0.0 - h,
+                     tail_bound=bound + _gamma(len(p.flat()) + 2) * h,
+                     terms_used=0, method="point-mass", **extra)
+
+
 def _truncation_depth(rho: float, tol: float) -> int:
     """Smallest K with the geometric-log tail bound below tol for group mass
     rho > 0, or the ceiling 10**7 when no K below it qualifies."""
@@ -149,9 +161,10 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     (1 - rho) sum_k rho^k D_k (_log_moments) per group, stopped at the first
     K whose geometric-log tail (|D_k| <= log(k + 1)) is below tol over the
     number of groups.  As h + Phi = h_RW lies in [0, B] for B the
-    _point_mass_bound, B < tol answers Phi = -h with tail bound B.  Raises
-    BudgetExceeded past PHI_TERM_CAP binomial-row cells, or when a group
-    mass rounds to 1 and that rule does not answer.
+    _point_mass_bound, B < tol answers Phi = -h with tail bound B plus the
+    rounding of h (_point_mass).  Raises BudgetExceeded past PHI_TERM_CAP
+    binomial-row cells, or when a group mass rounds to 1 and that rule does
+    not answer.
 
     The tail bound adds rounding, against the series at the weights as
     doubles (Higham, Accuracy and Stability of Numerical Algorithms, 3.1,
@@ -173,9 +186,7 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     p = prune_zeros(sys, p)
     bound = _point_mass_bound(p)
     if bound < tol:
-        # 0.0 - h, not -h: a one-symbol point mass reads +0.0, not -0.0
-        return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=bound,
-                         terms_used=0, method="point-mass")
+        return _point_mass(p, bound)
     # single-member groups drop out: D_k = 0
     groups = [(math.fsum(map(float, row)), row)
               for row in p.weights if len(row) > 1]
@@ -224,8 +235,7 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     check_samples(samples, seed)
     p = prune_zeros(sys, p)
     if len(p.weights) == 1:          # the walk never leaves it: h_RW = 0
-        return PhiResult(value=0.0 - shannon_entropy(p), tail_bound=0.0,
-                         terms_used=0, method="point-mass", stderr=0.0)
+        return _point_mass(p, 0.0, stderr=0.0)
     masses = _group_masses(p)
     # a run stays in a group of mass rho for 1/(1 - rho) steps on average
     if (1.0 - max(masses)) * MC_RUN_CAP <= 1.0:

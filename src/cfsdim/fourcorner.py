@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dimension import DimensionReport, _bisect
+from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                   _refuse, check_samples, weight_errors)
@@ -32,7 +32,7 @@ class ConditionsNotMet(ValidationError):
 
 
 class RootOutsideBracket(ValidationError):
-    """The natural-weight equation has no sign change on its bracket."""
+    """The natural-weight equation has no positive root."""
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,12 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                      "chi_y": chi_y, "phi_x": phi_x, "phi_y": phi_y})
 
 
-def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
-    """(FourCornerProb, s): the affinity-natural weights p_i = gamma_i *
-    lambda_i^{s-1} with s the root of their sum = 1 on [0.5, 3]."""
+def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
+    """(FourCornerProb, (s, bracket, evaluations)): the affinity-natural
+    weights p_i = gamma_i * lambda_i^{s-1} and _root's report of s, the root
+    of their sum = 1.  The excess sum - 1 strictly decreases in s towards
+    -1, so a root exists, and is positive, exactly when the excess at 0 is
+    positive; _root brackets it from 0 by doubling."""
     pairs = [(g, l) for (g, _), (l, _) in sys.maps()]
 
     def weights(s):
@@ -196,12 +199,20 @@ def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
     def excess(s):
         return sum(weights(s)) - 1.0
 
-    if excess(0.5) * excess(3.0) > 0:
-        raise RootOutsideBracket("no sign change on [0.5, 3]")
-    s = _bisect(excess, 0.5, 3.0, tol)[0]
-    w = weights(s)
+    if excess(0.0) <= 0.0:
+        raise RootOutsideBracket("the natural-weight equation has no positive "
+                                 "root: sum gamma_i / lambda_i <= 1")
+    root = _root(excess, 0.0, 1.0, tol)
+    w = weights(root[0])
     total = sum(w)
-    return FourCornerProb(tuple(v / total for v in w)), s
+    return FourCornerProb(tuple(v / total for v in w)), root
+
+
+def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
+    """(FourCornerProb, s): the affinity-natural weights and their root s
+    (_natural_root); RootOutsideBracket when s would not be positive."""
+    prob, (s, _, _) = _natural_root(sys, tol)
+    return prob, s
 
 
 def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
@@ -219,13 +230,15 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
     """Hausdorff dimension s of the generalised 4-corner set when the open
     set, domination, and sufficiency conditions all hold; otherwise s is
     only an upper bound and is flagged as such.  The sufficiency expression
-    is evaluated at the reported s."""
+    is evaluated at the reported s; diagnostics carry the final bracket of s
+    and the evaluations it took."""
     rep = validate_4c(sys)
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
-    prob, s = natural_p(sys, tol=tol)
+    prob, (s, bracket, evaluations) = _natural_root(sys, tol)
     value = _suff_value(sys, prob)
     diagnostics = {"conditions": rep, "s": s, "natural_p": list(prob.p),
+                   "bracket": list(bracket), "evaluations": evaluations,
                    "suff_value": value,
                    "certified": rep["domination_ok"] and value > 0.0}
     if not rep["domination_ok"]:

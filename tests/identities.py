@@ -7,6 +7,9 @@ has the quotient's spectral radius, the infinite-depth limit of C_n^(s) has
 a closed form, and the determinant of the matrix with -1 diagonal and
 x_j - 1 off it has a closed form.
 
+The library finds every root by Brent's method; the plain halving it
+replaced stays here as its oracle.
+
 The library's signature DP takes its block sums from binomial marginals and
 its suffix sums from the multinomial theorem; the direct log-space sweep and
 the O(N n^2) DP it replaced stay here as its oracle.
@@ -19,6 +22,35 @@ import numpy as np
 
 from cfsdim import CFSystem, ValidationError, gd_matrix, spectral_radius
 from cfsdim.ifs import prune_zeros
+
+
+def bisect_root(fn, lo: float, hi: float, tol: float) -> float:
+    """A root of fn by halving: hi doubles until fn(lo) and fn(hi) differ in
+    sign, then the bracket halves until its width is tol or its midpoint
+    rounds to an end; the midpoint is returned."""
+    flo = fn(lo)
+    if flo == 0.0:
+        return lo
+    fhi = fn(hi)
+    while flo * fhi > 0:
+        if math.isinf(hi):
+            raise ValidationError(f"no sign change on [{lo}, inf)")
+        hi *= 2.0
+        fhi = fn(hi)
+    if fhi == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def perron_root(M) -> float:

@@ -22,6 +22,10 @@ TWO_GROUP = config_path("two_group_overlap.json")
 FOUR_CORNER = config_path("four_corner_main.json")
 CANTOR = config_path("cantor_quarter.json")
 
+# A 4-corner set of dimension 1 + log 25 / log 0.005 = 0.392472...
+SMALL_4C = {"type": "four_corner", "gamma": [[0.01, 0.01], [0.01, 0.01]],
+            "lambda": [[0.005, 0.005], [0.005, 0.005]]}
+
 
 def run_main(argv, capsys):
     code = main(argv)
@@ -121,6 +125,29 @@ class TestAttractorDim:
         seq = json.loads(out)["gd_sequence"]
         assert seq == sorted(seq)
 
+    def test_root_reports_its_bracket(self, capsys):
+        """The attractor root lies in its final sign-change bracket, at most
+        tol/2 wide, found in a handful of evaluations."""
+        code, out, _ = run_main(["attractor-dim", TWO_GROUP], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        lo, hi = rep["diagnostics"]["bracket"]
+        assert lo <= rep["raw"] <= hi and hi - lo <= 0.5 * rep["tolerance"]
+        assert 2 <= rep["diagnostics"]["evaluations"] <= 16
+
+    def test_gd_sequence_budget_checked_first(self):
+        """The homogeneous-sum cells of s_1..s_D (D(D+1)/2 per map per
+        evaluation) are checked against dimension.GD_CELL_CAP before any
+        root, so a huge depth exits 3 at once rather than in O(D^2) time
+        (the timeout turns a hang into a failure)."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfsdim.cli", "attractor-dim", TWO_GROUP,
+             "--gd-depth", "100000"],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3
+        assert "homogeneous-sum cells" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestPhiAndEntropy:
     def test_phi_with_mc(self, capsys):
@@ -199,17 +226,43 @@ class TestFourCorner:
         assert rep["measure_dimension"]["raw"] == pytest.approx(rep["s"],
                                                                 abs=1e-9)
 
+    @pytest.mark.parametrize("spec", ["uniform", "natural"])
+    def test_set_dimension_below_one_half(self, spec, tmp_path, capsys):
+        """gamma all 0.01 and lambda all 0.005 meet the open-set and
+        domination conditions, and the natural-weight root is the equal-ratio
+        closed form 1 + log(1/(4 gamma)) / log(lambda) = 0.392472..., below
+        the 0.5 an earlier fixed bracket started at."""
+        path = write_descriptor(tmp_path, SMALL_4C)
+        code, out, _ = run_main(["fourcorner", path, "--probabilities", spec],
+                                capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["conditions"]["open_set_ok"]
+        assert rep["conditions"]["domination_ok"]
+        closed = 1.0 + math.log(1.0 / (4 * 0.01)) / math.log(0.005)
+        assert abs(rep["s"] - closed) <= 1e-12
+
+    def test_no_positive_natural_root(self, tmp_path, capsys):
+        """sum gamma_i / lambda_i = 0.08 <= 1: the natural-weight excess is
+        negative from s = 0 on, so its root is not positive (exit 2)."""
+        path = write_descriptor(tmp_path, {
+            "type": "four_corner", "gamma": [[0.01, 0.01], [0.01, 0.01]],
+            "lambda": [[0.5, 0.5], [0.5, 0.5]]})
+        code, _, err = run_main(["fourcorner", path], capsys)
+        assert code == 2
+        assert "no positive root" in err
+
     def test_natural_equation_solved_once_per_use(self, monkeypatch, capsys):
         """--probabilities natural and the set dimension each solve it once,
         and every reported value comes from the set-dimension report."""
         solves = []
-        natural_p = fourcorner.natural_p
+        natural_root = fourcorner._natural_root
 
         def counted(*args, **kwargs):
             solves.append(args)
-            return natural_p(*args, **kwargs)
+            return natural_root(*args, **kwargs)
 
-        monkeypatch.setattr(fourcorner, "natural_p", counted)
+        monkeypatch.setattr(fourcorner, "_natural_root", counted)
         code, out, _ = run_main(["fourcorner", FOUR_CORNER,
                                  "--probabilities", "natural"], capsys)
         assert code == 0
@@ -312,7 +365,9 @@ OUTPUT_SHAPES = {
         "$.box_fit.r2": "float", "$.box_fit.scales": "array",
         "$.box_fit.scales[]": "int", "$.box_fit.slope": "float",
         "$.box_fit.window": "array", "$.box_fit.window[]": "int",
-        "$.diagnostics": "object", "$.diagnostics.bracket_hi": "float",
+        "$.diagnostics": "object", "$.diagnostics.bracket": "array",
+        "$.diagnostics.bracket[]": "float",
+        "$.diagnostics.evaluations": "int",
         "$.dimension": "float", "$.gd_delta": "float",
         "$.gd_sequence": "array", "$.gd_sequence[]": "float",
         "$.method": "str", "$.raw": "float", "$.tolerance": "float",
@@ -392,12 +447,15 @@ OUTPUT_SHAPES = {
         "$.measure_dimension.tolerance": "float", "$.natural_p": "array",
         "$.natural_p[]": "float", "$.s": "float", "$.set_dimension": "object",
         "$.set_dimension.diagnostics": "object",
+        "$.set_dimension.diagnostics.bracket": "array",
+        "$.set_dimension.diagnostics.bracket[]": "float",
         "$.set_dimension.diagnostics.certified": "bool",
         "$.set_dimension.diagnostics.conditions": "object",
         "$.set_dimension.diagnostics.conditions.domination_ok": "bool",
         "$.set_dimension.diagnostics.conditions.domination_violations": "array",
         "$.set_dimension.diagnostics.conditions.open_set_ok": "bool",
         "$.set_dimension.diagnostics.conditions.open_set_violations": "array",
+        "$.set_dimension.diagnostics.evaluations": "int",
         "$.set_dimension.diagnostics.natural_p": "array",
         "$.set_dimension.diagnostics.natural_p[]": "float",
         "$.set_dimension.diagnostics.s": "float",
@@ -688,6 +746,7 @@ class TestExitCodes:
         (["rw-entropy", TWO_GROUP, "--depth", "200"], 0),
         (["rw-entropy", TWO_GROUP, "--depth", "-1"], 2),
         (["attractor-dim", TWO_GROUP, "--gd-depth", "-2"], 2),
+        (["attractor-dim", TWO_GROUP, "--gd-depth", "-100000"], 2),
         (["attractor-dim", TWO_GROUP, "--box", "2"], 2),
         (["estimate", CANTOR, "--kind", "box1d", "--m-lo", "10",
           "--m-hi", "5"], 2),
@@ -723,7 +782,8 @@ class TestExitCodes:
           "--m-lo", "28", "--m-hi", "31"], 0),
     ], ids=["natural-on-line-system", "fourcorner-default-p",
             "truncated-json", "json-string", "nan-weight", "depth-200",
-            "depth-negative", "gd-depth-negative", "box-below-first-scale",
+            "depth-negative", "gd-depth-negative",
+            "gd-depth-negative-past-cap", "box-below-first-scale",
             "m-lo-above-m-hi", "box2d-no-points", "one-scale",
             "n-max-negative", "phi-tol-zero", "fourcorner-tol-zero",
             "phi-term-cap", "fourcorner-point-mass-projection",

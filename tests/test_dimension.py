@@ -7,13 +7,15 @@ import sys as _sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfsdim import (CFSystem, ProbVector, ValidationError, attractor_dimension,
-                    dimension, gd_dimension, gd_matrix, lyapunov,
-                    measure_dimension, phi_series, shannon_entropy,
-                    similarity_dimension, spectral_radius)
-from identities import (bn_matrix_check, gd_limit_matrix, perron_root,
-                        special_det)
+from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                    attractor_dimension, dimension, gd_dimension, gd_matrix,
+                    load_system, lyapunov, measure_dimension, phi_series,
+                    shannon_entropy, similarity_dimension, spectral_radius)
+from conftest import config_path
+from identities import (bisect_root, bn_matrix_check, gd_limit_matrix,
+                        perron_root, special_det)
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
 
@@ -56,8 +58,9 @@ class TestMeasureDimension:
         p = ProbVector([[0.7, 0.3], [0.0]])
         rep = measure_dimension(two_group_overlap, p)
         assert (rep.dimension, rep.raw) == (0.0, 0.0)
-        assert rep.diagnostics["phi"] == -shannon_entropy(p)
-        assert rep.diagnostics["phi_tail_bound"] == 0.0
+        h = shannon_entropy(p)
+        assert rep.diagnostics["phi"] == -h
+        assert 0.0 < rep.diagnostics["phi_tail_bound"] <= 4 * math.ulp(h)
 
     def test_near_point_mass_is_zero(self, two_group_overlap):
         """All but 1e-16 of the mass in one group: the point-mass rule
@@ -180,8 +183,9 @@ class TestGDDimension:
             pytest.approx(1.0, abs=1e-9)
 
     def test_ends_at_any_positive_tolerance(self):
-        """Halving stops once the midpoint rounds to an endpoint, so a tol
-        below the float spacing still ends (in a subprocess, to time it)."""
+        """The root finder stops once the midpoint rounds to an end, so a
+        tol below the float spacing still ends (in a subprocess, to time
+        it)."""
         code = ("from cfsdim import CFSystem, gd_dimension\n"
                 "sys = CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]])\n"
                 "print(repr(gd_dimension(sys, 2, tol=1e-300)))")
@@ -207,17 +211,142 @@ class TestGDDimension:
 
     def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
         """The bracket starts at g(0), and no point is evaluated twice."""
-        seen = []
-        real = dimension.gd_matrix
-
-        def counted(sys, s, depth):
-            seen.append(s)
-            return real(sys, s, depth)
-
-        monkeypatch.setattr(dimension, "gd_matrix", counted)
+        seen = _count_gd_matrix(monkeypatch)
         gd_dimension(two_group_overlap, 5)
         assert seen[0] == 0.0
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("name", ["two_group_overlap.json",
+                                      "all_third.json",
+                                      "rational_three_symbol.json"])
+    def test_evaluations_per_root(self, name, monkeypatch):
+        """Brent's method takes at most 16 evaluations of rho(C_n^(s)) per
+        root at the default tol, where halving took 36 or 37."""
+        sys = load_system(config_path(name))[0]
+        seen = _count_gd_matrix(monkeypatch)
+        for depth in range(1, 11):
+            seen.clear()
+            gd_dimension(sys, depth)
+            assert len(seen) <= 16, (depth, len(seen))
+
+    def test_depth_budget(self, two_group_overlap, monkeypatch):
+        """A depth past GD_CELL_CAP homogeneous-sum cells per evaluation (the
+        depth times the number of maps; for the sequence s_1..s_D,
+        D(D+1)/2 times it) is refused before any evaluation."""
+        seen = _count_gd_matrix(monkeypatch)
+        cap_depth = dimension.GD_CELL_CAP // 3
+        assert dimension.gd_cells(two_group_overlap, cap_depth) == 3 * cap_depth
+        with pytest.raises(BudgetExceeded, match="cap"):
+            gd_dimension(two_group_overlap, cap_depth + 1)
+        assert dimension.gd_cells(two_group_overlap, 1000, sequence=True) \
+            == 3 * 1000 * 1001 // 2
+        with pytest.raises(BudgetExceeded, match="cap"):
+            dimension.gd_cells(two_group_overlap, 100_000, sequence=True)
+        assert seen == []
+
+
+def _count_gd_matrix(monkeypatch) -> list:
+    """The list of exponents s at which dimension.gd_matrix is called from
+    now on."""
+    seen = []
+    real = dimension.gd_matrix
+
+    def counted(sys, s, depth):
+        seen.append(s)
+        return real(sys, s, depth)
+
+    monkeypatch.setattr(dimension, "gd_matrix", counted)
+    return seen
+
+
+def _attractor_excess(sys):
+    """F(s) - (N - 1) as the library computes it, its derivative, and a
+    bound on its rounding: each 1 - lam^s is within 3u, so a group's product
+    P of m factors, each at least P, within 4 m u; the sum of the N terms
+    below N and the last subtraction add N^2 u + u."""
+    def F(s):
+        return sum(math.prod(1.0 - float(lam)**s for lam in row)
+                   for row in sys.ratios) - (sys.n_groups - 1)
+
+    def dF(s):
+        return sum(-float(lam)**s * math.log(float(lam))
+                   * math.prod(1.0 - float(mu)**s
+                               for k, mu in enumerate(row) if k != j)
+                   for row in sys.ratios for j, lam in enumerate(row))
+
+    error = (4 * sys.n_maps + sys.n_groups**2 + 1) * 2.0**-53
+    return F, dF, error
+
+
+def _check_root(fn, root, bracket, tol, oracle, noise):
+    """root lies in a bracket on which fn changes sign, at most tol/2 wide
+    or of adjacent doubles, and within tol plus 4 ulps of the oracle's root
+    once ``noise`` is added: the width about the root where the rounding of
+    fn can set its sign, inside which the two may find different changes."""
+    lo, hi = bracket
+    assert lo <= root <= hi
+    assert hi - lo <= tol / 2 or math.nextafter(lo, math.inf) >= hi
+    flo, fhi = fn(lo), fn(hi)
+    assert flo == 0.0 or fhi == 0.0 or (flo > 0.0) != (fhi > 0.0)
+    assert abs(root - oracle) <= tol + 4 * math.ulp(max(root, oracle)) + noise
+
+
+ratio_rows = st.lists(st.lists(st.floats(0.001, 0.99), min_size=1,
+                               max_size=3), min_size=2, max_size=4)
+
+
+class TestRootFinder:
+    """Brent's method against the halving it replaced (identities.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratios=ratio_rows, exponent=st.floats(-13.0, -1.0))
+    def test_attractor_root_against_halving(self, ratios, exponent):
+        sys = CFSystem(list(range(len(ratios))), ratios)
+        tol = 10.0**exponent
+        rep = attractor_dimension(sys, tol)
+        F, dF, error = _attractor_excess(sys)
+        oracle = bisect_root(F, 0.0, 1.0, tol)
+        _check_root(F, rep.raw, rep.diagnostics["bracket"], tol, oracle,
+                    2.0 * error / dF(oracle))
+
+    @settings(max_examples=25, deadline=None)
+    @given(ratios=ratio_rows, depth=st.integers(1, 3),
+           exponent=st.floats(-12.0, -4.0))
+    def test_gd_root_against_halving(self, ratios, depth, exponent):
+        sys = CFSystem(list(range(len(ratios))), ratios)
+        tol = 10.0**exponent
+
+        def g(s):
+            return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
+
+        root, bracket, _ = dimension._root(g, 0.0, 1.0, tol)
+        assert gd_dimension(sys, depth, tol) == root
+        oracle = bisect_root(g, 0.0, 1.0, tol)
+        # rho is taken as within 1e-13, ten times the power iteration's
+        # relative stopping residual; g' by a central difference
+        slope = abs(g(oracle + 1e-5) - g(max(oracle - 1e-5, 0.0))) \
+            / (oracle + 1e-5 - max(oracle - 1e-5, 0.0))
+        _check_root(g, root, bracket, tol, oracle, 2e-13 / slope)
+
+    def test_root_at_lower_end_is_exact(self):
+        assert dimension._root(lambda s: s, 0.0, 1.0, 1e-10) == \
+            (0.0, (0.0, 0.0), 1)
+
+    def test_signs_compared_not_multiplied(self):
+        """fn(0) * fn(1) = 6e-400 underflows to 0.0, which a product test
+        would take for a sign change on [0, 1]; the root is at 3."""
+        root, (lo, hi), _ = dimension._root(
+            lambda s: 1e-200 * (3.0 - s), 0.0, 1.0, 1e-12)
+        assert abs(root - 3.0) <= 1e-12 and lo <= 3.0 <= hi
+
+    def test_doubling_until_sign_change(self):
+        """hi doubles, and lo follows the last hi, until the sign changes;
+        no sign change up to inf is a validation error."""
+        root, (lo, hi), _ = dimension._root(lambda s: 100.5 - s, 0.0, 1.0,
+                                            1e-12)
+        assert abs(root - 100.5) <= 1e-12 and 64.0 <= lo <= hi <= 128.0
+        with pytest.raises(ValidationError, match="no sign change"):
+            dimension._root(lambda s: 1.0, 0.0, 1.0, 1e-12)
 
 
 class TestSpecialDet:

@@ -4,6 +4,7 @@ entropy (closed form vs exact finite-depth brute force)."""
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -41,9 +42,23 @@ def random_p(shape, rng_vals):
 def point_mass_bound(delta, groups, others_max, heavy_members):
     """B(delta) = H2(delta) + delta log((N'-1) M) + (m-1) delta
     log(1 + 1/delta), written out from its definition."""
-    h2 = -delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
+    h2 = -delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
     return (h2 + delta * math.log((groups - 1) * others_max)
             + (heavy_members - 1) * delta * math.log(1 + 1 / delta))
+
+
+def h_rounding(h, n):
+    """gamma_{n+2} h, the rounding of an entropy h of n terms (Higham's
+    gamma_k = k u / (1 - k u), u = 2^-53), written out."""
+    k = (n + 2) * 2.0**-53
+    return k / (1 - k) * h
+
+
+def minus_h_40_digits(weights) -> Decimal:
+    """-h = sum w log w for the weights as doubles, to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return sum(Decimal(w) * Decimal(w).ln() for w in weights if w > 0)
 
 
 # All but 1e-16 of the mass in the first group of two_group_overlap
@@ -91,12 +106,27 @@ class TestPhiSeries:
         assert res.tail_bound <= 1e-12
 
     def test_point_mass_is_minus_h(self, two_group_overlap):
-        """One group holds all the mass: h_RW = 0, so Phi = -h exactly."""
+        """One group holds all the mass: h_RW = 0, so Phi = -h, and the
+        bound is the rounding of h alone."""
         p = ProbVector([[0.5, 0.5], [0.0]])
         res = phi_series(two_group_overlap, p)
         assert res.value == -math.log(2)
-        assert res.tail_bound == 0.0
+        assert res.tail_bound == pytest.approx(h_rounding(math.log(2), 2),
+                                               rel=1e-12, abs=0)
         assert (res.method, res.terms_used) == ("point-mass", 0)
+
+    @pytest.mark.parametrize("weights", [
+        [[0.7, 0.2, 0.1], [0.0]], [[0.45, 0.35, 0.2], [0.0]]])
+    def test_point_mass_bound_covers_rounding_of_h(self, weights):
+        """-h as computed is off by about an ulp (1.2e-16 and 1.1e-16 here),
+        which a bound of 0.0 left out; both evaluators' bounds cover it."""
+        sys = CFSystem([0.0, 1.0], [[0.3, 0.2, 0.1], [0.25]])
+        p = ProbVector(weights)
+        ref = minus_h_40_digits(weights[0])
+        for res in (phi_series(sys, p), phi_monte_carlo(sys, p, 10, seed=0)):
+            err = abs(Decimal(res.value) - ref)
+            assert 0 < err <= Decimal(res.tail_bound)
+            assert res.tail_bound <= 8 * math.ulp(res.value)
 
     def test_one_symbol_point_mass_is_plus_zero(self, two_group_overlap):
         """h = 0, and Phi = 0.0 - h prints as 0.0, not -0.0."""
@@ -112,7 +142,8 @@ class TestPhiSeries:
         assert res.method == "point-mass"
         assert res.value == -shannon_entropy(p)
         assert res.tail_bound == pytest.approx(
-            point_mass_bound(1e-16, 2, 1, 2), rel=1e-12)
+            point_mass_bound(1e-16, 2, 1, 2)
+            + h_rounding(shannon_entropy(p), 3), rel=1e-12, abs=0)
         assert 7e-15 < res.tail_bound <= 1e-14
 
     def test_rule_needs_bound_below_tol(self, two_group_overlap):

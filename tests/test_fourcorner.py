@@ -14,8 +14,9 @@ from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, phi_xy, set_dimension_4c, shannon_entropy,
                     validate_4c)
-from cfsdim.fourcorner import (chaos_game_points, render_attractor_ppm,
-                               render_cylinders_svg, _cylinders)
+from cfsdim.fourcorner import (RootOutsideBracket, chaos_game_points,
+                               render_attractor_ppm, render_cylinders_svg,
+                               _cylinders)
 
 # Frozen root of sum gamma_i * lambda_i^{s-1} = 1 at the reference
 # parameters, from the bisection oracle at tol 1e-14.
@@ -108,14 +109,14 @@ class TestPhiXY:
         assert vx == pytest.approx(vy, abs=1e-14)
 
     @pytest.mark.parametrize("weights, bound", [
-        ([0.5, 0.5, 0.0, 0.0], 0.0),
+        ([0.5, 0.5, 0.0, 0.0], 4 * math.ulp(math.log(2))),
         ([0.5, 0.5, 1e-16, 0.0], 1e-14),
     ], ids=["point-mass", "mass-rounding-to-one"])
     def test_coordinate_group_holding_all_mass_gives_minus_h(
             self, four_corner_main, weights, bound):
         """The x grouping holds all the mass in one group, exactly or up to
         1e-16 (0.5 + 0.5 + 1e-16 rounds to 1): Phi_x = -h, within the
-        point-mass bound."""
+        point-mass bound and the rounding of h."""
         p = FourCornerProb(weights)
         h = shannon_entropy(p.x_grouping())
         x_line = CFSystem([0.0, 1.0], four_corner_main.gamma)
@@ -158,6 +159,25 @@ class TestNaturalP:
         assert sum(prob.p) == pytest.approx(1.0, abs=1e-12)
         assert prob.p[0] == pytest.approx(0.478740137, abs=1e-8)
         assert prob.p[1] == pytest.approx(0.021259863, abs=1e-8)
+
+    @pytest.mark.parametrize("g, l", [(0.01, 0.005), (0.2, 0.1),
+                                      (0.3, 0.01), (0.45, 0.99)])
+    def test_equal_ratio_closed_form(self, g, l):
+        """Every gamma g and every lambda l: 4 g l^(s-1) = 1 gives
+        s = 1 + log(1/(4g)) / log(l), here 0.39, 0.90, 1.04 and 59.5; the
+        first and last lie outside the fixed bracket [0.5, 3] used before."""
+        prob, s = natural_p(FourCornerSystem([[g, g], [g, g]], [[l, l], [l, l]]))
+        closed = 1.0 + math.log(1.0 / (4 * g)) / math.log(l)
+        assert abs(s - closed) <= 1e-12 * max(1.0, closed)
+        assert prob.p == pytest.approx((0.25,) * 4, abs=1e-12)
+
+    def test_root_not_positive_refused(self):
+        """4 gamma / lambda = 0.89 <= 1: the excess is negative from s = 0
+        on, so the root 1 + log(2.5) / log(0.45) = -0.15 is not positive."""
+        sys = FourCornerSystem([[0.1, 0.1], [0.1, 0.1]],
+                               [[0.45, 0.45], [0.45, 0.45]])
+        with pytest.raises(RootOutsideBracket, match="no positive root"):
+            natural_p(sys)
 
     def test_root_satisfies_equation(self, four_corner_main):
         _, s = natural_p(four_corner_main)
