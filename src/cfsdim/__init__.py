@@ -21,8 +21,7 @@ _EXPORTS = {
     "dimension": ("DimensionReport", "attractor_dimension", "gd_dimension",
                   "gd_matrix", "measure_dimension", "similarity_dimension",
                   "spectral_radius"),
-    "separation": ("ProbeResult", "SeparationReport", "collision_buckets",
-                   "esc_probe", "min_gap"),
+    "separation": ("ProbeResult", "SeparationReport", "esc_probe", "min_gap"),
     "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
                    "chaos_game_points", "chis", "measure_dimension_4c",
                    "natural_p", "phi_xy", "render_attractor_ppm",

@@ -1,26 +1,29 @@
 """Finite-depth empirical probe of exponential separation.
 
-For each depth n, words with equal contraction product are bucketed, exact
-overlaps (equal block signature) are quotiented out, and the minimum gap
-|Pi(w1) - Pi(w2)| over remaining same-bucket pairs is reported together with
-the implied separation exponent -log2(gap)/n.  The probe never certifies the
-asymptotic condition; its verdicts are consistent-up-to-n, violated-with-
-witness, or indeterminate.
+For each depth n, one pass over the signature walk buckets every block
+signature by its contraction product: exact overlaps (equal signature) are
+already quotiented out, as the walk yields each signature once.  The minimum
+gap |Pi(w1) - Pi(w2)| over same-bucket pairs, the adjacent pairs once each
+bucket is sorted by Pi, is reported together with the implied separation
+exponent -log2(gap)/n.  The probe never certifies the asymptotic condition;
+its verdicts are consistent-up-to-n, violated-with-witness, or
+indeterminate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .ifs import BudgetExceeded, CFSystem, Report, ValidationError
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
 # The one cap on the signature walk, checked before it starts.  A bucketed
-# class record holds about 1 KB resident (142 MB at the 121 393 classes of
-# rational_three_symbol at depth 12), so the cap is about 10 GB.
+# class, its Pi value and signature, holds about 330 B resident (a 55 MB
+# peak, 39 MB over the interpreter, at the 121 393 classes of
+# rational_three_symbol at depth 12), so the cap is about 3 GB.
 DEFAULT_CLASS_BUDGET = 10**7
 
 
@@ -63,63 +66,44 @@ def count_classes(sys: CFSystem, n: int) -> int:
     return total[n]
 
 
-def collision_buckets(sys: CFSystem, n: int) -> List[list]:
-    """Buckets of signature records with equal contraction product.
+def min_gap(sys: CFSystem, n: int) -> SeparationReport:
+    """Minimum projection gap over pairs of distinct signatures with equal
+    contraction product.
 
-    Rational mode buckets by the exact product.  Float mode buckets by count
-    vector (the generic case) and then merges buckets whose products agree to
-    relative 1e-12, catching multiplicative relations between the ratios.
+    Rational mode buckets by the exact product.  Float mode sorts the
+    products and merges those that agree to relative FLOAT_MERGE_RTOL: the
+    roundings of one count vector's product, and any multiplicative
+    relation between the ratios.
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
-    count_classes(sys, n)
-    rational = sys.mode == "rational"
-    key = 2 if rational else 1          # the product or the count vector
+    class_count = count_classes(sys, n)
     buckets: dict = {}
-    for rec in signature_classes(sys, n):
-        buckets.setdefault(rec[key], []).append(rec)
-    if rational:
-        return list(buckets.values())
-    # merge count-vector buckets with numerically equal products
-    keyed = sorted(buckets.values(), key=lambda bucket: bucket[0][2])
-    merged: List[list] = []
-    last_prod = None
-    for bucket in keyed:
-        prod = bucket[0][2]
-        if last_prod is not None and abs(prod - last_prod) <= FLOAT_MERGE_RTOL * abs(prod):
-            merged[-1].extend(bucket)
-        else:
-            merged.append(list(bucket))
-        last_prod = prod
-    return merged
-
-
-def min_gap(sys: CFSystem, n: int) -> SeparationReport:
-    """Minimum projection gap over same-bucket pairs of distinct signatures."""
-    buckets = collision_buckets(sys, n)
-    class_count = sum(len(b) for b in buckets)
-    best = None
-    witness = None
-    exact_zero = False
-    for bucket in buckets:
-        if len(bucket) < 2:
-            continue
-        bucket = sorted(bucket, key=lambda rec: rec[3])
-        for (sig_a, _, _, pa), (sig_b, _, _, pb) in zip(bucket, bucket[1:]):
-            gap = pb - pa
-            if gap == 0:
-                exact_zero = True
-                best = 0
-                witness = (sig_a, sig_b)
-                break
-            if best is None or gap < best:
-                best = gap
-                witness = (sig_a, sig_b)
-        if exact_zero:
+    for sig, prod, pi in signature_classes(sys, n):
+        buckets.setdefault(prod, []).append((pi, sig))
+    if sys.mode == "rational":
+        merged = buckets.values()
+    else:
+        merged, last = [], None
+        for prod in sorted(buckets):
+            if last is not None and abs(prod - last) <= FLOAT_MERGE_RTOL * abs(prod):
+                merged[-1].extend(buckets[prod])
+            else:
+                merged.append(buckets[prod])
+            last = prod
+    best = witness = None
+    for bucket in merged:
+        bucket.sort(key=lambda rec: rec[0])
+        for (pa, sig_a), (pb, sig_b) in zip(bucket, bucket[1:]):
+            if best is None or pb - pa < best:
+                best, witness = pb - pa, (sig_a, sig_b)
+                if best == 0:
+                    break
+        if best == 0:
             break
     gap = None if best is None else float(best)
     return SeparationReport(
-        depth=n, class_count=class_count, min_gap=gap, exact_zero=exact_zero,
+        depth=n, class_count=class_count, min_gap=gap, exact_zero=best == 0,
         witness=witness, witness_words=None if witness is None else
         tuple(sig.representative() for sig in witness),
         implied_b=-math.log2(gap) / n if gap else None, mode=sys.mode)

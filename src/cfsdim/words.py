@@ -50,7 +50,7 @@ class Block:
         return sum(c for _, c in self.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockSignature:
     blocks: Tuple[Block, ...]
 
@@ -71,54 +71,48 @@ class BlockSignature:
 
 def signature_classes(sys: CFSystem, n: int) -> Iterator[tuple]:
     """Each block signature of words of length n >= 1 once, as the record
-    (signature, count vector, contraction product, Pi value).
+    (signature, contraction product, Pi value).
 
     A depth-first walk over block prefixes.  Each appended block extends the
-    running symbol counts and the telescoped projection
+    running product of the ratios and the telescoped projection
     Pi(w) = f_w(0) = t_1 + sum_k Lambda_k (t_{k+1} - t_k) - Lambda_m t_m,
     where t_k is the k-th block's fixed point and Lambda_k the product of the
     ratios of the first k blocks; it is the intercept of the composed map
     f_{w_1} o ... o f_{w_n}.
-    The product is the exact running scale in rational mode and the product
-    over the sorted count vector in float mode.
+    The product starts at the integer 1, so it is exact in rational mode.
     """
-    rational = sys.mode == "rational"
-    one = 1.0
-    if rational:
-        from fractions import Fraction
-        one = Fraction(1)
-    counts = {(s.group, s.member): 0 for s in sys.symbols()}  # sorted keys
-    blocks: list = []
+    def group_blocks(g, row, length):
+        # reversed, the multisets come in ascending count-vector order
+        for combo in reversed(list(itertools.combinations_with_replacement(
+                range(1, len(row) + 1), length))):
+            block = Block(g, tuple((m, len(list(run)))
+                                   for m, run in itertools.groupby(combo)))
+            yield block, math.prod(row[m - 1] ** c for m, c in block.counts)
+
+    # blocks[g - 1][l]: the (block, ratio product) pairs of group g and
+    # length l, built once per walk and shared by every signature
+    blocks = [[list(group_blocks(g, row, length)) for length in range(n + 1)]
+              for g, row in enumerate(sys.ratios, 1)]
+    path: list = []
 
     def rec(remaining: int, prev_group: int, value, scale, t_prev):
         # value: the telescoped sum up to the last block's fixed point;
         # scale: the product of the ratios of all blocks so far
-        for g, (t, row) in enumerate(zip(sys.fixed_points, sys.ratios), 1):
+        for g, t in enumerate(sys.fixed_points, 1):
             if g == prev_group:
                 continue
-            g_value = t if prev_group == 0 else value + scale * (t - t_prev)
+            g_value = value + scale * (t - t_prev)
             for length in range(1, remaining + 1):
-                # reversed, the multisets come in ascending count-vector order
-                for combo in reversed(list(itertools.combinations_with_replacement(
-                        range(1, len(row) + 1), length))):
-                    block = Block(g, tuple((m, len(list(run)))
-                                           for m, run in itertools.groupby(combo)))
-                    lam = math.prod((row[m - 1] ** c for m, c in block.counts),
-                                    start=one)
-                    for member, count in block.counts:
-                        counts[g, member] += count
-                    blocks.append(block)
+                for block, lam in blocks[g - 1][length]:
+                    path.append(block)
                     g_scale = scale * lam
                     if length < remaining:
                         yield from rec(remaining - length, g, g_value, g_scale, t)
                     else:
-                        cv = tuple((k, c) for k, c in counts.items() if c)
-                        prod = g_scale if rational else math.prod(
-                            sys.ratios[i - 1][j - 1] ** c for (i, j), c in cv)
-                        yield (BlockSignature(tuple(blocks)), cv, prod,
+                        yield (BlockSignature(tuple(path)), g_scale,
                                g_value - g_scale * t)
-                    blocks.pop()
-                    for member, count in block.counts:
-                        counts[g, member] -= count
+                    path.pop()
 
-    yield from rec(n, 0, None, one, None)
+    # the empty prefix: sum 0, scale 1, fixed point 0, so a first block's
+    # g_value is its own fixed point
+    yield from rec(n, 0, 0, 1, 0)

@@ -666,9 +666,9 @@ print(json.dumps({
             "ProbeResult", "RWEntropyResult", "ScalingFit",
             "SeparationReport", "Symbol", "ValidationError", "Word",
             "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
-            "chaos_game_points", "chis", "collision_buckets",
-            "cover_boxes_1d", "entropy_slope", "esc_probe", "gd_dimension",
-            "gd_matrix", "load_system", "lyapunov", "map_of",
+            "chaos_game_points", "chis", "cover_boxes_1d", "entropy_slope",
+            "esc_probe", "gd_dimension", "gd_matrix", "load_system",
+            "lyapunov", "map_of",
             "measure_dimension", "measure_dimension_4c", "min_gap",
             "natural_p", "phi_lower_bound", "phi_monte_carlo", "phi_series",
             "phi_xy", "prune_zeros", "render_attractor_ppm",
@@ -676,7 +676,7 @@ print(json.dumps({
             "rw_entropy_closed", "set_dimension_4c", "shannon_entropy",
             "similarity_dimension", "spectral_radius", "validate_4c",
             "validate_probabilities", "validate_system"]
-        assert len(cfsdim.__all__) == 52
+        assert len(cfsdim.__all__) == 51
 
 
 class TestProbabilitiesRule:

@@ -109,7 +109,7 @@ class TestComposition:
         right = maps[-1]
         for m in reversed(maps[:-1]):
             right = m.compose(right)
-        assert left.ratio == pytest.approx(right.ratio, rel=1e-12)
+        assert left.ratio == pytest.approx(right.ratio, rel=1e-12, abs=0)
         assert left.intercept == pytest.approx(right.intercept, abs=1e-12)
 
 

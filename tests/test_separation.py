@@ -1,18 +1,19 @@
 """Finite-depth separation probe: collision buckets, minimum gaps, exact
 coincidence detection."""
 
+import itertools
 import math
 import subprocess
 import sys
 
 import pytest
 
-from cfsdim import (BudgetExceeded, CFSystem, ValidationError,
-                    collision_buckets, esc_probe, min_gap, separation)
+from cfsdim import (BudgetExceeded, CFSystem, ValidationError, esc_probe,
+                    min_gap, separation)
 from cfsdim.separation import count_classes
 from cfsdim.words import signature_classes
 from conftest import config_path
-from oracles import compose, word, word_records
+from oracles import compose, count_vector, word, word_records
 
 
 @pytest.fixture
@@ -33,39 +34,41 @@ def coincidence_system():
                     mode="rational")
 
 
-class TestCollisionBuckets:
-    def test_depth_one_all_separate(self, rational_three_symbol):
-        buckets = collision_buckets(rational_three_symbol, 1)
-        assert all(len(b) == 1 for b in buckets)
-        assert len(buckets) == 3
+@pytest.fixture
+def halves_quarter():
+    """Two one-map groups, of ratios 1/2 and 1/4."""
+    return CFSystem(["0", "1"], [["1/2"], ["1/4"]], mode="rational")
 
-    def test_rational_exact_product_merge(self):
-        # (1/2)^2 = 1/4: count vectors (2,0) and (0,?) cannot collide at equal
-        # length here, but (1,1)(1,1) vs (2,1)(1,1)-type products do at n=3
-        sys = CFSystem(["0", "1"], [["1/2"], ["1/4"]], mode="rational")
-        buckets = collision_buckets(sys, 3)
-        for bucket in buckets:
-            prods = {rec[2] for rec in bucket}
-            assert len(prods) == 1
+
+class TestCollisionBuckets:
+    """The buckets of equal contraction product that min_gap compares
+    within, seen through its reports."""
+
+    def test_depth_one_all_separate(self, rational_three_symbol):
+        rep = min_gap(rational_three_symbol, 1)
+        assert rep.class_count == 3
+        assert (rep.min_gap, rep.witness) == (None, None)
+
+    def test_rational_exact_product_merge(self, halves_quarter):
+        for n in (2, 3, 4):
+            m1, m2 = (compose(halves_quarter, w)
+                      for w in min_gap(halves_quarter, n).witness_words)
+            assert m1.ratio == m2.ratio
 
     def test_float_generic_buckets_are_count_vectors(self, two_group_overlap):
-        buckets = collision_buckets(two_group_overlap, 4)
-        for bucket in buckets:
-            cvs = {rec[1] for rec in bucket}
-            assert len(cvs) == 1  # generic ratios: no cross-cv merges
+        for n in range(2, 7):
+            w1, w2 = min_gap(two_group_overlap, n).witness_words
+            assert count_vector(w1) == count_vector(w2)  # no cross-cv merges
 
-    def test_same_product_same_bucket(self):
-        sys = CFSystem(["0", "1"], [["1/2"], ["1/4"]], mode="rational")
-        # length 2: (1,1)(1,1) has product 1/4 = product of any word with one
-        # (2,1) and one ... no same-length partner; verify partition is total
-        buckets = collision_buckets(sys, 2)
-        assert sum(len(b) for b in buckets) == \
-            len({rec[0] for b in buckets for rec in b})
+    def test_same_product_same_bucket(self, halves_quarter):
+        # every class is bucketed once: the partition is total
+        assert min_gap(halves_quarter, 2).class_count == \
+            len({sig for sig, _, _ in word_records(halves_quarter, 2)})
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_depth_below_one_rejected(self, rational_three_symbol, n):
         with pytest.raises(ValidationError):
-            collision_buckets(rational_three_symbol, n)
+            min_gap(rational_three_symbol, n)
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_class_budget(self, rational_three_symbol, two_group_overlap,
@@ -122,7 +125,7 @@ class TestClassCap:
         with pytest.raises(BudgetExceeded, match="21 classes at depth 3"):
             esc_probe(two_group_overlap, 3)
         with pytest.raises(BudgetExceeded):
-            collision_buckets(two_group_overlap, 3)
+            min_gap(two_group_overlap, 3)
 
     def test_deep_probe_exits_at_once(self):
         """At n = 40 the walk would run for hours; the count stops it."""
@@ -176,6 +179,38 @@ class TestMinGap:
         rep = min_gap(two_group_overlap, 6)
         assert rep.implied_b == pytest.approx(
             -math.log2(rep.min_gap) / 6, rel=1e-12)
+
+
+def _word_min_gap(sys, n):
+    """The minimum |Pi| gap over same-scale pairs of distinct signatures,
+    and the class count, from every word of length n.  The scale is the
+    exact ratio in rational mode and the count vector in float mode, where
+    the ratios are generic."""
+    buckets: dict = {}
+    for sig, m, _ in word_records(sys, n):
+        scale = m.ratio if sys.mode == "rational" else \
+            tuple(sorted(count_vector(sig.representative()).items()))
+        buckets.setdefault(scale, {})[sig] = m.intercept
+    gaps = [abs(a - b) for bucket in buckets.values()
+            for a, b in itertools.combinations(bucket.values(), 2)]
+    return min(gaps, default=None), sum(map(len, buckets.values()))
+
+
+class TestMinGapAgainstWords:
+    @pytest.mark.parametrize("name", [
+        "rational_three_symbol", "coincidence_system", "halves_quarter",
+        "two_group_overlap"])
+    def test_matches_word_brute_force(self, name, request):
+        sys = request.getfixturevalue(name)
+        for n in range(1, 7):
+            gap, classes = _word_min_gap(sys, n)
+            rep = min_gap(sys, n)
+            assert rep.class_count == classes
+            assert rep.exact_zero == (gap == 0)
+            if gap is None or sys.mode == "rational":
+                assert rep.min_gap == (None if gap is None else float(gap))
+            else:
+                assert rep.min_gap == pytest.approx(gap, rel=1e-9, abs=0)
 
 
 class TestEscProbe:
