@@ -12,7 +12,7 @@ import argparse
 import json
 import sys as _sys
 
-from .ifs import (BudgetExceeded, ProbVector, Report, ValidationError,
+from .ifs import (BudgetExceeded, ProbVector, ValidationError, _json_value,
                   check_shape, load_system)
 
 EXIT_OK = 0
@@ -34,9 +34,10 @@ EXIT_CODES = (
 
 
 def _emit(obj, args) -> None:
-    """Write ``obj`` as JSON: a report, or a dict that may hold reports."""
-    text = json.dumps(obj, indent=2, sort_keys=True,
-                      default=Report.to_json_dict)
+    """Write ``obj`` as JSON: a report, or a dict that may hold reports.
+    It converts first: ``json`` writes a report, a named tuple, as an
+    array."""
+    text = json.dumps(_json_value(obj), indent=2, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

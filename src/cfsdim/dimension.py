@@ -11,12 +11,11 @@ depth the equation is the attractor equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import BudgetExceeded, CFSystem, ProbVector, Report, \
-    ValidationError, check_tol
+from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
+    _json_value, check_tol
 
 ROOT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -31,13 +30,13 @@ class NonConvergence(BudgetExceeded):
     pass
 
 
-@dataclass(frozen=True)
-class DimensionReport(Report):
+class DimensionReport(NamedTuple):
     dimension: float             # capped to [0, 1]
     raw: float                   # uncapped root / ratio
     method: str
     tolerance: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
+    to_json_dict = _json_value   # a report's JSON, by ifs._json_value
 
 
 def _root(fn, lo: float, hi: float, tol: float) -> tuple:

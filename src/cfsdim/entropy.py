@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, Report,
-                  ValidationError, check_samples, check_shape, check_tol,
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                  _gamma, _json_value, check_samples, check_shape, check_tol,
                   prune_zeros)
 
 DEFAULT_TOL = 1e-10
@@ -32,23 +31,23 @@ class RunTooLong(BudgetExceeded):
     """A Monte-Carlo run stayed inside one group past the step cap."""
 
 
-@dataclass(frozen=True)
-class PhiResult(Report):
+class PhiResult(NamedTuple):
     value: float
     tail_bound: float
     terms_used: int
     method: str                      # "series" | "point-mass" | "monte-carlo"
     stderr: Optional[float] = None
+    to_json_dict = _json_value       # a report's JSON, by ifs._json_value
 
 
-@dataclass(frozen=True)
-class RWEntropyResult(Report):
+class RWEntropyResult(NamedTuple):
     value: float
     method: str                      # "closed-form" | "brute-force"
     depth: Optional[int] = None      # depth, increments: brute force only
     increments: Optional[tuple] = None   # H_2 - H_1, ..., H_n - H_{n-1}
-    entropies: tuple = field(default=(),   # H_1, ..., H_n, never printed
-                             metadata={"json": False})
+    entropies: tuple = ()            # H_1, ..., H_n, never printed
+    _json_hidden = ("entropies",)
+    to_json_dict = _json_value
 
 
 def shannon_entropy(p: ProbVector) -> float:
@@ -117,11 +116,6 @@ def _truncation_depth(rho: float, tol: float) -> int:
 def _tail_bound(rho: float, k: int) -> float:
     return (rho ** (k + 1)) / (1.0 - rho) * (
         math.log(k + 2) + 1.0 / ((1.0 - rho) * (k + 2)))
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u = ulp(0.5) the unit roundoff."""
-    return n * math.ulp(0.5) / (1.0 - n * math.ulp(0.5))
 
 
 def _row_cells(row, n: int) -> int:

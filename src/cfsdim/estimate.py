@@ -9,11 +9,10 @@ counting so the dyadic grids are anchored consistently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, Report,
-                  ValidationError, check_samples, check_shape, map_of)
+from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
+                  _json_value, check_samples, check_shape, map_of)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 # the largest scale exponent m for which box2d's cell key x * 2^m + y fits
@@ -21,13 +20,13 @@ DEFAULT_COVER_BUDGET = 5_000_000
 MAX_SCALE = 31
 
 
-@dataclass(frozen=True)
-class ScalingFit(Report):
+class ScalingFit(NamedTuple):
     scales: tuple
     counts: tuple             # box counts or entropies per scale
     slope: float
     r2: float
     window: tuple             # (m_lo, m_hi) actually used in the fit
+    to_json_dict = _json_value    # a report's JSON, by ifs._json_value
 
 
 def _fit(xs, ys) -> tuple:
@@ -69,12 +68,6 @@ def _scaling_fit(ms: list, window: list, counts: list,
                       r2=r2, window=(window[0], window[-1]))
 
 
-def _attractor_interval(sys: CFSystem) -> tuple:
-    t_min = float(min(sys.fixed_points))
-    t_max = float(max(sys.fixed_points))
-    return t_min, t_max
-
-
 def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     """(upper, lower) dyadic box counts at scale 2^-m.
 
@@ -85,7 +78,7 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     point are the same map and have the same subtree, so each distinct
     (ratio, intercept) pair is refined once.
     """
-    t_min, t_max = _attractor_interval(sys)
+    t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
     maps = {(float(mp.ratio), float(mp.intercept))
             for mp in (map_of(sys, s) for s in sys.symbols())}
@@ -174,7 +167,7 @@ def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
     dim(mu) as H(mu_hat, D_m) / (m log 2)."""
     import numpy as np
     ms, window = _window(m_range)
-    t_min, t_max = _attractor_interval(sys)
+    t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
     xs = sample_measure_points(sys, p, samples, min_scale=max(ms) + 2,
                                seed=seed)

@@ -10,13 +10,12 @@ corrections by the Ledrappier-Young rule, in four cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _refuse, check_samples, weight_errors)
+                  _Value, _refuse, check_samples, weight_errors)
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
@@ -35,13 +34,11 @@ class RootOutsideBracket(ValidationError):
     """The natural-weight equation has no positive root."""
 
 
-@dataclass(frozen=True)
-class FourCornerSystem:
+class FourCornerSystem(_Value):
     """gamma are the x-contractions, lam the y-contractions, both 2x2:
     row 1 holds the ratios of the maps fixed at coordinate 0."""
 
-    gamma: tuple
-    lam: tuple
+    __slots__ = ("gamma", "lam")
 
     def __init__(self, gamma: Sequence[Sequence[float]],
                  lam: Sequence[Sequence[float]]):
@@ -80,9 +77,8 @@ class FourCornerSystem:
         return cls(d["gamma"], d["lambda"])
 
 
-@dataclass(frozen=True)
-class FourCornerProb:
-    p: tuple
+class FourCornerProb(_Value):
+    __slots__ = ("p",)
 
     def __init__(self, p: Sequence[float]):
         vals = tuple(float(v) for v in p)
@@ -107,28 +103,20 @@ def validate_4c(sys: FourCornerSystem) -> dict:
     """Check the rectangular-open-set inequalities and (separately) the
     domination inequalities; report-style output."""
     g, l = sys.gamma, sys.lam
-    base = []
-    if g[0][0] + g[1][0] > 1:
-        base.append("gamma11 + gamma21 > 1")
-    if g[0][1] + g[1][1] > 1:
-        base.append("gamma12 + gamma22 > 1")
-    if l[0][0] + l[1][0] > 1:
-        base.append("lambda11 + lambda21 > 1")
-    if l[0][1] + l[1][1] > 1:
-        base.append("lambda12 + lambda22 > 1")
-    if min(g[0][1] + g[1][0], l[0][1] + l[1][0]) > 1:
-        base.append("min(gamma12+gamma21, lambda12+lambda21) > 1")
-    if min(g[0][0] + g[1][1], l[0][0] + l[1][1]) > 1:
-        base.append("min(gamma11+gamma22, lambda11+lambda22) > 1")
-    dom = []
-    if l[0][0] > g[0][0]:
-        dom.append("lambda11 > gamma11")
-    if l[1][1] > g[1][1]:
-        dom.append("lambda22 > gamma22")
-    if l[0][1] > g[1][0]:
-        dom.append("lambda12 > gamma21")
-    if l[1][0] > g[0][1]:
-        dom.append("lambda21 > gamma12")
+    base = [text for broken, text in (
+        (g[0][0] + g[1][0] > 1, "gamma11 + gamma21 > 1"),
+        (g[0][1] + g[1][1] > 1, "gamma12 + gamma22 > 1"),
+        (l[0][0] + l[1][0] > 1, "lambda11 + lambda21 > 1"),
+        (l[0][1] + l[1][1] > 1, "lambda12 + lambda22 > 1"),
+        (min(g[0][1] + g[1][0], l[0][1] + l[1][0]) > 1,
+         "min(gamma12+gamma21, lambda12+lambda21) > 1"),
+        (min(g[0][0] + g[1][1], l[0][0] + l[1][1]) > 1,
+         "min(gamma11+gamma22, lambda11+lambda22) > 1")) if broken]
+    dom = [text for broken, text in (
+        (l[0][0] > g[0][0], "lambda11 > gamma11"),
+        (l[1][1] > g[1][1], "lambda22 > gamma22"),
+        (l[0][1] > g[1][0], "lambda12 > gamma21"),
+        (l[1][0] > g[0][1], "lambda21 > gamma12")) if broken]
     return {"open_set_ok": not base, "open_set_violations": base,
             "domination_ok": not dom, "domination_violations": dom}
 

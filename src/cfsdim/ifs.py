@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,24 +33,17 @@ class BudgetExceeded(RuntimeError):
     """An enumeration would visit more states than the configured budget."""
 
 
-@dataclass(frozen=True)
-class Report:
-    """A result: ``to_json_dict`` derives its JSON from the fields.  A
-    required field always appears, as null when None; a field whose default
-    is None appears only while it is not None; a field marked
-    ``metadata={"json": False}`` never appears."""
-
-    def to_json_dict(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name))
-                for f in fields(self) if f.metadata.get("json", True)
-                and not (f.default is None and getattr(self, f.name) is None)}
-
-
 def _json_value(v):
-    """``v`` as plain JSON data: reports, dicts, tuples and lists recursively,
+    """``v`` as plain JSON data.  A report (a named tuple) gives the dict of
+    its fields: a required field always appears, as null when None, one
+    whose default is None only while it is not None, and one named in
+    ``_json_hidden`` never.  Dicts, tuples and lists convert recursively,
     an object with ``to_json`` (a word or a block signature) through it."""
-    if isinstance(v, Report):
-        return v.to_json_dict()
+    if hasattr(v, "_fields"):
+        hidden, defaults = getattr(v, "_json_hidden", ()), v._field_defaults
+        return {k: _json_value(x) for k, x in zip(v._fields, v)
+                if k not in hidden
+                and not (x is None and k in defaults and defaults[k] is None)}
     if isinstance(v, dict):
         return {k: _json_value(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
@@ -59,8 +51,38 @@ def _json_value(v):
     return v.to_json() if hasattr(v, "to_json") else v
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+class _Value:
+    """Base of the value types whose constructors coerce or validate: the
+    ``__slots__`` are the fields, compared, hashed and shown in order, set
+    once by ``__init__`` through ``object.__setattr__``; as the constructor
+    takes them in order, a copy or a pickle rebuilds through it."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return (self._key() == other._key()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Symbol(NamedTuple):
     """One map of the system: ``group`` indexes the fixed point, ``member``
     the contraction ratio within that group.  Both are 1-based."""
 
@@ -68,8 +90,7 @@ class Symbol:
     member: int
 
 
-@dataclass(frozen=True)
-class AffineMap1D:
+class AffineMap1D(NamedTuple):
     """A 1-D similarity x -> ratio*x + intercept.  Two maps are equal iff
     their (ratio, intercept) pairs are."""
 
@@ -88,15 +109,16 @@ class AffineMap1D:
 def _as_mode(value, mode: str):
     if mode == "rational":
         from fractions import Fraction
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (Fraction, int, str)):
             return Fraction(value)
         raise ValidationError(
             f"rational mode requires exact inputs, got {value!r}")
     return float(value)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = ulp(0.5) the unit roundoff."""
+    return n * math.ulp(0.5) / (1.0 - n * math.ulp(0.5))
 
 
 def _refuse(errors: list) -> None:
@@ -105,15 +127,13 @@ def _refuse(errors: list) -> None:
         raise ValidationError("; ".join(errors))
 
 
-@dataclass(frozen=True)
-class CFSystem:
+class CFSystem(_Value):
     """Common-fixed-point system: ``fixed_points[i]`` is shared by the maps
-    with ratios ``ratios[i]``.  Building one that breaks validate_system's
+    with ratios ``ratios[i]`` (a ragged tuple of tuples); ``mode`` is
+    "float" or "rational".  Building one that breaks validate_system's
     rules raises ValidationError."""
 
-    fixed_points: tuple
-    ratios: tuple          # tuple of tuples, ragged
-    mode: str = "float"    # "float" | "rational"
+    __slots__ = ("fixed_points", "ratios", "mode")
 
     def __init__(self, fixed_points: Sequence, ratios: Sequence[Sequence],
                  mode: str = "float"):
@@ -172,13 +192,11 @@ class CFSystem:
         return cls(d["fixed_points"], d["ratios"], d.get("mode", "float"))
 
 
-@dataclass(frozen=True)
-class ProbVector:
+class ProbVector(_Value):
     """Probability weights aligned with a CFSystem's ragged shape.  Building
     one that breaks weight_errors' rule raises ValidationError."""
 
-    weights: tuple
-    mode: str = "float"
+    __slots__ = ("weights", "mode")
 
     def __init__(self, weights: Sequence[Sequence], mode: str = "float"):
         object.__setattr__(self, "weights",

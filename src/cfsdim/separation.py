@@ -5,18 +5,17 @@ signature by its contraction product: exact overlaps (equal signature) are
 already quotiented out, as the walk yields each signature once.  The minimum
 gap |Pi(w1) - Pi(w2)| over same-bucket pairs, the adjacent pairs once each
 bucket is sorted by Pi, is reported together with the implied separation
-exponent -log2(gap)/n.  The probe never certifies the asymptotic condition;
-its verdicts are consistent-up-to-n, violated-with-witness, or
-indeterminate.
+exponent -log2(gap)/n, unless a float gap lies within the rounding of Pi.
+The probe never certifies the asymptotic condition; its verdicts are
+consistent-up-to-n, violated-with-witness, or indeterminate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .ifs import BudgetExceeded, CFSystem, Report, ValidationError
+from .ifs import BudgetExceeded, CFSystem, ValidationError, _gamma, _json_value
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
@@ -27,8 +26,7 @@ FLOAT_MERGE_RTOL = 1e-12
 DEFAULT_CLASS_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class SeparationReport(Report):
+class SeparationReport(NamedTuple):
     depth: int
     class_count: int
     min_gap: Optional[float]          # None when no comparable pair exists
@@ -37,6 +35,7 @@ class SeparationReport(Report):
     witness_words: Optional[tuple]    # a representative word of each
     implied_b: Optional[float]
     mode: str
+    to_json_dict = _json_value        # a report's JSON, by ifs._json_value
 
 
 def count_classes(sys: CFSystem, n: int) -> int:
@@ -74,6 +73,18 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
     products and merges those that agree to relative FLOAT_MERGE_RTOL: the
     roundings of one count vector's product, and any multiplicative
     relation between the ratios.
+
+    A float gap at most twice the rounding bound E of one Pi value may be
+    an exact coincidence, so it implies no exponent (``implied_b`` None).
+    E follows the walk's evaluation order (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3): a block's ratio product takes a
+    ``pow`` (within an ulp, 2u) and a product per member, and the running
+    product Lambda_k one product per block after the first, so at most
+    3n - 1 roundings; each term Lambda_k (t_{k+1} - t_k) adds two and the
+    running sum, from the exact t_1, at most n.  So (Lemma 3.3)
+    |fl(Pi) - Pi| <= gamma_{4n+1} (|t_1| + sum_k Lambda_k |t_{k+1} - t_k|
+    + Lambda_m |t_m|) <= gamma_{4n+1} 2 max|t| sum_{k<n} lam^k = E, as
+    Lambda_k <= lam^k for the largest ratio lam.
     """
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
@@ -102,18 +113,22 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
         if best == 0:
             break
     gap = None if best is None else float(best)
+    lam = max(max(row) for row in sys.ratios)
+    resolved = gap and (sys.mode == "rational" or gap > 2 * (   # 2E
+        _gamma(4 * n + 1) * 2 * max(map(abs, sys.fixed_points))
+        * sum(lam**i for i in range(n))))
     return SeparationReport(
         depth=n, class_count=class_count, min_gap=gap, exact_zero=best == 0,
         witness=witness, witness_words=None if witness is None else
         tuple(sig.representative() for sig in witness),
-        implied_b=-math.log2(gap) / n if gap else None, mode=sys.mode)
+        implied_b=-math.log2(gap) / n if resolved else None, mode=sys.mode)
 
 
-@dataclass(frozen=True)
-class ProbeResult(Report):
+class ProbeResult(NamedTuple):
     rows: tuple                       # SeparationReport per depth
     verdict: str                      # consistent-up-to-n | violated-with-witness | indeterminate
     b_hat: Optional[float]
+    to_json_dict = _json_value
 
 
 def esc_probe(sys: CFSystem, n_max: int) -> ProbeResult:
@@ -124,20 +139,13 @@ def esc_probe(sys: CFSystem, n_max: int) -> ProbeResult:
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
     count_classes(sys, n_max)
-    rows = []
-    violated = False
-    b_hat = None
-    for n in range(2, n_max + 1):
-        rep = min_gap(sys, n)
-        rows.append(rep)
-        if rep.exact_zero and sys.mode == "rational":
-            violated = True
-        if rep.implied_b is not None:
-            b_hat = rep.implied_b if b_hat is None else max(b_hat, rep.implied_b)
-    if violated:
+    rows = tuple(min_gap(sys, n) for n in range(2, n_max + 1))
+    if sys.mode == "rational" and any(r.exact_zero for r in rows):
         verdict = "violated-with-witness"
-    elif any(r.exact_zero for r in rows):
-        verdict = "indeterminate"   # float-mode zero gap: cannot certify
+    elif any(r.min_gap is not None and r.implied_b is None for r in rows):
+        # a float gap of zero or within rounding: cannot certify
+        verdict = "indeterminate"
     else:
         verdict = f"consistent-up-to-{n_max}"
-    return ProbeResult(rows=tuple(rows), verdict=verdict, b_hat=b_hat)
+    return ProbeResult(rows=rows, verdict=verdict, b_hat=max(
+        (r.implied_b for r in rows if r.implied_b is not None), default=None))

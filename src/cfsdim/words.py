@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
-from .ifs import CFSystem, Symbol
+from .ifs import CFSystem, Symbol, _Value
 
 
-@dataclass(frozen=True)
-class Word:
-    symbols: Tuple[Symbol, ...]
+class Word(_Value):
+    __slots__ = ("symbols",)
 
     def __init__(self, symbols: Sequence[Symbol]):
         object.__setattr__(self, "symbols", tuple(symbols))
@@ -34,8 +32,7 @@ class Word:
         return [[s.group, s.member] for s in self.symbols]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A maximal run of one group: per-member occurrence counts.
 
     ``counts`` is sorted by member index; member order inside the run is
@@ -50,9 +47,11 @@ class Block:
         return sum(c for _, c in self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSignature:
-    blocks: Tuple[Block, ...]
+class BlockSignature(_Value):
+    __slots__ = ("blocks",)   # Tuple[Block, ...]
+
+    def __init__(self, blocks: Tuple[Block, ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self):
         return len(self.blocks)

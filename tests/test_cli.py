@@ -585,14 +585,18 @@ print(code, *(m in sys.modules for m in ("fractions", "decimal")))
         assert proc.stdout.split() == ["0", "False", "False"]
 
 
+# The modules of the import floor: the package's own, and the costly
+# standard ones that no cfsdim module may import (numpy imports inspect)
+FLOOR = "m.startswith('cfsdim') or m in ('dataclasses', 'inspect', 'numpy')"
+
 # Runs cfsdim.cli.main(argv) on the command line's argv and prints the
-# cfsdim modules it loaded.
-LOADED_MODULES = """
+# FLOOR modules it loaded.
+LOADED_MODULES = f"""
 import contextlib, io, sys
 import cfsdim.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cfsdim.cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("cfsdim")))
+print(code, *sorted(m for m in sys.modules if {FLOOR}))
 """
 
 
@@ -602,14 +606,17 @@ def loaded_modules(argv):
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.split()
     assert code == "0"
-    return {m.removeprefix("cfsdim.") for m in modules} - {"cfsdim", "cli"}
+    loaded = {m.removeprefix("cfsdim.") for m in modules} - {"cfsdim", "cli"}
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded or "numpy" in loaded
+    return loaded - {"inspect", "numpy"}
 
 
 class TestLazyImports:
     def test_cli_import_loads_only_ifs(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, cfsdim.cli; print(*sorted("
-             "m for m in sys.modules if m.startswith('cfsdim')))"],
+             f"m for m in sys.modules if {FLOOR}))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["cfsdim", "cfsdim.cli", "cfsdim.ifs"]
@@ -916,10 +923,13 @@ def test_library_raises_only_its_own_exceptions():
             continue
         with open(os.path.join(src, fname)) as fh:
             tree = ast.parse(fh.read(), filename=fname)
-        # a module-level __getattr__ must raise AttributeError (PEP 562)
-        in_getattr = {node for fn in tree.body
+        # the attribute protocol requires AttributeError from a module-level
+        # __getattr__ (PEP 562) and from a value type's refusing __setattr__
+        in_getattr = {node for fn in ast.walk(tree)
                       if isinstance(fn, ast.FunctionDef)
-                      and fn.name == "__getattr__" for node in ast.walk(fn)}
+                      and (fn.name == "__getattr__" and fn in tree.body
+                           or fn.name == "__setattr__")
+                      for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue

@@ -1,14 +1,19 @@
 """Domain model: construction, validation, maps, pruning, serialization."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cfsdim import (AffineMap1D, CFSystem, ProbVector, Symbol,
-                    ValidationError, entropy_slope, load_system, lyapunov,
-                    map_of, phi_series, prune_zeros, rw_entropy_closed,
+from cfsdim import (AffineMap1D, Block, BlockSignature, CFSystem,
+                    DimensionReport, FourCornerProb, FourCornerSystem,
+                    PhiResult, ProbeResult, ProbVector, RWEntropyResult,
+                    ScalingFit, SeparationReport, Symbol, ValidationError,
+                    Word, entropy_slope, load_system, lyapunov, map_of,
+                    phi_series, prune_zeros, rw_entropy_closed,
                     validate_probabilities, validate_system)
 from cfsdim.estimate import sample_measure_points
 
@@ -236,3 +241,119 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_system({"type": "nope", "fixed_points": [0, 1],
                          "ratios": [[0.5], [0.5]]})
+
+
+_BLOCK = Block(1, ((1, 2),))
+_ROW = SeparationReport(2, 3, None, False, None, None, None, "rational")
+
+# (build, the field assigned, repr, JSON of a report or None): build makes
+# a new value each call
+VALUES = [
+    (lambda: Symbol(1, 2), "group", "Symbol(group=1, member=2)", None),
+    (lambda: AffineMap1D(0.5, 0.25), "ratio",
+     "AffineMap1D(ratio=0.5, intercept=0.25)", None),
+    (lambda: CFSystem([0, 1], [[0.5], [0.25]]), "mode",
+     "CFSystem(fixed_points=(0.0, 1.0), ratios=((0.5,), (0.25,)), "
+     "mode='float')", None),
+    (lambda: CFSystem(["0", "1"], [["1/2"], ["1/4"]], mode="rational"),
+     "ratios", "CFSystem(fixed_points=(Fraction(0, 1), Fraction(1, 1)), "
+     "ratios=((Fraction(1, 2),), (Fraction(1, 4),)), mode='rational')",
+     None),
+    (lambda: ProbVector([[0.5], [0.5]]), "weights",
+     "ProbVector(weights=((0.5,), (0.5,)), mode='float')", None),
+    (lambda: Word([Symbol(1, 1), Symbol(2, 1)]), "symbols",
+     "Word(symbols=(Symbol(group=1, member=1), Symbol(group=2, member=1)))",
+     None),
+    (lambda: _BLOCK, "counts", "Block(group=1, counts=((1, 2),))", None),
+    (lambda: BlockSignature((_BLOCK,)), "blocks",
+     "BlockSignature(blocks=(Block(group=1, counts=((1, 2),)),))", None),
+    (lambda: FourCornerSystem([[0.5, 0.25], [0.25, 0.5]],
+                              [[0.5, 0.25], [0.25, 0.5]]), "lam",
+     "FourCornerSystem(gamma=((0.5, 0.25), (0.25, 0.5)), "
+     "lam=((0.5, 0.25), (0.25, 0.5)))", None),
+    (lambda: FourCornerProb([0.25] * 4), "p",
+     "FourCornerProb(p=(0.25, 0.25, 0.25, 0.25))", None),
+    # a default-None field appears only while set; a required one always
+    (lambda: PhiResult(1.0, 0.0, 3, "series"), "value",
+     "PhiResult(value=1.0, tail_bound=0.0, terms_used=3, method='series', "
+     "stderr=None)",
+     {"value": 1.0, "tail_bound": 0.0, "terms_used": 3, "method": "series"}),
+    (lambda: PhiResult(1.0, 0.0, 3, "monte-carlo", stderr=0.5), "stderr",
+     "PhiResult(value=1.0, tail_bound=0.0, terms_used=3, "
+     "method='monte-carlo', stderr=0.5)",
+     {"value": 1.0, "tail_bound": 0.0, "terms_used": 3,
+      "method": "monte-carlo", "stderr": 0.5}),
+    # the entropies never appear
+    (lambda: RWEntropyResult(0.5, "brute-force", 2, (0.25,), (0.5, 0.75)),
+     "entropies",
+     "RWEntropyResult(value=0.5, method='brute-force', depth=2, "
+     "increments=(0.25,), entropies=(0.5, 0.75))",
+     {"value": 0.5, "method": "brute-force", "depth": 2,
+      "increments": [0.25]}),
+    (lambda: RWEntropyResult(0.5, "closed-form"), "method",
+     "RWEntropyResult(value=0.5, method='closed-form', depth=None, "
+     "increments=None, entropies=())",
+     {"value": 0.5, "method": "closed-form"}),
+    (lambda: DimensionReport(0.5, 0.5, "measure-formula", 1e-10, {}),
+     "diagnostics",
+     "DimensionReport(dimension=0.5, raw=0.5, method='measure-formula', "
+     "tolerance=1e-10, diagnostics={})",
+     {"dimension": 0.5, "raw": 0.5, "method": "measure-formula",
+      "tolerance": 1e-10, "diagnostics": {}}),
+    (lambda: ScalingFit((1, 2), (2, 4), 1.0, 1.0, (1, 2)), "slope",
+     "ScalingFit(scales=(1, 2), counts=(2, 4), slope=1.0, r2=1.0, "
+     "window=(1, 2))",
+     {"scales": [1, 2], "counts": [2, 4], "slope": 1.0, "r2": 1.0,
+      "window": [1, 2]}),
+    (lambda: _ROW, "min_gap",
+     "SeparationReport(depth=2, class_count=3, min_gap=None, "
+     "exact_zero=False, witness=None, witness_words=None, implied_b=None, "
+     "mode='rational')",
+     {"depth": 2, "class_count": 3, "min_gap": None, "exact_zero": False,
+      "witness": None, "witness_words": None, "implied_b": None,
+      "mode": "rational"}),
+    (lambda: ProbeResult((_ROW,), "consistent-up-to-2", None), "verdict",
+     f"ProbeResult(rows=({_ROW!r},), verdict='consistent-up-to-2', "
+     "b_hat=None)",
+     {"rows": [{"depth": 2, "class_count": 3, "min_gap": None,
+                "exact_zero": False, "witness": None,
+                "witness_words": None, "implied_b": None,
+                "mode": "rational"}],
+      "verdict": "consistent-up-to-2", "b_hat": None}),
+]
+
+
+class TestValueSemantics:
+    """Results and values are immutable and read by attribute; equal
+    values compare and hash equal, and a report's JSON follows one rule."""
+
+    @pytest.mark.parametrize("build, field, text, as_json", VALUES,
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_value(self, build, field, text, as_json):
+        a, b = build(), build()
+        assert a == b and not a != b
+        if isinstance(a, DimensionReport):   # a dict field: unhashable
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+        assert repr(a) == text
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == getattr(b, field)
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        if as_json is not None:
+            assert a.to_json_dict() == as_json
+            assert json.loads(json.dumps(a.to_json_dict())) == as_json
+
+    def test_values_of_other_types_differ(self):
+        assert CFSystem([0, 1], [[0.5], [0.5]]) != ProbVector([[0.5], [0.5]])
+        assert Word([Symbol(1, 1)]) != BlockSignature((Block(1, ((1, 1),)),))
+        assert CFSystem([0, 1], [[0.5], [0.5]]) != CFSystem([0, 2],
+                                                            [[0.5], [0.5]])
+
+    def test_symbols_sort_by_group_then_member(self):
+        assert sorted([Symbol(2, 1), Symbol(1, 2), Symbol(1, 1)]) == [
+            Symbol(1, 1), Symbol(1, 2), Symbol(2, 1)]

@@ -3,8 +3,10 @@ coincidence detection."""
 
 import itertools
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -233,6 +235,50 @@ class TestEscProbe:
         res = esc_probe(two_group_overlap, 4)
         text = json.dumps(res.to_json_dict(), sort_keys=True)
         assert json.loads(text)["verdict"] == res.verdict
+
+
+class TestFloatRounding:
+    """Fixed points 0 and 2/3, ratios [[1/5, 1/2], [1/2]]: two depth-4
+    signatures compose to the same map, and float rounding leaves a gap of
+    about 1e-17 between their Pi values."""
+
+    def test_rational_finds_the_coincidence(self):
+        sys = CFSystem(["0", "2/3"], [["1/5", "1/2"], ["1/2"]],
+                       mode="rational")
+        res = esc_probe(sys, 4)
+        assert res.verdict == "violated-with-witness"
+        assert (res.rows[-1].min_gap, res.rows[-1].exact_zero) == (0.0, True)
+        m1, m2 = (compose(sys, w) for w in res.rows[-1].witness_words)
+        assert m1 == m2
+
+    def test_float_gap_within_rounding_is_no_evidence(self):
+        res = esc_probe(CFSystem([0, 2 / 3], [[0.2, 0.5], [0.5]]), 4)
+        row = res.rows[-1]
+        # a gap below the rounding bound of one Pi value (about 4e-15 here)
+        assert 0 < row.min_gap < 1e-15 and not row.exact_zero
+        assert row.implied_b is None
+        assert res.verdict == "indeterminate"
+        assert res.b_hat == max(r.implied_b for r in res.rows[:-1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_covers_every_float_pi(self, seed):
+        """min_gap's bound E on the rounding of one Pi value, against the
+        exact walk over the same (float) inputs as fractions."""
+        rng = random.Random(seed)
+        t = [rng.uniform(-3, 3) for _ in range(3)]
+        ratios = [[rng.uniform(0.05, 0.95) for _ in range(rng.randint(1, 3))]
+                  for _ in t]
+        exact = CFSystem([Fraction(x) for x in t],
+                         [[Fraction(r) for r in row] for row in ratios],
+                         mode="rational")
+        n, u, lam = 5, 2.0**-53, max(map(max, ratios))
+        bound = ((4 * n + 1) * u / (1 - (4 * n + 1) * u) * 2
+                 * max(map(abs, t)) * sum(lam**i for i in range(n)))
+        for (sig, _, pi), (sig_q, _, pi_q) in zip(
+                signature_classes(CFSystem(t, ratios), n),
+                signature_classes(exact, n), strict=True):
+            assert sig == sig_q
+            assert abs(Fraction(pi) - pi_q) <= bound
 
 
 class TestSameSignatureSameMap:
