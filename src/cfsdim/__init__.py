@@ -11,10 +11,10 @@ import sys
 
 # submodule -> the public names it provides
 _EXPORTS = {
-    "ifs": ("AffineMap1D", "BudgetExceeded", "CFSystem", "ProbVector",
-            "Symbol", "ValidationError", "load_system", "map_of",
-            "prune_zeros", "validate_probabilities", "validate_system"),
-    "words": ("Block", "BlockSignature", "Word"),
+    "ifs": ("BudgetExceeded", "CFSystem", "ProbVector", "ValidationError",
+            "load_system", "prune_zeros", "validate_probabilities",
+            "validate_system"),
+    "words": ("Block",),
     "entropy": ("PhiResult", "RWEntropyResult", "lyapunov", "phi_lower_bound",
                 "phi_monte_carlo", "phi_series", "rw_entropy_bruteforce",
                 "rw_entropy_closed", "shannon_entropy"),

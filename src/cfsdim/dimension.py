@@ -200,10 +200,12 @@ def _balance(A, sweeps: int = 50):
     for _ in range(sweeps):
         changed = False
         for i in range(n):
-            r = A[i, :].sum() - A[i, i]
-            c = A[:, i].sum() - A[i, i]
+            r = float(A[i, :].sum() - A[i, i])
+            c = float(A[:, i].sum() - A[i, i])
             if r > 0 and c > 0:
                 f = math.sqrt(c / r)
+                if not 0.0 < f < math.inf:      # c / r left the doubles
+                    f = math.sqrt(c) / math.sqrt(r)
                 if abs(f - 1.0) > 1e-6:
                     A[i, :] *= f
                     A[:, i] /= f

@@ -16,12 +16,11 @@ from itertools import accumulate
 from operator import mul
 from typing import List, NamedTuple, Optional
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _gamma, _json_value, check_samples, check_shape, check_tol,
-                  prune_zeros)
+from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
+                  ValidationError, _gamma, _json_value, check_samples,
+                  check_shape, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
-MC_RUN_CAP = 10**6
 _MC_CHUNK = 1 << 16
 PHI_TERM_CAP = 10**8
 RW_DP_CAP = 10**7

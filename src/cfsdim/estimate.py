@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _json_value, check_samples, check_shape, map_of)
+from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
+                  ValidationError, _json_value, check_samples, check_shape)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 # the largest scale exponent m for which box2d's cell key x * 2^m + y fits
@@ -80,8 +80,7 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     """
     t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
-    maps = {(float(mp.ratio), float(mp.intercept))
-            for mp in (map_of(sys, s) for s in sys.symbols())}
+    maps = {(float(r), float(c)) for r, c in sys.maps()}
     target = 2.0 ** (-m)
     scale = 2 ** m
 
@@ -138,15 +137,21 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
 def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
                           min_scale: int, seed: int):
     """numpy array of samples x = Pi(w) with symbols drawn from p, extending
-    each word until its contraction drops below 2^-min_scale."""
+    each word until its contraction drops below 2^-min_scale.  So no word
+    is longer than min_scale log 2 / -log lam, lam the largest ratio drawn,
+    which must not pass ifs.MC_RUN_CAP, the cap on a sampled run."""
     check_samples(samples, seed)
     check_shape(sys, p)
+    maps = sys.maps()
+    lam = max(float(r) for (r, _), w in zip(maps, p.flat()) if w > 0)
+    if min_scale * math.log(2.0) > -math.log(lam) * MC_RUN_CAP:
+        raise BudgetExceeded(f"a word of ratio {lam} may need over "
+                             f"{MC_RUN_CAP} maps to reach 2^-{min_scale}")
     import numpy as np
     rng = np.random.default_rng(seed)
     flat_p = np.array([float(w) for w in p.flat()])
-    maps = [map_of(sys, s) for s in sys.symbols()]
-    ratios = np.array([float(mp.ratio) for mp in maps])
-    intercepts = np.array([float(mp.intercept) for mp in maps])
+    ratios = np.array([float(r) for r, _ in maps])
+    intercepts = np.array([float(c) for _, c in maps])
     target = 2.0 ** (-min_scale)
 
     r = np.ones(samples)

@@ -178,11 +178,15 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
     weights p_i = gamma_i * lambda_i^{s-1} and _root's report of s, the root
     of their sum = 1.  The excess sum - 1 strictly decreases in s towards
     -1, so a root exists, and is positive, exactly when the excess at 0 is
-    positive; _root brackets it from 0 by doubling."""
+    positive; _root brackets it from 0 by doubling.  A term past the
+    double range (a subnormal lambda_i at small s) makes the sum +inf."""
     pairs = [(g, l) for (g, _), (l, _) in sys.maps()]
 
     def weights(s):
-        return [g * l ** (s - 1) for g, l in pairs]
+        try:
+            return [g * l ** (s - 1) for g, l in pairs]
+        except OverflowError:   # a positive term past the doubles: sum +inf
+            return [math.inf]
 
     def excess(s):
         return sum(weights(s)) - 1.0
@@ -204,14 +208,21 @@ def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
 
 
 def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
-    """The sufficiency expression at the natural weights p, through
-    lambda_i^{s-1} = p_i / gamma_i."""
-    (g1, g2), (g3, g4) = sys.gamma
-    p1, p2, p3, p4 = p.p
-    return (p1 * math.log((1.0 - p2) * g1 / p1)
-            + p2 * math.log((1.0 - p1) * g2 / p2)
-            + p3 * math.log((1.0 - p4) * g3 / p3)
-            + p4 * math.log((1.0 - p3) * g4 / p4))
+    """The sufficiency expression sum_i p_i log((1 - p_j) gamma_i / p_i) at
+    the natural weights p, through lambda_i^{s-1} = p_i / gamma_i, where j
+    is the other map of i's column.  A term is 0 at p_i = 0, its limit, and
+    goes through logs when the quotient leaves the doubles, with 1 - p_j
+    summed from the other weights."""
+    g, p = sum(sys.gamma, ()), p.p
+
+    def term(i, j):
+        if p[i] == 0.0:
+            return 0.0
+        x = (1.0 - p[j]) * g[i] / p[i]
+        return p[i] * (math.log(x) if 0.0 < x < math.inf else math.log(
+            math.fsum(p[:j] + p[j + 1:])) + math.log(g[i]) - math.log(p[i]))
+
+    return term(0, 1) + term(1, 0) + term(2, 3) + term(3, 2)
 
 
 def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionReport:

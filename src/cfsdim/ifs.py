@@ -10,19 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-# fractions loads on the rational branches only: a float run never imports it
-Number = Union[float, "Fraction"]
+from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
 # Traced peaks per sample: render O(1) (it marks its raster step by step),
 # Monte-Carlo Phi about 15 B, entropy slope 49 B and box2d about 50 B, so
 # at most about 500 MB at the cap
 SAMPLE_CAP = 10**7
+MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a word
 
 
 class ValidationError(ValueError):
@@ -34,11 +29,13 @@ class BudgetExceeded(RuntimeError):
 
 
 def _json_value(v):
-    """``v`` as plain JSON data.  A report (a named tuple) gives the dict of
-    its fields: a required field always appears, as null when None, one
-    whose default is None only while it is not None, and one named in
-    ``_json_hidden`` never.  Dicts, tuples and lists convert recursively,
-    an object with ``to_json`` (a word or a block signature) through it."""
+    """``v`` as plain JSON data.  A ``Block`` converts through ``to_json``;
+    any other named tuple (a report) gives the dict of its fields: a
+    required field always appears, as null when None, one whose default is
+    None only while it is not None, and one named in ``_json_hidden`` never.
+    Dicts, tuples and lists convert recursively."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
     if hasattr(v, "_fields"):
         hidden, defaults = getattr(v, "_json_hidden", ()), v._field_defaults
         return {k: _json_value(x) for k, x in zip(v._fields, v)
@@ -48,7 +45,7 @@ def _json_value(v):
         return {k: _json_value(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
-    return v.to_json() if hasattr(v, "to_json") else v
+    return v
 
 
 class _Value:
@@ -82,33 +79,9 @@ class _Value:
     __delattr__ = __setattr__
 
 
-class Symbol(NamedTuple):
-    """One map of the system: ``group`` indexes the fixed point, ``member``
-    the contraction ratio within that group.  Both are 1-based."""
-
-    group: int
-    member: int
-
-
-class AffineMap1D(NamedTuple):
-    """A 1-D similarity x -> ratio*x + intercept.  Two maps are equal iff
-    their (ratio, intercept) pairs are."""
-
-    ratio: Number
-    intercept: Number
-
-    def __call__(self, x: Number) -> Number:
-        return self.ratio * x + self.intercept
-
-    def compose(self, other: "AffineMap1D") -> "AffineMap1D":
-        """self after other: (self o other)(x)."""
-        return AffineMap1D(self.ratio * other.ratio,
-                           self.ratio * other.intercept + self.intercept)
-
-
 def _as_mode(value, mode: str):
     if mode == "rational":
-        from fractions import Fraction
+        from fractions import Fraction   # so a float run never loads it
         if isinstance(value, (Fraction, int, str)):
             return Fraction(value)
         raise ValidationError(
@@ -159,17 +132,12 @@ class CFSystem(_Value):
     def n_maps(self) -> int:
         return sum(self.group_sizes)
 
-    def symbols(self):
-        """All symbols in lexicographic order."""
-        return [Symbol(i + 1, j + 1)
-                for i, row in enumerate(self.ratios)
-                for j in range(len(row))]
-
-    def ratio(self, s: Symbol) -> Number:
-        return self.ratios[s.group - 1][s.member - 1]
-
-    def fixed_point(self, s: Symbol) -> Number:
-        return self.fixed_points[s.group - 1]
+    def maps(self) -> tuple:
+        """The similarities as (ratio, intercept) pairs, group by group and
+        member by member: f_{i,j}(x) = ratio*x + intercept."""
+        return tuple((lam, t * (1 - lam))
+                     for t, row in zip(self.fixed_points, self.ratios)
+                     for lam in row)
 
     def to_json_dict(self, probabilities: "ProbVector | None" = None) -> dict:
         def enc(v):   # each value is a float or a Fraction
@@ -218,8 +186,18 @@ class ProbVector(_Value):
         return cls([[1.0 / L] * n for n in sys.group_sizes])
 
 
+def _double(v) -> float:
+    """``v`` as a double; a rational past the range as a signed infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def validate_system(sys: CFSystem) -> list:
-    """Return the list of violated invariants (empty means ok)."""
+    """Return the list of violated invariants (empty means ok), read on the
+    doubles every formula computes with: each ratio in (0, 1), the fixed
+    points finite, pairwise distinct and spanning a finite length."""
     errors = []
     if sys.n_groups < 2:
         errors.append("EmptyGroup: need at least 2 fixed points")
@@ -227,16 +205,18 @@ def validate_system(sys: CFSystem) -> list:
         if len(row) == 0:
             errors.append(f"EmptyGroup: group {i + 1} has no maps")
         for j, lam in enumerate(row):
-            if not (0 < lam < 1):
+            if not (0 < _double(lam) < 1):
                 errors.append(f"RatioOutOfRange: lambda[{i + 1}][{j + 1}]={lam}")
     seen = {}
-    for i, t in enumerate(sys.fixed_points):
+    for i, t in enumerate(map(_double, sys.fixed_points)):
         if not math.isfinite(t):
-            errors.append(f"NonFiniteFixedPoint: t[{i + 1}]={t}")
+            errors.append(f"NonFiniteFixedPoint: t[{i + 1}]={sys.fixed_points[i]}")
         elif t in seen:
             errors.append(f"DuplicateFixedPoint: t[{seen[t] + 1}] == t[{i + 1}]")
         else:
             seen[t] = i
+    if seen and not math.isfinite(max(seen) - min(seen)):
+        errors.append("InfiniteSpan: max t - min t overflows a double")
     if len(sys.ratios) != len(sys.fixed_points):
         errors.append("ShapeMismatch: ratios rows != fixed points")
     return errors
@@ -286,13 +266,6 @@ def validate_probabilities(sys: CFSystem, p: ProbVector) -> list:
 def check_shape(sys: CFSystem, p: ProbVector) -> None:
     """Raise ValidationError unless ``p`` has ``sys``'s shape."""
     _refuse(validate_probabilities(sys, p))
-
-
-def map_of(sys: CFSystem, s: Symbol) -> AffineMap1D:
-    """The similarity attached to symbol ``s``."""
-    lam = sys.ratio(s)
-    t = sys.fixed_point(s)
-    return AffineMap1D(lam, t * (1 - lam))
 
 
 def prune_zeros(sys: CFSystem, p: ProbVector) -> ProbVector:

@@ -20,9 +20,9 @@ from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
 # The one cap on the signature walk, checked before it starts.  A bucketed
-# class, its Pi value and signature, holds about 330 B resident (a 55 MB
-# peak, 39 MB over the interpreter, at the 121 393 classes of
-# rational_three_symbol at depth 12), so the cap is about 3 GB.
+# class, its Pi value and signature, holds about 285 B resident (a 48 MB
+# peak, 33 MB over the interpreter, at the 121 393 classes of
+# rational_three_symbol at depth 12), so the cap is about 2.9 GB.
 DEFAULT_CLASS_BUDGET = 10**7
 
 
@@ -32,7 +32,7 @@ class SeparationReport(NamedTuple):
     min_gap: Optional[float]          # None when no comparable pair exists
     exact_zero: bool
     witness: Optional[tuple]          # (signature, signature) for the min gap
-    witness_words: Optional[tuple]    # a representative word of each
+    witness_words: Optional[tuple]    # a word of each, as (group, member) pairs
     implied_b: Optional[float]
     mode: str
     to_json_dict = _json_value        # a report's JSON, by ifs._json_value
@@ -63,6 +63,13 @@ def count_classes(sys: CFSystem, n: int) -> int:
                 f"signature class budget {DEFAULT_CLASS_BUDGET} exceeded: "
                 f"{total[r]} classes at depth {r}")
     return total[n]
+
+
+def _word(sig: tuple) -> tuple:
+    """One word of the class ``sig`` as (group, member) pairs: each block's
+    members in sorted order."""
+    return tuple((group, member) for group, counts in sig
+                 for member, count in counts for _ in range(count))
 
 
 def min_gap(sys: CFSystem, n: int) -> SeparationReport:
@@ -120,7 +127,7 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
     return SeparationReport(
         depth=n, class_count=class_count, min_gap=gap, exact_zero=best == 0,
         witness=witness, witness_words=None if witness is None else
-        tuple(sig.representative() for sig in witness),
+        tuple(map(_word, witness)),
         implied_b=-math.log2(gap) / n if resolved else None, mode=sys.mode)
 
 

@@ -11,66 +11,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
-from .ifs import CFSystem, Symbol, _Value
-
-
-class Word(_Value):
-    __slots__ = ("symbols",)
-
-    def __init__(self, symbols: Sequence[Symbol]):
-        object.__setattr__(self, "symbols", tuple(symbols))
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def to_json(self) -> list:
-        return [[s.group, s.member] for s in self.symbols]
+from .ifs import CFSystem
 
 
 class Block(NamedTuple):
-    """A maximal run of one group: per-member occurrence counts.
-
-    ``counts`` is sorted by member index; member order inside the run is
-    irrelevant because the maps commute.
-    """
+    """A maximal run of one group: per-member occurrence counts, sorted by
+    member, as order inside the run is irrelevant (the maps commute).  A
+    word's block signature is the tuple of its blocks."""
 
     group: int
     counts: Tuple[Tuple[int, int], ...]  # ((member, count), ...), member-sorted
 
-    @property
-    def length(self) -> int:
-        return sum(c for _, c in self.counts)
-
-
-class BlockSignature(_Value):
-    __slots__ = ("blocks",)   # Tuple[Block, ...]
-
-    def __init__(self, blocks: Tuple[Block, ...]):
-        object.__setattr__(self, "blocks", blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def to_json(self) -> list:
-        return [{"group": b.group, "counts": dict(b.counts)} for b in self.blocks]
-
-    def representative(self) -> Word:
-        """One word in the class: members emitted in sorted order per block."""
-        syms = []
-        for b in self.blocks:
-            for member, count in b.counts:
-                syms.extend([Symbol(b.group, member)] * count)
-        return Word(syms)
+    def to_json(self) -> dict:
+        return {"group": self.group, "counts": dict(self.counts)}
 
 
 def signature_classes(sys: CFSystem, n: int) -> Iterator[tuple]:
     """Each block signature of words of length n >= 1 once, as the record
-    (signature, contraction product, Pi value).
+    (signature, contraction product, Pi value), the signature a tuple of
+    Blocks.
 
     A depth-first walk over block prefixes.  Each appended block extends the
     running product of the ratios and the telescoped projection
@@ -108,8 +69,7 @@ def signature_classes(sys: CFSystem, n: int) -> Iterator[tuple]:
                     if length < remaining:
                         yield from rec(remaining - length, g, g_value, g_scale, t)
                     else:
-                        yield (BlockSignature(tuple(path)), g_scale,
-                               g_value - g_scale * t)
+                        yield tuple(path), g_scale, g_value - g_scale * t
                     path.pop()
 
     # the empty prefix: sum 0, scale 1, fixed point 0, so a first block's

@@ -4,14 +4,18 @@ Words with the same block signature compose to the same map, so the library
 computes over signature classes and never enumerates words.  Enumerating
 every word of a length, decomposing it into its signature and composing its
 maps one at a time is the independent check of the signature walk, the
-signature DP and the separation probe.
+signature DP and the separation probe.  It shares no word or map code with
+the library: a word is a tuple of (group, member) pairs, both 1-based, a
+signature a tuple of (group, ((member, count), ...)) blocks (equal to the
+library's ``Block`` tuples), and maps are composed here from ``sys.ratios``
+and ``sys.fixed_points``.
 """
 
 import itertools
 import math
+from typing import NamedTuple
 
-from cfsdim import BudgetExceeded, Symbol, ValidationError, map_of
-from cfsdim.words import Block, BlockSignature, Word, signature_classes
+from cfsdim import BudgetExceeded, ValidationError
 
 ENUM_BUDGET = 10**8     # the most words enumerate_words gives: L**n
 
@@ -20,42 +24,56 @@ class EmptyWord(ValidationError):
     pass
 
 
-def word(*pairs) -> Word:
+class Map(NamedTuple):
+    """The similarity x -> ratio*x + intercept."""
+
+    ratio: object
+    intercept: object
+
+
+def word(*pairs) -> tuple:
     """word((1, 1), (2, 1)): the word of these (group, member) symbols."""
-    return Word([Symbol(i, j) for i, j in pairs])
+    return tuple(pairs)
 
 
-def decompose(w: Word) -> BlockSignature:
+def decompose(w) -> tuple:
     """Unique block representation: maximal same-group runs with counts."""
     blocks = []
-    for group, run in itertools.groupby(w.symbols, key=lambda s: s.group):
+    for group, run in itertools.groupby(w, key=lambda s: s[0]):
         counts: dict = {}
-        for s in run:
-            counts[s.member] = counts.get(s.member, 0) + 1
-        blocks.append(Block(group, tuple(sorted(counts.items()))))
-    return BlockSignature(tuple(blocks))
+        for _, member in run:
+            counts[member] = counts.get(member, 0) + 1
+        blocks.append((group, tuple(sorted(counts.items()))))
+    return tuple(blocks)
 
 
-def compose(sys, w: Word):
-    """Left-to-right composition f_{w_1} o f_{w_2} o ... o f_{w_n}."""
+def representative(sig) -> tuple:
+    """One word of the class ``sig``: each block's members in sorted order."""
+    return tuple((group, member) for group, counts in sig
+                 for member, count in counts for _ in range(count))
+
+
+def compose(sys, w) -> Map:
+    """Left-to-right composition f_{w_1} o f_{w_2} o ... o f_{w_n}: each map
+    f(x) = lam*x + t*(1 - lam) takes (r, c) to (r*lam, r*(t*(1 - lam)) + c)."""
     if len(w) == 0:
         raise EmptyWord("cannot compose the empty word")
-    result = map_of(sys, w.symbols[0])
-    for s in w.symbols[1:]:
-        result = result.compose(map_of(sys, s))
-    return result
+    ratio, intercept = 1, 0
+    for group, member in w:
+        lam, t = sys.ratios[group - 1][member - 1], sys.fixed_points[group - 1]
+        ratio, intercept = ratio * lam, ratio * (t * (1 - lam)) + intercept
+    return Map(ratio, intercept)
 
 
-def count_vector(w: Word) -> dict:
+def count_vector(w) -> dict:
     """Per-symbol occurrence counts {(group, member): count}."""
     counts: dict = {}
-    for s in w.symbols:
-        key = (s.group, s.member)
-        counts[key] = counts.get(key, 0) + 1
+    for s in w:
+        counts[s] = counts.get(s, 0) + 1
     return counts
 
 
-def class_weight(sig: BlockSignature, p):
+def class_weight(sig, p):
     """Total p-weight of all words sharing this signature.
 
     Equals p_w times the product over blocks of |b|! / prod (counts!).
@@ -64,18 +82,18 @@ def class_weight(sig: BlockSignature, p):
     if p.mode == "rational":
         from fractions import Fraction
         total = Fraction(1)
-        for b in sig.blocks:
-            total *= math.factorial(b.length)
-            for member, count in b.counts:
+        for group, counts in sig:
+            total *= math.factorial(sum(c for _, c in counts))
+            for member, count in counts:
                 total /= math.factorial(count)
-                total *= p.weights[b.group - 1][member - 1] ** count
+                total *= p.weights[group - 1][member - 1] ** count
         return total
     log_total = 0.0
-    for b in sig.blocks:
-        log_total += math.lgamma(b.length + 1)
-        for member, count in b.counts:
+    for group, counts in sig:
+        log_total += math.lgamma(sum(c for _, c in counts) + 1)
+        for member, count in counts:
             log_total -= math.lgamma(count + 1)
-            w = p.weights[b.group - 1][member - 1]
+            w = p.weights[group - 1][member - 1]
             if w == 0.0:
                 return 0.0
             log_total += count * math.log(w)
@@ -87,15 +105,15 @@ def enumerate_words(sys, n: int):
     L = sys.n_maps
     if L**n > ENUM_BUDGET:
         raise BudgetExceeded(f"L^n = {L}^{n} exceeds budget {ENUM_BUDGET}")
-    for combo in itertools.product(sys.symbols(), repeat=n):
-        yield Word(combo)
+    symbols = [(i + 1, j + 1) for i, row in enumerate(sys.ratios)
+               for j in range(len(row))]
+    return itertools.product(symbols, repeat=n)
 
 
 def enumerate_signatures(sys, n: int):
-    """All block signatures realized by words of length n, each once."""
-    if n == 0:
-        yield BlockSignature(())
-    yield from (rec[0] for rec in signature_classes(sys, n))
+    """All block signatures realized by words of length n, each once, in
+    the order of their first word."""
+    return list(dict.fromkeys(map(decompose, enumerate_words(sys, n))))
 
 
 def word_records(sys, n: int, p=None):
@@ -104,5 +122,5 @@ def word_records(sys, n: int, p=None):
     weights under p, and None without p."""
     for w in enumerate_words(sys, n):
         weight = None if p is None else math.prod(
-            p.weights[s.group - 1][s.member - 1] for s in w)
+            p.weights[g - 1][m - 1] for g, m in w)
         yield decompose(w), compose(sys, w), weight

@@ -667,23 +667,21 @@ print(json.dumps({
         """The package exports what it computes with; a check-only oracle
         (word enumeration, composition, class weights) lives in the tests."""
         assert cfsdim.__all__ == [
-            "AffineMap1D", "Block", "BlockSignature", "BudgetExceeded",
-            "CFSystem", "ConditionsNotMet", "DimensionReport",
-            "FourCornerProb", "FourCornerSystem", "PhiResult", "ProbVector",
-            "ProbeResult", "RWEntropyResult", "ScalingFit",
-            "SeparationReport", "Symbol", "ValidationError", "Word",
+            "Block", "BudgetExceeded", "CFSystem", "ConditionsNotMet",
+            "DimensionReport", "FourCornerProb", "FourCornerSystem",
+            "PhiResult", "ProbVector", "ProbeResult", "RWEntropyResult",
+            "ScalingFit", "SeparationReport", "ValidationError",
             "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
             "chaos_game_points", "chis", "cover_boxes_1d", "entropy_slope",
             "esc_probe", "gd_dimension", "gd_matrix", "load_system",
-            "lyapunov", "map_of",
-            "measure_dimension", "measure_dimension_4c", "min_gap",
+            "lyapunov", "measure_dimension", "measure_dimension_4c", "min_gap",
             "natural_p", "phi_lower_bound", "phi_monte_carlo", "phi_series",
             "phi_xy", "prune_zeros", "render_attractor_ppm",
             "render_cylinders_svg", "rw_entropy_bruteforce",
             "rw_entropy_closed", "set_dimension_4c", "shannon_entropy",
             "similarity_dimension", "spectral_radius", "validate_4c",
             "validate_probabilities", "validate_system"]
-        assert len(cfsdim.__all__) == 51
+        assert len(cfsdim.__all__) == 46
 
 
 class TestProbabilitiesRule:
@@ -740,6 +738,15 @@ MASS_ROUNDING_TO_ONE = "[[0.5,0.5],[1e-17]]"
 
 BAD_RATIO_4C = {"type": "four_corner", "gamma": [[1.5, 0.1], [0.1, 0.8]],
                 "lambda": [[0.45, 0.09], [0.09, 0.45]]}
+
+# Systems valid as given whose doubles are not a valid system
+SPAN_PAST_DOUBLES = {"type": "cfs", "fixed_points": [-1e308, 1e308],
+                     "ratios": [[0.5, 0.3], [0.25]]}
+
+
+def _rational(fixed_points, ratios):
+    return {"type": "cfs", "mode": "rational", "fixed_points": fixed_points,
+            "ratios": ratios}
 
 
 class TestExitCodes:
@@ -804,6 +811,35 @@ class TestExitCodes:
         got, _, err = run_main(argv, capsys)
         assert got == code
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("desc, argv", [
+        (SPAN_PAST_DOUBLES, ["attractor-dim", "--box", "8"]),
+        (SPAN_PAST_DOUBLES, ["estimate", "--kind", "box1d"]),
+        (SPAN_PAST_DOUBLES, ["esc-probe"]),
+        (SPAN_PAST_DOUBLES, ["estimate", "--kind", "entropy", "--points",
+                             "1000"]),
+        (_rational(["0", "1"], [[f"1/{10**400}"], ["1/2"]]),
+         ["measure-dim"]),
+        (_rational(["0", f"1/{10**400}"], [["1/2"], ["1/3"]]),
+         ["estimate", "--kind", "entropy", "--points", "1000"]),
+        (_rational(["0", "1"], [["1/2"], [f"{10**400 - 1}/{10**400}"]]),
+         ["attractor-dim"]),
+        (_rational(["0", str(10**400)], [["1/2"], ["1/3"]]),
+         ["measure-dim"]),
+    ], ids=["span-attractor-box", "span-box1d", "span-esc-probe",
+            "span-entropy", "ratio-rounding-to-zero",
+            "fixed-points-rounding-together", "ratio-rounding-to-one",
+            "fixed-point-past-double-range"])
+    def test_invalid_double_image_exits_2(self, desc, argv, tmp_path,
+                                          capsys):
+        """Each case is valid as given, but its doubles, which the formulas
+        compute with, are not a valid system: a span or a fixed point past
+        the double range, a ratio that rounds to 0 or 1, or fixed points
+        that round together."""
+        path = write_descriptor(tmp_path, desc)
+        code, out, err = run_main([argv[0], path, *argv[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
     def test_scale_past_float_range_exits_at_once(self):
         """A scale exponent lies in 0..estimate.MAX_SCALE (31, the largest m

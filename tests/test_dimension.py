@@ -153,6 +153,15 @@ class TestSpectralRadius:
         M = np.array([[0.0, 1e-9], [1e9, 0.0]])
         assert spectral_radius(M) == pytest.approx(1.0, rel=1e-9)
 
+    def test_subnormal_entry(self):
+        """A subnormal ratio gives an entry 2^-1074 (the graph-directed
+        matrix of fixed points 0, 1 and ratios [[0.7], [5e-324]] at s = 1):
+        the balancing quotient 0.7 / 2^-1074 overflows, so the factor is
+        taken from square roots, and the root is sqrt(0.7) 2^-537."""
+        M = np.array([[0.0, 5e-324], [0.7, 0.0]])
+        assert spectral_radius(M) == pytest.approx(math.sqrt(0.7) * 2**-537,
+                                                   rel=1e-9)
+
 
 class TestGDDimension:
     def test_infinite_depth_full_interval(self, equal_halves):

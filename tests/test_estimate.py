@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cfsdim import (CFSystem, FourCornerSystem, ProbVector,
+from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
                     cover_boxes_1d, entropy_slope, estimate,
                     measure_dimension)
@@ -139,3 +139,17 @@ class TestSampleMeasurePoints:
         a = sample_measure_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
         b = sample_measure_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
         assert np.array_equal(a, b)
+
+    def test_word_length_capped_before_sampling(self):
+        """With a ratio of 1 - 2^-53 a word needs about 10^17 maps to
+        contract below 2^-8, so the sampler would never stop: the word
+        length bound min_scale log 2 / -log lam is checked against
+        ifs.MC_RUN_CAP first.  A map of weight 0 is never drawn and does
+        not count."""
+        sys = CFSystem([0.0, 1.0], [[1 - 2**-53, 0.5], [0.5]])
+        with pytest.raises(BudgetExceeded, match="may need over 1000000 maps"):
+            sample_measure_points(sys, ProbVector([[0.5, 0.25], [0.25]]),
+                                  10, 8, seed=0)
+        xs = sample_measure_points(sys, ProbVector([[0.0, 0.5], [0.5]]), 10,
+                                   8, seed=0)
+        assert np.all((xs >= 0.0) & (xs <= 1.0))

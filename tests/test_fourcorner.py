@@ -2,6 +2,7 @@
 the four-case measure dimension, the natural weights, and rendering."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
 from cfsdim.fourcorner import (RootOutsideBracket, chaos_game_points,
                                render_attractor_ppm, render_cylinders_svg,
                                _cylinders)
+from cfsdim.cli import main
 
 # Frozen root of sum gamma_i * lambda_i^{s-1} = 1 at the reference
 # parameters, from the bisection oracle at tol 1e-14.
@@ -186,6 +188,38 @@ class TestNaturalP:
                  + g[1][0] * l[0][1] ** (s - 1) + g[1][1] * l[1][1] ** (s - 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_subnormal_ratio_root(self):
+        """lambda_11 = 1e-309 is subnormal: lambda_11^{s-1} overflows at
+        s = 0, which the root reads as +inf.  The root and its bracket are
+        checked against the equation evaluated in log space."""
+        sys = FourCornerSystem([[0.5, 0.5], [0.5, 0.5]],
+                               [[1e-309, 0.5], [0.5, 0.5]])
+
+        def excess(s):
+            return math.fsum(math.exp(math.log(g) + (s - 1) * math.log(l))
+                             for (g, _), (l, _) in sys.maps()) - 1.0
+
+        prob, s = natural_p(sys)
+        assert excess(s) == pytest.approx(0.0, abs=1e-14)
+        assert s == pytest.approx(math.log2(3), abs=1e-13)
+        rep = set_dimension_4c(sys)
+        lo, hi = rep.diagnostics["bracket"]
+        assert lo == hi or (excess(lo) > 0 > excess(hi))
+        assert sum(prob.p) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("argv", [
+        ["fourcorner", "--probabilities", "natural"],
+        ["estimate", "--kind", "box2d", "--probabilities", "natural",
+         "--points", "2000", "--m-lo", "2", "--m-hi", "6"],
+    ], ids=["fourcorner", "estimate-box2d"])
+    def test_subnormal_ratio_commands(self, argv, tmp_path, capsys):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(FourCornerSystem(
+            [[0.5, 0.5], [0.5, 0.5]], [[1e-309, 0.5], [0.5, 0.5]]
+        ).to_json_dict()))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        json.loads(capsys.readouterr().out)
+
 
 def _suff_value(sys):
     """The sufficiency expression at the natural weights."""
@@ -204,6 +238,20 @@ class TestSuffCheck:
         diag = set_dimension_4c(quarters, tol=1e-14).diagnostics
         assert diag["certified"] == (diag["conditions"]["domination_ok"]
                                      and diag["suff_value"] > 0.0)
+
+    def test_quotients_past_the_doubles(self):
+        """Subnormal ratios put p_4 within 2e-14 of 1: (1 - p_4) gamma_3
+        underflows to 0, so that term goes through logs.  Checked against
+        the expression summed in logs, 1 - p_j summed from the others."""
+        sys = FourCornerSystem([[5e-324, 5e-324], [5e-324, 1e-309]],
+                               [[5e-324, 5e-324], [5e-324, 5e-324]])
+        diag = set_dimension_4c(sys, tol=1e-14).diagnostics
+        p, g = diag["natural_p"], [5e-324, 5e-324, 5e-324, 1e-309]
+        oracle = math.fsum(
+            p[i] * (math.log(math.fsum(p[:j] + p[j + 1:])) + math.log(g[i])
+                    - math.log(p[i]))
+            for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)))
+        assert diag["suff_value"] == pytest.approx(oracle, rel=1e-12)
 
 
 class TestMeasureDimension4C:

@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cfsdim import (AffineMap1D, Block, BlockSignature, CFSystem,
-                    DimensionReport, FourCornerProb, FourCornerSystem,
-                    PhiResult, ProbeResult, ProbVector, RWEntropyResult,
-                    ScalingFit, SeparationReport, Symbol, ValidationError,
-                    Word, entropy_slope, load_system, lyapunov, map_of,
+from cfsdim import (Block, CFSystem, DimensionReport, FourCornerProb,
+                    FourCornerSystem, PhiResult, ProbeResult, ProbVector,
+                    RWEntropyResult, ScalingFit, SeparationReport,
+                    ValidationError, entropy_slope, load_system, lyapunov,
                     phi_series, prune_zeros, rw_entropy_closed,
                     validate_probabilities, validate_system)
 from cfsdim.estimate import sample_measure_points
+from oracles import compose
 
 
 class TestValidateSystem:
@@ -66,6 +66,25 @@ class TestValidateSystem:
         assert str(info.value) == ("RatioOutOfRange: lambda[1][1]=1.5; "
                                    "DuplicateFixedPoint: t[1] == t[2]")
 
+    # every formula computes in doubles, so the rules hold for the doubles
+    @pytest.mark.parametrize("t, ratios, mode, match", [
+        ([-1e308, 1e308], [[0.5, 0.3], [0.25]], "float",
+         r"^InfiniteSpan: max t - min t overflows a double$"),
+        (["0", "1"], [[f"1/{10**400}"], ["1/2"]], "rational",
+         r"^RatioOutOfRange: lambda\[1\]\[1\]=1/1000"),
+        (["0", f"1/{10**400}"], [["1/2"], ["1/3"]], "rational",
+         r"^DuplicateFixedPoint: t\[1\] == t\[2\]$"),
+        (["0", "1"], [["1/2"], [f"{10**400 - 1}/{10**400}"]], "rational",
+         r"^RatioOutOfRange: lambda\[2\]\[1\]=9999"),
+        (["0", str(10**400)], [["1/2"], ["1/3"]], "rational",
+         r"^NonFiniteFixedPoint: t\[2\]=1000"),
+    ], ids=["float-span", "ratio-rounding-to-zero",
+            "fixed-points-rounding-together", "ratio-rounding-to-one",
+            "fixed-point-past-double-range"])
+    def test_double_image_must_be_valid(self, t, ratios, mode, match):
+        with pytest.raises(ValidationError, match=match):
+            CFSystem(t, ratios, mode=mode)
+
     def test_equal_maps_cannot_reach_the_formulas(self):
         """Both maps x -> x/2: h_RW is 0, not the log 2 that h_p + Phi would
         give, so the system is refused before any formula runs."""
@@ -75,47 +94,51 @@ class TestValidateSystem:
 
 
 class TestMapOf:
+    """CFSystem.maps(): the (ratio, intercept) pair of each map, group by
+    group and member by member."""
+
     def test_fixed_point_zero_gives_zero_intercept(self, equal_halves):
-        m = map_of(equal_halves, Symbol(1, 1))
-        assert (m.ratio, m.intercept) == (0.5, 0.0)
+        assert equal_halves.maps()[0] == (0.5, 0.0)
 
     def test_fixed_point_one(self, equal_halves):
-        m = map_of(equal_halves, Symbol(2, 1))
-        assert (m.ratio, m.intercept) == (0.5, 0.5)
+        assert equal_halves.maps()[1] == (0.5, 0.5)
 
     def test_second_member_same_group(self):
         sys = CFSystem([0.0, 1.0], [[0.45, 0.09], [0.45]])
-        m = map_of(sys, Symbol(1, 2))
-        assert (m.ratio, m.intercept) == (0.09, 0.0)
+        assert sys.maps() == ((0.45, 0.0), (0.09, 0.0), (0.45, 0.55))
 
     def test_map_fixes_its_fixed_point(self, two_group_overlap):
-        for s in two_group_overlap.symbols():
-            t = two_group_overlap.fixed_point(s)
-            assert map_of(two_group_overlap, s)(t) == pytest.approx(t)
+        ts = [t for t, row in zip(two_group_overlap.fixed_points,
+                                  two_group_overlap.ratios) for _ in row]
+        for (ratio, intercept), t in zip(two_group_overlap.maps(), ts,
+                                         strict=True):
+            assert ratio * t + intercept == pytest.approx(t)
 
 
 class TestComposition:
-    def test_composition_law(self):
-        a = AffineMap1D(0.5, 0.25)
-        b = AffineMap1D(0.3, 0.1)
-        ab = a.compose(b)
-        assert ab.ratio == pytest.approx(0.15)
-        assert ab.intercept == pytest.approx(0.5 * 0.1 + 0.25)
-        for x in (-1.0, 0.0, 0.7):
-            assert ab(x) == pytest.approx(a(b(x)))
+    """The word oracle's composition against the maps applied one by one."""
 
-    @given(st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(-1, 1)),
-                    min_size=3, max_size=6))
-    def test_associativity(self, params):
-        maps = [AffineMap1D(r, c) for r, c in params]
-        left = maps[0]
-        for m in maps[1:]:
-            left = left.compose(m)
-        right = maps[-1]
-        for m in reversed(maps[:-1]):
-            right = m.compose(right)
-        assert left.ratio == pytest.approx(right.ratio, rel=1e-12, abs=0)
-        assert left.intercept == pytest.approx(right.intercept, abs=1e-12)
+    def test_composition_law(self):
+        sys = CFSystem([0.0, 0.5, 1.0], [[0.5], [0.25], [0.3]])
+        (ra, ca), (rb, cb) = sys.maps()[1:]
+        ab = compose(sys, ((2, 1), (3, 1)))
+        assert ab.ratio == pytest.approx(ra * rb)
+        assert ab.intercept == pytest.approx(ra * cb + ca)
+        for x in (-1.0, 0.0, 0.7):
+            assert ab.ratio * x + ab.intercept == pytest.approx(
+                ra * (rb * x + cb) + ca)
+
+    @given(st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (3, 1)]),
+                    min_size=3, max_size=6), st.floats(-1, 1))
+    def test_associativity(self, w, x):
+        """f_{w_1} o ... o f_{w_n} at x, innermost map first."""
+        sys = CFSystem([-0.5, 0.25, 1.0], [[0.3, 0.2], [0.25], [0.45]])
+        maps = dict(zip([(1, 1), (1, 2), (2, 1), (3, 1)], sys.maps()))
+        y = x
+        for s in reversed(w):
+            y = maps[s][0] * y + maps[s][1]
+        m = compose(sys, w)
+        assert m.ratio * x + m.intercept == pytest.approx(y, abs=1e-12)
 
 
 class TestPruneZeros:
@@ -249,9 +272,6 @@ _ROW = SeparationReport(2, 3, None, False, None, None, None, "rational")
 # (build, the field assigned, repr, JSON of a report or None): build makes
 # a new value each call
 VALUES = [
-    (lambda: Symbol(1, 2), "group", "Symbol(group=1, member=2)", None),
-    (lambda: AffineMap1D(0.5, 0.25), "ratio",
-     "AffineMap1D(ratio=0.5, intercept=0.25)", None),
     (lambda: CFSystem([0, 1], [[0.5], [0.25]]), "mode",
      "CFSystem(fixed_points=(0.0, 1.0), ratios=((0.5,), (0.25,)), "
      "mode='float')", None),
@@ -261,12 +281,7 @@ VALUES = [
      None),
     (lambda: ProbVector([[0.5], [0.5]]), "weights",
      "ProbVector(weights=((0.5,), (0.5,)), mode='float')", None),
-    (lambda: Word([Symbol(1, 1), Symbol(2, 1)]), "symbols",
-     "Word(symbols=(Symbol(group=1, member=1), Symbol(group=2, member=1)))",
-     None),
     (lambda: _BLOCK, "counts", "Block(group=1, counts=((1, 2),))", None),
-    (lambda: BlockSignature((_BLOCK,)), "blocks",
-     "BlockSignature(blocks=(Block(group=1, counts=((1, 2),)),))", None),
     (lambda: FourCornerSystem([[0.5, 0.25], [0.25, 0.5]],
                               [[0.5, 0.25], [0.25, 0.5]]), "lam",
      "FourCornerSystem(gamma=((0.5, 0.25), (0.25, 0.5)), "
@@ -350,10 +365,5 @@ class TestValueSemantics:
 
     def test_values_of_other_types_differ(self):
         assert CFSystem([0, 1], [[0.5], [0.5]]) != ProbVector([[0.5], [0.5]])
-        assert Word([Symbol(1, 1)]) != BlockSignature((Block(1, ((1, 1),)),))
         assert CFSystem([0, 1], [[0.5], [0.5]]) != CFSystem([0, 2],
                                                             [[0.5], [0.5]])
-
-    def test_symbols_sort_by_group_then_member(self):
-        assert sorted([Symbol(2, 1), Symbol(1, 2), Symbol(1, 1)]) == [
-            Symbol(1, 1), Symbol(1, 2), Symbol(2, 1)]

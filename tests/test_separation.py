@@ -15,7 +15,8 @@ from cfsdim import (BudgetExceeded, CFSystem, ValidationError, esc_probe,
 from cfsdim.separation import count_classes
 from cfsdim.words import signature_classes
 from conftest import config_path
-from oracles import compose, count_vector, word, word_records
+from oracles import (compose, count_vector, decompose, representative, word,
+                     word_records)
 
 
 @pytest.fixture
@@ -171,8 +172,8 @@ class TestMinGap:
     def test_witness_words_reproduce_gap(self, two_group_overlap):
         rep = min_gap(two_group_overlap, 5)
         assert rep.witness is not None
-        w1 = rep.witness[0].representative()
-        w2 = rep.witness[1].representative()
+        w1, w2 = rep.witness_words
+        assert (decompose(w1), decompose(w2)) == rep.witness
         gap = abs(compose(two_group_overlap, w1).intercept
                   - compose(two_group_overlap, w2).intercept)
         assert gap == pytest.approx(rep.min_gap, rel=1e-9)
@@ -191,7 +192,7 @@ def _word_min_gap(sys, n):
     buckets: dict = {}
     for sig, m, _ in word_records(sys, n):
         scale = m.ratio if sys.mode == "rational" else \
-            tuple(sorted(count_vector(sig.representative()).items()))
+            tuple(sorted(count_vector(representative(sig)).items()))
         buckets.setdefault(scale, {})[sig] = m.intercept
     gaps = [abs(a - b) for bucket in buckets.values()
             for a, b in itertools.combinations(bucket.values(), 2)]

@@ -9,37 +9,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cfsdim import CFSystem, ProbVector, Symbol, Word
+from cfsdim import Block, CFSystem, ProbVector
 from cfsdim.ifs import BudgetExceeded
 from cfsdim.words import signature_classes
 from oracles import (EmptyWord, class_weight, compose, count_vector, decompose,
-                     enumerate_signatures, enumerate_words, word)
+                     enumerate_signatures, enumerate_words, representative,
+                     word)
 
 
 class TestDecompose:
     def test_runs_become_blocks(self):
         w = word((1, 1), (1, 2), (1, 1), (2, 1), (1, 1))
-        sig = decompose(w)
-        assert [b.group for b in sig.blocks] == [1, 2, 1]
-        assert dict(sig.blocks[0].counts) == {1: 2, 2: 1}
-        assert dict(sig.blocks[1].counts) == {1: 1}
-        assert dict(sig.blocks[2].counts) == {1: 1}
+        assert decompose(w) == ((1, ((1, 2), (2, 1))), (2, ((1, 1),)),
+                                (1, ((1, 1),)))
 
     def test_repeated_symbol_single_block(self):
-        sig = decompose(word((2, 1), (2, 1)))
-        assert len(sig.blocks) == 1
-        assert dict(sig.blocks[0].counts) == {1: 2}
+        assert decompose(word((2, 1), (2, 1))) == ((2, ((1, 2),)),)
 
     def test_empty_word(self):
-        assert decompose(Word([])).blocks == ()
+        assert decompose(word()) == ()
 
     def test_block_lengths_sum_to_word_length(self):
         w = word((1, 1), (1, 2), (2, 1), (2, 1), (1, 1))
-        assert sum(b.length for b in decompose(w).blocks) == len(w)
+        assert sum(c for _, counts in decompose(w) for _, c in counts) \
+            == len(w)
 
     def test_adjacent_blocks_differ_in_group(self):
         w = word((1, 1), (1, 2), (2, 1), (1, 1), (1, 1))
-        groups = [b.group for b in decompose(w).blocks]
+        groups = [group for group, _ in decompose(w)]
         assert all(a != b for a, b in zip(groups, groups[1:]))
 
 
@@ -70,13 +67,13 @@ class TestCompose:
 
     def test_empty_word_rejected(self, equal_halves):
         with pytest.raises(EmptyWord):
-            compose(equal_halves, Word([]))
+            compose(equal_halves, word())
 
     def test_same_signature_same_map_exact(self):
         sys = CFSystem(["0", "1"], [["1/2", "1/3"], ["1/5"]], mode="rational")
         for n in range(2, 5):
             for w1 in enumerate_words(sys, n):
-                w2 = Word(tuple(reversed(w1.symbols)))
+                w2 = w1[::-1]
                 if decompose(w1) == decompose(w2):
                     assert compose(sys, w1) == compose(sys, w2)
 
@@ -102,7 +99,7 @@ class TestProject:
         assert _walk_pi(equal_halves, 2)[decompose(w)] == pytest.approx(0.25)
 
     def test_fixed_point_absorbs(self, two_group_overlap):
-        w = Word([Symbol(1, 1)] * 5)
+        w = word(*[(1, 1)] * 5)
         assert _walk_pi(two_group_overlap, 5)[decompose(w)] == 0.0
 
     # each new length walks all its classes once (17711 at length 10)
@@ -118,7 +115,7 @@ class TestProject:
         sys = CFSystem(["0", "1"], [["1/2", "1/5"], ["1/7"]], mode="rational")
         for n in range(1, 9):
             for sig, prod, pi in signature_classes(sys, n):
-                m = compose(sys, sig.representative())
+                m = compose(sys, representative(sig))
                 assert (prod, pi) == (m.ratio, m.intercept)
 
 
@@ -128,12 +125,12 @@ class TestCountVector:
         assert cv == {(1, 1): 2, (2, 1): 1}
 
     def test_empty(self):
-        assert count_vector(Word([])) == {}
+        assert count_vector(word()) == {}
 
     def test_additive_under_concatenation(self):
         w1 = word((1, 1), (2, 1))
         w2 = word((1, 2), (1, 1))
-        combined = count_vector(Word(w1.symbols + w2.symbols))
+        combined = count_vector(w1 + w2)
         merged = dict(count_vector(w1))
         for k, v in count_vector(w2).items():
             merged[k] = merged.get(k, 0) + v
@@ -183,10 +180,9 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_words(two_group_overlap, 8)) == 6561
 
     def test_lexicographic_and_unique(self, two_group_overlap):
-        words = [w.to_json() for w in enumerate_words(two_group_overlap, 3)]
+        words = list(enumerate_words(two_group_overlap, 3))
         assert words == sorted(words)
-        assert len(set(map(tuple, (tuple(map(tuple, w)) for w in words)))) \
-            == len(words)
+        assert len(set(words)) == len(words)
 
     def test_budget(self, two_group_overlap, monkeypatch):
         monkeypatch.setattr(oracles, "ENUM_BUDGET", 10**6)
@@ -195,11 +191,11 @@ class TestEnumeration:
 
     def test_signatures_cover_all_words(self, two_group_overlap):
         n = 4
-        from_words = {decompose(w)
-                      for w in enumerate_words(two_group_overlap, n)}
-        enumerated = list(enumerate_signatures(two_group_overlap, n))
-        assert set(enumerated) == from_words
-        assert len(enumerated) == len(from_words)
+        from_words = enumerate_signatures(two_group_overlap, n)
+        walked = [rec[0] for rec in signature_classes(two_group_overlap, n)]
+        assert set(walked) == set(from_words)
+        assert len(walked) == len(from_words)
+        assert all(isinstance(b, Block) for sig in walked for b in sig)
 
 
 class TestSignatureClasses:
