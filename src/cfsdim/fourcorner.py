@@ -178,15 +178,17 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
     weights p_i = gamma_i * lambda_i^{s-1} and _root's report of s, the root
     of their sum = 1.  The excess sum - 1 strictly decreases in s towards
     -1, so a root exists, and is positive, exactly when the excess at 0 is
-    positive; _root brackets it from 0 by doubling.  A term past the
-    double range (a subnormal lambda_i at small s) makes the sum +inf."""
-    pairs = [(g, l) for (g, _), (l, _) in sys.maps()]
+    positive; _root brackets it from 0 by doubling.  A term whose power
+    lambda_i^{s-1} leaves the doubles is taken in logs, +inf past them."""
+    def term(g, l, s):
+        try:
+            return g * l ** (s - 1)
+        except OverflowError:   # a subnormal lambda_i: e^709 < DBL_MAX
+            x = math.log(g) + (s - 1) * math.log(l)
+            return math.exp(x) if x < 709.0 else math.inf
 
     def weights(s):
-        try:
-            return [g * l ** (s - 1) for g, l in pairs]
-        except OverflowError:   # a positive term past the doubles: sum +inf
-            return [math.inf]
+        return [term(g, l, s) for (g, _), (l, _) in sys.maps()]
 
     def excess(s):
         return sum(weights(s)) - 1.0

@@ -30,6 +30,13 @@ PPM_SHA256 = "2ff950919782cdc827286f176d15f7b3180c90e919b9465c7c85780b49631bb1"
 SVG_SHA256 = "88f7afe2d81e2855dc0a228550d5531ac5a221c16a899fab485be6c4776f1cfd"
 
 
+def log_space_excess(sys, s):
+    """sum_i gamma_i * lambda_i^{s-1} - 1 with every term taken in logs, so
+    that no power leaves the doubles."""
+    return math.fsum(math.exp(math.log(g) + (s - 1) * math.log(l))
+                     for (g, _), (l, _) in sys.maps()) - 1.0
+
+
 def traced_peak(fn, *args, **kwargs) -> int:
     """Peak traced bytes while fn(*args, **kwargs) runs."""
     tracemalloc.start()
@@ -194,17 +201,13 @@ class TestNaturalP:
         checked against the equation evaluated in log space."""
         sys = FourCornerSystem([[0.5, 0.5], [0.5, 0.5]],
                                [[1e-309, 0.5], [0.5, 0.5]])
-
-        def excess(s):
-            return math.fsum(math.exp(math.log(g) + (s - 1) * math.log(l))
-                             for (g, _), (l, _) in sys.maps()) - 1.0
-
         prob, s = natural_p(sys)
-        assert excess(s) == pytest.approx(0.0, abs=1e-14)
+        assert log_space_excess(sys, s) == pytest.approx(0.0, abs=1e-14)
         assert s == pytest.approx(math.log2(3), abs=1e-13)
         rep = set_dimension_4c(sys)
         lo, hi = rep.diagnostics["bracket"]
-        assert lo == hi or (excess(lo) > 0 > excess(hi))
+        assert lo == hi or (log_space_excess(sys, lo) > 0
+                            > log_space_excess(sys, hi))
         assert sum(prob.p) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("argv", [
@@ -242,10 +245,19 @@ class TestSuffCheck:
     def test_quotients_past_the_doubles(self):
         """Subnormal ratios put p_4 within 2e-14 of 1: (1 - p_4) gamma_3
         underflows to 0, so that term goes through logs.  Checked against
-        the expression summed in logs, 1 - p_j summed from the others."""
+        the expression summed in logs, 1 - p_j summed from the others.  At
+        the root lambda^{s-1} is past the doubles while every term is not,
+        so s is checked against the equation in log space too: s sits
+        about 0.0024 below the power's overflow boundary."""
         sys = FourCornerSystem([[5e-324, 5e-324], [5e-324, 1e-309]],
                                [[5e-324, 5e-324], [5e-324, 5e-324]])
         diag = set_dimension_4c(sys, tol=1e-14).diagnostics
+        lo, hi = diag["bracket"]
+        assert log_space_excess(sys, diag["s"]) == pytest.approx(0.0,
+                                                                 abs=1e-11)
+        assert lo == hi or (log_space_excess(sys, lo) > 0
+                            > log_space_excess(sys, hi))
+        assert diag["s"] == pytest.approx(0.0442497380631332, abs=1e-13)
         p, g = diag["natural_p"], [5e-324, 5e-324, 5e-324, 1e-309]
         oracle = math.fsum(
             p[i] * (math.log(math.fsum(p[:j] + p[j + 1:])) + math.log(g[i])

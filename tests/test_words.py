@@ -166,10 +166,11 @@ class TestClassWeight:
         assert class_weight(sig, p) == 3 * Fraction(1, 2) ** 2 * Fraction(1, 4)
 
     def test_partition_of_unity(self, two_group_overlap):
+        """The walk's classes partition the measure."""
         p = ProbVector.uniform(two_group_overlap)
         for n in (1, 4, 8):
-            total = sum(class_weight(sig, p)
-                        for sig in enumerate_signatures(two_group_overlap, n))
+            total = sum(class_weight(rec[0], p)
+                        for rec in signature_classes(two_group_overlap, n))
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
