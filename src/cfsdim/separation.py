@@ -6,6 +6,8 @@ already quotiented out, as the walk yields each signature once.  The minimum
 gap |Pi(w1) - Pi(w2)| over same-bucket pairs, the adjacent pairs once each
 bucket is sorted by Pi, is reported together with the implied separation
 exponent -log2(gap)/n, unless a float gap lies within the rounding of Pi.
+Rational mode buckets, sorts and subtracts integers over one common
+denominator per depth, so its gaps are exact.
 The probe never certifies the asymptotic condition; its verdicts are
 consistent-up-to-n, violated-with-witness, or indeterminate.
 """
@@ -13,6 +15,7 @@ consistent-up-to-n, violated-with-witness, or indeterminate.
 from __future__ import annotations
 
 import math
+from sys import float_info
 from typing import NamedTuple, Optional
 
 from .ifs import BudgetExceeded, CFSystem, ValidationError, _gamma, _json_value
@@ -20,9 +23,10 @@ from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
 # The one cap on the signature walk, checked before it starts.  A bucketed
-# class, its Pi value and signature, holds about 285 B resident (a 48 MB
-# peak, 33 MB over the interpreter, at the 121 393 classes of
-# rational_three_symbol at depth 12), so the cap is about 2.9 GB.
+# rational class, its Pi value as an integer and its signature, holds about
+# 220 B resident (a 40.5 MB peak, 25.5 MB over the interpreter, at the
+# 121 393 classes of rational_three_symbol at depth 12), so the cap is
+# about 2.2 GB.
 DEFAULT_CLASS_BUDGET = 10**7
 
 
@@ -76,10 +80,18 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
     """Minimum projection gap over pairs of distinct signatures with equal
     contraction product.
 
-    Rational mode buckets by the exact product.  Float mode sorts the
-    products and merges those that agree to relative FLOAT_MERGE_RTOL: the
-    roundings of one count vector's product, and any multiplicative
-    relation between the ratios.
+    Rational mode takes every value as an integer over the common
+    denominator L = T R^n (``denom``), where R and T are the lcm of the ratio and of the
+    fixed-point denominators: a product of n ratios times R^n, and Pi times
+    L (Pi is a sum of products of at most n ratios with fixed points), are
+    integers.  It buckets by the exact product's integer and sorts and
+    subtracts the integers Pi L, so a gap is the exact rational best / L; its
+    double is rounded once, and a gap below the normal doubles takes
+    ``implied_b`` = (log2 L - log2 best)/n from the integers.  Float mode
+    sorts the products and merges those that agree to relative
+    FLOAT_MERGE_RTOL: the roundings of one count vector's product, and any
+    multiplicative relation between the ratios.  In both modes the witness
+    is the first minimal adjacent pair in bucket order.
 
     A float gap at most twice the rounding bound E of one Pi value may be
     an exact coincidence, so it implies no exponent (``implied_b`` None).
@@ -97,11 +109,19 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     class_count = count_classes(sys, n)
     buckets: dict = {}
-    for sig, prod, pi in signature_classes(sys, n):
-        buckets.setdefault(prod, []).append((pi, sig))
     if sys.mode == "rational":
+        r_n = math.lcm(*(lam.denominator for row in sys.ratios
+                         for lam in row)) ** n
+        denom = math.lcm(*(t.denominator for t in sys.fixed_points)) * r_n
+        for sig, prod, pi in signature_classes(sys, n):
+            key = prod.numerator * (r_n // prod.denominator)
+            buckets.setdefault(key, []).append(
+                (pi.numerator * (denom // pi.denominator), sig))
         merged = buckets.values()
     else:
+        denom = 1
+        for sig, prod, pi in signature_classes(sys, n):
+            buckets.setdefault(prod, []).append((pi, sig))
         merged, last = [], None
         for prod in sorted(buckets):
             if last is not None and abs(prod - last) <= FLOAT_MERGE_RTOL * abs(prod):
@@ -119,16 +139,22 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
                     break
         if best == 0:
             break
-    gap = None if best is None else float(best)
+    # int / int is correctly rounded, so this is float(Fraction(best, denom))
+    gap = None if best is None else best / denom
     lam = max(max(row) for row in sys.ratios)
-    resolved = gap and (sys.mode == "rational" or gap > 2 * (   # 2E
+    resolved = best and (sys.mode == "rational" or gap > 2 * (   # 2E
         _gamma(4 * n + 1) * 2 * max(map(abs, sys.fixed_points))
         * sum(lam**i for i in range(n))))
+    if not resolved:
+        implied_b = None
+    elif gap >= float_info.min:
+        implied_b = -math.log2(gap) / n
+    else:   # a gap below the normal doubles: -log2(best/denom) from the ints
+        implied_b = (math.log2(denom) - math.log2(best)) / n
     return SeparationReport(
         depth=n, class_count=class_count, min_gap=gap, exact_zero=best == 0,
         witness=witness, witness_words=None if witness is None else
-        tuple(map(_word, witness)),
-        implied_b=-math.log2(gap) / n if resolved else None, mode=sys.mode)
+        tuple(map(_word, witness)), implied_b=implied_b, mode=sys.mode)
 
 
 class ProbeResult(NamedTuple):

@@ -124,3 +124,30 @@ def word_records(sys, n: int, p=None):
         weight = None if p is None else math.prod(
             p.weights[g - 1][m - 1] for g, m in w)
         yield decompose(w), compose(sys, w), weight
+
+
+def fraction_min_gap(records, n: int) -> dict:
+    """The rational probe's depth-n report fields from the walk's records
+    (signature, product, Pi), computed on the Fractions themselves: bucket
+    by the exact product, sort each bucket by Pi, and take the first
+    smallest adjacent difference in bucket order; ``implied_b`` is
+    -log2 of that gap as a double, over n."""
+    buckets: dict = {}
+    for sig, prod, pi in records:
+        buckets.setdefault(prod, []).append((pi, sig))
+    best = witness = None
+    for bucket in buckets.values():
+        bucket.sort(key=lambda rec: rec[0])
+        for (pa, sig_a), (pb, sig_b) in zip(bucket, bucket[1:]):
+            if best is None or pb - pa < best:
+                best, witness = pb - pa, (sig_a, sig_b)
+                if best == 0:
+                    break
+        if best == 0:
+            break
+    gap = None if best is None else float(best)
+    return {"class_count": sum(map(len, buckets.values())), "min_gap": gap,
+            "exact_zero": best == 0, "witness": witness,
+            "witness_words": None if witness is None else
+            tuple(map(representative, witness)),
+            "implied_b": -math.log2(gap) / n if gap else None}

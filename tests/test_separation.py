@@ -1,6 +1,8 @@
 """Finite-depth separation probe: collision buckets, minimum gaps, exact
 coincidence detection."""
 
+import decimal
+import hashlib
 import itertools
 import math
 import random
@@ -9,14 +11,26 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, ValidationError, esc_probe,
                     min_gap, separation)
+from cfsdim.cli import main
 from cfsdim.separation import count_classes
 from cfsdim.words import signature_classes
 from conftest import config_path
-from oracles import (compose, count_vector, decompose, representative, word,
-                     word_records)
+from oracles import (compose, count_vector, decompose, fraction_min_gap,
+                     representative, word, word_records)
+
+# sha256 of the stdout and CSV of `esc-probe rational_three_symbol.json
+# --n-max 8 --csv` and of the stdout of `esc-probe exact_coincidence.json`:
+# a change to the probe's arithmetic must not move a byte of them
+R3_STDOUT_SHA256 = \
+    "1e24b295c9c67fb4122f5bdc786727239654a670619d9f847ab78464da7d2e6a"
+R3_CSV_SHA256 = \
+    "10ecdbf79d90873bc54a21ac5b457d47a1d473a569eb8d02e85c52d67c2cb66a"
+COINCIDENCE_STDOUT_SHA256 = \
+    "19b506661bb082ee3fdc1a401077e291e2d6fc77caca49fbd5196d9d565c3440"
 
 
 @pytest.fixture
@@ -291,3 +305,85 @@ class TestSameSignatureSameMap:
             for sig, m, _ in word_records(rational_three_symbol, n):
                 by_sig.setdefault(sig, set()).add((m.ratio, m.intercept))
             assert all(len(maps) == 1 for maps in by_sig.values())
+
+
+def _neg_log2(q: Fraction) -> float:
+    """-log2 q of a positive rational, from 60-digit logarithms."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float((decimal.Decimal(q.denominator).ln()
+                      - decimal.Decimal(q.numerator).ln())
+                     / decimal.Decimal(2).ln())
+
+
+class TestGapsBelowTheDoubles:
+    """Fixed points 0 and 10^-300: every gap is exact and positive, and from
+    depth 3 on it lies below the normal doubles (from depth 5 below the
+    subnormals too)."""
+
+    @pytest.fixture
+    def tiny(self):
+        return CFSystem(["0", Fraction(1, 10**300)],
+                        [["1/1000000", "1/999999"], ["1/7"]], mode="rational")
+
+    def test_exponent_from_the_exact_gap(self, tiny):
+        res = esc_probe(tiny, 6)
+        assert res.verdict == "consistent-up-to-6"
+        for row in res.rows:
+            gap, _ = _word_min_gap(tiny, row.depth)
+            assert not row.exact_zero and row.min_gap == float(gap)
+            assert row.implied_b == pytest.approx(
+                _neg_log2(gap) / row.depth, rel=1e-13)
+        assert res.b_hat == res.rows[0].implied_b
+
+
+# ratios p/q with q <= 12; fixed points on denominators dividing 12, so
+# that groups share them, negative ones among them
+_ratios = st.integers(2, 12).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
+_points = st.builds(Fraction, st.integers(-12, 12),
+                    st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+@st.composite
+def _rational_probes(draw):
+    """A system of 2-3 groups of 1-3 members and a depth from 1 to 6, less
+    where the depth has more than 20 000 classes (three groups of three
+    have 282 132 at depth 6)."""
+    k = draw(st.integers(2, 3))
+    points = draw(st.lists(_points, min_size=k, max_size=k, unique=True))
+    sys = CFSystem(points, [draw(st.lists(_ratios, min_size=1, max_size=3))
+                            for _ in points], mode="rational")
+    n = draw(st.integers(1, 6))
+    while count_classes(sys, n) > 20_000:
+        n -= 1
+    return sys, n
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_rational_probes())
+    def test_report_matches(self, case):
+        """The integer keys give every field the Fractions give."""
+        sys, n = case
+        ref = fraction_min_gap(signature_classes(sys, n), n)
+        rep = min_gap(sys, n)
+        assert {field: getattr(rep, field) for field in ref} == ref
+
+
+class TestPinnedOutput:
+    def _sha256(self, text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_rational_three_symbol(self, tmp_path, capsys):
+        csv = tmp_path / "probe.csv"
+        assert main(["esc-probe", config_path("rational_three_symbol.json"),
+                     "--n-max", "8", "--csv", str(csv)]) == 0
+        assert self._sha256(capsys.readouterr().out) == R3_STDOUT_SHA256
+        assert self._sha256(csv.read_text()) == R3_CSV_SHA256
+
+    def test_exact_coincidence(self, capsys):
+        assert main(["esc-probe",
+                     config_path("exact_coincidence.json")]) == 0
+        assert self._sha256(capsys.readouterr().out) == \
+            COINCIDENCE_STDOUT_SHA256
