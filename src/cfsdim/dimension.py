@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
-    _json_value, check_tol
+    _json_value, _total, check_tol
 
 ROOT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
@@ -112,7 +112,7 @@ def similarity_dimension(ratios, tol: float = ROOT_TOL) -> float:
         raise ValidationError("ratios must be a nonempty subset of (0,1)")
 
     def f(s):
-        return sum(r**s for r in rs) - 1.0
+        return _total(r**s for r in rs) - 1.0
 
     return _root(f, 0.0, 1.0, tol)[0]
 
@@ -141,8 +141,8 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
     N = sys.n_groups
 
     def F(s):
-        return sum(math.prod(1.0 - float(lam)**s for lam in row)
-                   for row in sys.ratios)
+        return _total(math.prod(1.0 - float(lam)**s for lam in row)
+                      for row in sys.ratios)
 
     raw, bracket, evaluations = _root(lambda s: F(s) - (N - 1), 0.0, 1.0, tol)
     return DimensionReport(
@@ -159,7 +159,7 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
     for x in xs:
         for m in range(1, depth + 1):
             H[m] = H[m] + x * H[m - 1]
-    return sum(H[1:])
+    return _total(H[1:])
 
 
 def gd_cells(sys: CFSystem, depth: int, sequence: bool = False) -> int:

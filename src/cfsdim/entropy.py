@@ -17,7 +17,7 @@ from operator import mul
 from typing import List, NamedTuple, Optional
 
 from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
-                  ValidationError, _gamma, _json_value, check_samples,
+                  ValidationError, _gamma, _json_value, _total, check_samples,
                   check_shape, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
@@ -44,8 +44,6 @@ class RWEntropyResult(NamedTuple):
     method: str                      # "closed-form" | "brute-force"
     depth: Optional[int] = None      # depth, increments: brute force only
     increments: Optional[tuple] = None   # H_2 - H_1, ..., H_n - H_{n-1}
-    entropies: tuple = ()            # H_1, ..., H_n, never printed
-    _json_hidden = ("entropies",)
     to_json_dict = _json_value
 
 
@@ -72,7 +70,7 @@ def lyapunov(sys: CFSystem, p: ProbVector) -> float:
 
 
 def _group_masses(p: ProbVector) -> List[float]:
-    return [float(sum(row)) for row in p.weights]
+    return [float(_total(row)) for row in p.weights]
 
 
 def _point_mass_bound(p: ProbVector) -> float:
@@ -298,8 +296,8 @@ def rw_entropy_closed(sys: CFSystem, p: ProbVector,
 
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
                           n: int) -> RWEntropyResult:
-    """Exact entropies H_1..H_n of the block-signature classes, in O(N n)
-    steps after the block entropies.
+    """Exact entropy H_n / n of the block-signature classes at depth n, with
+    the increments H_r - H_{r-1}, in O(N n) steps after the block entropies.
 
     This is the entropy of the composed maps f_w only while no two distinct
     signatures of the same length compose to the same map; an exact
@@ -337,7 +335,5 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
             # subtracting from +0.0 keeps a point mass at +0.0
             deltas[r - 1] -= sl[r] + a * sl[r - 1] + c * prefix
             prefix += sl[r - 1]
-    entropies = tuple(accumulate(deltas))
-    return RWEntropyResult(value=entropies[-1] / n, method="brute-force",
-                           depth=n, increments=tuple(deltas[1:]),
-                           entropies=entropies)
+    return RWEntropyResult(value=_total(deltas) / n, method="brute-force",
+                           depth=n, increments=tuple(deltas[1:]))

@@ -12,7 +12,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
-                  ValidationError, _json_value, check_samples, check_shape)
+                  ValidationError, _json_value, _total, check_samples,
+                  check_shape)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 # the largest scale exponent m for which box2d's cell key x * 2^m + y fits
@@ -32,14 +33,14 @@ class ScalingFit(NamedTuple):
 def _fit(xs, ys) -> tuple:
     """(slope, r2) of the least-squares line through the points (x, y)."""
     n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx = _total(xs) / n
+    my = _total(ys) / n
+    sxx = _total((x - mx) ** 2 for x in xs)
+    sxy = _total((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
+    ss_res = _total((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = _total((y - my) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, r2
 
@@ -68,15 +69,14 @@ def _scaling_fit(ms: list, window: list, counts: list,
                       r2=r2, window=(window[0], window[-1]))
 
 
-def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
-    """(upper, lower) dyadic box counts at scale 2^-m.
+def cover_boxes_1d(sys: CFSystem, m: int) -> int:
+    """The dyadic boxes of side 2^-m that meet a cylinder cover.
 
     Cylinder intervals f_w([t_min, t_max]) are refined until shorter than
-    2^-m (after rescaling the attractor into [0,1]); the upper count marks
-    every box meeting a cylinder, the lower count only the box holding each
-    cylinder's left endpoint.  Maps with the same ratio at the same fixed
-    point are the same map and have the same subtree, so each distinct
-    (ratio, intercept) pair is refined once.
+    2^-m (after rescaling the attractor into [0,1]), and every box meeting
+    one is counted.  Maps with the same ratio at the same fixed point are
+    the same map and have the same subtree, so each distinct (ratio,
+    intercept) pair is refined once.
     """
     t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
@@ -84,8 +84,7 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
     target = 2.0 ** (-m)
     scale = 2 ** m
 
-    upper: set = set()
-    lower: set = set()
+    boxes: set = set()
     visited = 0
     # iterative DFS over cylinder maps as (ratio, intercept)
     stack = [(1.0, 0.0)]
@@ -104,15 +103,14 @@ def cover_boxes_1d(sys: CFSystem, m: int) -> tuple:
         hi = lo + r          # rescaled cylinder [lo, lo + r]
         b0 = int(math.floor(lo * scale))
         b1 = int(math.floor(min(hi, 1.0 - 1e-15) * scale))
-        upper.update(range(b0, b1 + 1))
-        lower.add(b0)
-    return len(upper), len(lower)
+        boxes.update(range(b0, b1 + 1))
+    return len(boxes)
 
 
 def box_dimension_1d(sys: CFSystem, m_range: Sequence[int]) -> ScalingFit:
     """Least-squares slope of log2 N_m against m over the trimmed window."""
     ms, window = _window(m_range)
-    return _scaling_fit(ms, window, [cover_boxes_1d(sys, m)[0] for m in ms])
+    return _scaling_fit(ms, window, [cover_boxes_1d(sys, m) for m in ms])
 
 
 def box_dimension_2d(sys, m_range: Sequence[int], points: int,

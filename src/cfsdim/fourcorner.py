@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _Value, _refuse, check_samples, weight_errors)
+                  _Value, _refuse, _total, check_samples, weight_errors)
 
 CHAOS_BURN_IN = 100
 CHAOS_CHAINS = 4096
@@ -64,11 +64,6 @@ class FourCornerSystem(_Value):
             ((g[1][0], 1.0 - g[1][0]), (l[0][1], 0.0)),
             ((g[1][1], 1.0 - g[1][1]), (l[1][1], 1.0 - l[1][1])),
         )
-
-    def to_json_dict(self) -> dict:
-        return {"type": "four_corner",
-                "gamma": [list(r) for r in self.gamma],
-                "lambda": [list(r) for r in self.lam]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FourCornerSystem":
@@ -191,14 +186,14 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
         return [term(g, l, s) for (g, _), (l, _) in sys.maps()]
 
     def excess(s):
-        return sum(weights(s)) - 1.0
+        return _total(weights(s)) - 1.0
 
     if excess(0.0) <= 0.0:
         raise RootOutsideBracket("the natural-weight equation has no positive "
                                  "root: sum gamma_i / lambda_i <= 1")
     root = _root(excess, 0.0, 1.0, tol)
     w = weights(root[0])
-    total = sum(w)
+    total = _total(w)
     return FourCornerProb(tuple(v / total for v in w)), root
 
 

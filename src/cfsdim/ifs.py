@@ -8,8 +8,9 @@ rational mode, root-finding always runs in floating point.
 
 from __future__ import annotations
 
-import json
 import math
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
@@ -31,16 +32,15 @@ class BudgetExceeded(RuntimeError):
 def _json_value(v):
     """``v`` as plain JSON data.  A ``Block`` converts through ``to_json``;
     any other named tuple (a report) gives the dict of its fields: a
-    required field always appears, as null when None, one whose default is
-    None only while it is not None, and one named in ``_json_hidden`` never.
-    Dicts, tuples and lists convert recursively."""
+    required field always appears, as null when None, and one whose default
+    is None only while it is not None.  Dicts, tuples and lists convert
+    recursively."""
     if hasattr(v, "to_json"):
         return v.to_json()
     if hasattr(v, "_fields"):
-        hidden, defaults = getattr(v, "_json_hidden", ()), v._field_defaults
+        defaults = v._field_defaults
         return {k: _json_value(x) for k, x in zip(v._fields, v)
-                if k not in hidden
-                and not (x is None and k in defaults and defaults[k] is None)}
+                if not (x is None and k in defaults and defaults[k] is None)}
     if isinstance(v, dict):
         return {k: _json_value(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
@@ -94,6 +94,13 @@ def _gamma(n: int) -> float:
     return n * math.ulp(0.5) / (1.0 - n * math.ulp(0.5))
 
 
+def _total(xs):
+    """The sum of ``xs`` from 0, left to right: the same double on every
+    interpreter (built-in ``sum`` compensates floats from 3.12 on), and an
+    exact total of ints or Fractions."""
+    return reduce(add, xs, 0)
+
+
 def _refuse(errors: list) -> None:
     """Raise one ValidationError naming every violated invariant, if any."""
     if errors:
@@ -138,20 +145,6 @@ class CFSystem(_Value):
         return tuple((lam, t * (1 - lam))
                      for t, row in zip(self.fixed_points, self.ratios)
                      for lam in row)
-
-    def to_json_dict(self, probabilities: "ProbVector | None" = None) -> dict:
-        def enc(v):   # each value is a float or a Fraction
-            return v if isinstance(v, float) else f"{v.numerator}/{v.denominator}"
-        d = {
-            "type": "cfs",
-            "fixed_points": [enc(t) for t in self.fixed_points],
-            "ratios": [[enc(r) for r in row] for row in self.ratios],
-            "mode": self.mode,
-        }
-        if probabilities is not None:
-            d["probabilities"] = [[enc(p) for p in row]
-                                  for row in probabilities.weights]
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CFSystem":
@@ -248,7 +241,7 @@ def weight_errors(weights: Sequence) -> list:
             errors.append(f"NonFiniteWeight: {w}")
         elif w < 0:
             errors.append(f"NegativeWeight: {w}")
-    tot = sum(weights)
+    tot = _total(weights)
     # a float total is checked within PROB_SUM_TOL, any other (Fraction) exactly
     if abs(tot - 1) > (PROB_SUM_TOL if isinstance(tot, float) else 0):
         errors.append(f"SumNotOne: total={tot}")
@@ -277,15 +270,7 @@ def prune_zeros(sys: CFSystem, p: ProbVector) -> ProbVector:
     return ProbVector([row for row in rows if row], mode=p.mode)
 
 
-def load_system(path_or_dict) -> tuple:
-    """Read a JSON system descriptor; returns (system, probabilities-or-None)."""
-    if isinstance(path_or_dict, dict):
-        d = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
-            d = json.load(fh)
-    sys = CFSystem.from_json_dict(d)
-    p = None
-    if "probabilities" in d and d["probabilities"] is not None:
-        p = ProbVector(d["probabilities"], mode=sys.mode)
-    return sys, p
+def load_system(d: dict) -> tuple:
+    """(system, probabilities-or-None) from a JSON system descriptor dict."""
+    sys, weights = CFSystem.from_json_dict(d), d.get("probabilities")
+    return sys, None if weights is None else ProbVector(weights, mode=sys.mode)

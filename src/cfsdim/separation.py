@@ -18,7 +18,8 @@ import math
 from sys import float_info
 from typing import NamedTuple, Optional
 
-from .ifs import BudgetExceeded, CFSystem, ValidationError, _gamma, _json_value
+from .ifs import (BudgetExceeded, CFSystem, ValidationError, _gamma,
+                  _json_value, _total)
 from .words import signature_classes
 
 FLOAT_MERGE_RTOL = 1e-12
@@ -144,7 +145,7 @@ def min_gap(sys: CFSystem, n: int) -> SeparationReport:
     lam = max(max(row) for row in sys.ratios)
     resolved = best and (sys.mode == "rational" or gap > 2 * (   # 2E
         _gamma(4 * n + 1) * 2 * max(map(abs, sys.fixed_points))
-        * sum(lam**i for i in range(n))))
+        * _total(lam**i for i in range(n))))
     if not resolved:
         implied_b = None
     elif gap >= float_info.min:

@@ -1,8 +1,9 @@
+import json
 import os
 
 import pytest
 
-from cfsdim import CFSystem, FourCornerSystem, ProbVector
+from cfsdim import CFSystem, FourCornerSystem, ProbVector, load_system
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -16,6 +17,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def config_path(name: str) -> str:
     return os.path.abspath(os.path.join(CONFIG_DIR, name))
+
+
+def load_config(name: str) -> tuple:
+    """(system, probabilities-or-None) of a cfs descriptor in configs/."""
+    with open(config_path(name)) as fh:
+        return load_system(json.load(fh))
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ replaced stays here as its oracle.
 
 The library's signature DP takes its block sums from binomial marginals and
 its suffix sums from the multinomial theorem; the direct log-space sweep and
-the O(N n^2) DP it replaced stay here as its oracle.
+the O(N n^2) DP it replaced stay here as its oracle.  It reports H_n / n and
+the increments; ``dp_entropies`` rebuilds H_1..H_n from them.
 """
 
 import itertools
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 
-from cfsdim import CFSystem, ValidationError, gd_matrix, spectral_radius
+from cfsdim import (CFSystem, ValidationError, gd_matrix,
+                    rw_entropy_bruteforce, spectral_radius)
 from cfsdim.ifs import prune_zeros
 
 
@@ -163,3 +165,11 @@ def signature_entropies(sys: CFSystem, p, n: int) -> tuple:
             B[r][h] = acc
         tot[r] = sum(B[r])
     return tuple(-t for t in tot[1:])
+
+
+def dp_entropies(sys: CFSystem, p, n: int) -> list:
+    """H_1..H_n from the library's signature DP: its depth-1 value H_1,
+    then the depth-n increments H_r - H_{r-1} added in order."""
+    increments = rw_entropy_bruteforce(sys, p, n).increments
+    return list(itertools.accumulate(
+        [rw_entropy_bruteforce(sys, p, 1).value, *increments]))

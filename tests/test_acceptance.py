@@ -126,8 +126,7 @@ def test_criterion_04_random_walk_entropy_limit():
         target = shannon_entropy(p) + phi_series(sys, p, tol=1e-12).value
         bf = rw_entropy_bruteforce(sys, p, 13)
         rho = max(float(sum(row)) for row in p.weights)
-        errs = {n: abs((bf.entropies[n] - bf.entropies[n - 1]) - target)
-                for n in range(4, 13)}
+        errs = {n: abs(bf.increments[n - 1] - target) for n in range(4, 13)}
         assert errs[12] <= 1e-3
         for n, err in errs.items():
             assert err <= math.log(n + 2) * rho ** n

@@ -16,7 +16,7 @@ import cfsdim
 from cfsdim import (ProbVector, cli, dimension, entropy, estimate,
                     fourcorner, ifs, measure_dimension, separation, words)
 from cfsdim.cli import main
-from conftest import config_path
+from conftest import config_path, load_config
 
 TWO_GROUP = config_path("two_group_overlap.json")
 FOUR_CORNER = config_path("four_corner_main.json")
@@ -496,7 +496,8 @@ class TestOutputShape:
         path = config_path("rational_three_symbol.json")
         code, out, _ = run_main(["esc-probe", path, "--n-max", "5"], capsys)
         assert code == 0
-        lib = separation.esc_probe(ifs.load_system(path)[0], 5).to_json_dict()
+        sys_obj = load_config("rational_three_symbol.json")[0]
+        lib = separation.esc_probe(sys_obj, 5).to_json_dict()
         assert json.loads(json.dumps(lib)) == json.loads(out)
 
 
@@ -695,11 +696,12 @@ class TestProbabilitiesRule:
                                      tol=1e-10)
         assert json.loads(out)["raw"] == expected.raw
 
-    def test_descriptor_probabilities_unless_overridden(
-            self, two_group_overlap, tmp_path, capsys):
+    def test_descriptor_probabilities_unless_overridden(self, tmp_path,
+                                                        capsys):
         weights = [[0.5, 0.2], [0.3]]
-        path = write_descriptor(
-            tmp_path, two_group_overlap.to_json_dict(ProbVector(weights)))
+        path = write_descriptor(tmp_path, {
+            "type": "cfs", "fixed_points": [0.0, 1.0],
+            "ratios": [[0.3, 0.2], [0.25]], "probabilities": weights})
         _, own, _ = run_main(["phi", path], capsys)
         _, listed, _ = run_main(
             ["phi", path, "--probabilities", json.dumps(weights)], capsys)

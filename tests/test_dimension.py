@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                     attractor_dimension, dimension, gd_dimension, gd_matrix,
-                    load_system, lyapunov, measure_dimension, phi_series,
+                    lyapunov, measure_dimension, phi_series,
                     shannon_entropy, similarity_dimension, spectral_radius)
-from conftest import config_path
+from conftest import config_path, load_config
 from identities import (bisect_root, bn_matrix_check, gd_limit_matrix,
                         perron_root, special_det)
 
@@ -231,7 +231,7 @@ class TestGDDimension:
     def test_evaluations_per_root(self, name, monkeypatch):
         """Brent's method takes at most 16 evaluations of rho(C_n^(s)) per
         root at the default tol, where halving took 36 or 37."""
-        sys = load_system(config_path(name))[0]
+        sys = load_config(name)[0]
         seen = _count_gd_matrix(monkeypatch)
         for depth in range(1, 11):
             seen.clear()

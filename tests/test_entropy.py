@@ -14,7 +14,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError, ifs,
                     lyapunov, phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
 from cfsdim.entropy import RunTooLong, _tail_bound, _truncation_depth
-from identities import signature_entropies
+from identities import dp_entropies, signature_entropies
 from oracles import word_records
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
@@ -372,14 +372,13 @@ class TestRWEntropy:
         assert rw_entropy_closed(two_group_overlap, p).value == 0.0
 
     def test_bruteforce_h1_is_entropy(self, two_group_overlap, uniform21):
-        bf = rw_entropy_bruteforce(two_group_overlap, uniform21, 4)
-        assert bf.entropies[0] == pytest.approx(shannon_entropy(uniform21))
+        h1 = rw_entropy_bruteforce(two_group_overlap, uniform21, 1).value
+        assert h1 == pytest.approx(shannon_entropy(uniform21))
 
     def test_bruteforce_no_overlap_linear(self, equal_halves):
         p = ProbVector.uniform(equal_halves)
-        bf = rw_entropy_bruteforce(equal_halves, p, 6)
         h = shannon_entropy(p)
-        for n, H in enumerate(bf.entropies, start=1):
+        for n, H in enumerate(dp_entropies(equal_halves, p, 6), start=1):
             assert H == pytest.approx(n * h, rel=1e-12)
 
     def test_bruteforce_past_depth_170(self):
@@ -398,10 +397,10 @@ class TestRWEntropy:
     ], ids=["two-groups", "three-groups"])
     def test_bruteforce_matches_word_enumeration(self, sys, p):
         """Signature DP vs the exact composed-map grouping oracle."""
-        bf = rw_entropy_bruteforce(sys, p, 6)
+        entropies = dp_entropies(sys, p, 6)
         for n in (2, 4, 6):
             oracle = _entropy_by_word_enumeration(sys, p, n)
-            assert bf.entropies[n - 1] == pytest.approx(oracle, abs=1e-9)
+            assert entropies[n - 1] == pytest.approx(oracle, abs=1e-9)
 
     def test_entropy_of_signature_classes_not_of_maps(self):
         """With fixed points 0, 1/2, 1 some distinct signatures compose to
@@ -418,7 +417,7 @@ class TestRWEntropy:
         assert (len(by_sig), len(by_map)) == (9967, 9955)
         h_sig = -sum(v * math.log(v) for v in by_sig.values())
         h_map = -sum(v * math.log(v) for v in by_map.values())
-        h6 = rw_entropy_bruteforce(sys, p, 6).entropies[5]
+        h6 = dp_entropies(sys, p, 6)[5]
         assert h6 == pytest.approx(h_sig, abs=1e-9)
         assert h6 == pytest.approx(8.626150, abs=1e-6)
         assert h_map == pytest.approx(8.625437, abs=1e-6)
@@ -465,8 +464,7 @@ class TestSignatureDP:
         """The O(N n) DP against the log-space block sums and O(N n^2) DP it
         replaced; the oracle sees the system with zero-weight maps removed."""
         ratios, weights = DP_SYSTEMS[name]
-        got = rw_entropy_bruteforce(_line_system(ratios), ProbVector(weights),
-                                    n).entropies
+        got = dp_entropies(_line_system(ratios), ProbVector(weights), n)
         kept = [[(lam, w) for lam, w in zip(rr, ww) if w > 0]
                 for rr, ww in zip(ratios, weights)]
         want = signature_entropies(
@@ -494,7 +492,7 @@ class TestSignatureDP:
             st.lists(st.floats(0.01, 1.0), min_size=L, max_size=L)))
         # at most 3000 words: n <= 5, and n <= 3 for 8 or 9 maps
         n = data.draw(st.integers(1, min(5, int(math.log(3000, L)))))
-        got = rw_entropy_bruteforce(sys, p, n).entropies[-1]
+        got = dp_entropies(sys, p, n)[-1]
         assert got == pytest.approx(_entropy_by_word_enumeration(sys, p, n),
                                     abs=1e-9)
 

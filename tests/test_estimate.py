@@ -35,18 +35,10 @@ class TestFit:
 class TestCoverBoxes1D:
     def test_full_interval_counts(self, equal_halves):
         for m in (4, 6, 8):
-            upper, lower = cover_boxes_1d(equal_halves, m)
-            assert abs(upper - 2 ** m) <= 2
-            assert lower <= upper
-
-    def test_upper_at_least_lower(self, two_group_overlap, cantor_quarter):
-        for sys in (two_group_overlap, cantor_quarter):
-            for m in (4, 8, 12):
-                upper, lower = cover_boxes_1d(sys, m)
-                assert 1 <= lower <= upper
+            assert abs(cover_boxes_1d(equal_halves, m) - 2 ** m) <= 2
 
     def test_counts_nondecreasing_in_m(self, cantor_quarter):
-        counts = [cover_boxes_1d(cantor_quarter, m)[0] for m in range(4, 14)]
+        counts = [cover_boxes_1d(cantor_quarter, m) for m in range(4, 14)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_sampled_points_fall_in_counted_range(self, cantor_quarter):
@@ -56,8 +48,7 @@ class TestCoverBoxes1D:
         m = 10
         xs = sample_measure_points(cantor_quarter, p, 10_000, m + 2, seed=4)
         boxes = set(np.clip((xs * 2 ** m).astype(int), 0, 2 ** m - 1))
-        upper, _ = cover_boxes_1d(cantor_quarter, m)
-        assert len(boxes) <= upper
+        assert len(boxes) <= cover_boxes_1d(cantor_quarter, m)
 
 
 class TestBoxDimension1D:

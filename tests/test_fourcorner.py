@@ -217,9 +217,9 @@ class TestNaturalP:
     ], ids=["fourcorner", "estimate-box2d"])
     def test_subnormal_ratio_commands(self, argv, tmp_path, capsys):
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(FourCornerSystem(
-            [[0.5, 0.5], [0.5, 0.5]], [[1e-309, 0.5], [0.5, 0.5]]
-        ).to_json_dict()))
+        path.write_text(json.dumps({
+            "type": "four_corner", "gamma": [[0.5, 0.5], [0.5, 0.5]],
+            "lambda": [[1e-309, 0.5], [0.5, 0.5]]}))
         assert main([argv[0], str(path), *argv[1:]]) == 0
         json.loads(capsys.readouterr().out)
 
@@ -483,9 +483,3 @@ class TestRendering:
         peak = traced_peak(render_cylinders_svg, four_corner_main, depth,
                            str(tmp_path / "cyl.svg"))
         assert peak <= 80 * 4**depth
-
-
-class TestJsonDescriptor:
-    def test_round_trip(self, four_corner_main):
-        d = four_corner_main.to_json_dict()
-        assert FourCornerSystem.from_json_dict(d) == four_corner_main
