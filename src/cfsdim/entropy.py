@@ -16,12 +16,11 @@ from itertools import accumulate
 from operator import mul
 from typing import List, NamedTuple, Optional
 
-from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
-                  ValidationError, _gamma, _json_value, _total, check_samples,
-                  check_shape, check_tol, prune_zeros)
+from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
+                  ProbVector, ValidationError, _gamma, _json_value, _total,
+                  check_samples, check_shape, check_tol, prune_zeros)
 
 DEFAULT_TOL = 1e-10
-_MC_CHUNK = 1 << 16
 PHI_TERM_CAP = 10**8
 RW_DP_CAP = 10**7
 
@@ -206,6 +205,27 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
                      terms_used=cells, method="series")
 
 
+def _mc_chunk(rng, rho: float, w: float, size: int) -> tuple:
+    """(size, mean, sum of squared deviations) of ``size`` samples of
+    log(Y / (k - 1)) for the symbol of weight w in a group of mass rho: a
+    geometric draw of the runs, then a binomial draw of the counts."""
+    import numpy as np
+    # extra in-group steps after X1: failures before the first out-of-group
+    # draw
+    run = rng.geometric(1.0 - rho, size=size)
+    run -= 1
+    if np.any(run >= MC_RUN_CAP):
+        raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
+    y = rng.binomial(run, w / rho)
+    y += 1
+    run += 1
+    vals = np.true_divide(y, run)     # Y and k - 1 are exact doubles
+    np.log(vals, out=vals)
+    mean = float(vals.mean())
+    vals -= mean
+    return size, mean, float(np.dot(vals, vals))
+
+
 def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
                     seed: int) -> PhiResult:
     """Monte-Carlo estimate of Phi from its probabilistic representation.
@@ -217,11 +237,12 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and while drawing when
     one sampled run does.
 
-    Each stage (choice, geometric, binomial) draws all its samples before
-    the next starts, in chunks of _MC_CHUNK: the generator's stream runs
-    element by element, so a seed's numbers are those of whole-array draws.
-    Three sample-sized arrays stay alive, about 13 B per sample: the symbol
-    index, the run length G as int32 and the float64 log ratio.
+    The symbols' histogram is drawn first, in one multinomial draw.  Then
+    each symbol in turn draws its runs and counts, SAMPLE_CHUNK at a time,
+    a geometric chunk and then a binomial one; a symbol alone in its group
+    has Y = k - 1, so its samples are exact zeros and draw nothing.  The
+    chunks' means and sums of squared deviations merge pairwise (Chan,
+    Golub and LeVeque), so memory does not grow with ``samples``.
     """
     check_samples(samples, seed)
     p = prune_zeros(sys, p)
@@ -235,40 +256,27 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])
-    # out-of-group probability and in-group conditional weight per symbol
-    leave = np.array([1.0 - masses[gi]
-                      for gi, row in enumerate(p.weights) for _ in row])
-    cond = np.array([float(w) / masses[gi]
-                     for gi, row in enumerate(p.weights) for w in row])
-    chunks = [slice(i, min(i + _MC_CHUNK, samples))
-              for i in range(0, samples, _MC_CHUNK)]
-
-    idx = np.empty(samples, dtype=np.min_scalar_type(len(flat) - 1))
-    for c in chunks:
-        idx[c] = rng.choice(len(flat), size=c.stop - c.start, p=flat)
-    # extra in-group steps after X1: failures before first out-of-group draw
-    g = np.empty(samples, dtype=np.int32)
-    for c in chunks:
-        run = rng.geometric(leave[idx[c]])
-        run -= 1
-        if np.any(run >= MC_RUN_CAP):
-            raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
-        g[c] = run
-    vals = np.empty(samples)
-    for c in chunks:
-        y = rng.binomial(g[c], cond[idx[c]])
-        y += 1
-        # Y / (k - 1), both exact in float64
-        np.log(np.true_divide(y, g[c] + 1), out=vals[c])
-    mean = float(vals.mean())
-    stderr = 0.0
-    if samples > 1:
-        # std(ddof=1) by numpy's own steps, the deviations squared in place
-        # of a sample-sized copy
-        np.subtract(vals, mean, out=vals)
-        np.square(vals, out=vals)
-        stderr = (math.sqrt(float(vals.sum()) / (samples - 1))
-                  / math.sqrt(samples))
+    # the weights total 1 within PROB_SUM_TOL; the multinomial would hand
+    # that rounding to the last symbol, so it is divided out first
+    histogram = rng.multinomial(samples, flat / flat.sum()).tolist()
+    symbols = [(len(row), rho, float(w))
+               for row, rho in zip(p.weights, masses) for w in row]
+    # the count, mean and sum of squared deviations of the samples so far
+    n, mean, m2 = 0, 0.0, 0.0
+    for (members, rho, w), drawn in zip(symbols, histogram):
+        # a symbol alone in its group has Y = k - 1: exact zeros, none drawn
+        chunks = [(drawn, 0.0, 0.0)] if members == 1 else (
+            _mc_chunk(rng, rho, w, min(SAMPLE_CHUNK, drawn - start))
+            for start in range(0, drawn, SAMPLE_CHUNK))
+        for size, chunk_mean, chunk_m2 in chunks:
+            if size:
+                total = n + size
+                delta = chunk_mean - mean
+                mean += delta * size / total
+                m2 += chunk_m2 + delta * delta * n * size / total
+                n = total
+    stderr = (math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+              if samples > 1 else 0.0)
     return PhiResult(value=mean, tail_bound=0.0, terms_used=samples,
                      method="monte-carlo", stderr=stderr)
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .ifs import (MC_RUN_CAP, BudgetExceeded, CFSystem, ProbVector,
-                  ValidationError, _json_value, _total, check_samples,
-                  check_shape)
+from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
+                  ProbVector, ValidationError, _json_value, _total,
+                  check_samples, check_shape)
 
 DEFAULT_COVER_BUDGET = 5_000_000
-# the largest scale exponent m for which box2d's cell key x * 2^m + y fits
-# in int64
+# the largest scale exponent m for which a 2-D cell key, the bits of its
+# two bins interleaved (_keys), fits in int64
 MAX_SCALE = 31
 
 
@@ -113,31 +113,115 @@ def box_dimension_1d(sys: CFSystem, m_range: Sequence[int]) -> ScalingFit:
     return _scaling_fit(ms, window, [cover_boxes_1d(sys, m) for m in ms])
 
 
+def _spread(v):
+    """v < 2^32 with its bits moved to the even places: 1011 -> 1000101."""
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << shift)) & mask
+    return v
+
+
+def _keys(top: int, x, y=None):
+    """int64 keys of the dyadic cells of side 2^-top holding the points,
+    clipped into the grid: the bin of x in 1-D, the bins of x and y with
+    their bits interleaved in 2-D (Morton order), so that the key of a cell
+    of side 2^-m is the key of any cell inside it shifted right by
+    dims * (top - m) bits, and shifting keeps the keys in order."""
+    import numpy as np
+    last = (1 << top) - 1
+    xi = np.clip((x * (1 << top)).astype(np.int64), 0, last)
+    if y is None:
+        return xi
+    yi = np.clip((y * (1 << top)).astype(np.int64), 0, last)
+    return (_spread(xi) << 1) | _spread(yi)
+
+
+def _occupancy(key_chunks, ms: list, dims: int, measure) -> list:
+    """measure(counts) per scale m of the sorted ms, where counts are the
+    exact point counts of the occupied cells of side 2^-m in key order,
+    counted from chunks of _keys at the finest scale, top = ms[-1].
+
+    One sorted array of the distinct finest keys with their counts is kept
+    (int32 where the keys fit; a count is at most SAMPLE_CAP).  Chunks wait
+    until they hold an eighth as many keys, then join it, so a key moves
+    O(1) times on average and memory follows the occupied cells, not the
+    samples.  The scales are then taken finest first, each by shifting the
+    keys in place and merging the runs of equal keys: shifting keeps them
+    sorted, and floor(x 2^top) >> (top - m) is floor(x 2^m), also for the
+    clipped bins."""
+    import numpy as np
+    top = ms[-1]
+    keys = np.empty(0, dtype=np.int32 if dims * top < 32 else np.int64)
+    counts = np.empty(0, dtype=np.int32)
+    waiting, size = [], 0
+
+    def join():
+        nonlocal keys, counts, waiting, size
+        new, freq = np.unique(np.concatenate(waiting, dtype=keys.dtype),
+                              return_counts=True)
+        waiting, size = [], 0
+        pos = np.searchsorted(keys, new)
+        seen = pos < len(keys)
+        seen[seen] = keys[pos[seen]] == new[seen]
+        counts[pos[seen]] += freq[seen]
+        fresh = ~seen
+        pos, new, freq = pos[fresh], new[fresh], freq[fresh]
+        # each old array is dropped as soon as its successor is built
+        keys = np.insert(keys, pos, new)
+        counts = np.insert(counts, pos, freq)
+
+    for chunk in key_chunks:
+        waiting.append(chunk)
+        size += len(chunk)
+        if 8 * size >= len(keys):
+            join()
+    if waiting:
+        join()
+    found, scale = [], top
+    for m in reversed(ms):
+        if m < scale:
+            keys >>= dims * (scale - m)
+            last = np.empty(len(keys), dtype=bool)    # a run's last key
+            last[-1] = True
+            np.not_equal(keys[:-1], keys[1:], out=last[:-1])
+            keys = keys[last]
+            # a run's count: the difference of the running totals at the
+            # ends of this run and the one before
+            np.cumsum(counts, out=counts)
+            counts = counts[last]
+            counts[1:] -= counts[:-1]
+            del last
+            scale = m
+        found.append(measure(counts))
+    return found[::-1]
+
+
 def box_dimension_2d(sys, m_range: Sequence[int], points: int,
                      seed: int, weights=None) -> ScalingFit:
     """Chaos-game box counting for the 4-corner set; biased down at finite
     sample sizes, so only loose cross-checks should be asserted.  ``weights``
     reweights the map choice (the natural weights spread points far more
-    evenly over the set than the uniform default)."""
-    import numpy as np
-    from .fourcorner import chaos_game_points
+    evenly over the set than the uniform default).  The chaos game's steps
+    are counted as they come (_occupancy), so memory follows the occupied
+    cells at the finest scale, not ``points``."""
+    from .fourcorner import _chaos_steps
     ms, window = _window(m_range)
-    pts = chaos_game_points(sys, points, seed, weights=weights)
-    counts = []
-    for m in ms:
-        scale = 2 ** m
-        xi = np.clip((pts[:, 0] * scale).astype(np.int64), 0, scale - 1)
-        yi = np.clip((pts[:, 1] * scale).astype(np.int64), 0, scale - 1)
-        counts.append(int(np.unique(xi * scale + yi).size))
+    check_samples(points, seed)
+    top = ms[-1]
+    steps = _chaos_steps(sys, points, seed, weights)
+    counts = _occupancy((_keys(top, x, y) for x, y in steps), ms, 2, len)
     return _scaling_fit(ms, window, counts)
 
 
-def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
-                          min_scale: int, seed: int):
-    """numpy array of samples x = Pi(w) with symbols drawn from p, extending
-    each word until its contraction drops below 2^-min_scale.  So no word
-    is longer than min_scale log 2 / -log lam, lam the largest ratio drawn,
-    which must not pass ifs.MC_RUN_CAP, the cap on a sampled run."""
+def _measure_chunks(sys: CFSystem, p: ProbVector, samples: int,
+                    min_scale: int, seed: int):
+    """Samples x = Pi(w) with symbols drawn from p, SAMPLE_CHUNK at a time:
+    each word is extended until its contraction drops below 2^-min_scale.
+    So no word is longer than min_scale log 2 / -log lam, lam the largest
+    ratio drawn, which must not pass ifs.MC_RUN_CAP, the cap on a sampled
+    run.  The rules are checked on the call; the iterator returned draws
+    the chunks as they are read."""
     check_samples(samples, seed)
     check_shape(sys, p)
     maps = sys.maps()
@@ -151,36 +235,50 @@ def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
     ratios = np.array([float(r) for r, _ in maps])
     intercepts = np.array([float(c) for _, c in maps])
     target = 2.0 ** (-min_scale)
-
-    r = np.ones(samples)
-    c = np.zeros(samples)
-    active = np.ones(samples, dtype=bool)
-    while np.any(active):
-        idx = rng.choice(len(maps), size=int(active.sum()), p=flat_p)
-        c[active] = c[active] + r[active] * intercepts[idx]
-        r[active] = r[active] * ratios[idx]
-        active = r >= target
     t_min = float(min(sys.fixed_points))
-    return c + r * t_min  # f_w(t_min): an exact attractor point per word
+
+    def chunk(n):
+        r = np.ones(n)
+        c = np.zeros(n)
+        active = np.ones(n, dtype=bool)
+        while np.any(active):
+            idx = rng.choice(len(maps), size=int(active.sum()), p=flat_p)
+            c[active] = c[active] + r[active] * intercepts[idx]
+            r[active] = r[active] * ratios[idx]
+            active = r >= target
+        return c + r * t_min  # f_w(t_min): an exact attractor point per word
+
+    return (chunk(min(SAMPLE_CHUNK, samples - i))
+            for i in range(0, samples, SAMPLE_CHUNK))
+
+
+def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
+                          min_scale: int, seed: int):
+    """numpy array of the samples of _measure_chunks, one chunk after the
+    other."""
+    import numpy as np
+    return np.concatenate(list(_measure_chunks(sys, p, samples, min_scale,
+                                               seed)))
 
 
 def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
                   m_range: Sequence[int], seed: int) -> ScalingFit:
     """Dyadic entropy slope of the empirical self-similar measure; estimates
-    dim(mu) as H(mu_hat, D_m) / (m log 2)."""
+    dim(mu) as H(mu_hat, D_m) / (m log 2).  The samples are counted chunk
+    by chunk (_occupancy), so memory follows the occupied bins at the
+    finest scale, not ``samples``."""
     import numpy as np
     ms, window = _window(m_range)
     t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
-    xs = sample_measure_points(sys, p, samples, min_scale=max(ms) + 2,
-                               seed=seed)
-    xs = (xs - t_min) / diam
-    entropies = []
-    for m in ms:
-        scale = 2 ** m
-        bins = np.clip((xs * scale).astype(np.int64), 0, scale - 1)
-        _, freq = np.unique(bins, return_counts=True)
+    top = ms[-1]
+    chunks = _measure_chunks(sys, p, samples, min_scale=top + 2, seed=seed)
+
+    def entropy(freq) -> float:
         q = freq / samples
-        entropies.append(float(-(q * np.log(q)).sum()))
+        return float(-(q * np.log(q)).sum())
+
+    entropies = _occupancy((_keys(top, (xs - t_min) / diam) for xs in chunks),
+                           ms, 1, entropy)
     return _scaling_fit(ms, window, entropies,
                         bits=lambda nats: nats / math.log(2))

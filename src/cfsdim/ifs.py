@@ -14,10 +14,11 @@ from operator import add
 from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
-# Traced peaks per sample: render O(1) (it marks its raster step by step),
-# Monte-Carlo Phi about 15 B, entropy slope 49 B and box2d about 50 B, so
-# at most about 500 MB at the cap
+# The samplers draw and count SAMPLE_CHUNK samples at a time, so no
+# sampler's memory grows with its sample count; the cell counters of the
+# entropy slope and box2d keep the occupied cells at the finest scale
 SAMPLE_CAP = 10**7
+SAMPLE_CHUNK = 1 << 14
 MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a word
 
 

@@ -9,6 +9,10 @@ the library: a word is a tuple of (group, member) pairs, both 1-based, a
 signature a tuple of (group, ((member, count), ...)) blocks (equal to the
 library's ``Block`` tuples), and maps are composed here from ``sys.ratios``
 and ``sys.fixed_points``.
+
+Dyadic cell counting over materialised points, one clip and ``np.unique``
+per scale, is likewise the independent check of the streamed cell counter
+of the entropy and box-counting estimators.
 """
 
 import itertools
@@ -151,3 +155,19 @@ def fraction_min_gap(records, n: int) -> dict:
             "witness_words": None if witness is None else
             tuple(map(representative, witness)),
             "implied_b": -math.log2(gap) / n if gap else None}
+
+
+def cell_counts(ms, x, y=None) -> list:
+    """Per scale m of ms, the point counts of the occupied dyadic cells of
+    side 2^-m, in increasing order: each coordinate's bin floor(v 2^m) is
+    clipped into 0..2^m - 1, and a 2-D cell is the pair of bins."""
+    import numpy as np
+    out = []
+    for m in ms:
+        scale = 2 ** m
+        cell = np.clip((x * scale).astype(np.int64), 0, scale - 1)
+        if y is not None:
+            cell = cell * scale + np.clip((y * scale).astype(np.int64), 0,
+                                          scale - 1)
+        out.append(sorted(np.unique(cell, return_counts=True)[1].tolist()))
+    return out

@@ -2,15 +2,18 @@
 counting, dyadic entropy slopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
                     cover_boxes_1d, entropy_slope, estimate,
                     measure_dimension)
-from cfsdim.estimate import _fit, sample_measure_points
+from cfsdim.estimate import _fit, _keys, _occupancy, sample_measure_points
+from oracles import cell_counts
 
 
 class TestFit:
@@ -101,6 +104,27 @@ class TestBoxDimension2D:
         b = box_dimension_2d(four_corner_main, range(2, 7), 50_000, seed=3)
         assert a == b
 
+    def test_pinned_counts(self, four_corner_main):
+        """Pinned from counting the chaos game held as one (points, 2)
+        array: counting its steps as they come finds the same cells."""
+        fit = box_dimension_2d(four_corner_main, range(2, 7), 50_000, seed=3)
+        assert fit.counts == (16, 56, 199, 495, 1050)
+        assert fit.slope == 1.5216277018016338
+
+    def test_peak_memory(self, four_corner_main):
+        """The steps are counted as they come: the traced peak follows the
+        occupied cells at the finest scale (at most 4^8 here), under one
+        bound at 10^5 and at 10^6 points."""
+        box_dimension_2d(four_corner_main, range(2, 9), 10, seed=1)
+        for points in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                box_dimension_2d(four_corner_main, range(2, 9), points, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, points
+
 
 class TestEntropySlope:
     def test_lebesgue(self, equal_halves):
@@ -118,6 +142,69 @@ class TestEntropySlope:
         fit = entropy_slope(two_group_overlap, uniform21, 300_000,
                             range(3, 12), seed=2)
         assert abs(fit.slope - target) <= 0.1
+
+    def test_peak_memory(self, two_group_overlap, uniform21):
+        """The words are drawn and counted SAMPLE_CHUNK at a time: the
+        traced peak is some chunk-sized arrays of 8 B per sample (the words'
+        ratios and intercepts, the draws and their gathers) and the occupied
+        bins, under one bound at 10^5 and at 10^6 samples."""
+        entropy_slope(two_group_overlap, uniform21, 10, range(3, 12), seed=1)
+        for samples in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                entropy_slope(two_group_overlap, uniform21, samples,
+                              range(3, 12), seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**21, samples
+
+
+# coordinates: the unit interval, its ends, and values that a rescaling
+# rounds just below 0 or just below 1
+coordinate = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-17, -2.0**-60, 5e-324,
+                     float(np.nextafter(1.0, 0.0)), 0.5 - 2.0**-54]))
+
+
+class TestOccupancy:
+    """The streamed cell counter against one clip and np.unique per scale
+    over the points held as one array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.sampled_from([1, 2]), top=st.integers(0, 31),
+           coarser=st.lists(st.integers(0, 31), max_size=6),
+           points=st.lists(st.tuples(coordinate, coordinate), min_size=1,
+                           max_size=200),
+           cuts=st.lists(st.integers(1, 200), max_size=8))
+    @example(dims=2, top=31, coarser=[0], points=[(1.0, 1.0)], cuts=[])
+    @example(dims=2, top=31, coarser=[0, 30], cuts=[1],
+             points=[(-1e-17, 1.0), (1.0, -1e-17), (0.0, 0.0)])
+    @example(dims=1, top=0, coarser=[], points=[(-1e-17, 0.0)], cuts=[])
+    def test_counts_match_oracle(self, dims, top, coarser, points, cuts):
+        ms = sorted({m for m in coarser if m <= top} | {top})
+        pts = np.array(points)
+        x, y = pts[:, 0], (pts[:, 1] if dims == 2 else None)
+        # the points in chunks cut at the drawn offsets
+        bounds = sorted({0, len(pts)} | {c for c in cuts if c < len(pts)})
+        chunks = [_keys(top, x[a:b], None if y is None else y[a:b])
+                  for a, b in zip(bounds, bounds[1:])]
+        got = _occupancy(chunks, ms, dims,
+                         lambda counts: sorted(counts.tolist()))
+        assert got == cell_counts(ms, x, y)
+
+    def test_many_chunks_of_many_cells(self):
+        """Enough chunks of enough distinct cells that the kept array grows
+        by many joins."""
+        rng = np.random.default_rng(0)
+        x, y = rng.random(200_000) ** 3, rng.random(200_000)
+        chunks = [_keys(20, x[i:i + 4096], y[i:i + 4096])
+                  for i in range(0, len(x), 4096)]
+        ms = [0, 3, 9, 15, 20]
+        got = _occupancy(chunks, ms, 2,
+                         lambda counts: sorted(counts.tolist()))
+        assert got == cell_counts(ms, x, y)
 
 
 class TestSampleMeasurePoints:
