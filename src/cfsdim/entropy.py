@@ -23,6 +23,7 @@ from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
 DEFAULT_TOL = 1e-10
 PHI_TERM_CAP = 10**8
 RW_DP_CAP = 10**7
+TRIM = 2.0 ** -70     # _log_moments drops row ends below this
 
 
 class RunTooLong(BudgetExceeded):
@@ -115,32 +116,62 @@ def _tail_bound(rho: float, k: int) -> float:
 
 
 def _row_cells(row, n: int) -> int:
-    """Cells _log_moments fills up to depth n: k+1 in rows k = 1..n-1, one
-    row per member of three or more, one for a pair, none for one member."""
+    """Cells _log_moments fills up to depth n with no row trimmed: k+1 in
+    rows k = 1..n-1, one row per member of three or more, one for a pair,
+    none for one member.  Trimming only drops cells, so this bounds the
+    cells filled from above, and the caps check it before any work."""
     return (len(row) if len(row) > 2 else len(row) - 1) * (n - 1) * (n + 2) // 2
 
 
-def _log_moments(row, rho: float, n: int, logs: List[float]) -> List[float]:
-    """D_k = sum_j q_j E log(Y_jk + 1) - log(k + 1), Y_jk ~ Bin(k, q_j), for
-    k < n over the members p_j = rho q_j of a group; logs[c] = log(c + 1).
-    As E log Y_{k+1}! - E log Y_k! = q E log(Y_k + 1), D_k is the step k ->
-    k+1 of sum_j E log Y_jk! - log k!, in [-log(k + 1), 0] and 0 for one
-    member.  Row k comes from row k-1 by Pascal's rule; a pair shares one,
-    read forwards for Y and backwards for k - Y."""
+def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
+    """(D, lost, cells): D_k = sum_j q_j E log(Y_jk + 1) - log(k + 1),
+    Y_jk ~ Bin(k, q_j), for k < n over the members p_j = rho q_j of a group;
+    logs[c] = log(c + 1).  As E log Y_{k+1}! - E log Y_k! = q E log(Y_k + 1),
+    D_k is the step k -> k+1 of sum_j E log Y_jk! - log k!, in
+    [-log(k + 1), 0] and 0 for one member.  Row k comes from row k-1 by
+    Pascal's rule; a pair shares one, read forwards for Y and backwards for
+    k - Y.  ``cells`` counts the cells filled.
+
+    After each step the row is trimmed at both ends while its end entry is
+    below TRIM; lo and hi count the cells cut below and above, so the row
+    reads logs from lo forwards and from hi backwards.  Pascal's rule is
+    linear, keeps mass and has nonnegative coefficients, so the full row
+    minus the trimmed one is nonnegative and sums to the mass cut so far:
+    each dot with logs reads at most that mass times log(k + 1) too little.
+    lost_k is that mass, weighted as D_k weighs the dots: q_j per member, 1
+    for a pair.  Each step adds one cell and a row keeps one, so at most k
+    cells are cut by row k and lost_k <= k TRIM, 2.6e-18 (below u) at
+    k = 3066.  A row with nothing cut reads logs in place, in the same
+    order, and its D_k are the untrimmed kernel's bits."""
     ps = [float(w) for w in row]
+    pair = len(ps) == 2
     members = ps[:len(ps) if len(ps) > 2 else len(ps) - 1]
-    d = [0.0] * n
+    d, dropped, unfilled = [0.0] * n, [0.0] * n, 0
     for w in members:
         # 1 - b is exact (Sterbenz), so q + b == 1 and no row drifts
         b = 1.0 - w / rho
         q = 1.0 - b
-        v = [1.0]
+        v, lo, hi = [1.0], 0, 0         # v is row k less lo and hi end cells
         for k in range(1, n):
             v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
-            d[k] += q * sum(map(mul, v, logs))
-            if len(ps) == 2:
-                d[k] += b * sum(map(mul, reversed(v), logs))
-    return [x - lg for x, lg in zip(d, logs)] if members else d
+            if v[0] < TRIM or v[-1] < TRIM:
+                i, j = 0, len(v)
+                while v[i] < TRIM:
+                    i += 1
+                while v[j - 1] < TRIM:
+                    j -= 1
+                cut = sum(v[:i]) + sum(v[j:])
+                dropped[k] += cut if pair else q * cut
+                # each cell cut leaves one cell unfilled in each later row
+                unfilled += (i + len(v) - j) * (n - 1 - k)
+                lo, hi, v = lo + i, hi + len(v) - j, v[i:j]
+            d[k] += q * sum(map(mul, v, logs[lo:lo + len(v)] if lo else logs))
+            if pair:
+                d[k] += b * sum(map(mul, reversed(v),
+                                    logs[hi:hi + len(v)] if hi else logs))
+    if members:
+        d = [x - lg for x, lg in zip(d, logs)]
+    return d, list(accumulate(dropped)), _row_cells(row, n) - unfilled
 
 
 def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiResult:
@@ -161,16 +192,25 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     4.2: theta_n is the relative error of n roundings, |theta_n| <= gamma_n;
     L = log(k + 1)).  Each q_j is within gamma_2 q_j + u/2 (rho, division,
     q = 1 - (1 - q)) and d/dq E log(Y + 1) lies in [0, 1/q], so D_k moves by
-    at most gamma_{m+2} (L + 1) over the m members.  Until L is subtracted
-    every operand is nonnegative: k steps of a product and a sum, k sums in
-    the dot with logs (an ulp each), the weight q_j and m - 1 sums leave the
-    member sum, in [0, (1 + gamma_{m+2}) L], exact to theta_{3k+m+3}.  So
-    D_k is within gamma_{3k+3m+10} (L + 1) and term k, after rho**k (rho
-    within u, pow an ulp), within gamma_{4k+3m+13} rho^k (L + 1).  The
-    fsums, rho and the last two products give theta_5 and 1 - rho a
-    relative gamma_1 / (1 - rho), x <= gamma_6 / (1 - rho) in all, so at
-    most 2 x |value| as the cap keeps 1 - rho above 1e-6.  The bound itself
-    is exact to a relative O((K + 1 / (1 - rho)) u).
+    at most gamma_{m+2} (L + 1) over the m members.  The rows are trimmed
+    (_log_moments): against the exact rule that cuts the same cells, every
+    operand is nonnegative until L is subtracted, and a cut only removes
+    operands: k steps of a product and a sum, at most k sums in the dot
+    with logs (an ulp each), the weight q_j and m - 1 sums leave the member
+    sum, in [0, (1 + gamma_{m+2}) L], exact to theta_{3k+m+3}.  So D_k is
+    within gamma_{3k+3m+10} (L + 1) of the trimmed series, and term k,
+    after rho**k (rho within u, pow an ulp), within
+    gamma_{4k+3m+13} rho^k (L + 1).  The trimmed series reads D_k at most
+    lost_k L low; the computed lost_k sums at most k cut cells and m
+    members, so it is exact to theta_{3k+m+1}, and 2 rho^k lost_k L covers
+    that, rho**k and the sums, as the cap keeps 4k u far below 1.  With
+    lost_k <= k 2^-70 that term stays below 1e-17 at every depth the cap
+    allows a pair, and it is 0 when nothing was cut.  The fsums, rho
+    and the last two products give theta_5 and 1 - rho a relative
+    gamma_1 / (1 - rho), x <= gamma_6 / (1 - rho) in all, so at most
+    2 x |value| as the cap keeps 1 - rho above 1e-6.  The bound itself is
+    exact to a relative O((K + 1 / (1 - rho)) u).  ``terms_used`` counts
+    the cells filled; the cap counts untrimmed ones (_row_cells) up front.
     """
     check_tol(tol)
     p = prune_zeros(sys, p)
@@ -189,20 +229,23 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
         raise BudgetExceeded(
             f"Phi series needs {cells} binomial-row cells, cap {PHI_TERM_CAP}")
     logs = [math.log(c + 1.0) for c in range(max(depths, default=0) + 1)]
-    values, bounds = [], []
+    values, bounds, filled = [], [], 0
     for (rho, row), K in zip(groups, depths):
         out = 1.0 - rho
         powers = [rho ** k for k in range(K + 1)]
-        value = rho * out * math.fsum(
-            map(mul, powers, _log_moments(row, rho, K + 1, logs)))
+        d, lost, used = _log_moments(row, rho, K + 1, logs)
+        value = rho * out * math.fsum(map(mul, powers, d))
         rounding = math.fsum(
             powers[k] * (logs[k] + 1.0) * _gamma(4 * k + 3 * len(row) + 13)
             for k in range(1, K + 1))
+        if lost[-1]:        # the trimmed rows read each D_k lost_k L low
+            rounding += 2.0 * math.fsum(map(mul, map(mul, powers, logs), lost))
         values.append(value)
         bounds.append(rho * out * (_tail_bound(rho, K) + rounding)
                       + 2.0 * abs(value) * _gamma(6) / out)
+        filled += used
     return PhiResult(value=math.fsum(values), tail_bound=math.fsum(bounds),
-                     terms_used=cells, method="series")
+                     terms_used=filled, method="series")
 
 
 def _mc_chunk(rng, rho: float, w: float, size: int) -> tuple:
@@ -314,7 +357,8 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
 
     A group's blocks of length l weigh rho^l times the multinomial law of
     their counts (marginals Bin(l, q_j)), so their sum of w log w is SL(l) =
-    rho^l (l sum_j q_j log p_j - X_l), X_l = sum_{k<l} D_k (_log_moments).
+    rho^l (l sum_j q_j log p_j - X_l), X_l = sum_{k<l} D_k (_log_moments,
+    whose trimmed rows read each D_k at most k 2^-70 log(k + 1) low).
     -H_r = sum_h B_h(r), B_h(r) the sum of W log W over the signature
     suffixes of length r opening with group h; the suffixes not opening with
     h weigh 1 - rho_h, so splitting off the first block
@@ -335,7 +379,7 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
     deltas = [0.0] * n           # H_r - H_{r-1} for r = 1..n
     for row, rho in zip(p.weights, _group_masses(p)):
         slope = math.fsum(float(w) / rho * math.log(float(w)) for w in row)
-        excess = accumulate(_log_moments(row, rho, n, logs), initial=0.0)
+        excess = accumulate(_log_moments(row, rho, n, logs)[0], initial=0.0)
         sl = [rho ** ell * (ell * slope - x) for ell, x in enumerate(excess)]
         a, c = 1.0 - 2.0 * rho, (1.0 - rho) ** 2
         prefix = 0.0             # sum_{0<l<r-1} SL(l)

@@ -10,6 +10,10 @@ signature a tuple of (group, ((member, count), ...)) blocks (equal to the
 library's ``Block`` tuples), and maps are composed here from ``sys.ratios``
 and ``sys.fixed_points``.
 
+The untrimmed binomial-row kernel, every row carried in full, is the
+independent check of ``entropy._log_moments``, which trims each row where
+its entries fall below 2^-70.
+
 Dyadic cell counting over materialised points, one clip and ``np.unique``
 per scale, is likewise the independent check of the streamed cell counter
 of the entropy and box-counting estimators.
@@ -17,6 +21,7 @@ of the entropy and box-counting estimators.
 
 import itertools
 import math
+from operator import mul
 from typing import NamedTuple
 
 from cfsdim import BudgetExceeded, ValidationError
@@ -155,6 +160,26 @@ def fraction_min_gap(records, n: int) -> dict:
             "witness_words": None if witness is None else
             tuple(map(representative, witness)),
             "implied_b": -math.log2(gap) / n if gap else None}
+
+
+def log_moments_untrimmed(row, rho, n, logs) -> list:
+    """D_k = sum_j q_j E log(Y_jk + 1) - log(k + 1), Y_jk ~ Bin(k, q_j), for
+    k < n over the members p_j = rho q_j of a group, with logs[c] =
+    log(c + 1): every row k carries all k + 1 entries of Pascal's rule, and
+    a pair reads one row forwards for Y and backwards for k - Y."""
+    ps = [float(w) for w in row]
+    members = ps[:len(ps) if len(ps) > 2 else len(ps) - 1]
+    d = [0.0] * n
+    for w in members:
+        b = 1.0 - w / rho
+        q = 1.0 - b
+        v = [1.0]
+        for k in range(1, n):
+            v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
+            d[k] += q * sum(map(mul, v, logs))
+            if len(ps) == 2:
+                d[k] += b * sum(map(mul, reversed(v), logs))
+    return [x - lg for x, lg in zip(d, logs)] if members else d
 
 
 def cell_counts(ms, x, y=None) -> list:

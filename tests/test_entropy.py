@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError, ifs,
                     lyapunov, phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
-from cfsdim.entropy import RunTooLong, _tail_bound, _truncation_depth
+from cfsdim import entropy
+from cfsdim.entropy import (DEFAULT_TOL, TRIM, RunTooLong, _log_moments,
+                            _row_cells, _tail_bound, _truncation_depth)
 from identities import dp_entropies, signature_entropies
-from oracles import word_records
+from oracles import log_moments_untrimmed, word_records
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -211,6 +213,100 @@ class TestPhiSeries:
         res = phi_series(two_group_overlap,
                          ProbVector([[0.5, 0.49], [0.01]]), tol=1e-13)
         assert abs(res.value - PHI_MASS_099) <= res.tail_bound < 1e-11
+
+    @pytest.mark.parametrize("weights, tol", [
+        ([[0.5, 0.49], [0.01]], DEFAULT_TOL),
+        ([[0.5, 0.49], [0.01]], 1e-13),
+        ([[0.4975, 0.4975], [0.005]], DEFAULT_TOL),
+        ([[0.4985, 0.4985], [0.003]], DEFAULT_TOL),
+    ], ids=["mass0.99", "mass0.99-tol1e-13", "mass0.995", "mass0.997"])
+    def test_trimmed_rows_within_bound_near_mass_one(
+            self, two_group_overlap, weights, tol):
+        """Near group mass one most cells of a row lie below 2^-70 and are
+        trimmed; the bound, which adds the mass they carried, still holds
+        against the log-space series (its own truncation below tol / 1000)
+        and the 40-digit value."""
+        p = ProbVector(weights)
+        res = phi_series(two_group_overlap, p, tol)
+        K = _truncation_depth(math.fsum(weights[0]), tol / 2)
+        assert res.terms_used < _row_cells(weights[0], K + 1)
+        assert abs(res.value - _phi_log_space(p, tail=tol * 1e-4)) \
+            <= res.tail_bound
+        if weights[0] == [0.5, 0.49]:
+            assert abs(res.value - PHI_MASS_099) <= res.tail_bound
+
+    def test_cap_counts_untrimmed_cells(self, two_group_overlap):
+        """terms_used counts the cells filled, under a third of the untrimmed
+        count at mass 0.99, but PHI_TERM_CAP is checked against the untrimmed
+        count before any work: mass 0.997 answers and 0.998 exits as before."""
+        res = phi_series(two_group_overlap, ProbVector([[0.5, 0.49], [0.01]]))
+        K = _truncation_depth(0.99, DEFAULT_TOL / 2)
+        assert 0 < res.terms_used < _row_cells([0.5, 0.49], K + 1) / 3
+        res = phi_series(two_group_overlap,
+                         ProbVector([[0.4985, 0.4985], [0.003]]))
+        assert res.method == "series" and res.tail_bound < 1e-10
+        with pytest.raises(BudgetExceeded, match="binomial-row cells"):
+            phi_series(two_group_overlap,
+                       ProbVector([[0.499, 0.499], [0.002]]))
+
+
+class TestTrimmedRows:
+    """entropy._log_moments trims each binomial row where its entries fall
+    below 2^-70; the untrimmed kernel in tests/oracles.py carries every
+    row in full."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           st.floats(0.5, 0.999), st.integers(1, 600))
+    def test_within_lost_mass_of_untrimmed(self, raw, mass, n):
+        """Each trimmed D_k reads at most lost_k log(k + 1) below the
+        untrimmed one, up to the rounding of both; lost_k grows with k and
+        is at most k 2^-70.  While it is zero, nothing but exact zeros was
+        cut, and D_k is the untrimmed kernel's double."""
+        row = [mass * x / sum(raw) for x in raw]
+        rho = math.fsum(row)
+        logs = [math.log(c + 1.0) for c in range(n)]
+        d, lost, cells = _log_moments(row, rho, n, logs)
+        want = log_moments_untrimmed(row, rho, n, logs)
+        for k in range(n):
+            # each computed D_k is within gamma_{3k+3m+10} (L + 1) of its
+            # exact value (phi_series docstring)
+            rounding = 2.0 * ifs._gamma(3 * k + 3 * len(row) + 10) * (
+                logs[k] + 1.0)
+            missed = lost[k] * logs[k] * (1.0 + rounding)
+            assert want[k] - missed - rounding <= d[k] <= want[k] + rounding
+            assert lost[k] <= k * TRIM
+        assert lost == sorted(lost)
+        assert cells <= _row_cells(row, n)
+        if lost[-1] == 0.0:
+            assert list(map(float.hex, d)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("row, depth", [
+        ([0.25, 0.25], 71), ([0.2, 0.1, 0.1], 36)], ids=["pair", "three"])
+    def test_bit_identical_until_a_cell_is_cut(self, row, depth):
+        """At q = 1/2 the ends of row k are 2^-k, at q = 1/4 one end is
+        4^-k: through row 70, or 35, nothing is cut and every D_k is the
+        untrimmed kernel's double.  One row on the ends go, and the row
+        after that fills fewer cells."""
+        rho = math.fsum(row)
+        logs = [math.log(c + 1.0) for c in range(depth + 2)]
+        for n, cut in ((depth, False), (depth + 2, True)):
+            d, lost, cells = _log_moments(row, rho, n, logs)
+            assert (cells < _row_cells(row, n), lost[-1] > 0.0) == (cut, cut)
+            if not cut:
+                want = log_moments_untrimmed(row, rho, n, logs)
+                assert list(map(float.hex, d)) == list(map(float.hex, want))
+
+    def test_dp_matches_untrimmed_kernel_at_depth_3000(
+            self, two_group_overlap, uniform21, monkeypatch):
+        """The signature DP on trimmed rows against the same DP on full rows,
+        within 1e-12 relative in H_n / n and every increment."""
+        got = rw_entropy_bruteforce(two_group_overlap, uniform21, 3000)
+        monkeypatch.setattr(entropy, "_log_moments", lambda *a: (
+            log_moments_untrimmed(*a), None, None))
+        want = rw_entropy_bruteforce(two_group_overlap, uniform21, 3000)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.increments == pytest.approx(want.increments, rel=1e-12)
 
 
 class TestTruncationDepth:
