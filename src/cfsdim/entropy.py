@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import List, NamedTuple, Optional
 
 from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
@@ -117,10 +117,12 @@ def _tail_bound(rho: float, k: int) -> float:
 
 def _row_cells(row, n: int) -> int:
     """Cells _log_moments fills up to depth n with no row trimmed: k+1 in
-    rows k = 1..n-1, one row per member of three or more, one for a pair,
-    none for one member.  Trimming only drops cells, so this bounds the
-    cells filled from above, and the caps check it before any work."""
-    return (len(row) if len(row) > 2 else len(row) - 1) * (n - 1) * (n + 2) // 2
+    rows k = 1..n-1, one row per distinct weight (as a double) of three or
+    more members, one for a pair, none for one member.  Trimming only drops
+    cells, so this bounds the cells filled from above, and the caps check
+    it before any work."""
+    rows = len(set(map(float, row))) if len(row) > 2 else len(row) - 1
+    return rows * (n - 1) * (n + 2) // 2
 
 
 def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
@@ -130,7 +132,9 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
     D_k is the step k -> k+1 of sum_j E log Y_jk! - log k!, in
     [-log(k + 1), 0] and 0 for one member.  Row k comes from row k-1 by
     Pascal's rule; a pair shares one, read forwards for Y and backwards for
-    k - Y.  ``cells`` counts the cells filled.
+    k - Y.  Members of equal weight (as doubles) share one row, and each
+    member's term is added in member order, so sharing changes no bit.
+    ``cells`` counts the cells filled.
 
     After each step the row is trimmed at both ends while its end entry is
     below TRIM; lo and hi count the cells cut below and above, so the row
@@ -146,11 +150,12 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
     ps = [float(w) for w in row]
     pair = len(ps) == 2
     members = ps[:len(ps) if len(ps) > 2 else len(ps) - 1]
-    d, dropped, unfilled = [0.0] * n, [0.0] * n, 0
-    for w in members:
+    terms, unfilled = {}, 0     # weight -> its row's D and lost terms by k
+    for w in dict.fromkeys(members):
         # 1 - b is exact (Sterbenz), so q + b == 1 and no row drifts
         b = 1.0 - w / rho
         q = 1.0 - b
+        t, c = [0.0] * n, [0.0] * n
         v, lo, hi = [1.0], 0, 0         # v is row k less lo and hi end cells
         for k in range(1, n):
             v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
@@ -161,14 +166,19 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
                 while v[j - 1] < TRIM:
                     j -= 1
                 cut = sum(v[:i]) + sum(v[j:])
-                dropped[k] += cut if pair else q * cut
+                c[k] = cut if pair else q * cut
                 # each cell cut leaves one cell unfilled in each later row
                 unfilled += (i + len(v) - j) * (n - 1 - k)
                 lo, hi, v = lo + i, hi + len(v) - j, v[i:j]
-            d[k] += q * sum(map(mul, v, logs[lo:lo + len(v)] if lo else logs))
+            t[k] = q * sum(map(mul, v, logs[lo:lo + len(v)] if lo else logs))
             if pair:
-                d[k] += b * sum(map(mul, reversed(v),
+                t[k] += b * sum(map(mul, reversed(v),
                                     logs[hi:hi + len(v)] if hi else logs))
+        terms[w] = t, c
+    d, dropped = [0.0] * n, [0.0] * n
+    for w in members:
+        t, c = terms[w]
+        d, dropped = list(map(add, d, t)), list(map(add, dropped, c))
     if members:
         d = [x - lg for x, lg in zip(d, logs)]
     return d, list(accumulate(dropped)), _row_cells(row, n) - unfilled

@@ -229,20 +229,25 @@ class TestGDDimension:
                                       "all_third.json",
                                       "rational_three_symbol.json"])
     def test_evaluations_per_root(self, name, monkeypatch):
-        """Brent's method takes at most 16 evaluations of rho(C_n^(s)) per
-        root at the default tol, where halving took 36 or 37."""
+        """Brent's method on [0, hi], hi the upper end of the attractor
+        root's bracket, takes at most 9 evaluations of rho(C_n^(s)) per root
+        at the default tol (11 from [0, 1]; halving took 36 or 37)."""
         sys = load_config(name)[0]
         seen = _count_gd_matrix(monkeypatch)
         for depth in range(1, 11):
             seen.clear()
             gd_dimension(sys, depth)
-            assert len(seen) <= 16, (depth, len(seen))
+            assert len(seen) <= 9, (depth, len(seen))
 
     def test_depth_budget(self, two_group_overlap, monkeypatch):
         """A depth past GD_CELL_CAP homogeneous-sum cells per evaluation (the
         depth times the number of maps; for the sequence s_1..s_D,
-        D(D+1)/2 times it) is refused before any evaluation."""
+        D(D+1)/2 times it) is refused before any evaluation, of rho or of
+        the attractor root that brackets s_n."""
         seen = _count_gd_matrix(monkeypatch)
+        roots = []
+        monkeypatch.setattr(dimension, "attractor_dimension",
+                            lambda *a: roots.append(a))
         cap_depth = dimension.GD_CELL_CAP // 3
         assert dimension.gd_cells(two_group_overlap, cap_depth) == 3 * cap_depth
         with pytest.raises(BudgetExceeded, match="cap"):
@@ -251,7 +256,7 @@ class TestGDDimension:
             == 3 * 1000 * 1001 // 2
         with pytest.raises(BudgetExceeded, match="cap"):
             dimension.gd_cells(two_group_overlap, 100_000, sequence=True)
-        assert seen == []
+        assert seen == [] and roots == []
 
 
 def _count_gd_matrix(monkeypatch) -> list:
@@ -300,6 +305,22 @@ def _check_root(fn, root, bracket, tol, oracle, noise):
     assert abs(root - oracle) <= tol + 4 * math.ulp(max(root, oracle)) + noise
 
 
+def _gd_case(sys, depth, tol):
+    """(g, hi, oracle, noise) for s_n: g(s) = rho(C_n^(s)) - 1 as the
+    library computes it, the upper end of the attractor root's bracket, the
+    root by halving from [0, 1], and the width _check_root adds for the
+    rounding of rho, taken as within 1e-13, ten times the power iteration's
+    relative stopping residual, over g' by a central difference."""
+    def g(s):
+        return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
+
+    hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
+    oracle = bisect_root(g, 0.0, 1.0, tol)
+    slope = abs(g(oracle + 1e-5) - g(max(oracle - 1e-5, 0.0))) \
+        / (oracle + 1e-5 - max(oracle - 1e-5, 0.0))
+    return g, hi, oracle, 2e-13 / slope
+
+
 ratio_rows = st.lists(st.lists(st.floats(0.001, 0.99), min_size=1,
                                max_size=3), min_size=2, max_size=4)
 
@@ -324,18 +345,25 @@ class TestRootFinder:
     def test_gd_root_against_halving(self, ratios, depth, exponent):
         sys = CFSystem(list(range(len(ratios))), ratios)
         tol = 10.0**exponent
-
-        def g(s):
-            return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
-
-        root, bracket, _ = dimension._root(g, 0.0, 1.0, tol)
+        g, hi, oracle, noise = _gd_case(sys, depth, tol)
+        root, bracket, _ = dimension._root(g, 0.0, hi, tol)
         assert gd_dimension(sys, depth, tol) == root
-        oracle = bisect_root(g, 0.0, 1.0, tol)
-        # rho is taken as within 1e-13, ten times the power iteration's
-        # relative stopping residual; g' by a central difference
-        slope = abs(g(oracle + 1e-5) - g(max(oracle - 1e-5, 0.0))) \
-            / (oracle + 1e-5 - max(oracle - 1e-5, 0.0))
-        _check_root(g, root, bracket, tol, oracle, 2e-13 / slope)
+        _check_root(g, root, bracket, tol, oracle, noise)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ratios=ratio_rows, depth=st.integers(1, 4),
+           exponent=st.floats(-12.0, -4.0))
+    def test_gd_root_below_attractor_bracket(self, ratios, depth, exponent):
+        """s_n <= s0: each s_n lies at or below the upper end of the
+        attractor root's bracket, and within _check_root's bound of the
+        halving from [0, 1]."""
+        sys = CFSystem(list(range(len(ratios))), ratios)
+        tol = 10.0**exponent
+        g, hi, oracle, noise = _gd_case(sys, depth, tol)
+        root = gd_dimension(sys, depth, tol)
+        assert root <= hi
+        assert abs(root - oracle) <= \
+            tol + 4 * math.ulp(max(root, oracle)) + noise
 
     def test_root_at_lower_end_is_exact(self):
         assert dimension._root(lambda s: s, 0.0, 1.0, 1e-10) == \

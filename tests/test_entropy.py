@@ -297,6 +297,37 @@ class TestTrimmedRows:
                 want = log_moments_untrimmed(row, rho, n, logs)
                 assert list(map(float.hex, d)) == list(map(float.hex, want))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+           st.lists(st.integers(0, 2), min_size=3, max_size=5),
+           st.floats(0.5, 0.999), st.integers(1, 60))
+    def test_equal_weights_share_a_row(self, distinct, picks, mass, n):
+        """Members of equal weight share one binomial row, added once per
+        member in member order: while nothing is cut every D_k is the
+        untrimmed kernel's double, and the cells count one row per distinct
+        weight."""
+        raw = [distinct[i % len(distinct)] for i in picks]
+        row = [mass * x / sum(raw) for x in raw]
+        rho = math.fsum(row)
+        logs = [math.log(c + 1.0) for c in range(n)]
+        d, lost, cells = _log_moments(row, rho, n, logs)
+        assert _row_cells(row, n) == len(set(row)) * (n - 1) * (n + 2) // 2
+        assert cells <= _row_cells(row, n)
+        if lost[-1] == 0.0:
+            assert cells == _row_cells(row, n)
+            want = log_moments_untrimmed(row, rho, n, logs)
+            assert list(map(float.hex, d)) == list(map(float.hex, want))
+
+    def test_equal_weights_fill_one_row(self):
+        """Three members of weight 0.3 fill one row: 23 278 cells at the
+        default tol, a third of the 69 834 that three rows filled."""
+        three = CFSystem([0.0, 1.0], [[0.2, 0.3, 0.25], [0.25]])
+        K = _truncation_depth(math.fsum([0.3] * 3), DEFAULT_TOL / 2)
+        one_row = _row_cells([0.3, 0.3, 0.3], K + 1)
+        assert 3 * one_row == _row_cells([0.3, 0.31, 0.32], K + 1)
+        res = phi_series(three, ProbVector([[0.3, 0.3, 0.3], [0.1]]))
+        assert res.terms_used == 23278 < one_row
+
     def test_dp_matches_untrimmed_kernel_at_depth_3000(
             self, two_group_overlap, uniform21, monkeypatch):
         """The signature DP on trimmed rows against the same DP on full rows,
