@@ -146,10 +146,12 @@ def _occupancy(key_chunks, ms: list, dims: int, measure) -> list:
     (int32 where the keys fit; a count is at most SAMPLE_CAP).  Chunks wait
     until they hold an eighth as many keys, then join it, so a key moves
     O(1) times on average and memory follows the occupied cells, not the
-    samples.  The scales are then taken finest first, each by shifting the
-    keys in place and merging the runs of equal keys: shifting keeps them
-    sorted, and floor(x 2^top) >> (top - m) is floor(x 2^m), also for the
-    clipped bins."""
+    samples: it is bounded in the sample count only while the finest grid
+    has fewer occupied cells than there are samples (at top = 31 nearly
+    every point has a cell of its own).  The scales are then taken finest
+    first, each by shifting the keys in place and merging the runs of equal
+    keys: shifting keeps them sorted, and floor(x 2^top) >> (top - m) is
+    floor(x 2^m), also for the clipped bins."""
     import numpy as np
     top = ms[-1]
     keys = np.empty(0, dtype=np.int32 if dims * top < 32 else np.int64)
@@ -231,34 +233,37 @@ def _measure_chunks(sys: CFSystem, p: ProbVector, samples: int,
                              f"{MC_RUN_CAP} maps to reach 2^-{min_scale}")
     import numpy as np
     rng = np.random.default_rng(seed)
-    flat_p = np.array([float(w) for w in p.flat()])
+    # symbol k is drawn where u in [0, 1) lies in [cdf[k-1], cdf[k]): the
+    # count of edges at or below u, as Generator.choice(p=...) finds it
+    cdf = np.array([float(w) for w in p.flat()]).cumsum()
+    cdf /= cdf[-1]
+    edges = cdf[:-1]
     ratios = np.array([float(r) for r, _ in maps])
     intercepts = np.array([float(c) for _, c in maps])
     target = 2.0 ** (-min_scale)
     t_min = float(min(sys.fixed_points))
 
     def chunk(n):
+        out = np.empty(n)
+        where = np.arange(n)     # the output slots of the unfinished words
         r = np.ones(n)
         c = np.zeros(n)
-        active = np.ones(n, dtype=bool)
-        while np.any(active):
-            idx = rng.choice(len(maps), size=int(active.sum()), p=flat_p)
-            c[active] = c[active] + r[active] * intercepts[idx]
-            r[active] = r[active] * ratios[idx]
-            active = r >= target
-        return c + r * t_min  # f_w(t_min): an exact attractor point per word
+        while len(where):
+            u = rng.random(len(where))
+            idx = np.zeros(len(where), dtype=np.intp)
+            for edge in edges:
+                idx += u >= edge
+            c = c + r * intercepts[idx]
+            r = r * ratios[idx]
+            done = r < target
+            # f_w(t_min): an exact attractor point per finished word
+            out[where[done]] = c[done] + r[done] * t_min
+            keep = ~done
+            where, r, c = where[keep], r[keep], c[keep]
+        return out
 
     return (chunk(min(SAMPLE_CHUNK, samples - i))
             for i in range(0, samples, SAMPLE_CHUNK))
-
-
-def sample_measure_points(sys: CFSystem, p: ProbVector, samples: int,
-                          min_scale: int, seed: int):
-    """numpy array of the samples of _measure_chunks, one chunk after the
-    other."""
-    import numpy as np
-    return np.concatenate(list(_measure_chunks(sys, p, samples, min_scale,
-                                               seed)))
 
 
 def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,

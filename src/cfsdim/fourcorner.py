@@ -334,17 +334,22 @@ def render_cylinders_svg(sys: FourCornerSystem, depth: int, out_path: str,
 
 def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
                          out_path: str, size: int = 600) -> None:
-    """Binary PPM (P6) raster of chaos-game points, marked step by step:
-    memory does not grow with ``points``."""
+    """Binary PPM (P6) raster of chaos-game points, marked step by step in
+    a flat image: memory does not grow with ``points``.  The RGB body is
+    written a block of rows at a time, never as a full RGB copy."""
     check_samples(points, seed)
     import numpy as np
-    img = np.full((size, size), 255, dtype=np.uint8)
+    img = np.full(size * size, 255, dtype=np.uint8)
     for x, y in _chaos_steps(sys, points, seed):
-        xi = np.clip((x * size).astype(int), 0, size - 1)
-        yi = np.clip(((1.0 - y) * size).astype(int), 0, size - 1)
-        img[yi, xi] = 0
-    header = f"P6\n{size} {size}\n255\n".encode()
-    rgb = np.repeat(img[:, :, None], 3, axis=2)
+        xi = (x * size).astype(int)
+        yi = ((1.0 - y) * size).astype(int)
+        np.clip(xi, 0, size - 1, out=xi)
+        np.clip(yi, 0, size - 1, out=yi)
+        yi *= size
+        yi += xi
+        img[yi] = 0
+    block = max(1, (1 << 16) // size) * size    # whole rows, ~64 K pixels
     with open(out_path, "wb") as fh:
-        fh.write(header)
-        fh.write(rgb.tobytes())
+        fh.write(f"P6\n{size} {size}\n255\n".encode())
+        for start in range(0, size * size, block):
+            fh.write(np.repeat(img[start:start + block], 3))

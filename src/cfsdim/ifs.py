@@ -15,8 +15,9 @@ from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
 # The samplers draw and count SAMPLE_CHUNK samples at a time, so no
-# sampler's memory grows with its sample count; the cell counters of the
-# entropy slope and box2d keep the occupied cells at the finest scale
+# sampler keeps its samples; the cell counters of the entropy slope and
+# box2d keep the occupied cells at the finest scale, which grow with the
+# sample count while that grid has more cells than there are samples
 SAMPLE_CAP = 10**7
 SAMPLE_CHUNK = 1 << 14
 MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a word

@@ -17,6 +17,13 @@ its entries fall below 2^-70.
 Dyadic cell counting over materialised points, one clip and ``np.unique``
 per scale, is likewise the independent check of the streamed cell counter
 of the entropy and box-counting estimators.
+
+The power iteration on numpy arrays, two 1-norms and two products a step,
+is the reference of ``dimension.spectral_radius``, which balances on lists
+and takes one product a step.  The measure sampler that masks a whole chunk
+at every step and the PPM writer that builds the full RGB image are the
+references of the library's sampler and writer, which must give the same
+bytes.
 """
 
 import itertools
@@ -25,6 +32,7 @@ from operator import mul
 from typing import NamedTuple
 
 from cfsdim import BudgetExceeded, ValidationError
+from cfsdim.dimension import POWER_ITER_CAP, NonConvergence
 
 ENUM_BUDGET = 10**8     # the most words enumerate_words gives: L**n
 
@@ -196,3 +204,105 @@ def cell_counts(ms, x, y=None) -> list:
                                           scale - 1)
         out.append(sorted(np.unique(cell, return_counts=True)[1].tolist()))
     return out
+
+
+def balance(A, sweeps: int = 50):
+    """Osborne-style diagonal similarity balancing on a numpy array: row and
+    column sums by numpy, a row scaled and a column divided in place."""
+    A = A.copy()
+    n = A.shape[0]
+    for _ in range(sweeps):
+        changed = False
+        for i in range(n):
+            r = float(A[i, :].sum() - A[i, i])
+            c = float(A[:, i].sum() - A[i, i])
+            if r > 0 and c > 0:
+                f = math.sqrt(c / r)
+                if not 0.0 < f < math.inf:      # c / r left the doubles
+                    f = math.sqrt(c) / math.sqrt(r)
+                if abs(f - 1.0) > 1e-6:
+                    A[i, :] *= f
+                    A[:, i] /= f
+                    changed = True
+        if not changed:
+            break
+    return A
+
+
+def spectral_radius(M, tol: float = 1e-12) -> float:
+    """Perron root by power iteration on the balanced matrix over its
+    largest row sum plus Id: each step takes y = shifted @ x and its 1-norm,
+    then the residual's product and 1-norm, all with numpy."""
+    import numpy as np
+    A = np.asarray(M, dtype=float)
+    n = A.shape[0]
+    A = balance(A)
+    sigma = float(A.sum(axis=1).max())
+    if sigma == 0.0:
+        return 0.0
+    shifted = A / sigma + np.eye(n)
+    x = np.full(n, 1.0 / n)
+    for _ in range(POWER_ITER_CAP):
+        y = shifted @ x
+        lam = float(np.linalg.norm(y, 1))
+        if lam == 0.0:
+            return 0.0
+        x = y / lam
+        res = float(np.linalg.norm(shifted @ x - lam * x, 1))
+        if res <= max(tol, 1e-15) * lam:
+            return (lam - 1.0) * sigma
+    raise NonConvergence(f"power iteration did not settle in "
+                         f"{POWER_ITER_CAP} steps")
+
+
+def measure_samples(sys, p, samples, min_scale, seed, chunk_size):
+    """numpy array of ``samples`` words' points f_w(t_min), ``chunk_size``
+    at a time from one generator seeded with ``seed``: every step draws the
+    symbols of a chunk's unfinished words with ``rng.choice`` and masks all
+    its entries, until every word's ratio is below 2^-min_scale."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    maps = sys.maps()
+    flat_p = np.array([float(w) for w in p.flat()])
+    ratios = np.array([float(r) for r, _ in maps])
+    intercepts = np.array([float(c) for _, c in maps])
+    target = 2.0 ** (-min_scale)
+    t_min = float(min(sys.fixed_points))
+
+    def chunk(n):
+        r = np.ones(n)
+        c = np.zeros(n)
+        active = np.ones(n, dtype=bool)
+        while np.any(active):
+            idx = rng.choice(len(maps), size=int(active.sum()), p=flat_p)
+            c[active] = c[active] + r[active] * intercepts[idx]
+            r[active] = r[active] * ratios[idx]
+            active = r >= target
+        return c + r * t_min
+
+    return np.concatenate([chunk(min(chunk_size, samples - i))
+                           for i in range(0, samples, chunk_size)])
+
+
+def sample_measure_points(sys, p, samples: int, min_scale: int, seed: int):
+    """numpy array of the samples of estimate._measure_chunks, one chunk
+    after the other."""
+    import numpy as np
+    from cfsdim.estimate import _measure_chunks
+    return np.concatenate(list(_measure_chunks(sys, p, samples, min_scale,
+                                               seed)))
+
+
+def attractor_ppm(sys, points: int, seed: int, size: int) -> bytes:
+    """The binary PPM (P6) of the chaos game's points on a size x size grid
+    as a 2-D image: each chunk's pixels marked black, then the whole image
+    repeated into RGB."""
+    import numpy as np
+    from cfsdim.fourcorner import _chaos_steps
+    img = np.full((size, size), 255, dtype=np.uint8)
+    for x, y in _chaos_steps(sys, points, seed):
+        xi = np.clip((x * size).astype(int), 0, size - 1)
+        yi = np.clip(((1.0 - y) * size).astype(int), 0, size - 1)
+        img[yi, xi] = 0
+    rgb = np.repeat(img[:, :, None], 3, axis=2)
+    return f"P6\n{size} {size}\n255\n".encode() + rgb.tobytes()

@@ -1,7 +1,10 @@
 """Dimension formulas, the graph-directed approximation, and the spectral
 and determinant identities backing it."""
 
+import glob
+import json
 import math
+import os
 import subprocess
 import sys as _sys
 
@@ -13,9 +16,10 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                     attractor_dimension, dimension, gd_dimension, gd_matrix,
                     lyapunov, measure_dimension, phi_series,
                     shannon_entropy, similarity_dimension, spectral_radius)
-from conftest import config_path, load_config
+from conftest import CONFIG_DIR, config_path, load_config
 from identities import (bisect_root, bn_matrix_check, gd_limit_matrix,
                         perron_root, special_det)
+import oracles
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
 
@@ -162,8 +166,60 @@ class TestSpectralRadius:
         assert spectral_radius(M) == pytest.approx(math.sqrt(0.7) * 2**-537,
                                                    rel=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_against_numpy_power_iteration(self, data, n):
+        """The evaluator on lists with one product a step against the
+        numpy power iteration it replaced (tests/oracles.py), on random
+        nonnegative matrices made irreducible by a cycle through every
+        index, scaled by 2^g, |g| <= 500, and by a diagonal similarity
+        2^d_i / 2^d_j, |d_i| <= 25.  Below 8 rows numpy adds a row left to
+        right, as the lists do, and the roots are equal; from 8 on numpy
+        sums pairwise, and a sum may differ in its last bit."""
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        M = np.array(data.draw(st.lists(entry, min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+        cycle = data.draw(st.permutations(range(n)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            M[a, b] = max(M[a, b], data.draw(st.floats(0.01, 1.0)))
+        d = np.array(data.draw(st.lists(st.integers(-25, 25), min_size=n,
+                                        max_size=n)), dtype=float)
+        M = M * 2.0 ** d[:, None] / 2.0 ** d[None, :] \
+            * 2.0 ** data.draw(st.integers(-500, 500))
+        tol = data.draw(st.sampled_from([1e-12, 1e-14]))
+        got, want = spectral_radius(M, tol), oracles.spectral_radius(M, tol)
+        if n < 8:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * want
+
+
+def _cfs_configs() -> list:
+    """The names of the cfs descriptors in configs/."""
+    names = []
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        with open(path) as fh:
+            if json.load(fh)["type"] == "cfs":
+                names.append(os.path.basename(path))
+    return names
+
 
 class TestGDDimension:
+    @pytest.mark.parametrize("name", _cfs_configs())
+    def test_roots_of_the_numpy_power_iteration(self, name):
+        """Every s_n of depths 1-10 on each cfs config equals the root that
+        _root finds on the same bracket with the numpy power iteration it
+        replaced (tests/oracles.py) as the evaluator."""
+        sys, _ = load_config(name)
+        tol = 1e-10
+        hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
+        for depth in range(1, 11):
+            def g(s):
+                return oracles.spectral_radius(gd_matrix(sys, s, depth),
+                                               tol=1e-14) - 1.0
+            assert gd_dimension(sys, depth, tol) == \
+                dimension._root(g, 0.0, hi, tol)[0]
+
     def test_infinite_depth_full_interval(self, equal_halves):
         assert gd_dimension(equal_halves, None) == pytest.approx(1.0, abs=1e-9)
 

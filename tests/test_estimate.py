@@ -6,14 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
                     cover_boxes_1d, entropy_slope, estimate,
                     measure_dimension)
-from cfsdim.estimate import _fit, _keys, _occupancy, sample_measure_points
-from oracles import cell_counts
+from cfsdim.estimate import _fit, _keys, _occupancy
+from cfsdim.ifs import SAMPLE_CHUNK
+from oracles import cell_counts, measure_samples, sample_measure_points
 
 
 class TestFit:
@@ -208,6 +209,34 @@ class TestOccupancy:
 
 
 class TestSampleMeasurePoints:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           min_scale=st.integers(0, 14),
+           samples=st.one_of(st.integers(1, 200),
+                             st.integers(SAMPLE_CHUNK - 2,
+                                         2 * SAMPLE_CHUNK + 2)))
+    def test_same_samples_as_masking_sampler(self, data, seed, min_scale,
+                                             samples):
+        """The sampler that draws each step's symbols against the
+        cumulative weights and drops finished words gives the bytes of the
+        one that draws with Generator.choice and masks the whole chunk
+        (tests/oracles.py), for weights with zeros and for sample counts
+        that cut a chunk."""
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+        ratios = [data.draw(st.lists(st.floats(0.05, 0.9), min_size=k,
+                                     max_size=k)) for k in sizes]
+        weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        raw = [data.draw(st.lists(weight, min_size=k, max_size=k))
+               for k in sizes]
+        total = sum(map(sum, raw))
+        assume(total > 0.0)
+        sys = CFSystem(list(range(len(sizes))), ratios)
+        p = ProbVector([[w / total for w in row] for row in raw])
+        got = sample_measure_points(sys, p, samples, min_scale, seed)
+        want = measure_samples(sys, p, samples, min_scale, seed,
+                               SAMPLE_CHUNK)
+        assert got.tobytes() == want.tobytes()
+
     def test_points_inside_hull(self, two_group_overlap, uniform21):
         xs = sample_measure_points(two_group_overlap, uniform21, 5_000, 10,
                                    seed=0)

@@ -19,6 +19,7 @@ from cfsdim.fourcorner import (RootOutsideBracket, chaos_game_points,
                                render_attractor_ppm, render_cylinders_svg,
                                _cylinders)
 from cfsdim.cli import main
+from oracles import attractor_ppm
 
 # Frozen root of sum gamma_i * lambda_i^{s-1} = 1 at the reference
 # parameters, from the bisection oracle at tol 1e-14.
@@ -445,6 +446,19 @@ class TestRendering:
         render_attractor_ppm(four_corner_main, 20_000, 0, out, size=100)
         assert sha256_of(out) == PPM_SHA256
 
+    @pytest.mark.parametrize("points, seed, size", [
+        (20_000, 0, 100), (10_001, 5, 600), (5_000, 3, 257), (3_000, 1, 1)])
+    def test_ppm_bytes_match_full_image_writer(self, four_corner_main,
+                                               tmp_path, points, seed, size):
+        """The flat image written a block of rows at a time gives the bytes
+        of the 2-D image repeated into RGB in full (tests/oracles.py), also
+        where the last block is cut short (600 and 257 rows)."""
+        out = str(tmp_path / "att.ppm")
+        render_attractor_ppm(four_corner_main, points, seed, out, size=size)
+        with open(out, "rb") as fh:
+            assert fh.read() == attractor_ppm(four_corner_main, points, seed,
+                                              size)
+
     def test_svg_bytes_pinned(self, four_corner_main, tmp_path):
         out = str(tmp_path / "cyl.svg")
         render_cylinders_svg(four_corner_main, 4, out)
@@ -477,6 +491,17 @@ class TestRendering:
         large = traced_peak(render_attractor_ppm, four_corner_main, 10**6,
                             0, out)
         assert large <= small + 2**19
+
+    def test_ppm_memory_about_a_byte_per_pixel(self, four_corner_main,
+                                               tmp_path):
+        """The raster takes one byte a pixel and the RGB body is written a
+        block of rows at a time: a full RGB copy and its bytes would add six
+        bytes a pixel."""
+        out, size = str(tmp_path / "att.ppm"), 2000
+        render_attractor_ppm(four_corner_main, 20_000, 0, out)   # warm up
+        peak = traced_peak(render_attractor_ppm, four_corner_main, 20_000,
+                           0, out, size=size)
+        assert peak <= 2 * size * size
 
     def test_svg_memory_per_rectangle(self, four_corner_main, tmp_path):
         depth = 7

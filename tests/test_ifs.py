@@ -15,9 +15,8 @@ from cfsdim import (Block, CFSystem, DimensionReport, FourCornerProb,
                     ValidationError, entropy_slope, load_system, lyapunov,
                     phi_series, prune_zeros, rw_entropy_closed,
                     validate_probabilities, validate_system)
-from cfsdim.estimate import sample_measure_points
 from cfsdim.ifs import PROB_SUM_TOL, weight_errors
-from oracles import compose
+from oracles import compose, sample_measure_points
 
 
 class TestValidateSystem:
