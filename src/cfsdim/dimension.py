@@ -198,17 +198,21 @@ def _balance(A, sweeps: int = 50):
     row and column sums.  The spectral radius is invariant.
 
     The sweeps run on the rows as Python lists, free of numpy's per-call
-    cost.  Each sum is taken left to right, as numpy's add.reduce takes
-    fewer than 8 terms, so every factor keeps its bits while N < 8."""
+    cost, with the diagonal set aside and put back at the end: a diagonal
+    similarity keeps it, and a row sum less its diagonal would cancel to
+    0.0 once the diagonal exceeds the rest of its row by 2^53."""
     import numpy as np
     A = A.tolist()
     n = len(A)
+    diagonal = [A[i][i] for i in range(n)]
+    for i in range(n):
+        A[i][i] = 0.0
     for _ in range(sweeps):
         changed = False
         for i in range(n):
             row = A[i]
-            r = _total(row) - row[i]
-            c = _total(a[i] for a in A) - row[i]
+            r = _total(row)
+            c = _total(a[i] for a in A)
             if r > 0 and c > 0:
                 f = math.sqrt(c / r)
                 if not 0.0 < f < math.inf:      # c / r left the doubles
@@ -220,6 +224,8 @@ def _balance(A, sweeps: int = 50):
                     changed = True
         if not changed:
             break
+    for i in range(n):
+        A[i][i] = diagonal[i]
     return np.array(A)
 
 

@@ -10,7 +10,6 @@ brute force for H_n over block-signature classes.
 
 from __future__ import annotations
 
-import bisect
 import math
 from itertools import accumulate
 from operator import add, mul
@@ -44,6 +43,7 @@ class RWEntropyResult(NamedTuple):
     method: str                      # "closed-form" | "brute-force"
     depth: Optional[int] = None      # depth, increments: brute force only
     increments: Optional[tuple] = None   # H_2 - H_1, ..., H_n - H_{n-1}
+    tail_bound: Optional[float] = None   # closed form only: its error bound
     to_json_dict = _json_value
 
 
@@ -100,19 +100,6 @@ def _point_mass(p: ProbVector, bound: float, **extra) -> PhiResult:
     return PhiResult(value=0.0 - h,
                      tail_bound=bound + _gamma(len(p.flat()) + 2) * h,
                      terms_used=0, method="point-mass", **extra)
-
-
-def _truncation_depth(rho: float, tol: float) -> int:
-    """Smallest K with the geometric-log tail bound below tol for group mass
-    rho > 0, or the ceiling 10**7 when no K below it qualifies."""
-    # the bound decreases in K, so the qualifying K form a suffix: bisect
-    return bisect.bisect_left(range(10**7), True,
-                              key=lambda k: _tail_bound(rho, k) < tol)
-
-
-def _tail_bound(rho: float, k: int) -> float:
-    return (rho ** (k + 1)) / (1.0 - rho) * (
-        math.log(k + 2) + 1.0 / ((1.0 - rho) * (k + 2)))
 
 
 def _row_cells(row, n: int) -> int:
@@ -185,17 +172,28 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
 
 
 def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiResult:
-    """Truncated Phi series, with a bound on its error.
+    """Truncated Phi series with its tail centred, and a bound on its error.
 
     Phi sums a (1 - rho) rho^k E log((Y + 1)/(k + 1)), Y ~ Bin(k, a / rho),
     over k >= 1 and the members a of each group of mass rho: by k, rho
-    (1 - rho) sum_k rho^k D_k (_log_moments) per group, stopped at the first
-    K whose geometric-log tail (|D_k| <= log(k + 1)) is below tol over the
-    number of groups.  As h + Phi = h_RW lies in [0, B] for B the
-    _point_mass_bound, B < tol answers Phi = -h with tail bound B plus the
-    rounding of h (_point_mass).  Raises BudgetExceeded past PHI_TERM_CAP
-    binomial-row cells, or when a group mass rounds to 1 and that rule does
-    not answer.
+    (1 - rho) sum_k rho^k D_k (_log_moments) per group.  As h + Phi = h_RW
+    lies in [0, B] for B the _point_mass_bound, B < tol answers Phi = -h
+    with tail bound B plus the rounding of h (_point_mass).  Raises
+    BudgetExceeded past PHI_TERM_CAP binomial-row cells, or when a group
+    mass rounds to 1 and that rule does not answer.
+
+    Jensen's inequality bounds every D_k from both sides.  For Y ~ Bin(k, q)
+    E 1/(Y + 1) = (1 - (1 - q)^(k+1)) / ((k + 1) q) <= 1 / ((k + 1) q), so
+    E log(Y + 1) >= log((k + 1) q) as -log is convex, and E log(Y + 1) <=
+    log(k q + 1) as log is concave.  Over the m members of a group, with
+    q_j = p_j / rho summing to 1 and H = -sum_j q_j log q_j (a pair: q and
+    b), log(q + (1 - q)/(k + 1)) <= log q + (1 - q)/((k + 1) q) gives
+    -H <= D_k <= -H + (m - 1)/(k + 1).  So the group's tail past depth K is
+    -H rho^(K+2) + R with 0 <= R <= w = (m - 1) rho^(K+2) / (K + 2): the
+    value adds the centre -H rho^(K+2) + w/2 and the bound w/2.  K is the
+    smallest depth with w/2 <= tol/(2G), G the groups of two or more
+    members (one member has D_k = 0), found by bisection below the depth
+    where (m - 1) rho^K reaches tol / G.
 
     The tail bound adds rounding, against the series at the weights as
     doubles (Higham, Accuracy and Stability of Numerical Algorithms, 3.1,
@@ -215,12 +213,20 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     members, so it is exact to theta_{3k+m+1}, and 2 rho^k lost_k L covers
     that, rho**k and the sums, as the cap keeps 4k u far below 1.  With
     lost_k <= k 2^-70 that term stays below 1e-17 at every depth the cap
-    allows a pair, and it is 0 when nothing was cut.  The fsums, rho
-    and the last two products give theta_5 and 1 - rho a relative
+    allows a pair, and it is 0 when nothing was cut.  The fsums, rho and
+    the last two products give theta_5 and 1 - rho a relative
     gamma_1 / (1 - rho), x <= gamma_6 / (1 - rho) in all, so at most
-    2 x |value| as the cap keeps 1 - rho above 1e-6.  The bound itself is
-    exact to a relative O((K + 1 / (1 - rho)) u).  ``terms_used`` counts
-    the cells filled; the cap counts untrimmed ones (_row_cells) up front.
+    2 x |series| as the cap keeps 1 - rho above 1e-6; the two sums that
+    add the centre move it by gamma_2 |series| more.  The centre's H comes
+    from q_j = p_j / rho as doubles: against the exact q_j, which sum to
+    1, each is within gamma_2, and -q log q moves by at most
+    |dq| (|log q| + 1), so with the log, its product and m - 1 sums H is
+    within gamma_{m+5} (H + 1).  rho**(K+2) is within gamma_{K+4}, w/2
+    within gamma_{K+6}, and the centre's product and its share of the two
+    sums add gamma_2: gamma_{K+m+16} (H + m) rho^(K+2) covers them all.
+    The bound itself is exact to a relative O((K + 1 / (1 - rho)) u).
+    ``terms_used`` counts the cells filled; the cap counts untrimmed ones
+    (_row_cells) up front.
     """
     check_tol(tol)
     p = prune_zeros(sys, p)
@@ -233,7 +239,21 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     if any(rho >= 1.0 for rho, _ in groups):
         raise BudgetExceeded(f"a group mass rounds to 1 and the point-mass "
                              f"bound {bound!r} is not below tol {tol!r}")
-    depths = [_truncation_depth(rho, tol / len(p.weights)) for rho, _ in groups]
+    depths = []
+    for rho, row in groups:
+        m1, share = len(row) - 1, tol / (2 * len(groups))
+        # (m - 1) rho^hi <= tol / G, so w/2 at hi is within the share; the
+        # logs keep tol / G from underflowing
+        lo = 0
+        hi = max(0, math.ceil((math.log(tol) - math.log(m1 * len(groups)))
+                              / math.log(rho)))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if m1 * rho ** (mid + 2) / (2 * (mid + 2)) <= share:
+                hi = mid
+            else:
+                lo = mid + 1
+        depths.append(hi)
     cells = sum(_row_cells(row, K + 1) for (_, row), K in zip(groups, depths))
     if cells > PHI_TERM_CAP:
         raise BudgetExceeded(
@@ -241,18 +261,23 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     logs = [math.log(c + 1.0) for c in range(max(depths, default=0) + 1)]
     values, bounds, filled = [], [], 0
     for (rho, row), K in zip(groups, depths):
-        out = 1.0 - rho
+        out, m = 1.0 - rho, len(row)
         powers = [rho ** k for k in range(K + 1)]
         d, lost, used = _log_moments(row, rho, K + 1, logs)
-        value = rho * out * math.fsum(map(mul, powers, d))
+        series = rho * out * math.fsum(map(mul, powers, d))
         rounding = math.fsum(
-            powers[k] * (logs[k] + 1.0) * _gamma(4 * k + 3 * len(row) + 13)
+            powers[k] * (logs[k] + 1.0) * _gamma(4 * k + 3 * m + 13)
             for k in range(1, K + 1))
         if lost[-1]:        # the trimmed rows read each D_k lost_k L low
             rounding += 2.0 * math.fsum(map(mul, map(mul, powers, logs), lost))
-        values.append(value)
-        bounds.append(rho * out * (_tail_bound(rho, K) + rounding)
-                      + 2.0 * abs(value) * _gamma(6) / out)
+        h = -math.fsum(q * math.log(q) for q in (float(w) / rho for w in row))
+        tail = rho ** (K + 2)
+        half = (m - 1) * tail / (2 * (K + 2))
+        values.append(series - h * tail + half)
+        bounds.append(rho * out * rounding
+                      + abs(series) * (2.0 * _gamma(6) / out + _gamma(2))
+                      + half
+                      + _gamma(K + m + 16) * (h + m) * tail)
         filled += used
     return PhiResult(value=math.fsum(values), tail_bound=math.fsum(bounds),
                      terms_used=filled, method="series")
@@ -350,9 +375,14 @@ def phi_lower_bound(sys: CFSystem, p: ProbVector) -> float:
 
 def rw_entropy_closed(sys: CFSystem, p: ProbVector,
                       tol: float = DEFAULT_TOL) -> RWEntropyResult:
-    """h_RW = h_p + Phi(p) (assumes exponential separation for the system)."""
-    h_rw = shannon_entropy(p) + phi_series(sys, p, tol).value
-    return RWEntropyResult(value=h_rw, method="closed-form")
+    """h_RW = h_p + Phi(p) (assumes exponential separation for the system).
+    The tail bound is the Phi series' plus the rounding of h_p and of the
+    sum: gamma_{n+2} h_p over its n terms (_point_mass), and u h_p more, as
+    0 <= h_p + Phi <= h_p."""
+    h, phi = shannon_entropy(p), phi_series(sys, p, tol)
+    return RWEntropyResult(
+        value=h + phi.value, method="closed-form",
+        tail_bound=phi.tail_bound + _gamma(len(p.flat()) + 3) * h)
 
 
 def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,

@@ -131,9 +131,9 @@ def chis(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
 
 def phi_xy(sys: FourCornerSystem, p: FourCornerProb,
            tol: float = 1e-12) -> tuple:
-    """(Phi_x, Phi_y): the Phi series of the two projections."""
-    return tuple(phi_series(line, q, tol).value
-                 for line, q in _projections(sys, p))
+    """(Phi_x, Phi_y): the Phi series of the two projections, each a
+    PhiResult with its tail bound."""
+    return tuple(phi_series(line, q, tol) for line, q in _projections(sys, p))
 
 
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
@@ -150,7 +150,8 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
     h = shannon_entropy(p.x_grouping())
     chi_x, chi_y = chis(sys, p)
-    phi_x, phi_y = phi_xy(sys, p, tol)
+    rx, ry = phi_xy(sys, p, tol)
+    phi_x, phi_y = rx.value, ry.value
     eps = 1e-12
     if chi_y >= chi_x - eps:
         a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y
@@ -165,7 +166,9 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
         dimension=min(2.0, max(0.0, raw)), raw=raw, method="4corner-case",
         tolerance=tol,
         diagnostics={"case": case, "entropy": h, "chi_x": chi_x,
-                     "chi_y": chi_y, "phi_x": phi_x, "phi_y": phi_y})
+                     "chi_y": chi_y, "phi_x": phi_x, "phi_y": phi_y,
+                     "phi_x_tail_bound": rx.tail_bound,
+                     "phi_y_tail_bound": ry.tail_bound})
 
 
 def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:

@@ -207,15 +207,19 @@ def cell_counts(ms, x, y=None) -> list:
 
 
 def balance(A, sweeps: int = 50):
-    """Osborne-style diagonal similarity balancing on a numpy array: row and
-    column sums by numpy, a row scaled and a column divided in place."""
+    """Osborne-style diagonal similarity balancing on a numpy array: the
+    diagonal set aside, row and column sums by numpy, a row scaled and a
+    column divided in place, then the diagonal put back."""
+    import numpy as np
     A = A.copy()
     n = A.shape[0]
+    diagonal = A.diagonal().copy()
+    np.fill_diagonal(A, 0.0)
     for _ in range(sweeps):
         changed = False
         for i in range(n):
-            r = float(A[i, :].sum() - A[i, i])
-            c = float(A[:, i].sum() - A[i, i])
+            r = float(A[i, :].sum())
+            c = float(A[:, i].sum())
             if r > 0 and c > 0:
                 f = math.sqrt(c / r)
                 if not 0.0 < f < math.inf:      # c / r left the doubles
@@ -226,6 +230,7 @@ def balance(A, sweeps: int = 50):
                     changed = True
         if not changed:
             break
+    np.fill_diagonal(A, diagonal)
     return A
 
 

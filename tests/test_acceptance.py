@@ -233,7 +233,7 @@ def test_criterion_09_coordinate_phi_equivalence():
         raw = rng.uniform(0.05, 1.0, size=4)
         raw /= raw.sum()
         p = FourCornerProb([float(v) for v in raw])
-        vx, vy = phi_xy(REFERENCE_4C, p, tol=1e-12)
+        vx, vy = (r.value for r in phi_xy(REFERENCE_4C, p, tol=1e-12))
         gx = phi_series(shape_sys, p.x_grouping(), tol=1e-12)
         gy = phi_series(shape_sys, p.y_grouping(), tol=1e-12)
         ex = abs(vx - gx.value)

@@ -388,14 +388,16 @@ OUTPUT_SHAPES = {
     },
     "rw-entropy": {
         "$": "object", "$.closed_form": "object",
-        "$.closed_form.method": "str", "$.closed_form.value": "float",
+        "$.closed_form.method": "str", "$.closed_form.tail_bound": "float",
+        "$.closed_form.value": "float",
     },
     "rw-entropy-depth": {
         "$": "object", "$.brute_force": "object",
         "$.brute_force.depth": "int", "$.brute_force.increments": "array",
         "$.brute_force.increments[]": "float", "$.brute_force.method": "str",
         "$.brute_force.value": "float", "$.closed_form": "object",
-        "$.closed_form.method": "str", "$.closed_form.value": "float",
+        "$.closed_form.method": "str", "$.closed_form.tail_bound": "float",
+        "$.closed_form.value": "float",
     },
     "esc-probe-all-third": {
         "$": "object", "$.b_hat": "null", "$.rows": "array",
@@ -440,7 +442,9 @@ OUTPUT_SHAPES = {
         "$.measure_dimension.diagnostics.chi_y": "float",
         "$.measure_dimension.diagnostics.entropy": "float",
         "$.measure_dimension.diagnostics.phi_x": "float",
+        "$.measure_dimension.diagnostics.phi_x_tail_bound": "float",
         "$.measure_dimension.diagnostics.phi_y": "float",
+        "$.measure_dimension.diagnostics.phi_y_tail_bound": "float",
         "$.measure_dimension.dimension": "float",
         "$.measure_dimension.method": "str",
         "$.measure_dimension.raw": "float",
@@ -774,7 +778,8 @@ class TestExitCodes:
           "--n-max", "-3"], 2),
         (["measure-dim", TWO_GROUP, "--tol", "0"], 2),
         (["fourcorner", FOUR_CORNER, "--tol", "0"], 2),
-        (["phi", TWO_GROUP, "--probabilities", "[[0.499,0.499],[0.002]]"], 3),
+        (["phi", TWO_GROUP, "--probabilities",
+          "[[0.49975,0.49975],[0.0005]]"], 3),
         (["fourcorner", FOUR_CORNER, "--probabilities", "[0.5,0.5,0,0]"], 0),
         (["measure-dim", TWO_GROUP, "--probabilities", NEAR_POINT_MASS], 0),
         (["rw-entropy", TWO_GROUP, "--probabilities", NEAR_POINT_MASS], 0),

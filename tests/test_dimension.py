@@ -166,6 +166,26 @@ class TestSpectralRadius:
         assert spectral_radius(M) == pytest.approx(math.sqrt(0.7) * 2**-537,
                                                    rel=1e-9)
 
+    def test_diagonal_past_2_53_of_its_row(self):
+        """Irreducible matrices with a positive diagonal under a diagonal
+        similarity 2^d_i / 2^d_j, |d_i| <= 250: a diagonal entry can exceed
+        the rest of its row by far more than 2^53, where a row sum less the
+        diagonal cancels to 0.0 and the row was never balanced.  The
+        similarity is exact in doubles, so the unscaled matrix's eigenvalues
+        are the oracle."""
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            M = rng.uniform(0.0, 1.0, size=(n, n))
+            M[rng.uniform(size=(n, n)) < 0.5] = 0.0
+            cycle = rng.permutation(n)
+            M[cycle, np.roll(cycle, -1)] += rng.uniform(0.01, 1.0, size=n)
+            np.fill_diagonal(M, rng.uniform(0.1, 1.0, size=n))
+            d = rng.integers(-250, 251, size=n).astype(float)
+            scaled = M * 2.0 ** d[:, None] / 2.0 ** d[None, :]
+            oracle = max(abs(np.linalg.eigvals(M)))
+            assert spectral_radius(scaled) == pytest.approx(oracle, rel=1e-9)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12))
     def test_against_numpy_power_iteration(self, data, n):

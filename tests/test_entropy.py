@@ -15,7 +15,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError, ifs,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
 from cfsdim import entropy
 from cfsdim.entropy import (DEFAULT_TOL, TRIM, RunTooLong, _log_moments,
-                            _row_cells, _tail_bound, _truncation_depth)
+                            _row_cells)
 from identities import dp_entropies, signature_entropies
 from oracles import log_moments_untrimmed, word_records
 
@@ -61,6 +61,34 @@ def minus_h_40_digits(weights) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 40
         return sum(Decimal(w) * Decimal(w).ln() for w in weights if w > 0)
+
+
+def jensen_depth(rho, members, share):
+    """The smallest K whose Jensen half-width (m - 1) rho^(K+2) / (2 (K + 2))
+    is within ``share``, by a scan from K = 0."""
+    K = 0
+    while (members - 1) * rho ** (K + 2) / (2 * (K + 2)) > share:
+        K += 1
+    return K
+
+
+def stopped_depths(monkeypatch, sys, p, tol):
+    """The depth K of each group of two or more members at which phi_series
+    stops, read from the untrimmed cell count it asks of _row_cells (to
+    depth K + 1) before the cap; a cap of -1 refuses every count, so no
+    row is built."""
+    depths = []
+
+    def spy(row, n):
+        depths.append(n - 1)
+        return _row_cells(row, n)
+
+    monkeypatch.setattr(entropy, "_row_cells", spy)
+    monkeypatch.setattr(entropy, "PHI_TERM_CAP", -1)
+    with pytest.raises(BudgetExceeded, match="binomial-row cells"):
+        phi_series(sys, p, tol)
+    monkeypatch.undo()
+    return depths
 
 
 # All but 1e-16 of the mass in the first group of two_group_overlap
@@ -228,26 +256,41 @@ class TestPhiSeries:
         and the 40-digit value."""
         p = ProbVector(weights)
         res = phi_series(two_group_overlap, p, tol)
-        K = _truncation_depth(math.fsum(weights[0]), tol / 2)
+        K = jensen_depth(math.fsum(weights[0]), 2, tol / 2)
         assert res.terms_used < _row_cells(weights[0], K + 1)
         assert abs(res.value - _phi_log_space(p, tail=tol * 1e-4)) \
             <= res.tail_bound
         if weights[0] == [0.5, 0.49]:
             assert abs(res.value - PHI_MASS_099) <= res.tail_bound
 
+    @pytest.mark.parametrize("mass", [0.5, 0.7, 0.9, 0.95, 0.98, 0.998,
+                                      0.999])
+    def test_mass_sweep_within_bound(self, two_group_overlap, mass):
+        """From group mass 0.5 to 0.999 (0.99 to 0.997 above), on an
+        uneven pair, each value meets the log-space series (its own
+        truncation below tol / 1000) within the reported bound alone: the
+        centred Jensen tail, the trimmed mass and the rounding."""
+        p = ProbVector([[0.6 * mass, 0.4 * mass], [1.0 - mass]])
+        res = phi_series(two_group_overlap, p)
+        assert res.method == "series"
+        assert abs(res.value - _phi_log_space(p, tail=DEFAULT_TOL * 1e-4)) \
+            <= res.tail_bound < DEFAULT_TOL
+
     def test_cap_counts_untrimmed_cells(self, two_group_overlap):
         """terms_used counts the cells filled, under a third of the untrimmed
         count at mass 0.99, but PHI_TERM_CAP is checked against the untrimmed
-        count before any work: mass 0.997 answers and 0.998 exits as before."""
+        count before any work: mass 0.999 answers and 0.9995 exits."""
         res = phi_series(two_group_overlap, ProbVector([[0.5, 0.49], [0.01]]))
-        K = _truncation_depth(0.99, DEFAULT_TOL / 2)
+        K = jensen_depth(0.99, 2, DEFAULT_TOL / 2)
         assert 0 < res.terms_used < _row_cells([0.5, 0.49], K + 1) / 3
         res = phi_series(two_group_overlap,
-                         ProbVector([[0.4985, 0.4985], [0.003]]))
+                         ProbVector([[0.4995, 0.4995], [0.001]]))
         assert res.method == "series" and res.tail_bound < 1e-10
+        K = jensen_depth(0.9995, 2, DEFAULT_TOL / 2)
+        assert _row_cells([0.49975, 0.49975], K + 1) > entropy.PHI_TERM_CAP
         with pytest.raises(BudgetExceeded, match="binomial-row cells"):
             phi_series(two_group_overlap,
-                       ProbVector([[0.499, 0.499], [0.002]]))
+                       ProbVector([[0.49975, 0.49975], [0.0005]]))
 
 
 class TestTrimmedRows:
@@ -319,14 +362,15 @@ class TestTrimmedRows:
             assert list(map(float.hex, d)) == list(map(float.hex, want))
 
     def test_equal_weights_fill_one_row(self):
-        """Three members of weight 0.3 fill one row: 23 278 cells at the
-        default tol, a third of the 69 834 that three rows filled."""
+        """Three members of weight 0.3 fill one row: 12 023 cells at the
+        default tol, fewer than one untrimmed row and a third of what three
+        rows of distinct weights take."""
         three = CFSystem([0.0, 1.0], [[0.2, 0.3, 0.25], [0.25]])
-        K = _truncation_depth(math.fsum([0.3] * 3), DEFAULT_TOL / 2)
+        K = jensen_depth(math.fsum([0.3] * 3), 3, DEFAULT_TOL / 2)
         one_row = _row_cells([0.3, 0.3, 0.3], K + 1)
         assert 3 * one_row == _row_cells([0.3, 0.31, 0.32], K + 1)
         res = phi_series(three, ProbVector([[0.3, 0.3, 0.3], [0.1]]))
-        assert res.terms_used == 23278 < one_row
+        assert res.terms_used == 12023 < one_row
 
     def test_dp_matches_untrimmed_kernel_at_depth_3000(
             self, two_group_overlap, uniform21, monkeypatch):
@@ -341,15 +385,55 @@ class TestTrimmedRows:
 
 
 class TestTruncationDepth:
+    """A group of m >= 2 members stops at the smallest K whose Jensen
+    half-width w/2 = (m - 1) rho^(K+2) / (2 (K + 2)) is within its share
+    tol / (2G), G the groups of two or more members."""
+
     @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.95, 0.99, 0.999])
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 5e-11, 1e-14])
-    def test_smallest_depth(self, rho, tol):
-        K = _truncation_depth(rho, tol)
-        assert _tail_bound(rho, K) < tol
-        assert K == 0 or _tail_bound(rho, K - 1) >= tol
+    def test_smallest_depth(self, rho, tol, monkeypatch):
+        """A pair of mass rho, a group of three sharing 1 - rho with a
+        single member: G = 2, the single member takes no share."""
+        rest = (1.0 - rho) / 4
+        sys = CFSystem([0.0, 1.0, 2.0], [[0.3, 0.2], [0.25, 0.2, 0.15],
+                                         [0.1]])
+        p = ProbVector([[0.6 * rho, 0.4 * rho], [rest, rest, rest], [rest]])
+        depths = stopped_depths(monkeypatch, sys, p, tol)
+        share = tol / 4
+        for K, (mass, m) in zip(depths, [(math.fsum(p.weights[0]), 2),
+                                        (math.fsum(p.weights[1]), 3)]):
+            assert (m - 1) * mass ** (K + 2) / (2 * (K + 2)) <= share
+            assert K == 0 or \
+                (m - 1) * mass ** (K + 1) / (2 * (K + 1)) > share
+        assert len(depths) == 2
 
-    def test_zero_tolerance_stops_at_ceiling(self):
-        assert _truncation_depth(0.5, 0.0) == 10**7
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+           st.floats(0.5, 0.999), st.integers(1, 600))
+    def test_jensen_interval(self, raw, mass, n):
+        """Every D_k of the untrimmed kernel lies in [-H, -H + (m - 1)/(k +
+        1)], H = -sum q_j log q_j over the m members, up to the rounding of
+        D_k (gamma_{3k+3m+10} (L + 1), phi_series docstring) and of H
+        (gamma_{m+5} (H + 1))."""
+        row = [mass * x / sum(raw) for x in raw]
+        rho, m = math.fsum(row), len(row)
+        logs = [math.log(c + 1.0) for c in range(n)]
+        d = log_moments_untrimmed(row, rho, n, logs)
+        h = -math.fsum(w / rho * math.log(w / rho) for w in row)
+        for k in range(n):
+            slack = (ifs._gamma(3 * k + 3 * m + 10) * (logs[k] + 1.0)
+                     + ifs._gamma(m + 5) * (h + 1.0))
+            assert -h - slack <= d[k] <= -h + (m - 1) / (k + 1) + slack
+
+    def test_subnormal_tolerance_answers_within_its_bound(
+            self, two_group_overlap, uniform21):
+        """At tol = 5e-324 the share tol / (2G) rounds to 0; the depth comes
+        from logs, so it is found where the half-width underflows, and the
+        answer meets the log-space series within its bound, which rounding
+        keeps above tol."""
+        res = phi_series(two_group_overlap, uniform21, tol=5e-324)
+        assert res.method == "series"
+        assert abs(res.value - _phi_log_space(uniform21)) <= res.tail_bound
 
 
 def _phi_log_space(p, tail=1e-18):
@@ -366,12 +450,14 @@ def _phi_log_space(p, tail=1e-18):
         logs = np.log(np.arange(1.0, K + 2.0))
         for a in row:
             b = rho - a
+            # q log a and q log b for q = 0..K; the reversed slices read k - q
+            qa = np.arange(K + 1) * math.log(a)
+            qb = np.arange(K + 1) * math.log(b)
             acc = 0.0
             for k in range(1, K + 1):
-                q = np.arange(k + 1)
-                log_w = (lgam[k] - lgam[q] - lgam[k - q] + q * math.log(a)
-                         + (k - q) * math.log(b))
-                acc += float(np.exp(log_w) @ (logs[q] - logs[k]))
+                log_w = (lgam[k] - lgam[:k + 1] - lgam[k::-1] + qa[:k + 1]
+                         + qb[k::-1])
+                acc += float(np.exp(log_w) @ (logs[:k + 1] - logs[k]))
             total += a * (1.0 - rho) * acc
     return total
 
@@ -489,10 +575,26 @@ def _entropy_by_word_enumeration(sys, p, n):
 
 class TestRWEntropy:
     def test_closed_form_is_h_plus_phi(self, two_group_overlap, uniform21):
+        """h_p + Phi, with the Phi series' tail bound and the rounding of
+        h_p and of the sum, gamma_{n+3} h_p over n = 3 weights."""
         res = rw_entropy_closed(two_group_overlap, uniform21, tol=1e-12)
         h = shannon_entropy(uniform21)
-        phi = phi_series(two_group_overlap, uniform21, tol=1e-12).value
-        assert res.value == pytest.approx(h + phi, abs=1e-12)
+        phi = phi_series(two_group_overlap, uniform21, tol=1e-12)
+        assert res.value == pytest.approx(h + phi.value, abs=1e-12)
+        assert res.tail_bound == pytest.approx(
+            phi.tail_bound + h_rounding(h, 4), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("weights", [
+        [[0.2], [0.3], [0.5]], [[0.15], [0.35], [0.5]]])
+    def test_bound_covers_rounding_of_h(self, weights):
+        """Without overlap Phi = 0 with bound 0, and h_RW = h_p is off by
+        about an ulp (1.3e-16 and 5.9e-17 here): the bound covers it."""
+        sys = CFSystem([0.0, 0.5, 1.0], [[0.3], [0.2], [0.25]])
+        res = rw_entropy_closed(sys, ProbVector(weights))
+        err = abs(Decimal(res.value)
+                  + minus_h_40_digits([w for (w,) in weights]))
+        assert 0 < err <= Decimal(res.tail_bound)
+        assert res.tail_bound <= 8 * math.ulp(res.value)
 
     def test_no_overlap_entropy_is_h(self, equal_halves):
         p = ProbVector.uniform(equal_halves)

@@ -101,22 +101,23 @@ class TestPhiXY:
         return phi_series(sys, grouping, tol=1e-12)
 
     def test_matches_generic_series(self, four_corner_main):
+        """Phi ignores the ratios: each projection's PhiResult, bound
+        included, is that of another line system of the same shape."""
         p = FourCornerProb([0.4, 0.3, 0.2, 0.1])
-        vx, vy = phi_xy(four_corner_main, p, tol=1e-12)
-        gx = self._generic_phi(p.x_grouping())
-        gy = self._generic_phi(p.y_grouping())
-        assert vx == pytest.approx(gx.value, abs=1e-10 + gx.tail_bound)
-        assert vy == pytest.approx(gy.value, abs=1e-10 + gy.tail_bound)
+        rx, ry = phi_xy(four_corner_main, p, tol=1e-12)
+        assert rx == self._generic_phi(p.x_grouping())
+        assert ry == self._generic_phi(p.y_grouping())
+        assert 0.0 < rx.tail_bound <= 1e-12 and 0.0 < ry.tail_bound <= 1e-12
 
     def test_nonpositive(self, four_corner_main):
         p = FourCornerProb([0.3, 0.3, 0.2, 0.2])
-        vx, vy = phi_xy(four_corner_main, p)
-        assert vx <= 0.0 and vy <= 0.0
+        rx, ry = phi_xy(four_corner_main, p)
+        assert rx.value <= 0.0 and ry.value <= 0.0
 
     def test_symmetric_p_symmetric_phi(self, four_corner_main):
         p = FourCornerProb([0.25, 0.25, 0.25, 0.25])
-        vx, vy = phi_xy(four_corner_main, p)
-        assert vx == pytest.approx(vy, abs=1e-14)
+        rx, ry = phi_xy(four_corner_main, p)
+        assert rx.value == pytest.approx(ry.value, abs=1e-14)
 
     @pytest.mark.parametrize("weights, bound", [
         ([0.5, 0.5, 0.0, 0.0], 4 * math.ulp(math.log(2))),
@@ -133,7 +134,7 @@ class TestPhiXY:
         res = phi_series(x_line, p.x_grouping(), tol=1e-12)
         assert (res.value, res.method) == (-h, "point-mass")
         assert res.tail_bound <= bound
-        assert phi_xy(four_corner_main, p)[0] == -h
+        assert phi_xy(four_corner_main, p)[0].value == -h
 
     @pytest.mark.parametrize("excess, ok", [(5e-13, True), (2e-12, False)])
     def test_weight_rule_is_the_line_systems(self, excess, ok):
@@ -278,6 +279,15 @@ class TestMeasureDimension4C:
         assert rep.raw == pytest.approx(1.0 + (h - cx) / cy, abs=1e-12)
         assert rep.raw == pytest.approx(s, abs=1e-9)
 
+    def test_reports_both_phi_bounds(self, four_corner_main):
+        """The diagnostics carry each projection's Phi with its tail
+        bound, as phi_xy gives them."""
+        p = FourCornerProb([0.4, 0.3, 0.2, 0.1])
+        diag = measure_dimension_4c(four_corner_main, p).diagnostics
+        rx, ry = phi_xy(four_corner_main, p, tol=1e-12)
+        assert (diag["phi_x"], diag["phi_x_tail_bound"]) == rx[:2]
+        assert (diag["phi_y"], diag["phi_y_tail_bound"]) == ry[:2]
+
     def test_corner_mass_is_zero(self, four_corner_main):
         rep = measure_dimension_4c(four_corner_main,
                                    FourCornerProb([1, 0, 0, 0]))
@@ -369,9 +379,9 @@ class TestMeasureDimension4C:
         cx, cy = chis(four_corner_main, p)
         cx2, cy2 = chis(swapped, q)
         assert (cx2, cy2) == pytest.approx((cy, cx))
-        vx, vy = phi_xy(four_corner_main, p)
-        vx2, vy2 = phi_xy(swapped, q)
-        assert (vx2, vy2) == pytest.approx((vy, vx))
+        rx, ry = phi_xy(four_corner_main, p)
+        rx2, ry2 = phi_xy(swapped, q)
+        assert (rx2.value, ry2.value) == pytest.approx((ry.value, rx.value))
 
 
 class TestSetDimension4C:

@@ -308,13 +308,13 @@ VALUES = [
       "method": "monte-carlo", "stderr": 0.5}),
     (lambda: RWEntropyResult(0.5, "brute-force", 2, (0.25,)), "increments",
      "RWEntropyResult(value=0.5, method='brute-force', depth=2, "
-     "increments=(0.25,))",
+     "increments=(0.25,), tail_bound=None)",
      {"value": 0.5, "method": "brute-force", "depth": 2,
       "increments": [0.25]}),
-    (lambda: RWEntropyResult(0.5, "closed-form"), "method",
+    (lambda: RWEntropyResult(0.5, "closed-form", tail_bound=1e-11), "method",
      "RWEntropyResult(value=0.5, method='closed-form', depth=None, "
-     "increments=None)",
-     {"value": 0.5, "method": "closed-form"}),
+     "increments=None, tail_bound=1e-11)",
+     {"value": 0.5, "method": "closed-form", "tail_bound": 1e-11}),
     (lambda: DimensionReport(0.5, 0.5, "measure-formula", 1e-10, {}),
      "diagnostics",
      "DimensionReport(dimension=0.5, raw=0.5, method='measure-formula', "
