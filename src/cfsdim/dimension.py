@@ -178,61 +178,33 @@ def gd_cells(sys: CFSystem, depth: int, sequence: bool = False) -> int:
 
 
 def gd_matrix(sys: CFSystem, s: float, depth: int):
-    """The N x N quotient matrix C_n^(s) at depth n >= 1 and s >= 0, as a
-    numpy array."""
+    """The N x N graph-directed matrix at depth n >= 1 and s >= 0 in its
+    symmetric form S, as a numpy array.
+
+    The quotient matrix C_n^(s) = 1 c^T - diag(c), c_k the sum of lam^s
+    over the group-k multisets of length <= n, is similar to S = D C D^-1
+    under D = diag(sqrt(c)): S has sqrt(c_i) sqrt(c_k) off the diagonal and
+    0 on it, so rho(S) = rho(C) (where c_k = 0, expanding along column k
+    leaves both the eigenvalue 0 and the spectra of C and S without group
+    k).  The square roots are taken before the product, so a product of two
+    tiny c never underflows."""
     if s < 0:
         raise ValidationError(f"s must be >= 0, got {s}")
     import numpy as np
-    N = sys.n_groups
-    col = np.zeros(N)
-    for k, row in enumerate(sys.ratios):
-        col[k] = _complete_homogeneous_sums([float(lam)**s for lam in row],
-                                            depth)
-    M = np.tile(col, (N, 1))
-    np.fill_diagonal(M, 0.0)
-    return M
-
-
-def _balance(A, sweeps: int = 50):
-    """Osborne-style diagonal similarity balancing: equalize off-diagonal
-    row and column sums.  The spectral radius is invariant.
-
-    The sweeps run on the rows as Python lists, free of numpy's per-call
-    cost, with the diagonal set aside and put back at the end: a diagonal
-    similarity keeps it, and a row sum less its diagonal would cancel to
-    0.0 once the diagonal exceeds the rest of its row by 2^53."""
-    import numpy as np
-    A = A.tolist()
-    n = len(A)
-    diagonal = [A[i][i] for i in range(n)]
-    for i in range(n):
-        A[i][i] = 0.0
-    for _ in range(sweeps):
-        changed = False
-        for i in range(n):
-            row = A[i]
-            r = _total(row)
-            c = _total(a[i] for a in A)
-            if r > 0 and c > 0:
-                f = math.sqrt(c / r)
-                if not 0.0 < f < math.inf:      # c / r left the doubles
-                    f = math.sqrt(c) / math.sqrt(r)
-                if abs(f - 1.0) > 1e-6:
-                    A[i] = [x * f for x in row]
-                    for a in A:
-                        a[i] /= f
-                    changed = True
-        if not changed:
-            break
-    for i in range(n):
-        A[i][i] = diagonal[i]
-    return np.array(A)
+    c = [_complete_homogeneous_sums([float(lam)**s for lam in row], depth)
+         for row in sys.ratios]
+    root_c = np.sqrt(c)
+    S = np.outer(root_c, root_c)
+    np.fill_diagonal(S, 0.0)
+    return S
 
 
 def spectral_radius(M, tol: float = 1e-12) -> float:
-    """Perron root of a nonnegative irreducible matrix via power iteration
-    on the balanced, rescaled matrix plus Id (the shift removes periodicity,
-    balancing keeps the shift comparable to the root).
+    """Perron root of a symmetric nonnegative irreducible matrix, such as
+    gd_matrix's, via power iteration on the matrix over its largest row sum
+    sigma plus Id (the shift removes periodicity, and sigma keeps it
+    comparable to the root).  On a badly scaled nonsymmetric matrix the
+    iteration may not settle and raises NonConvergence.
 
     Each step takes one product: y = (A/sigma + I) x is both the step's
     residual product and the next step's iterate.  y is nonnegative, so its
@@ -240,7 +212,6 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
     import numpy as np
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
-    A = _balance(A)
     sigma = float(A.sum(axis=1).max())
     if sigma == 0.0:
         return 0.0

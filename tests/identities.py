@@ -1,11 +1,13 @@
 """Check-only identities of the graph-directed construction.
 
-The library solves rho(C_n^(s)) = 1 on the N x N quotient matrix and, at
-infinite depth, the attractor equation.  The identities behind both live
-here, as test oracles on ``numpy.linalg.eigvals``: the full matrix B_n^(s)
-has the quotient's spectral radius, the infinite-depth limit of C_n^(s) has
-a closed form, and the determinant of the matrix with -1 diagonal and
-x_j - 1 off it has a closed form.
+The library solves rho(C_n^(s)) = 1 on the symmetric form of the N x N
+quotient matrix and, at infinite depth, the attractor equation.  The
+identities behind both live here, as test oracles on
+``numpy.linalg.eigvals``: the quotient itself, built by enumeration, has
+the symmetric form's spectral radius, the full matrix B_n^(s) has the
+quotient's, the infinite-depth limit of C_n^(s) has a closed form, and the
+determinant of the matrix with -1 diagonal and x_j - 1 off it has a closed
+form.
 
 The library finds every root by Brent's method; the plain halving it
 replaced stays here as its oracle.
@@ -96,11 +98,25 @@ def bn_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
 
 def bn_matrix_check(sys: CFSystem, s: float, depth: int,
                     tol: float = 1e-12) -> tuple:
-    """(rho of the full B_n^(s) by eigvals, rho of the library's quotient
-    C_n^(s) by its power iteration); they agree because the Perron
-    eigenvector of B_n is constant on groups."""
+    """(rho of the full B_n^(s) by eigvals, rho of the library's symmetric
+    form of the quotient C_n^(s) by its power iteration); they agree because
+    the Perron eigenvector of B_n is constant on groups."""
     return (perron_root(bn_matrix(sys, s, depth)),
             spectral_radius(gd_matrix(sys, s, depth), tol=tol))
+
+
+def gd_quotient_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
+    """The quotient C_n^(s) = 1 c^T - diag(c) itself, c_k summed by
+    enumerating every nondecreasing group-k multiset word of length <= n,
+    the product of its members' lam^s taken one factor at a time."""
+    c = []
+    for row in sys.ratios:
+        xs = [float(lam)**s for lam in row]
+        c.append(math.fsum(
+            math.prod(xs[j] for j in combo) for m in range(1, depth + 1)
+            for combo in itertools.combinations_with_replacement(
+                range(len(xs)), m)))
+    return np.tile(c, (sys.n_groups, 1)) - np.diag(c)
 
 
 def gd_limit_matrix(sys: CFSystem, s: float) -> np.ndarray:

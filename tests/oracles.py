@@ -18,12 +18,11 @@ Dyadic cell counting over materialised points, one clip and ``np.unique``
 per scale, is likewise the independent check of the streamed cell counter
 of the entropy and box-counting estimators.
 
-The power iteration on numpy arrays, two 1-norms and two products a step,
-is the reference of ``dimension.spectral_radius``, which balances on lists
-and takes one product a step.  The measure sampler that masks a whole chunk
-at every step and the PPM writer that builds the full RGB image are the
-references of the library's sampler and writer, which must give the same
-bytes.
+The power iteration with two 1-norms and two products a step is the
+reference of ``dimension.spectral_radius``, which takes one product a step.
+The measure sampler that masks a whole chunk at every step and the PPM
+writer that builds the full RGB image are the references of the library's
+sampler and writer, which must give the same bytes.
 """
 
 import itertools
@@ -206,42 +205,13 @@ def cell_counts(ms, x, y=None) -> list:
     return out
 
 
-def balance(A, sweeps: int = 50):
-    """Osborne-style diagonal similarity balancing on a numpy array: the
-    diagonal set aside, row and column sums by numpy, a row scaled and a
-    column divided in place, then the diagonal put back."""
-    import numpy as np
-    A = A.copy()
-    n = A.shape[0]
-    diagonal = A.diagonal().copy()
-    np.fill_diagonal(A, 0.0)
-    for _ in range(sweeps):
-        changed = False
-        for i in range(n):
-            r = float(A[i, :].sum())
-            c = float(A[:, i].sum())
-            if r > 0 and c > 0:
-                f = math.sqrt(c / r)
-                if not 0.0 < f < math.inf:      # c / r left the doubles
-                    f = math.sqrt(c) / math.sqrt(r)
-                if abs(f - 1.0) > 1e-6:
-                    A[i, :] *= f
-                    A[:, i] /= f
-                    changed = True
-        if not changed:
-            break
-    np.fill_diagonal(A, diagonal)
-    return A
-
-
 def spectral_radius(M, tol: float = 1e-12) -> float:
-    """Perron root by power iteration on the balanced matrix over its
-    largest row sum plus Id: each step takes y = shifted @ x and its 1-norm,
-    then the residual's product and 1-norm, all with numpy."""
+    """Perron root by power iteration on the matrix over its largest row sum
+    plus Id: each step takes y = shifted @ x and its 1-norm, then the
+    residual's product and 1-norm, all with numpy."""
     import numpy as np
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
-    A = balance(A)
     sigma = float(A.sum(axis=1).max())
     if sigma == 0.0:
         return 0.0

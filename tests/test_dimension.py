@@ -18,7 +18,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
                     shannon_entropy, similarity_dimension, spectral_radius)
 from conftest import CONFIG_DIR, config_path, load_config
 from identities import (bisect_root, bn_matrix_check, gd_limit_matrix,
-                        perron_root, special_det)
+                        gd_quotient_matrix, perron_root, special_det)
 import oracles
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
@@ -101,16 +101,18 @@ class TestAttractorDimension:
 
 class TestGDMatrix:
     def test_depth_one_entries(self, two_group_overlap):
+        """The symmetric form: sqrt(c_i) sqrt(c_k) off the diagonal, with
+        c = (0.3 + 0.2, 0.25) at depth 1 and s = 1, and 0 on it."""
         M = gd_matrix(two_group_overlap, 1.0, 1)
-        assert M[1, 0] == pytest.approx(0.3 + 0.2)
-        assert M[0, 1] == pytest.approx(0.25)
-        assert M[0, 0] == 0.0
+        assert M[1, 0] == M[0, 1] == pytest.approx(math.sqrt(0.5 * 0.25))
+        assert M[0, 0] == M[1, 1] == 0.0
 
     def test_zero_exponent_counts_multisets(self, two_group_overlap):
-        """At s = 0 each entry counts the group's multisets of length <= n;
-        a negative s is refused."""
+        """At s = 0 each c_k counts the group's multisets of length <= n,
+        and the entries are their square roots' products; a negative s is
+        refused."""
         M = gd_matrix(two_group_overlap, 0.0, 2)
-        assert (M[1, 0], M[0, 1]) == (2 + 3, 1 + 1)
+        assert M[1, 0] == M[0, 1] == math.sqrt(2 + 3) * math.sqrt(1 + 1)
         with pytest.raises(ValidationError):
             gd_matrix(two_group_overlap, -1e-300, 2)
 
@@ -125,13 +127,44 @@ class TestGDMatrix:
         assert gd_matrix(sys, 1.0, 60)[0, 1] == pytest.approx(1.0)
 
     def test_finite_entries_increase_to_limit(self, two_group_overlap):
-        limit = gd_limit_matrix(two_group_overlap, 0.9)
+        """The entries increase with depth to the symmetric form of the
+        limit matrix, whose column k holds c_k off the diagonal."""
+        c = gd_limit_matrix(two_group_overlap, 0.9).max(axis=0)
+        limit = np.sqrt(np.outer(c, c))
+        np.fill_diagonal(limit, 0.0)
         prev = gd_matrix(two_group_overlap, 0.9, 1)
         for depth in (2, 4, 8):
             cur = gd_matrix(two_group_overlap, 0.9, depth)
             assert np.all(cur + 1e-15 >= prev)
             assert np.all(cur <= limit + 1e-12)
             prev = cur
+
+
+class TestSymmetricForm:
+    """gd_matrix against the quotient 1 c^T - diag(c) that
+    tests/identities.py builds by enumerating multisets."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratios=st.lists(st.lists(st.one_of(
+               st.floats(0.01, 0.999),
+               st.floats(math.log(5e-324), math.log(0.999)).map(math.exp)
+               .filter(lambda r: r > 0.0)), min_size=1, max_size=4),
+               min_size=2, max_size=6),
+           s=st.floats(0.0, 2.0), depth=st.integers(1, 20))
+    def test_similar_to_the_quotient(self, ratios, s, depth):
+        """S is symmetric with a zero diagonal, its power-iteration root is
+        within 1e-9 of max |eigvals| of C, and s_1..s_n rise (within tol,
+        the roots' accuracy) to at most the upper end of s0's bracket."""
+        sys = CFSystem(list(range(len(ratios))), ratios)
+        S = gd_matrix(sys, s, depth)
+        assert np.array_equal(S, S.T) and not S.diagonal().any()
+        want = perron_root(gd_quotient_matrix(sys, s, depth))
+        assert abs(spectral_radius(S, tol=1e-14) - want) <= 1e-9 * want
+        tol = 1e-10
+        hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
+        seq = [gd_dimension(sys, n, tol) for n in range(1, depth + 1)]
+        assert all(a <= b + tol for a, b in zip(seq, seq[1:]))
+        assert seq[-1] <= hi
 
 
 class TestSpectralRadius:
@@ -153,59 +186,41 @@ class TestSpectralRadius:
             assert spectral_radius(M) == pytest.approx(oracle, rel=1e-9)
 
     def test_extreme_scale_spread(self):
-        # entries spanning many orders of magnitude must still converge
-        M = np.array([[0.0, 1e-9], [1e9, 0.0]])
-        assert spectral_radius(M) == pytest.approx(1.0, rel=1e-9)
+        """A gd matrix whose c spans about 10^+-9: four members near 1 at
+        depth 400 give c_1 about C(404, 4) - 1 = 1.1e9, beside c_2 near 1
+        and c_3 near 1e-9, and c_1 / c_3 = (S_12 / S_23)^2."""
+        sys = CFSystem([0.0, 1.0, 2.0],
+                       [[1 - 1e-15] * 4, [0.5], [1e-9]])
+        M = gd_matrix(sys, 1.0, 400)
+        assert (M[0, 1] / M[1, 2]) ** 2 == pytest.approx(1.1e18, rel=0.1)
+        assert spectral_radius(M) == pytest.approx(perron_root(M), rel=1e-9)
 
     def test_subnormal_entry(self):
-        """A subnormal ratio gives an entry 2^-1074 (the graph-directed
-        matrix of fixed points 0, 1 and ratios [[0.7], [5e-324]] at s = 1):
-        the balancing quotient 0.7 / 2^-1074 overflows, so the factor is
-        taken from square roots, and the root is sqrt(0.7) 2^-537."""
-        M = np.array([[0.0, 5e-324], [0.7, 0.0]])
+        """The gd matrix of fixed points 0, 1 and ratios [[0.7], [5e-324]]
+        at s = 1: its entry is sqrt(0.7) sqrt(2^-1074), with no quotient
+        left to overflow, and the root is sqrt(0.7) 2^-537 (abs=0: approx's
+        default absolute tolerance 1e-12 would accept any root this small)."""
+        sys = CFSystem([0.0, 1.0], [[0.7], [5e-324]])
+        M = gd_matrix(sys, 1.0, 1)
         assert spectral_radius(M) == pytest.approx(math.sqrt(0.7) * 2**-537,
-                                                   rel=1e-9)
-
-    def test_diagonal_past_2_53_of_its_row(self):
-        """Irreducible matrices with a positive diagonal under a diagonal
-        similarity 2^d_i / 2^d_j, |d_i| <= 250: a diagonal entry can exceed
-        the rest of its row by far more than 2^53, where a row sum less the
-        diagonal cancels to 0.0 and the row was never balanced.  The
-        similarity is exact in doubles, so the unscaled matrix's eigenvalues
-        are the oracle."""
-        rng = np.random.default_rng(20261019)
-        for _ in range(60):
-            n = int(rng.integers(2, 13))
-            M = rng.uniform(0.0, 1.0, size=(n, n))
-            M[rng.uniform(size=(n, n)) < 0.5] = 0.0
-            cycle = rng.permutation(n)
-            M[cycle, np.roll(cycle, -1)] += rng.uniform(0.01, 1.0, size=n)
-            np.fill_diagonal(M, rng.uniform(0.1, 1.0, size=n))
-            d = rng.integers(-250, 251, size=n).astype(float)
-            scaled = M * 2.0 ** d[:, None] / 2.0 ** d[None, :]
-            oracle = max(abs(np.linalg.eigvals(M)))
-            assert spectral_radius(scaled) == pytest.approx(oracle, rel=1e-9)
+                                                   rel=1e-9, abs=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(2, 12))
     def test_against_numpy_power_iteration(self, data, n):
-        """The evaluator on lists with one product a step against the
-        numpy power iteration it replaced (tests/oracles.py), on random
+        """The evaluator with one product a step against the numpy power
+        iteration with two (tests/oracles.py), on random symmetric
         nonnegative matrices made irreducible by a cycle through every
-        index, scaled by 2^g, |g| <= 500, and by a diagonal similarity
-        2^d_i / 2^d_j, |d_i| <= 25.  Below 8 rows numpy adds a row left to
-        right, as the lists do, and the roots are equal; from 8 on numpy
-        sums pairwise, and a sum may differ in its last bit."""
+        index and scaled by 2^g, |g| <= 500.  Below 8 rows numpy adds a row
+        left to right, as the sum of y does, and the roots are equal; from 8
+        on numpy sums pairwise, and a sum may differ in its last bit."""
         entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
         M = np.array(data.draw(st.lists(entry, min_size=n * n,
                                         max_size=n * n))).reshape(n, n)
         cycle = data.draw(st.permutations(range(n)))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             M[a, b] = max(M[a, b], data.draw(st.floats(0.01, 1.0)))
-        d = np.array(data.draw(st.lists(st.integers(-25, 25), min_size=n,
-                                        max_size=n)), dtype=float)
-        M = M * 2.0 ** d[:, None] / 2.0 ** d[None, :] \
-            * 2.0 ** data.draw(st.integers(-500, 500))
+        M = np.maximum(M, M.T) * 2.0 ** data.draw(st.integers(-500, 500))
         tol = data.draw(st.sampled_from([1e-12, 1e-14]))
         got, want = spectral_radius(M, tol), oracles.spectral_radius(M, tol)
         if n < 8:
