@@ -22,8 +22,8 @@ POWER_ITER_CAP = 100_000
 # One evaluation at depth n fills n cells of the homogeneous-sum recurrence
 # per map, about 0.1 us each.  At the cap one evaluation of each of s_1..s_n
 # (n(n+1)/2 cells per map) takes about 1.7 s, and the whole sequence, at 3
-# evaluations per root in the median with s0 bounding each root, some 5 s
-# (n = 2581 on three maps, Python 3.11 on one Xeon core)
+# evaluations per root in the median with s0 bounding each root, 4.2-5.2 s
+# (n = 2581 on three maps: attractor-dim, Python 3.11, a 2-core Xeon VM)
 GD_CELL_CAP = 10**7
 
 
@@ -218,9 +218,7 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
     shifted = A / sigma + np.eye(n)
     y = shifted @ np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_CAP):
-        lam = float(y.sum())
-        if lam == 0.0:
-            return 0.0
+        lam = float(y.sum())    # >= 1, as y >= x >= 0 and x sums to 1
         x = y / lam
         y = shifted @ x
         # residual stop: ||(A/sigma + I)x - lam x||_1 relative to lam

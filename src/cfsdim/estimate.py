@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
-                  ProbVector, ValidationError, _json_value, _total,
-                  check_samples, check_shape)
+from .ifs import (SAMPLE_CHUNK, BudgetExceeded, CFSystem, ProbVector,
+                  ValidationError, _chaos_steps, _json_value, _total,
+                  check_shape)
 
 DEFAULT_COVER_BUDGET = 5_000_000
 # the largest scale exponent m for which a 2-D cell key, the bits of its
@@ -144,7 +144,8 @@ def _occupancy(key_chunks, ms: list, dims: int, measure) -> list:
 
     One sorted array of the distinct finest keys with their counts is kept
     (int32 where the keys fit; a count is at most SAMPLE_CAP).  Chunks wait
-    until they hold an eighth as many keys, then join it, so a key moves
+    until they hold an eighth as many keys and at least SAMPLE_CHUNK (so one
+    np.unique takes several chaos-game steps), then join it, so a key moves
     O(1) times on average and memory follows the occupied cells, not the
     samples: it is bounded in the sample count only while the finest grid
     has fewer occupied cells than there are samples (at top = 31 nearly
@@ -176,7 +177,7 @@ def _occupancy(key_chunks, ms: list, dims: int, measure) -> list:
     for chunk in key_chunks:
         waiting.append(chunk)
         size += len(chunk)
-        if 8 * size >= len(keys):
+        if 8 * size >= len(keys) and size >= SAMPLE_CHUNK:
             join()
     if waiting:
         join()
@@ -204,86 +205,37 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     """Chaos-game box counting for the 4-corner set; biased down at finite
     sample sizes, so only loose cross-checks should be asserted.  ``weights``
     reweights the map choice (the natural weights spread points far more
-    evenly over the set than the uniform default).  The chaos game's steps
-    are counted as they come (_occupancy), so memory follows the occupied
-    cells at the finest scale, not ``points``."""
-    from .fourcorner import _chaos_steps
+    evenly over the set than the uniform default).  The chaos game, from
+    (0.5, 0.5), is counted step by step (_occupancy), so memory follows the
+    occupied cells at the finest scale, not ``points``."""
     ms, window = _window(m_range)
-    check_samples(points, seed)
     top = ms[-1]
-    steps = _chaos_steps(sys, points, seed, weights)
+    steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed, top)
     counts = _occupancy((_keys(top, x, y) for x, y in steps), ms, 2, len)
     return _scaling_fit(ms, window, counts)
-
-
-def _measure_chunks(sys: CFSystem, p: ProbVector, samples: int,
-                    min_scale: int, seed: int):
-    """Samples x = Pi(w) with symbols drawn from p, SAMPLE_CHUNK at a time:
-    each word is extended until its contraction drops below 2^-min_scale.
-    So no word is longer than min_scale log 2 / -log lam, lam the largest
-    ratio drawn, which must not pass ifs.MC_RUN_CAP, the cap on a sampled
-    run.  The rules are checked on the call; the iterator returned draws
-    the chunks as they are read."""
-    check_samples(samples, seed)
-    check_shape(sys, p)
-    maps = sys.maps()
-    lam = max(float(r) for (r, _), w in zip(maps, p.flat()) if w > 0)
-    if min_scale * math.log(2.0) > -math.log(lam) * MC_RUN_CAP:
-        raise BudgetExceeded(f"a word of ratio {lam} may need over "
-                             f"{MC_RUN_CAP} maps to reach 2^-{min_scale}")
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    # symbol k is drawn where u in [0, 1) lies in [cdf[k-1], cdf[k]): the
-    # count of edges at or below u, as Generator.choice(p=...) finds it
-    cdf = np.array([float(w) for w in p.flat()]).cumsum()
-    cdf /= cdf[-1]
-    edges = cdf[:-1]
-    ratios = np.array([float(r) for r, _ in maps])
-    intercepts = np.array([float(c) for _, c in maps])
-    target = 2.0 ** (-min_scale)
-    t_min = float(min(sys.fixed_points))
-
-    def chunk(n):
-        out = np.empty(n)
-        where = np.arange(n)     # the output slots of the unfinished words
-        r = np.ones(n)
-        c = np.zeros(n)
-        while len(where):
-            u = rng.random(len(where))
-            idx = np.zeros(len(where), dtype=np.intp)
-            for edge in edges:
-                idx += u >= edge
-            c = c + r * intercepts[idx]
-            r = r * ratios[idx]
-            done = r < target
-            # f_w(t_min): an exact attractor point per finished word
-            out[where[done]] = c[done] + r[done] * t_min
-            keep = ~done
-            where, r, c = where[keep], r[keep], c[keep]
-        return out
-
-    return (chunk(min(SAMPLE_CHUNK, samples - i))
-            for i in range(0, samples, SAMPLE_CHUNK))
 
 
 def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,
                   m_range: Sequence[int], seed: int) -> ScalingFit:
     """Dyadic entropy slope of the empirical self-similar measure; estimates
-    dim(mu) as H(mu_hat, D_m) / (m log 2).  The samples are counted chunk
-    by chunk (_occupancy), so memory follows the occupied bins at the
-    finest scale, not ``samples``."""
+    dim(mu) as H(mu_hat, D_m) / (m log 2).  The samples are the chaos game
+    on the line from t_min with the weights p, counted step by step
+    (_occupancy), so memory follows the occupied bins at the finest scale,
+    not ``samples``."""
     import numpy as np
     ms, window = _window(m_range)
+    check_shape(sys, p)
     t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
     diam = t_max - t_min
     top = ms[-1]
-    chunks = _measure_chunks(sys, p, samples, min_scale=top + 2, seed=seed)
+    maps = [((float(r), float(c)),) for r, c in sys.maps()]
+    steps = _chaos_steps(maps, p.flat(), (t_min,), samples, seed, top)
 
     def entropy(freq) -> float:
         q = freq / samples
         return float(-(q * np.log(q)).sum())
 
-    entropies = _occupancy((_keys(top, (xs - t_min) / diam) for xs in chunks),
+    entropies = _occupancy((_keys(top, (x - t_min) / diam) for x, in steps),
                            ms, 1, entropy)
     return _scaling_fit(ms, window, entropies,
                         bits=lambda nats: nats / math.log(2))

@@ -15,10 +15,8 @@ from typing import Optional, Sequence
 from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _Value, _refuse, _total, check_samples, weight_errors)
+                  _chaos_steps, _Value, _refuse, _total, weight_errors)
 
-CHAOS_BURN_IN = 100
-CHAOS_CHAINS = 4096
 # The SVG holds only the 4**(d-1) rectangles of its last level but one, at
 # about 220 B each, and writes the last as it forms it: about 14 MB traced
 # (33 MB resident) and a 28 MB file at the cap, which bounds the file and
@@ -248,46 +246,16 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
                            tolerance=tol, diagnostics=diagnostics)
 
 
-def _chaos_steps(sys: FourCornerSystem, points: int, seed: int,
-                 weights: Optional[Sequence[float]] = None):
-    """Yield the chaos game one recorded step at a time as (x, y) arrays over
-    the chains, the last step cut so that ``points`` points come out.
-
-    Map choice is uniform unless ``weights`` is given.  Many independent
-    chains (CHAOS_CHAINS) advance in lockstep so the recursion vectorizes;
-    each chain is burned in for CHAOS_BURN_IN steps before any point is
-    recorded.  Deterministic given seed; callers check the sample rule.
-    """
-    import numpy as np
-    maps = sys.maps()
-    rx = np.array([m[0][0] for m in maps])
-    cx = np.array([m[0][1] for m in maps])
-    ry = np.array([m[1][0] for m in maps])
-    cy = np.array([m[1][1] for m in maps])
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    rng = np.random.default_rng(seed)
-    chains = min(CHAOS_CHAINS, points)
-    steps = -(-points // chains)  # ceil
-    x = np.full(chains, 0.5)
-    y = np.full(chains, 0.5)
-    for i in range(CHAOS_BURN_IN + steps):
-        c = rng.choice(4, size=chains, p=w)
-        x = rx[c] * x + cx[c]
-        y = ry[c] * y + cy[c]
-        if i >= CHAOS_BURN_IN:
-            left = points - (i - CHAOS_BURN_IN) * chains
-            yield (x, y) if left >= chains else (x[:left], y[:left])
-
-
 def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
                       weights: Optional[Sequence[float]] = None):
-    """(points, 2) numpy array of chaos-game samples: the steps of
-    _chaos_steps, one after the other."""
-    check_samples(points, seed)
+    """(points, 2) numpy array of chaos-game samples from (0.5, 0.5), burned
+    in for the default 600-pixel raster's scale 2^-10: the steps of
+    ifs._chaos_steps, one after the other."""
+    steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed, 10)
     import numpy as np
     out = np.empty((points, 2))
     j = 0
-    for x, y in _chaos_steps(sys, points, seed, weights):
+    for x, y in steps:
         out[j:j + len(x), 0] = x
         out[j:j + len(x), 1] = y
         j += len(x)
@@ -339,11 +307,13 @@ def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
                          out_path: str, size: int = 600) -> None:
     """Binary PPM (P6) raster of chaos-game points, marked step by step in
     a flat image: memory does not grow with ``points``.  The RGB body is
-    written a block of rows at a time, never as a full RGB copy."""
-    check_samples(points, seed)
+    written a block of rows at a time, never as a full RGB copy.  The chaos
+    game runs from (0.5, 0.5), burned in for the pixel scale."""
+    steps = _chaos_steps(sys.maps(), None, (0.5, 0.5), points, seed,
+                         (size - 1).bit_length())
     import numpy as np
     img = np.full(size * size, 255, dtype=np.uint8)
-    for x, y in _chaos_steps(sys, points, seed):
+    for x, y in steps:
         xi = (x * size).astype(int)
         yi = ((1.0 - y) * size).astype(int)
         np.clip(xi, 0, size - 1, out=xi)

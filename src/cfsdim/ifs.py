@@ -14,13 +14,16 @@ from operator import add
 from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
-# The samplers draw and count SAMPLE_CHUNK samples at a time, so no
-# sampler keeps its samples; the cell counters of the entropy slope and
-# box2d keep the occupied cells at the finest scale, which grow with the
-# sample count while that grid has more cells than there are samples
+# The samplers draw and count their samples a chunk at a time (SAMPLE_CHUNK
+# runs, CHAOS_CHAINS chaos-game points), so no sampler keeps its samples;
+# the cell counters of the entropy slope and box2d keep the occupied cells
+# at the finest scale, which grow with the sample count while that grid
+# has more cells than there are samples
 SAMPLE_CAP = 10**7
 SAMPLE_CHUNK = 1 << 14
-MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a word
+MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a burn-in
+CHAOS_BURN_IN = 100     # the fewest steps a chaos-game chain runs unread
+CHAOS_CHAINS = 4096
 
 
 class ValidationError(ValueError):
@@ -232,6 +235,58 @@ def check_samples(n: int, seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if n > SAMPLE_CAP:
         raise BudgetExceeded(f"{n} samples exceed the cap {SAMPLE_CAP}")
+
+
+def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
+                 seed: int, scale: int):
+    """The chaos game, one recorded step at a time: each step a tuple of
+    one array over the chains per coordinate, the last step cut so that
+    ``points`` points come out.
+
+    ``maps`` holds one (ratio, intercept) pair per coordinate for each map;
+    a step's map is drawn with ``weights``, uniformly when None.
+    CHAOS_CHAINS chains start at ``start`` and advance in lockstep, so the
+    recursion vectorizes.  Each chain is burned in for B steps, the larger
+    of CHAOS_BURN_IN and (scale + 42) log 2 / -log m_a over the coordinates
+    a, m_a = sum_i p_i r_{i,a} the expected ratio.  By Markov's inequality
+    a product of B ratios then exceeds 2^-(scale+2) with probability at
+    most m_a^B 2^(scale+2) <= 2^-40; below it, each coordinate of a recorded
+    point lies within 2^-(scale+2) hull widths of a point drawn from the
+    invariant measure, as the chain and the backward composition have the
+    same law at each step.  A B past MC_RUN_CAP raises BudgetExceeded.  The
+    sample rule and the burn-in are checked on the call; the iterator
+    returned draws.  Deterministic given seed."""
+    check_samples(points, seed)
+    n = len(maps)
+    p = [1.0 / n] * n if weights is None else [float(w) for w in weights]
+    need = (scale + 42) * math.log(2.0)
+    burn_in = CHAOS_BURN_IN
+    for pairs in zip(*maps):
+        m = _total(w * r for w, (r, _) in zip(p, pairs))
+        rate = -math.log(m) if m > 0 else math.inf   # m may underflow to 0
+        if not need < rate * MC_RUN_CAP:
+            raise BudgetExceeded(
+                f"a burn-in at expected ratio {m} may need over {MC_RUN_CAP} "
+                f"steps to reach 2^-{scale + 2}")
+        burn_in = max(burn_in, math.ceil(need / rate))
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    w = None if weights is None else np.array(p)
+    coords = [np.array(pairs).T for pairs in zip(*maps)]  # (ratios, intercepts)
+    chains = min(CHAOS_CHAINS, points)
+    steps = -(-points // chains)  # ceil
+
+    def run():
+        xs = [np.full(chains, float(s)) for s in start]
+        for i in range(burn_in + steps):
+            c = rng.choice(n, size=chains, p=w)
+            xs = [r[c] * x + k[c] for (r, k), x in zip(coords, xs)]
+            if i >= burn_in:
+                left = points - (i - burn_in) * chains
+                yield tuple(x[:left] for x in xs) if left < chains \
+                    else tuple(xs)
+
+    return run()
 
 
 def weight_errors(weights: Sequence) -> list:

@@ -259,13 +259,16 @@ def measure_samples(sys, p, samples, min_scale, seed, chunk_size):
                            for i in range(0, samples, chunk_size)])
 
 
-def sample_measure_points(sys, p, samples: int, min_scale: int, seed: int):
-    """numpy array of the samples of estimate._measure_chunks, one chunk
-    after the other."""
+def line_chaos_points(sys, p, samples: int, scale: int, seed: int):
+    """numpy array of the points of the chaos game on the line that
+    estimate.entropy_slope counts: ifs._chaos_steps from t_min with the
+    weights p, burned in for ``scale``, one step after the other."""
     import numpy as np
-    from cfsdim.estimate import _measure_chunks
-    return np.concatenate(list(_measure_chunks(sys, p, samples, min_scale,
-                                               seed)))
+    from cfsdim.ifs import _chaos_steps
+    maps = [((float(r), float(c)),) for r, c in sys.maps()]
+    steps = _chaos_steps(maps, p.flat(), (float(min(sys.fixed_points)),),
+                         samples, seed, scale)
+    return np.concatenate([x for x, in steps])
 
 
 def attractor_ppm(sys, points: int, seed: int, size: int) -> bytes:
@@ -273,9 +276,10 @@ def attractor_ppm(sys, points: int, seed: int, size: int) -> bytes:
     as a 2-D image: each chunk's pixels marked black, then the whole image
     repeated into RGB."""
     import numpy as np
-    from cfsdim.fourcorner import _chaos_steps
+    from cfsdim.ifs import _chaos_steps
     img = np.full((size, size), 255, dtype=np.uint8)
-    for x, y in _chaos_steps(sys, points, seed):
+    for x, y in _chaos_steps(sys.maps(), None, (0.5, 0.5), points, seed,
+                             (size - 1).bit_length()):
         xi = np.clip((x * size).astype(int), 0, size - 1)
         yi = np.clip(((1.0 - y) * size).astype(int), 0, size - 1)
         img[yi, xi] = 0

@@ -56,6 +56,22 @@ class TestMeasureDim:
         assembled = (d["entropy"] + d["phi"]) / d["lyapunov"]
         assert rep["raw"] == pytest.approx(assembled, abs=1e-10)
 
+    def test_out_writes_what_it_would_print(self, tmp_path, capsys):
+        code, printed, _ = run_main(["measure-dim", TWO_GROUP], capsys)
+        out = tmp_path / "report.json"
+        assert run_main(["measure-dim", TWO_GROUP, "--out", str(out)],
+                        capsys) == (0, "", "")
+        assert code == 0
+        assert out.read_bytes() == printed.encode()
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code, printed, err = run_main(
+            ["measure-dim", TWO_GROUP, "--out", str(out)], capsys)
+        assert (code, printed) == (1, "")
+        assert err.startswith("config/IO error")
+        assert not out.parent.exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

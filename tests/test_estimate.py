@@ -10,11 +10,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
-                    cover_boxes_1d, entropy_slope, estimate,
+                    cover_boxes_1d, entropy_slope, estimate, ifs,
                     measure_dimension)
 from cfsdim.estimate import _fit, _keys, _occupancy
 from cfsdim.ifs import SAMPLE_CHUNK
-from oracles import cell_counts, measure_samples, sample_measure_points
+from oracles import cell_counts, line_chaos_points, measure_samples
 
 
 class TestFit:
@@ -47,10 +47,11 @@ class TestCoverBoxes1D:
 
     def test_sampled_points_fall_in_counted_range(self, cantor_quarter):
         """Every attractor point's dyadic box count is consistent: the
-        sampled cloud occupies no more boxes than the upper cover."""
+        chaos game, started at the fixed point t_min, visits attractor
+        points only, and occupies no more boxes than the upper cover."""
         p = ProbVector.uniform(cantor_quarter)
         m = 10
-        xs = sample_measure_points(cantor_quarter, p, 10_000, m + 2, seed=4)
+        xs = line_chaos_points(cantor_quarter, p, 10_000, m, seed=4)
         boxes = set(np.clip((xs * 2 ** m).astype(int), 0, 2 ** m - 1))
         assert len(boxes) <= cover_boxes_1d(cantor_quarter, m)
 
@@ -145,10 +146,10 @@ class TestEntropySlope:
         assert abs(fit.slope - target) <= 0.1
 
     def test_peak_memory(self, two_group_overlap, uniform21):
-        """The words are drawn and counted SAMPLE_CHUNK at a time: the
-        traced peak is some chunk-sized arrays of 8 B per sample (the words'
-        ratios and intercepts, the draws and their gathers) and the occupied
-        bins, under one bound at 10^5 and at 10^6 samples."""
+        """The chaos game's steps are counted as they come: the traced peak
+        is some arrays over the chains, the keys waiting to join (at most
+        about SAMPLE_CHUNK) and the occupied bins, under one bound at 10^5
+        and at 10^6 samples."""
         entropy_slope(two_group_overlap, uniform21, 10, range(3, 12), seed=1)
         for samples in (10**5, 10**6):
             tracemalloc.start()
@@ -208,55 +209,87 @@ class TestOccupancy:
         assert got == cell_counts(ms, x, y)
 
 
+def refuse_to_draw(seed):
+    raise AssertionError("a refused sampler must not draw")
+
+
 class TestSampleMeasurePoints:
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
-           min_scale=st.integers(0, 14),
-           samples=st.one_of(st.integers(1, 200),
-                             st.integers(SAMPLE_CHUNK - 2,
-                                         2 * SAMPLE_CHUNK + 2)))
-    def test_same_samples_as_masking_sampler(self, data, seed, min_scale,
-                                             samples):
-        """The sampler that draws each step's symbols against the
-        cumulative weights and drops finished words gives the bytes of the
-        one that draws with Generator.choice and masks the whole chunk
-        (tests/oracles.py), for weights with zeros and for sample counts
-        that cut a chunk."""
-        sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
-        ratios = [data.draw(st.lists(st.floats(0.05, 0.9), min_size=k,
-                                     max_size=k)) for k in sizes]
-        weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
-        raw = [data.draw(st.lists(weight, min_size=k, max_size=k))
-               for k in sizes]
-        total = sum(map(sum, raw))
-        assume(total > 0.0)
-        sys = CFSystem(list(range(len(sizes))), ratios)
-        p = ProbVector([[w / total for w in row] for row in raw])
-        got = sample_measure_points(sys, p, samples, min_scale, seed)
-        want = measure_samples(sys, p, samples, min_scale, seed,
-                               SAMPLE_CHUNK)
-        assert got.tobytes() == want.tobytes()
+    """The chaos game on the line, as entropy_slope reads it."""
+
+    @pytest.mark.parametrize("sys", [
+        CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]]),
+        CFSystem([0.0, 1.0], [[0.9999, 0.3], [0.25]]),
+    ], ids=["two_group_overlap", "ratio_near_one"])
+    def test_law_matches_long_words(self, sys):
+        """At scale 2^-6 the histogram of 5*10^5 chaos-game points lies
+        within total variation 0.006 of that of as many words run until
+        their ratio is below 2^-36 (tests/oracles.py), whose points f_w(0)
+        lie within 2^-36 of their exact points.  The same words stopped at
+        2^-8 sit left of their points and read about 0.011 and 0.065."""
+        p = ProbVector.uniform(sys)
+        n, m = 500_000, 6
+
+        def histogram(xs):
+            bins = np.clip((xs * 2**m).astype(int), 0, 2**m - 1)
+            return np.bincount(bins, minlength=2**m) / n
+
+        chaos = histogram(line_chaos_points(sys, p, n, m, seed=1))
+        words = histogram(measure_samples(sys, p, n, 36, 2, SAMPLE_CHUNK))
+        assert 0.5 * np.abs(chaos - words).sum() <= 0.006
 
     def test_points_inside_hull(self, two_group_overlap, uniform21):
-        xs = sample_measure_points(two_group_overlap, uniform21, 5_000, 10,
-                                   seed=0)
+        xs = line_chaos_points(two_group_overlap, uniform21, 5_000, 10,
+                               seed=0)
         assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
 
     def test_deterministic(self, two_group_overlap, uniform21):
-        a = sample_measure_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
-        b = sample_measure_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
+        a = line_chaos_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
+        b = line_chaos_points(two_group_overlap, uniform21, 1_000, 8, seed=6)
         assert np.array_equal(a, b)
 
-    def test_word_length_capped_before_sampling(self):
-        """With a ratio of 1 - 2^-53 a word needs about 10^17 maps to
-        contract below 2^-8, so the sampler would never stop: the word
-        length bound min_scale log 2 / -log lam is checked against
-        ifs.MC_RUN_CAP first.  A map of weight 0 is never drawn and does
-        not count."""
+    @pytest.mark.parametrize("ratio, burn_in", [
+        (0.5, ifs.CHAOS_BURN_IN), (0.84, 199), (0.842, None)])
+    def test_burn_in_rule(self, monkeypatch, ratio, burn_in):
+        """The burn-in is the larger of CHAOS_BURN_IN and (scale + 42) log 2
+        / -log m steps, m the expected ratio, and past MC_RUN_CAP the
+        sampler refuses before it draws.  At a cap of 200 and scale 8 the
+        threshold is m = 2^(-50/200) = 0.8409: m = 0.84 burns in for 199
+        steps, then draws once for 10 points, and m = 0.842 would need
+        202."""
+        monkeypatch.setattr(ifs, "MC_RUN_CAP", 200)
+        sys = CFSystem([0.0, 1.0], [[ratio], [ratio]])
+        p = ProbVector.uniform(sys)
+        real, draws = np.random.default_rng, []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def choice(self, *args, **kwargs):
+                draws.append(1)
+                return self.rng.choice(*args, **kwargs)
+
+        if burn_in is None:
+            monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+            with pytest.raises(BudgetExceeded, match="over 200 steps"):
+                line_chaos_points(sys, p, 10, 8, seed=0)
+        else:
+            monkeypatch.setattr(np.random, "default_rng", CountingRng)
+            assert len(line_chaos_points(sys, p, 10, 8, seed=0)) == 10
+            assert len(draws) == burn_in + 1
+
+    def test_burn_in_capped_before_sampling(self, monkeypatch):
+        """With all weight on a ratio of 1 - 2^-53 a chain needs about 10^17
+        steps to forget its start, so the burn-in is checked against
+        ifs.MC_RUN_CAP before anything is drawn.  The rule reads the
+        expected ratio: weights (0.5, 0.25, 0.25) beside that ratio give
+        0.75 and answer, and a map of weight 0 does not count."""
         sys = CFSystem([0.0, 1.0], [[1 - 2**-53, 0.5], [0.5]])
-        with pytest.raises(BudgetExceeded, match="may need over 1000000 maps"):
-            sample_measure_points(sys, ProbVector([[0.5, 0.25], [0.25]]),
-                                  10, 8, seed=0)
-        xs = sample_measure_points(sys, ProbVector([[0.0, 0.5], [0.5]]), 10,
-                                   8, seed=0)
-        assert np.all((xs >= 0.0) & (xs <= 1.0))
+        for weights in ([[0.5, 0.25], [0.25]], [[0.0, 0.5], [0.5]]):
+            xs = line_chaos_points(sys, ProbVector(weights), 10, 8, seed=0)
+            assert np.all((xs >= 0.0) & (xs <= 1.0))
+        monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+        with pytest.raises(BudgetExceeded,
+                           match="may need over 1000000 steps"):
+            line_chaos_points(sys, ProbVector([[1.0, 0.0], [0.0]]), 10, 8,
+                              seed=0)

@@ -11,7 +11,8 @@ import pytest
 
 from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     FourCornerProb, FourCornerSystem, ProbVector,
-                    ValidationError, chis, fourcorner, lyapunov,
+                    ValidationError, box_dimension_2d, chis, fourcorner,
+                    lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, phi_xy, set_dimension_4c, shannon_entropy,
                     validate_4c)
@@ -29,6 +30,11 @@ S_STAR = 1.64301670663502
 # streaming must not change a byte
 PPM_SHA256 = "2ff950919782cdc827286f176d15f7b3180c90e919b9465c7c85780b49631bb1"
 SVG_SHA256 = "88f7afe2d81e2855dc0a228550d5531ac5a221c16a899fab485be6c4776f1cfd"
+# box_dimension_2d(four_corner_main, range(4, 15), 10**6, seed=0) at uniform
+# weights, from the chaos game before the line and the plane shared one
+# sampler; sharing it must not change a count
+BOX2D_COUNTS = (200, 558, 1598, 4226, 9174, 18134, 33353, 55048, 87832,
+                131641, 185243)
 
 
 def log_space_excess(sys, s):
@@ -73,6 +79,25 @@ class TestValidate:
     def test_symmetric_quarters_ok(self, quarters):
         rep = validate_4c(quarters)
         assert rep["open_set_ok"]
+
+    @pytest.mark.parametrize("gamma", [
+        [[0.5, 0.5]], [[0.5, 0.5], [0.5]], [[0.5, 0.5], [0.5, 0.5, 0.5]],
+        [[0.5, 0.5]] * 3])
+    def test_grid_not_2x2_refused(self, gamma):
+        with pytest.raises(ValidationError, match="^gamma and lambda must "
+                                                  "be 2x2$"):
+            FourCornerSystem(gamma, [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            FourCornerSystem([[0.5, 0.5], [0.5, 0.5]], gamma)
+
+    @pytest.mark.parametrize("kind", ["cfs", None, 4])
+    def test_other_descriptor_type_refused(self, kind):
+        desc = {"gamma": [[0.5, 0.5]] * 2, "lambda": [[0.5, 0.5]] * 2}
+        if kind is not None:
+            desc["type"] = kind
+        with pytest.raises(ValidationError, match=f"^not a four_corner "
+                                                  f"descriptor: {kind!r}$"):
+            FourCornerSystem.from_json_dict(desc)
 
 
 class TestChis:
@@ -394,6 +419,12 @@ class TestSetDimension4C:
         rep = set_dimension_4c(quarters)
         assert rep.raw == pytest.approx(1.0, abs=1e-10)
 
+    def test_open_set_required(self):
+        sys = FourCornerSystem([[0.6] * 2] * 2, [[0.4] * 2] * 2)
+        with pytest.raises(ConditionsNotMet,
+                           match="^gamma11 \\+ gamma21 > 1; gamma12"):
+            set_dimension_4c(sys)
+
     def test_domination_failure_flagged(self):
         # lambda11 > gamma11 breaks domination but not the open set condition
         sys = FourCornerSystem([[0.3, 0.1], [0.1, 0.3]],
@@ -455,6 +486,10 @@ class TestRendering:
         out = str(tmp_path / "att.ppm")
         render_attractor_ppm(four_corner_main, 20_000, 0, out, size=100)
         assert sha256_of(out) == PPM_SHA256
+
+    def test_box2d_counts_pinned(self, four_corner_main):
+        fit = box_dimension_2d(four_corner_main, range(4, 15), 10**6, seed=0)
+        assert fit.counts == BOX2D_COUNTS
 
     @pytest.mark.parametrize("points, seed, size", [
         (20_000, 0, 100), (10_001, 5, 600), (5_000, 3, 257), (3_000, 1, 1)])

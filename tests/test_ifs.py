@@ -16,7 +16,7 @@ from cfsdim import (Block, CFSystem, DimensionReport, FourCornerProb,
                     phi_series, prune_zeros, rw_entropy_closed,
                     validate_probabilities, validate_system)
 from cfsdim.ifs import PROB_SUM_TOL, weight_errors
-from oracles import compose, sample_measure_points
+from oracles import compose
 
 
 class TestValidateSystem:
@@ -179,10 +179,8 @@ class TestProbabilities:
     @pytest.mark.parametrize("call", [
         lambda sys, p: lyapunov(sys, p),
         lambda sys, p: phi_series(sys, p),
-        lambda sys, p: sample_measure_points(sys, p, 10, 4, 0),
         lambda sys, p: entropy_slope(sys, p, 10, range(2, 6), 0),
-    ], ids=["lyapunov", "phi_series", "sample_measure_points",
-            "entropy_slope"])
+    ], ids=["lyapunov", "phi_series", "entropy_slope"])
     def test_shape_mismatch_rejected_where_weights_meet_ratios(
             self, two_group_overlap, call):
         p = ProbVector([[0.5], [0.25, 0.25]])
