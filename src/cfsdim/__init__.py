@@ -23,9 +23,9 @@ _EXPORTS = {
                   "spectral_radius"),
     "separation": ("ProbeResult", "SeparationReport", "esc_probe", "min_gap"),
     "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
-                   "chaos_game_points", "chis", "measure_dimension_4c",
-                   "natural_p", "phi_xy", "render_attractor_ppm",
-                   "render_cylinders_svg", "set_dimension_4c", "validate_4c"),
+                   "chis", "measure_dimension_4c", "natural_p", "phi_xy",
+                   "render_attractor_ppm", "render_cylinders_svg",
+                   "set_dimension_4c", "validate_4c"),
     "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
                  "cover_boxes_1d", "entropy_slope"),
 }

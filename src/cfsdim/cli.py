@@ -200,7 +200,7 @@ def cmd_estimate(args) -> int:
     sys_obj, p = _load(args, "four_corner" if args.kind == "box2d" else "cfs")
     if args.kind == "box2d":
         fit = estimate.box_dimension_2d(sys_obj, m_range, args.points,
-                                        args.seed)
+                                        args.seed, weights=p.p)
     elif args.kind == "box1d":
         fit = estimate.box_dimension_1d(sys_obj, m_range)
     else:

@@ -205,12 +205,16 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     """Chaos-game box counting for the 4-corner set; biased down at finite
     sample sizes, so only loose cross-checks should be asserted.  ``weights``
     reweights the map choice (the natural weights spread points far more
-    evenly over the set than the uniform default).  The chaos game, from
-    (0.5, 0.5), is counted step by step (_occupancy), so memory follows the
-    occupied cells at the finest scale, not ``points``."""
+    evenly over the set than the uniform default); FourCornerProb refuses
+    weights that break its rule.  The chaos game, from (0.5, 0.5), is
+    counted step by step (_occupancy), so memory follows the occupied cells
+    at the finest scale, not ``points``."""
+    from .fourcorner import FourCornerProb
     ms, window = _window(m_range)
+    p = (FourCornerProb.uniform() if weights is None
+         else FourCornerProb(weights))
     top = ms[-1]
-    steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed, top)
+    steps = _chaos_steps(sys.maps(), p.p, (0.5, 0.5), points, seed, top)
     counts = _occupancy((_keys(top, x, y) for x, y in steps), ms, 2, len)
     return _scaling_fit(ms, window, counts)
 

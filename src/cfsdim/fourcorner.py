@@ -10,7 +10,7 @@ corrections by the Ledrappier-Young rule, in four cases.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
@@ -244,22 +244,6 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
         diagnostics["note"] = "sufficiency fails: s is an upper bound only"
     return DimensionReport(dimension=min(2.0, s), raw=s, method="4corner-set",
                            tolerance=tol, diagnostics=diagnostics)
-
-
-def chaos_game_points(sys: FourCornerSystem, points: int, seed: int,
-                      weights: Optional[Sequence[float]] = None):
-    """(points, 2) numpy array of chaos-game samples from (0.5, 0.5), burned
-    in for the default 600-pixel raster's scale 2^-10: the steps of
-    ifs._chaos_steps, one after the other."""
-    steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed, 10)
-    import numpy as np
-    out = np.empty((points, 2))
-    j = 0
-    for x, y in steps:
-        out[j:j + len(x), 0] = x
-        out[j:j + len(x), 1] = y
-        j += len(x)
-    return out
 
 
 def _images(maps, rects):

@@ -22,7 +22,6 @@ PROB_SUM_TOL = 1e-12
 SAMPLE_CAP = 10**7
 SAMPLE_CHUNK = 1 << 14
 MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a burn-in
-CHAOS_BURN_IN = 100     # the fewest steps a chaos-game chain runs unread
 CHAOS_CHAINS = 4096
 
 
@@ -244,23 +243,26 @@ def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
     ``points`` points come out.
 
     ``maps`` holds one (ratio, intercept) pair per coordinate for each map;
-    a step's map is drawn with ``weights``, uniformly when None.
+    a step's map is drawn with ``weights``, uniformly when None, by the
+    inverse of their normalised cumulative sum at a uniform draw (the
+    indices ``Generator.choice(n, size, p=weights)`` returns).
     CHAOS_CHAINS chains start at ``start`` and advance in lockstep, so the
     recursion vectorizes.  Each chain is burned in for B steps, the larger
-    of CHAOS_BURN_IN and (scale + 42) log 2 / -log m_a over the coordinates
-    a, m_a = sum_i p_i r_{i,a} the expected ratio.  By Markov's inequality
-    a product of B ratios then exceeds 2^-(scale+2) with probability at
-    most m_a^B 2^(scale+2) <= 2^-40; below it, each coordinate of a recorded
-    point lies within 2^-(scale+2) hull widths of a point drawn from the
-    invariant measure, as the chain and the backward composition have the
-    same law at each step.  A B past MC_RUN_CAP raises BudgetExceeded.  The
+    of 1 (for an m_a that underflows to 0) and (scale + 42) log 2 / -log m_a
+    over the coordinates a, m_a = sum_i p_i r_{i,a} the expected ratio.  By
+    Markov's inequality a product of B ratios then exceeds 2^-(scale+2)
+    with probability at most m_a^B 2^(scale+2) <= 2^-40, so B needs no
+    floor; below it, each coordinate of a recorded point lies within
+    2^-(scale+2) hull widths of a point drawn from the invariant measure, as
+    the chain and the backward composition have the same law at each
+    step.  A B past MC_RUN_CAP raises BudgetExceeded.  The
     sample rule and the burn-in are checked on the call; the iterator
     returned draws.  Deterministic given seed."""
     check_samples(points, seed)
     n = len(maps)
     p = [1.0 / n] * n if weights is None else [float(w) for w in weights]
     need = (scale + 42) * math.log(2.0)
-    burn_in = CHAOS_BURN_IN
+    burn_in = 1
     for pairs in zip(*maps):
         m = _total(w * r for w, (r, _) in zip(p, pairs))
         rate = -math.log(m) if m > 0 else math.inf   # m may underflow to 0
@@ -271,7 +273,8 @@ def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
         burn_in = max(burn_in, math.ceil(need / rate))
     import numpy as np
     rng = np.random.default_rng(seed)
-    w = None if weights is None else np.array(p)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
     coords = [np.array(pairs).T for pairs in zip(*maps)]  # (ratios, intercepts)
     chains = min(CHAOS_CHAINS, points)
     steps = -(-points // chains)  # ceil
@@ -279,7 +282,7 @@ def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
     def run():
         xs = [np.full(chains, float(s)) for s in start]
         for i in range(burn_in + steps):
-            c = rng.choice(n, size=chains, p=w)
+            c = cdf.searchsorted(rng.random(chains), side="right")
             xs = [r[c] * x + k[c] for (r, k), x in zip(coords, xs)]
             if i >= burn_in:
                 left = points - (i - burn_in) * chains

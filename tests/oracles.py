@@ -22,7 +22,9 @@ The power iteration with two 1-norms and two products a step is the
 reference of ``dimension.spectral_radius``, which takes one product a step.
 The measure sampler that masks a whole chunk at every step and the PPM
 writer that builds the full RGB image are the references of the library's
-sampler and writer, which must give the same bytes.
+sampler and writer, which must give the same bytes.  The chaos game's
+points held in one array, on the line and in the plane, are what the
+library's counters and raster read one step at a time.
 """
 
 import itertools
@@ -269,6 +271,20 @@ def line_chaos_points(sys, p, samples: int, scale: int, seed: int):
     steps = _chaos_steps(maps, p.flat(), (float(min(sys.fixed_points)),),
                          samples, seed, scale)
     return np.concatenate([x for x, in steps])
+
+
+def chaos_game_points(sys, points: int, seed: int, scale: int,
+                      weights=None):
+    """(points, 2) numpy array of the points of the 4-corner chaos game that
+    box_dimension_2d and render_attractor_ppm read step by step:
+    ifs._chaos_steps from (0.5, 0.5), burned in for ``scale`` (the raster's
+    is (size - 1).bit_length(), 6 for 64 pixels), one step after the
+    other."""
+    import numpy as np
+    from cfsdim.ifs import _chaos_steps
+    steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed,
+                         scale)
+    return np.concatenate([np.column_stack(step) for step in steps])
 
 
 def attractor_ppm(sys, points: int, seed: int, size: int) -> bytes:

