@@ -19,13 +19,11 @@ _EXPORTS = {
                 "phi_monte_carlo", "phi_series", "rw_entropy_bruteforce",
                 "rw_entropy_closed", "shannon_entropy"),
     "dimension": ("DimensionReport", "attractor_dimension", "gd_dimension",
-                  "gd_matrix", "measure_dimension", "similarity_dimension",
-                  "spectral_radius"),
+                  "measure_dimension", "similarity_dimension"),
     "separation": ("ProbeResult", "SeparationReport", "esc_probe", "min_gap"),
     "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
-                   "chis", "measure_dimension_4c", "natural_p", "phi_xy",
-                   "render_attractor_ppm", "render_cylinders_svg",
-                   "set_dimension_4c", "validate_4c"),
+                   "measure_dimension_4c", "natural_p", "render_attractor_ppm",
+                   "render_cylinders_svg", "set_dimension_4c", "validate_4c"),
     "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
                  "cover_boxes_1d", "entropy_slope"),
 }

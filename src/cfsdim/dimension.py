@@ -177,53 +177,42 @@ def gd_cells(sys: CFSystem, depth: int, sequence: bool = False) -> int:
     return cells
 
 
-def gd_matrix(sys: CFSystem, s: float, depth: int):
-    """The N x N graph-directed matrix at depth n >= 1 and s >= 0 in its
-    symmetric form S, as a numpy array.
+def _gd_radius(c) -> float:
+    """rho(C) for the graph-directed quotient C = 1 c^T - diag(c) of
+    column sums c >= 0, by power iteration on its symmetric form.
 
-    The quotient matrix C_n^(s) = 1 c^T - diag(c), c_k the sum of lam^s
-    over the group-k multisets of length <= n, is similar to S = D C D^-1
-    under D = diag(sqrt(c)): S has sqrt(c_i) sqrt(c_k) off the diagonal and
-    0 on it, so rho(S) = rho(C) (where c_k = 0, expanding along column k
-    leaves both the eigenvalue 0 and the spectra of C and S without group
-    k).  The square roots are taken before the product, so a product of two
-    tiny c never underflows."""
-    if s < 0:
-        raise ValidationError(f"s must be >= 0, got {s}")
-    import numpy as np
-    c = [_complete_homogeneous_sums([float(lam)**s for lam in row], depth)
-         for row in sys.ratios]
-    root_c = np.sqrt(c)
-    S = np.outer(root_c, root_c)
-    np.fill_diagonal(S, 0.0)
-    return S
+    C is similar to S = D C D^-1 under D = diag(sqrt(c)): S has
+    sqrt(c_i) sqrt(c_k) off the diagonal and 0 on it, so rho(S) = rho(C)
+    (where c_k = 0, expanding along column k leaves both the eigenvalue 0
+    and the spectra of C and S without group k).  The square roots are
+    taken before the product, so a product of two tiny c never underflows.
+    The iteration runs on S over its largest row sum sigma plus Id, formed
+    once: the shift removes periodicity, and sigma keeps it comparable to
+    the root.  A c that overflowed (inf, or NaN from 0 * inf in the sums)
+    gives inf, as only the sign of rho - 1 is read.
 
-
-def spectral_radius(M, tol: float = 1e-12) -> float:
-    """Perron root of a symmetric nonnegative irreducible matrix, such as
-    gd_matrix's, via power iteration on the matrix over its largest row sum
-    sigma plus Id (the shift removes periodicity, and sigma keeps it
-    comparable to the root).  On a badly scaled nonsymmetric matrix the
-    iteration may not settle and raises NonConvergence.
-
-    Each step takes one product: y = (A/sigma + I) x is both the step's
+    Each step takes one product: y = (S/sigma + I) x is both the step's
     residual product and the next step's iterate.  y is nonnegative, so its
     sum is its 1-norm."""
+    if not all(map(math.isfinite, c)):
+        return math.inf
     import numpy as np
-    A = np.asarray(M, dtype=float)
-    n = A.shape[0]
-    sigma = float(A.sum(axis=1).max())
+    root_c = np.sqrt(c)
+    shifted = np.outer(root_c, root_c)
+    np.fill_diagonal(shifted, 0.0)
+    sigma = float(shifted.sum(axis=1).max())
     if sigma == 0.0:
         return 0.0
-    shifted = A / sigma + np.eye(n)
+    shifted /= sigma
+    np.fill_diagonal(shifted, 1.0)
+    n = len(c)
     y = shifted @ np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_CAP):
         lam = float(y.sum())    # >= 1, as y >= x >= 0 and x sums to 1
         x = y / lam
         y = shifted @ x
-        # residual stop: ||(A/sigma + I)x - lam x||_1 relative to lam
-        res = float(np.abs(y - lam * x).sum())
-        if res <= max(tol, 1e-15) * lam:
+        # residual stop: ||(S/sigma + I)x - lam x||_1 relative to lam
+        if float(np.abs(y - lam * x).sum()) <= 1e-14 * lam:
             return (lam - 1.0) * sigma
     raise NonConvergence(f"power iteration did not settle in {POWER_ITER_CAP} steps")
 
@@ -249,6 +238,8 @@ def gd_dimension(sys: CFSystem, depth: Optional[int],
     hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
 
     def g(s):
-        return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
+        c = [_complete_homogeneous_sums([float(lam)**s for lam in row], depth)
+             for row in sys.ratios]
+        return _gd_radius(c) - 1.0
 
     return _root(g, 0.0, hi, tol)[0]

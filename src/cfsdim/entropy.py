@@ -137,7 +137,8 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
     ps = [float(w) for w in row]
     pair = len(ps) == 2
     members = ps[:len(ps) if len(ps) > 2 else len(ps) - 1]
-    terms, unfilled = {}, 0     # weight -> its row's D and lost terms by k
+    terms = {}                  # weight -> its row's D and lost terms by k
+    cells = 0                   # each row's cells, counted as it is formed
     for w in dict.fromkeys(members):
         # 1 - b is exact (Sterbenz), so q + b == 1 and no row drifts
         b = 1.0 - w / rho
@@ -146,6 +147,7 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
         v, lo, hi = [1.0], 0, 0         # v is row k less lo and hi end cells
         for k in range(1, n):
             v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
+            cells += len(v)
             if v[0] < TRIM or v[-1] < TRIM:
                 i, j = 0, len(v)
                 while v[i] < TRIM:
@@ -154,8 +156,6 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
                     j -= 1
                 cut = sum(v[:i]) + sum(v[j:])
                 c[k] = cut if pair else q * cut
-                # each cell cut leaves one cell unfilled in each later row
-                unfilled += (i + len(v) - j) * (n - 1 - k)
                 lo, hi, v = lo + i, hi + len(v) - j, v[i:j]
             t[k] = q * sum(map(mul, v, logs[lo:lo + len(v)] if lo else logs))
             if pair:
@@ -168,7 +168,7 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
         d, dropped = list(map(add, d, t)), list(map(add, dropped, c))
     if members:
         d = [x - lg for x, lg in zip(d, logs)]
-    return d, list(accumulate(dropped)), _row_cells(row, n) - unfilled
+    return d, list(accumulate(dropped)), cells
 
 
 def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiResult:

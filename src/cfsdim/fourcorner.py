@@ -122,18 +122,6 @@ def _projections(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
             (CFSystem([0.0, 1.0], sys.lam), p.y_grouping()))
 
 
-def chis(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
-    """(chi_x, chi_y): the Lyapunov exponents of the two projections."""
-    return tuple(lyapunov(line, q) for line, q in _projections(sys, p))
-
-
-def phi_xy(sys: FourCornerSystem, p: FourCornerProb,
-           tol: float = 1e-12) -> tuple:
-    """(Phi_x, Phi_y): the Phi series of the two projections, each a
-    PhiResult with its tail bound."""
-    return tuple(phi_series(line, q, tol) for line, q in _projections(sys, p))
-
-
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                          tol: float = 1e-12) -> DimensionReport:
     """Four-case self-affine measure dimension on the 4-corner set.
@@ -147,8 +135,8 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     if not rep["open_set_ok"]:
         raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
     h = shannon_entropy(p.x_grouping())
-    chi_x, chi_y = chis(sys, p)
-    rx, ry = phi_xy(sys, p, tol)
+    (chi_x, rx), (chi_y, ry) = ((lyapunov(line, q), phi_series(line, q, tol))
+                                for line, q in _projections(sys, p))
     phi_x, phi_y = rx.value, ry.value
     eps = 1e-12
     if chi_y >= chi_x - eps:

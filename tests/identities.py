@@ -1,16 +1,17 @@
 """Check-only identities of the graph-directed construction.
 
-The library solves rho(C_n^(s)) = 1 on the symmetric form of the N x N
-quotient matrix and, at infinite depth, the attractor equation.  The
-identities behind both live here, as test oracles on
-``numpy.linalg.eigvals``: the quotient itself, built by enumeration, has
-the symmetric form's spectral radius, the full matrix B_n^(s) has the
-quotient's, the infinite-depth limit of C_n^(s) has a closed form, and the
+The library solves rho(C_n^(s)) = 1, evaluating rho on the symmetric form
+of the N x N quotient matrix from its column sums, and, at infinite depth,
+the attractor equation.  The identities behind both live here, as test
+oracles on ``numpy.linalg.eigvals``: the quotient itself, built from
+column sums summed by enumeration, has the symmetric form's spectral
+radius, the full matrix B_n^(s) has the quotient's, the infinite-depth limit of C_n^(s) has a closed form, and the
 determinant of the matrix with -1 diagonal and x_j - 1 off it has a closed
 form.
 
 The library finds every root by Brent's method; the plain halving it
-replaced stays here as its oracle.
+replaced stays here as its oracle, with the attractor equation's excess and
+a bound on its rounding.
 
 The library's signature DP takes its block sums from binomial marginals and
 its suffix sums from the multinomial theorem; the direct log-space sweep and
@@ -23,8 +24,8 @@ import math
 
 import numpy as np
 
-from cfsdim import (CFSystem, ValidationError, gd_matrix,
-                    rw_entropy_bruteforce, spectral_radius)
+from cfsdim import CFSystem, ValidationError, rw_entropy_bruteforce
+from cfsdim.dimension import _gd_radius
 from cfsdim.ifs import prune_zeros
 
 
@@ -55,6 +56,25 @@ def bisect_root(fn, lo: float, hi: float, tol: float) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def attractor_excess(sys: CFSystem) -> tuple:
+    """F(s) - (N - 1) as the library computes it, its derivative, and a
+    bound on its rounding: each 1 - lam^s is within 3u, so a group's product
+    P of m factors, each at least P, within 4 m u; the sum of the N terms
+    below N and the last subtraction add N^2 u + u."""
+    def F(s):
+        return sum(math.prod(1.0 - float(lam)**s for lam in row)
+                   for row in sys.ratios) - (sys.n_groups - 1)
+
+    def dF(s):
+        return sum(-float(lam)**s * math.log(float(lam))
+                   * math.prod(1.0 - float(mu)**s
+                               for k, mu in enumerate(row) if k != j)
+                   for row in sys.ratios for j, lam in enumerate(row))
+
+    error = (4 * sys.n_maps + sys.n_groups**2 + 1) * 2.0**-53
+    return F, dF, error
 
 
 def perron_root(M) -> float:
@@ -96,19 +116,18 @@ def bn_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
     return B
 
 
-def bn_matrix_check(sys: CFSystem, s: float, depth: int,
-                    tol: float = 1e-12) -> tuple:
-    """(rho of the full B_n^(s) by eigvals, rho of the library's symmetric
-    form of the quotient C_n^(s) by its power iteration); they agree because
-    the Perron eigenvector of B_n is constant on groups."""
+def bn_matrix_check(sys: CFSystem, s: float, depth: int) -> tuple:
+    """(rho of the full B_n^(s) by eigvals, rho of the quotient C_n^(s) by
+    the library's evaluator on the enumerated column sums); they agree
+    because the Perron eigenvector of B_n is constant on groups."""
     return (perron_root(bn_matrix(sys, s, depth)),
-            spectral_radius(gd_matrix(sys, s, depth), tol=tol))
+            _gd_radius(gd_column_sums(sys, s, depth)))
 
 
-def gd_quotient_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
-    """The quotient C_n^(s) = 1 c^T - diag(c) itself, c_k summed by
-    enumerating every nondecreasing group-k multiset word of length <= n,
-    the product of its members' lam^s taken one factor at a time."""
+def gd_column_sums(sys: CFSystem, s: float, depth: int) -> list:
+    """c_k, the sum of lam^s over every nondecreasing group-k multiset word
+    of length <= n, by enumeration, the product of its members' lam^s
+    taken one factor at a time."""
     c = []
     for row in sys.ratios:
         xs = [float(lam)**s for lam in row]
@@ -116,7 +135,28 @@ def gd_quotient_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
             math.prod(xs[j] for j in combo) for m in range(1, depth + 1)
             for combo in itertools.combinations_with_replacement(
                 range(len(xs)), m)))
-    return np.tile(c, (sys.n_groups, 1)) - np.diag(c)
+    return c
+
+
+def gd_quotient_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
+    """The quotient C_n^(s) = 1 c^T - diag(c) itself, c from
+    gd_column_sums."""
+    return quotient_of(gd_column_sums(sys, s, depth))
+
+
+def quotient_of(c) -> np.ndarray:
+    """The matrix 1 c^T - diag(c): c_k in column k off the diagonal."""
+    return np.tile(c, (len(c), 1)) - np.diag(c)
+
+
+def symmetric_form(c) -> np.ndarray:
+    """S = D C D^-1 of the quotient C = 1 c^T - diag(c) under
+    D = diag(sqrt(c)): sqrt(c_i) sqrt(c_k) off the diagonal, 0 on it, as
+    the library forms it before its shift and scaling."""
+    root_c = np.sqrt(c)
+    S = np.outer(root_c, root_c)
+    np.fill_diagonal(S, 0.0)
+    return S
 
 
 def gd_limit_matrix(sys: CFSystem, s: float) -> np.ndarray:

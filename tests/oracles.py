@@ -19,7 +19,7 @@ per scale, is likewise the independent check of the streamed cell counter
 of the entropy and box-counting estimators.
 
 The power iteration with two 1-norms and two products a step is the
-reference of ``dimension.spectral_radius``, which takes one product a step.
+reference of ``dimension._gd_radius``, which takes one product a step.
 The measure sampler that masks a whole chunk at every step and the PPM
 writer that builds the full RGB image are the references of the library's
 sampler and writer, which must give the same bytes.  The chaos game's

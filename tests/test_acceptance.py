@@ -18,7 +18,7 @@ from cfsdim import (CFSystem, FourCornerProb, FourCornerSystem, ProbVector,
                     attractor_dimension, box_dimension_1d, box_dimension_2d,
                     entropy_slope, gd_dimension, lyapunov, measure_dimension,
                     measure_dimension_4c, min_gap, natural_p,
-                    phi_lower_bound, phi_monte_carlo, phi_series, phi_xy,
+                    phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, set_dimension_4c, shannon_entropy,
                     validate_4c)
 from conftest import config_path
@@ -233,7 +233,8 @@ def test_criterion_09_coordinate_phi_equivalence():
         raw = rng.uniform(0.05, 1.0, size=4)
         raw /= raw.sum()
         p = FourCornerProb([float(v) for v in raw])
-        vx, vy = (r.value for r in phi_xy(REFERENCE_4C, p, tol=1e-12))
+        diag = measure_dimension_4c(REFERENCE_4C, p, tol=1e-12).diagnostics
+        vx, vy = diag["phi_x"], diag["phi_y"]
         gx = phi_series(shape_sys, p.x_grouping(), tol=1e-12)
         gy = phi_series(shape_sys, p.y_grouping(), tol=1e-12)
         ex = abs(vx - gx.value)

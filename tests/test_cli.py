@@ -711,16 +711,15 @@ print(json.dumps({
             "PhiResult", "ProbVector", "ProbeResult", "RWEntropyResult",
             "ScalingFit", "SeparationReport", "ValidationError",
             "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
-            "chis", "cover_boxes_1d", "entropy_slope", "esc_probe",
-            "gd_dimension", "gd_matrix", "load_system", "lyapunov",
-            "measure_dimension", "measure_dimension_4c", "min_gap",
-            "natural_p", "phi_lower_bound", "phi_monte_carlo", "phi_series",
-            "phi_xy", "prune_zeros", "render_attractor_ppm",
-            "render_cylinders_svg", "rw_entropy_bruteforce",
-            "rw_entropy_closed", "set_dimension_4c", "shannon_entropy",
-            "similarity_dimension", "spectral_radius", "validate_4c",
+            "cover_boxes_1d", "entropy_slope", "esc_probe", "gd_dimension",
+            "load_system", "lyapunov", "measure_dimension",
+            "measure_dimension_4c", "min_gap", "natural_p", "phi_lower_bound",
+            "phi_monte_carlo", "phi_series", "prune_zeros",
+            "render_attractor_ppm", "render_cylinders_svg",
+            "rw_entropy_bruteforce", "rw_entropy_closed", "set_dimension_4c",
+            "shannon_entropy", "similarity_dimension", "validate_4c",
             "validate_probabilities", "validate_system"]
-        assert len(cfsdim.__all__) == 45
+        assert len(cfsdim.__all__) == 41
 
 
 class TestProbabilitiesRule:

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                    attractor_dimension, dimension, gd_dimension, gd_matrix,
-                    lyapunov, measure_dimension, phi_series,
-                    shannon_entropy, similarity_dimension, spectral_radius)
+                    attractor_dimension, dimension, gd_dimension, lyapunov,
+                    measure_dimension, phi_series, shannon_entropy,
+                    similarity_dimension)
+from cfsdim.dimension import _gd_radius
 from conftest import CONFIG_DIR, config_path, load_config
-from identities import (bisect_root, bn_matrix_check, gd_limit_matrix,
-                        gd_quotient_matrix, perron_root, special_det)
+from identities import (attractor_excess, bisect_root, bn_matrix_check,
+                        gd_limit_matrix, gd_quotient_matrix, perron_root,
+                        quotient_of, special_det, symmetric_form)
 import oracles
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
@@ -99,49 +101,58 @@ class TestAttractorDimension:
         assert s0 <= sim + 1e-12
 
 
+def _sums(sys, s, depth) -> list:
+    """The column sums c that gd_dimension's g(s) builds at depth n."""
+    return [dimension._complete_homogeneous_sums(
+        [float(lam)**s for lam in row], depth) for row in sys.ratios]
+
+
 class TestGDMatrix:
+    """The column sums c of C_n^(s) = 1 c^T - diag(c) and the radius that
+    _gd_radius reads from them."""
+
     def test_depth_one_entries(self, two_group_overlap):
-        """The symmetric form: sqrt(c_i) sqrt(c_k) off the diagonal, with
-        c = (0.3 + 0.2, 0.25) at depth 1 and s = 1, and 0 on it."""
-        M = gd_matrix(two_group_overlap, 1.0, 1)
-        assert M[1, 0] == M[0, 1] == pytest.approx(math.sqrt(0.5 * 0.25))
-        assert M[0, 0] == M[1, 1] == 0.0
+        """c = (0.3 + 0.2, 0.25) at depth 1 and s = 1, and the radius of
+        the 2 x 2 quotient is sqrt(c_1 c_2)."""
+        c = _sums(two_group_overlap, 1.0, 1)
+        assert c == pytest.approx([0.5, 0.25])
+        assert _gd_radius(c) == pytest.approx(math.sqrt(0.5 * 0.25))
 
     def test_zero_exponent_counts_multisets(self, two_group_overlap):
-        """At s = 0 each c_k counts the group's multisets of length <= n,
-        and the entries are their square roots' products; a negative s is
-        refused."""
-        M = gd_matrix(two_group_overlap, 0.0, 2)
-        assert M[1, 0] == M[0, 1] == math.sqrt(2 + 3) * math.sqrt(1 + 1)
-        with pytest.raises(ValidationError):
-            gd_matrix(two_group_overlap, -1e-300, 2)
+        """At s = 0 each c_k counts the group's multisets of length <= n."""
+        c = _sums(two_group_overlap, 0.0, 2)
+        assert c == [2 + 3, 1 + 1]
+        assert _gd_radius(c) == pytest.approx(math.sqrt(10.0))
 
     def test_singleton_geometric(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
-        M = gd_matrix(sys, 1.0, 3)
-        assert M[0, 1] == pytest.approx(0.5 + 0.25 + 0.125)
+        c = _sums(sys, 1.0, 3)
+        assert c == [0.5 + 0.25 + 0.125] * 2
+        assert _gd_radius(c) == pytest.approx(0.875)
 
     def test_singleton_infinite_depth(self):
         sys = CFSystem([0.0, 1.0], [[0.5], [0.5]])
         assert gd_limit_matrix(sys, 1.0)[0, 1] == pytest.approx(1.0)
-        assert gd_matrix(sys, 1.0, 60)[0, 1] == pytest.approx(1.0)
+        assert _sums(sys, 1.0, 60) == pytest.approx([1.0, 1.0])
+        assert _gd_radius(_sums(sys, 1.0, 60)) == pytest.approx(1.0)
 
     def test_finite_entries_increase_to_limit(self, two_group_overlap):
-        """The entries increase with depth to the symmetric form of the
+        """The sums, and so the radius, increase with depth to those of the
         limit matrix, whose column k holds c_k off the diagonal."""
-        c = gd_limit_matrix(two_group_overlap, 0.9).max(axis=0)
-        limit = np.sqrt(np.outer(c, c))
-        np.fill_diagonal(limit, 0.0)
-        prev = gd_matrix(two_group_overlap, 0.9, 1)
+        limit = gd_limit_matrix(two_group_overlap, 0.9).max(axis=0)
+        prev = _sums(two_group_overlap, 0.9, 1)
         for depth in (2, 4, 8):
-            cur = gd_matrix(two_group_overlap, 0.9, depth)
-            assert np.all(cur + 1e-15 >= prev)
-            assert np.all(cur <= limit + 1e-12)
+            cur = _sums(two_group_overlap, 0.9, depth)
+            assert all(a <= b + 1e-15 for a, b in zip(prev, cur))
+            assert all(b <= l + 1e-12 for b, l in zip(cur, limit))
+            assert _gd_radius(prev) <= _gd_radius(cur)
             prev = cur
+        assert _gd_radius(prev) <= perron_root(gd_limit_matrix(
+            two_group_overlap, 0.9)) + 1e-12
 
 
 class TestSymmetricForm:
-    """gd_matrix against the quotient 1 c^T - diag(c) that
+    """_gd_radius against the quotient 1 c^T - diag(c) that
     tests/identities.py builds by enumerating multisets."""
 
     @settings(max_examples=100, deadline=None)
@@ -152,14 +163,12 @@ class TestSymmetricForm:
                min_size=2, max_size=6),
            s=st.floats(0.0, 2.0), depth=st.integers(1, 20))
     def test_similar_to_the_quotient(self, ratios, s, depth):
-        """S is symmetric with a zero diagonal, its power-iteration root is
-        within 1e-9 of max |eigvals| of C, and s_1..s_n rise (within tol,
-        the roots' accuracy) to at most the upper end of s0's bracket."""
+        """The radius on the library's sums is within 1e-9 of max |eigvals|
+        of the enumerated quotient, and s_1..s_n rise (within tol, the
+        roots' accuracy) to at most the upper end of s0's bracket."""
         sys = CFSystem(list(range(len(ratios))), ratios)
-        S = gd_matrix(sys, s, depth)
-        assert np.array_equal(S, S.T) and not S.diagonal().any()
         want = perron_root(gd_quotient_matrix(sys, s, depth))
-        assert abs(spectral_radius(S, tol=1e-14) - want) <= 1e-9 * want
+        assert abs(_gd_radius(_sums(sys, s, depth)) - want) <= 1e-9 * want
         tol = 1e-10
         hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
         seq = [gd_dimension(sys, n, tol) for n in range(1, depth + 1)]
@@ -169,61 +178,64 @@ class TestSymmetricForm:
 
 class TestSpectralRadius:
     def test_antidiagonal(self):
-        assert spectral_radius(np.array([[0.0, 4.0], [9.0, 0.0]])) == \
-            pytest.approx(6.0, rel=1e-10)
-
-    def test_shift_property(self):
-        rng = np.random.default_rng(3)
-        M = rng.uniform(0.1, 1.0, size=(4, 4))
-        assert spectral_radius(M + np.eye(4)) == \
-            pytest.approx(spectral_radius(M) + 1.0, rel=1e-9)
+        """c = (4, 9): the quotient [[0, 9], [4, 0]] has radius 6."""
+        assert _gd_radius([4.0, 9.0]) == pytest.approx(6.0, rel=1e-10)
 
     def test_against_dense_eigensolver(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            M = rng.uniform(0.01, 1.0, size=(5, 5))
-            oracle = max(abs(np.linalg.eigvals(M)))
-            assert spectral_radius(M) == pytest.approx(oracle, rel=1e-9)
+            c = rng.uniform(0.01, 1.0, size=5).tolist()
+            assert _gd_radius(c) == pytest.approx(
+                perron_root(quotient_of(c)), rel=1e-9)
 
     def test_extreme_scale_spread(self):
-        """A gd matrix whose c spans about 10^+-9: four members near 1 at
-        depth 400 give c_1 about C(404, 4) - 1 = 1.1e9, beside c_2 near 1
-        and c_3 near 1e-9, and c_1 / c_3 = (S_12 / S_23)^2."""
+        """Sums spanning about 10^+-9: four members near 1 at depth 400
+        give c_1 about C(404, 4) - 1 = 1.1e9, beside c_2 near 1 and c_3
+        near 1e-9."""
         sys = CFSystem([0.0, 1.0, 2.0],
                        [[1 - 1e-15] * 4, [0.5], [1e-9]])
-        M = gd_matrix(sys, 1.0, 400)
-        assert (M[0, 1] / M[1, 2]) ** 2 == pytest.approx(1.1e18, rel=0.1)
-        assert spectral_radius(M) == pytest.approx(perron_root(M), rel=1e-9)
+        c = _sums(sys, 1.0, 400)
+        assert c[0] / c[2] == pytest.approx(1.1e18, rel=0.1)
+        assert _gd_radius(c) == pytest.approx(perron_root(quotient_of(c)),
+                                              rel=1e-9)
 
     def test_subnormal_entry(self):
-        """The gd matrix of fixed points 0, 1 and ratios [[0.7], [5e-324]]
-        at s = 1: its entry is sqrt(0.7) sqrt(2^-1074), with no quotient
-        left to overflow, and the root is sqrt(0.7) 2^-537 (abs=0: approx's
+        """Fixed points 0, 1 and ratios [[0.7], [5e-324]] at s = 1: the
+        symmetric entry is sqrt(0.7) sqrt(2^-1074), with no quotient left
+        to overflow, and the root is sqrt(0.7) 2^-537 (abs=0: approx's
         default absolute tolerance 1e-12 would accept any root this small)."""
         sys = CFSystem([0.0, 1.0], [[0.7], [5e-324]])
-        M = gd_matrix(sys, 1.0, 1)
-        assert spectral_radius(M) == pytest.approx(math.sqrt(0.7) * 2**-537,
-                                                   rel=1e-9, abs=0.0)
+        assert _gd_radius(_sums(sys, 1.0, 1)) == pytest.approx(
+            math.sqrt(0.7) * 2**-537, rel=1e-9, abs=0.0)
+
+    def test_zero_and_overflowed_sums(self):
+        """All sums 0 give radius 0; a sum that overflowed, to inf or to
+        NaN by 0 * inf, gives inf with no numpy warning (pytest turns one
+        into an error)."""
+        assert _gd_radius([0.0, 0.0, 0.0]) == 0.0
+        assert _gd_radius([math.inf, 1.0]) == math.inf
+        assert _gd_radius([1.0, math.nan]) == math.inf
+
+    def test_cap_raises_nonconvergence(self, monkeypatch):
+        """The step cap still ends the iteration, with NonConvergence."""
+        monkeypatch.setattr(dimension, "POWER_ITER_CAP", 1)
+        with pytest.raises(dimension.NonConvergence, match="1 steps"):
+            _gd_radius([1e-9, 1.0, 1e9])
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(2, 12))
-    def test_against_numpy_power_iteration(self, data, n):
+    @given(c=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                      min_size=2, max_size=12),
+           g=st.integers(-500, 500))
+    def test_against_numpy_power_iteration(self, c, g):
         """The evaluator with one product a step against the numpy power
-        iteration with two (tests/oracles.py), on random symmetric
-        nonnegative matrices made irreducible by a cycle through every
-        index and scaled by 2^g, |g| <= 500.  Below 8 rows numpy adds a row
+        iteration with two (tests/oracles.py) on the symmetric form of
+        sums scaled by 2^g, |g| <= 500.  Below 8 rows numpy adds a row
         left to right, as the sum of y does, and the roots are equal; from 8
         on numpy sums pairwise, and a sum may differ in its last bit."""
-        entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-        M = np.array(data.draw(st.lists(entry, min_size=n * n,
-                                        max_size=n * n))).reshape(n, n)
-        cycle = data.draw(st.permutations(range(n)))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            M[a, b] = max(M[a, b], data.draw(st.floats(0.01, 1.0)))
-        M = np.maximum(M, M.T) * 2.0 ** data.draw(st.integers(-500, 500))
-        tol = data.draw(st.sampled_from([1e-12, 1e-14]))
-        got, want = spectral_radius(M, tol), oracles.spectral_radius(M, tol)
-        if n < 8:
+        c = [x * 2.0 ** g for x in c]
+        got, want = _gd_radius(c), oracles.spectral_radius(
+            symmetric_form(c), 1e-14)
+        if len(c) < 8:
             assert got == want
         else:
             assert abs(got - want) <= 1e-12 * want
@@ -250,10 +262,20 @@ class TestGDDimension:
         hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
         for depth in range(1, 11):
             def g(s):
-                return oracles.spectral_radius(gd_matrix(sys, s, depth),
-                                               tol=1e-14) - 1.0
+                return oracles.spectral_radius(
+                    symmetric_form(_sums(sys, s, depth)), tol=1e-14) - 1.0
             assert gd_dimension(sys, depth, tol) == \
                 dimension._root(g, 0.0, hi, tol)[0]
+
+    def test_overflowing_sums_answer(self):
+        """400 members of ratio 0.001 at depth 1000 (401 000 cells, under
+        GD_CELL_CAP): at s = 0 the group's sum overflows to inf, which
+        reads as rho > 1, so the root comes with no numpy warning (pytest
+        turns one into an error), at or below s0's bracket end."""
+        sys = CFSystem([0, 1], [[0.001] * 400, [0.5]])
+        s = gd_dimension(sys, 1000)
+        assert s == gd_dimension(sys, 100)
+        assert s <= attractor_dimension(sys, 1e-10).diagnostics["bracket"][1]
 
     def test_infinite_depth_full_interval(self, equal_halves):
         assert gd_dimension(equal_halves, None) == pytest.approx(1.0, abs=1e-9)
@@ -310,10 +332,11 @@ class TestGDDimension:
                 call()
 
     def test_each_point_evaluated_once(self, two_group_overlap, monkeypatch):
-        """The bracket starts at g(0), and no point is evaluated twice."""
-        seen = _count_gd_matrix(monkeypatch)
+        """The bracket starts at g(0), and no point is evaluated twice: the
+        sums strictly fall in s, so distinct points give distinct sums."""
+        seen = _count_gd_radius(monkeypatch)
         gd_dimension(two_group_overlap, 5)
-        assert seen[0] == 0.0
+        assert seen[0] == tuple(_sums(two_group_overlap, 0.0, 5))
         assert len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("name", ["two_group_overlap.json",
@@ -324,7 +347,7 @@ class TestGDDimension:
         root's bracket, takes at most 9 evaluations of rho(C_n^(s)) per root
         at the default tol (11 from [0, 1]; halving took 36 or 37)."""
         sys = load_config(name)[0]
-        seen = _count_gd_matrix(monkeypatch)
+        seen = _count_gd_radius(monkeypatch)
         for depth in range(1, 11):
             seen.clear()
             gd_dimension(sys, depth)
@@ -335,7 +358,7 @@ class TestGDDimension:
         depth times the number of maps; for the sequence s_1..s_D,
         D(D+1)/2 times it) is refused before any evaluation, of rho or of
         the attractor root that brackets s_n."""
-        seen = _count_gd_matrix(monkeypatch)
+        seen = _count_gd_radius(monkeypatch)
         roots = []
         monkeypatch.setattr(dimension, "attractor_dimension",
                             lambda *a: roots.append(a))
@@ -350,37 +373,18 @@ class TestGDDimension:
         assert seen == [] and roots == []
 
 
-def _count_gd_matrix(monkeypatch) -> list:
-    """The list of exponents s at which dimension.gd_matrix is called from
-    now on."""
+def _count_gd_radius(monkeypatch) -> list:
+    """The list of column sums, as tuples, on which dimension._gd_radius is
+    called from now on."""
     seen = []
-    real = dimension.gd_matrix
+    real = dimension._gd_radius
 
-    def counted(sys, s, depth):
-        seen.append(s)
-        return real(sys, s, depth)
+    def counted(c):
+        seen.append(tuple(c))
+        return real(c)
 
-    monkeypatch.setattr(dimension, "gd_matrix", counted)
+    monkeypatch.setattr(dimension, "_gd_radius", counted)
     return seen
-
-
-def _attractor_excess(sys):
-    """F(s) - (N - 1) as the library computes it, its derivative, and a
-    bound on its rounding: each 1 - lam^s is within 3u, so a group's product
-    P of m factors, each at least P, within 4 m u; the sum of the N terms
-    below N and the last subtraction add N^2 u + u."""
-    def F(s):
-        return sum(math.prod(1.0 - float(lam)**s for lam in row)
-                   for row in sys.ratios) - (sys.n_groups - 1)
-
-    def dF(s):
-        return sum(-float(lam)**s * math.log(float(lam))
-                   * math.prod(1.0 - float(mu)**s
-                               for k, mu in enumerate(row) if k != j)
-                   for row in sys.ratios for j, lam in enumerate(row))
-
-    error = (4 * sys.n_maps + sys.n_groups**2 + 1) * 2.0**-53
-    return F, dF, error
 
 
 def _check_root(fn, root, bracket, tol, oracle, noise):
@@ -403,7 +407,7 @@ def _gd_case(sys, depth, tol):
     rounding of rho, taken as within 1e-13, ten times the power iteration's
     relative stopping residual, over g' by a central difference."""
     def g(s):
-        return spectral_radius(gd_matrix(sys, s, depth), tol=1e-14) - 1.0
+        return _gd_radius(_sums(sys, s, depth)) - 1.0
 
     hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
     oracle = bisect_root(g, 0.0, 1.0, tol)
@@ -425,7 +429,7 @@ class TestRootFinder:
         sys = CFSystem(list(range(len(ratios))), ratios)
         tol = 10.0**exponent
         rep = attractor_dimension(sys, tol)
-        F, dF, error = _attractor_excess(sys)
+        F, dF, error = attractor_excess(sys)
         oracle = bisect_root(F, 0.0, 1.0, tol)
         _check_root(F, rep.raw, rep.diagnostics["bracket"], tol, oracle,
                     2.0 * error / dF(oracle))

@@ -11,10 +11,9 @@ import pytest
 
 from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     FourCornerProb, FourCornerSystem, ProbVector,
-                    ValidationError, box_dimension_2d, chis, fourcorner,
-                    lyapunov,
+                    ValidationError, box_dimension_2d, fourcorner, lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
-                    phi_series, phi_xy, set_dimension_4c, shannon_entropy,
+                    phi_series, set_dimension_4c, shannon_entropy,
                     validate_4c)
 from cfsdim.fourcorner import (RootOutsideBracket, render_attractor_ppm,
                                render_cylinders_svg, _cylinders)
@@ -100,22 +99,36 @@ class TestValidate:
             FourCornerSystem.from_json_dict(desc)
 
 
+def _chis(sys, p) -> tuple:
+    """(chi_x, chi_y) as the measure report gives them."""
+    diag = measure_dimension_4c(sys, p).diagnostics
+    return diag["chi_x"], diag["chi_y"]
+
+
+def _phis(sys, p, tol=1e-12) -> tuple:
+    """((Phi_x, its tail bound), (Phi_y, its tail bound)) as the measure
+    report gives them."""
+    diag = measure_dimension_4c(sys, p, tol).diagnostics
+    return ((diag["phi_x"], diag["phi_x_tail_bound"]),
+            (diag["phi_y"], diag["phi_y_tail_bound"]))
+
+
 class TestChis:
     def test_all_half(self):
         sys = FourCornerSystem([[0.5, 0.5], [0.5, 0.5]],
                                [[0.5, 0.5], [0.5, 0.5]])
-        cx, cy = chis(sys, FourCornerProb.uniform())
+        cx, cy = _chis(sys, FourCornerProb.uniform())
         assert cx == pytest.approx(math.log(2))
         assert cy == pytest.approx(math.log(2))
 
     def test_corner_mass(self, four_corner_main):
-        cx, cy = chis(four_corner_main, FourCornerProb([1, 0, 0, 0]))
+        cx, cy = _chis(four_corner_main, FourCornerProb([1, 0, 0, 0]))
         assert cx == pytest.approx(-math.log(0.8))
         assert cy == pytest.approx(-math.log(0.45))
 
     def test_y_pairing(self, four_corner_main):
         # p2 pairs with lambda[2][1], p3 with lambda[1][2]
-        _, cy = chis(four_corner_main, FourCornerProb([0, 1, 0, 0]))
+        _, cy = _chis(four_corner_main, FourCornerProb([0, 1, 0, 0]))
         assert cy == pytest.approx(-math.log(0.09))
 
 
@@ -129,20 +142,20 @@ class TestPhiXY:
         """Phi ignores the ratios: each projection's PhiResult, bound
         included, is that of another line system of the same shape."""
         p = FourCornerProb([0.4, 0.3, 0.2, 0.1])
-        rx, ry = phi_xy(four_corner_main, p, tol=1e-12)
-        assert rx == self._generic_phi(p.x_grouping())
-        assert ry == self._generic_phi(p.y_grouping())
-        assert 0.0 < rx.tail_bound <= 1e-12 and 0.0 < ry.tail_bound <= 1e-12
+        rx, ry = _phis(four_corner_main, p, tol=1e-12)
+        assert rx == self._generic_phi(p.x_grouping())[:2]
+        assert ry == self._generic_phi(p.y_grouping())[:2]
+        assert 0.0 < rx[1] <= 1e-12 and 0.0 < ry[1] <= 1e-12
 
     def test_nonpositive(self, four_corner_main):
         p = FourCornerProb([0.3, 0.3, 0.2, 0.2])
-        rx, ry = phi_xy(four_corner_main, p)
-        assert rx.value <= 0.0 and ry.value <= 0.0
+        (vx, _), (vy, _) = _phis(four_corner_main, p)
+        assert vx <= 0.0 and vy <= 0.0
 
     def test_symmetric_p_symmetric_phi(self, four_corner_main):
         p = FourCornerProb([0.25, 0.25, 0.25, 0.25])
-        rx, ry = phi_xy(four_corner_main, p)
-        assert rx.value == pytest.approx(ry.value, abs=1e-14)
+        (vx, _), (vy, _) = _phis(four_corner_main, p)
+        assert vx == pytest.approx(vy, abs=1e-14)
 
     @pytest.mark.parametrize("weights, bound", [
         ([0.5, 0.5, 0.0, 0.0], 4 * math.ulp(math.log(2))),
@@ -159,7 +172,7 @@ class TestPhiXY:
         res = phi_series(x_line, p.x_grouping(), tol=1e-12)
         assert (res.value, res.method) == (-h, "point-mass")
         assert res.tail_bound <= bound
-        assert phi_xy(four_corner_main, p)[0].value == -h
+        assert _phis(four_corner_main, p)[0][0] == -h
 
     @pytest.mark.parametrize("excess, ok", [(5e-13, True), (2e-12, False)])
     def test_weight_rule_is_the_line_systems(self, excess, ok):
@@ -306,12 +319,16 @@ class TestMeasureDimension4C:
 
     def test_reports_both_phi_bounds(self, four_corner_main):
         """The diagnostics carry each projection's Phi with its tail
-        bound, as phi_xy gives them."""
+        bound, as phi_series gives them on the projection's line system,
+        and its chi, as lyapunov does."""
         p = FourCornerProb([0.4, 0.3, 0.2, 0.1])
         diag = measure_dimension_4c(four_corner_main, p).diagnostics
-        rx, ry = phi_xy(four_corner_main, p, tol=1e-12)
-        assert (diag["phi_x"], diag["phi_x_tail_bound"]) == rx[:2]
-        assert (diag["phi_y"], diag["phi_y_tail_bound"]) == ry[:2]
+        for axis, ratios, q in (("x", four_corner_main.gamma, p.x_grouping()),
+                                ("y", four_corner_main.lam, p.y_grouping())):
+            line = CFSystem([0.0, 1.0], ratios)
+            assert (diag[f"phi_{axis}"], diag[f"phi_{axis}_tail_bound"]) \
+                == phi_series(line, q, tol=1e-12)[:2]
+            assert diag[f"chi_{axis}"] == lyapunov(line, q)
 
     def test_corner_mass_is_zero(self, four_corner_main):
         rep = measure_dimension_4c(four_corner_main,
@@ -401,12 +418,12 @@ class TestMeasureDimension4C:
         p = FourCornerProb([0.4, 0.2, 0.2, 0.2])
         # the coordinate swap permutes map roles 2 <-> 3
         q = FourCornerProb([p.p[0], p.p[2], p.p[1], p.p[3]])
-        cx, cy = chis(four_corner_main, p)
-        cx2, cy2 = chis(swapped, q)
+        cx, cy = _chis(four_corner_main, p)
+        cx2, cy2 = _chis(swapped, q)
         assert (cx2, cy2) == pytest.approx((cy, cx))
-        rx, ry = phi_xy(four_corner_main, p)
-        rx2, ry2 = phi_xy(swapped, q)
-        assert (rx2.value, ry2.value) == pytest.approx((ry.value, rx.value))
+        (vx, _), (vy, _) = _phis(four_corner_main, p)
+        (vx2, _), (vy2, _) = _phis(swapped, q)
+        assert (vx2, vy2) == pytest.approx((vy, vx))
 
 
 class TestSetDimension4C:
