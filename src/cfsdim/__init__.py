@@ -11,9 +11,9 @@ import sys
 
 # submodule -> the public names it provides
 _EXPORTS = {
-    "ifs": ("BudgetExceeded", "CFSystem", "ProbVector", "ValidationError",
-            "load_system", "prune_zeros", "validate_probabilities",
-            "validate_system"),
+    "ifs": ("BudgetExceeded", "CFSystem", "FourCornerProb", "FourCornerSystem",
+            "ProbVector", "ValidationError", "load_system", "prune_zeros",
+            "validate_4c", "validate_probabilities", "validate_system"),
     "words": ("Block",),
     "entropy": ("PhiResult", "RWEntropyResult", "lyapunov", "phi_lower_bound",
                 "phi_monte_carlo", "phi_series", "rw_entropy_bruteforce",
@@ -21,11 +21,10 @@ _EXPORTS = {
     "dimension": ("DimensionReport", "attractor_dimension", "gd_dimension",
                   "measure_dimension", "similarity_dimension"),
     "separation": ("ProbeResult", "SeparationReport", "esc_probe", "min_gap"),
-    "fourcorner": ("ConditionsNotMet", "FourCornerProb", "FourCornerSystem",
-                   "measure_dimension_4c", "natural_p", "render_attractor_ppm",
-                   "render_cylinders_svg", "set_dimension_4c", "validate_4c"),
+    "fourcorner": ("ConditionsNotMet", "measure_dimension_4c", "natural_p",
+                   "render_cylinders_svg", "set_dimension_4c"),
     "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
-                 "cover_boxes_1d", "entropy_slope"),
+                 "cover_boxes_1d", "entropy_slope", "render_attractor_ppm"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

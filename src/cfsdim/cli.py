@@ -12,8 +12,9 @@ import argparse
 import json
 import sys as _sys
 
-from .ifs import (BudgetExceeded, ProbVector, ValidationError, _json_value,
-                  check_shape, load_system)
+from .ifs import (BudgetExceeded, FourCornerProb, FourCornerSystem,
+                  ProbVector, ValidationError, _json_value, check_shape,
+                  load_system, validate_4c)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -57,15 +58,13 @@ def _load(args, kind: str = "cfs"):
     used, else the uniform vector.
     """
     four_corner = kind == "four_corner"
-    if four_corner:
-        from . import fourcorner
     try:
         with open(args.system) as fh:
             desc = json.load(fh)
         if not isinstance(desc, dict):
             raise ConfigError(f"{args.system}: not a JSON object")
         if four_corner:
-            sys_obj, p = fourcorner.FourCornerSystem.from_json_dict(desc), None
+            sys_obj, p = FourCornerSystem.from_json_dict(desc), None
         else:
             sys_obj, p = load_system(desc)
     except ValidationError:
@@ -78,14 +77,15 @@ def _load(args, kind: str = "cfs"):
         if not four_corner:
             raise ValidationError(
                 "--probabilities natural needs a four_corner descriptor")
+        from . import fourcorner
         p = fourcorner.natural_p(sys_obj)[0]
     elif spec == "uniform" or (spec is None and p is None):
-        p = (fourcorner.FourCornerProb.uniform() if four_corner
+        p = (FourCornerProb.uniform() if four_corner
              else ProbVector.uniform(sys_obj))
     elif spec is not None:
         try:
             weights = json.loads(spec)
-            p = (fourcorner.FourCornerProb(weights) if four_corner
+            p = (FourCornerProb(weights) if four_corner
                  else ProbVector(weights, mode=sys_obj.mode))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"--probabilities {spec}: {exc}") from exc
@@ -168,7 +168,7 @@ def cmd_esc_probe(args) -> int:
 def cmd_fourcorner(args) -> int:
     from . import fourcorner
     sys_obj, p = _load(args, "four_corner")
-    conditions = fourcorner.validate_4c(sys_obj)
+    conditions = validate_4c(sys_obj)
     out = {"conditions": conditions}
     if conditions["open_set_ok"]:
         set_dim = fourcorner.set_dimension_4c(sys_obj)
@@ -183,13 +183,14 @@ def cmd_fourcorner(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from . import fourcorner
     sys_obj, _ = _load(args, "four_corner")
     if args.mode == "cylinders":
+        from . import fourcorner
         fourcorner.render_cylinders_svg(sys_obj, args.depth, args.out)
     else:
-        fourcorner.render_attractor_ppm(sys_obj, args.points, args.seed,
-                                        args.out)
+        from . import estimate
+        estimate.render_attractor_ppm(sys_obj, args.points, args.seed,
+                                      args.out)
     print(json.dumps({"written": args.out, "mode": args.mode}, sort_keys=True))
     return EXIT_OK
 

@@ -138,14 +138,29 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
     F is strictly increasing with F(0) = 0 and F(inf) = N, so the root exists
     and is unique; _root finds it and diagnostics report its final
     sign-change bracket and the evaluations of F it took.
+
+    The excess F(s) - (N - 1) is P_g - sum_{i != g} Q_i, for the group
+    products P_i, Q_i = 1 - P_i and g the first group of least P_i.  Member
+    by member P' = P (1 - x) and Q' = Q + P x, x = lam^s, so no Q_i cancels;
+    the plain sum of the P_i is exactly N - 1 once P_g and the other
+    groups' 1 - P_i fall below the unit roundoff, maybe far below the root.
     """
-    N = sys.n_groups
+    rows = [[float(lam) for lam in row] for row in sys.ratios]
 
-    def F(s):
-        return _total(math.prod(1.0 - float(lam)**s for lam in row)
-                      for row in sys.ratios)
+    def excess(s):
+        P, Q = [], []
+        for row in rows:
+            prod, rest = 1.0, 0.0
+            for lam in row:
+                x = lam**s
+                rest += prod * x
+                prod *= 1.0 - x
+            P.append(prod)
+            Q.append(rest)
+        g = P.index(min(P))
+        return P[g] - _total(Q[:g] + Q[g + 1:])
 
-    raw, bracket, evaluations = _root(lambda s: F(s) - (N - 1), 0.0, 1.0, tol)
+    raw, bracket, evaluations = _root(excess, 0.0, 1.0, tol)
     return DimensionReport(
         dimension=min(1.0, raw), raw=raw, method="attractor-formula",
         tolerance=tol,

@@ -1,5 +1,6 @@
 """Independent empirical oracles: box counting on cylinder covers (1-D),
-chaos-game box counting (2-D), and dyadic entropy slopes for measures.
+chaos-game box counting (2-D), and dyadic entropy slopes for measures; and
+the chaos game they sample with, which also draws the 4-corner raster.
 
 These validate the closed-form dimensions at loose tolerances; they never
 define them.  All attractors are affinely rescaled into [0,1] before
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .ifs import (SAMPLE_CHUNK, BudgetExceeded, CFSystem, ProbVector,
-                  ValidationError, _chaos_steps, _json_value, _total,
-                  check_shape)
+from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
+                  FourCornerProb, ProbVector, ValidationError, _json_value,
+                  _total, check_samples, check_shape)
 
 DEFAULT_COVER_BUDGET = 5_000_000
+CHAOS_CHAINS = 4096     # the chaos game's chains, advanced in lockstep
 # the largest scale exponent m for which a 2-D cell key, the bits of its
 # two bins interleaved (_keys), fits in int64
 MAX_SCALE = 31
@@ -200,6 +202,71 @@ def _occupancy(key_chunks, ms: list, dims: int, measure) -> list:
     return found[::-1]
 
 
+def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
+                 seed: int, scale: int):
+    """The chaos game, one recorded step at a time: each step a tuple of
+    one array over the chains per coordinate, the last step cut so that
+    ``points`` points come out.
+
+    ``maps`` holds one (ratio, intercept) pair per coordinate for each map;
+    a step's map is drawn with ``weights``, uniformly when None, by the
+    inverse of their normalised cumulative sum at a uniform draw (the
+    indices ``Generator.choice(n, size, p=weights)`` returns), found by a
+    branch-free binary search over its first n - 1 entries, padded with
+    +inf to a power of two.
+    CHAOS_CHAINS chains start at ``start`` and advance in lockstep, so the
+    recursion vectorizes.  Each chain is burned in for B steps, the larger
+    of 1 (for an m_a that underflows to 0) and (scale + 42) log 2 / -log m_a
+    over the coordinates a, m_a = sum_i p_i r_{i,a} the expected ratio.  By
+    Markov's inequality a product of B ratios then exceeds 2^-(scale+2)
+    with probability at most m_a^B 2^(scale+2) <= 2^-40, so B needs no
+    floor; below it, each coordinate of a recorded point lies within
+    2^-(scale+2) hull widths of a point drawn from the invariant measure, as
+    the chain and the backward composition have the same law at each
+    step.  A B past MC_RUN_CAP raises BudgetExceeded.  The sample rule and
+    the burn-in are checked on the call; the iterator returned draws.
+    Deterministic given seed."""
+    check_samples(points, seed)
+    n = len(maps)
+    p = [1.0 / n] * n if weights is None else [float(w) for w in weights]
+    need = (scale + 42) * math.log(2.0)
+    burn_in = 1
+    for pairs in zip(*maps):
+        m = _total(w * r for w, (r, _) in zip(p, pairs))
+        rate = -math.log(m) if m > 0 else math.inf   # m may underflow to 0
+        if not need < rate * MC_RUN_CAP:
+            raise BudgetExceeded(
+                f"a burn-in at expected ratio {m} may need over {MC_RUN_CAP} "
+                f"steps to reach 2^-{scale + 2}")
+        burn_in = max(burn_in, math.ceil(need / rate))
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    # as u < 1 = cdf[-1], the count of cdf[:-1] <= u is searchsorted's index
+    halves = [1 << j for j in reversed(range((n - 1).bit_length()))]
+    edges = np.full(1 << len(halves), math.inf)
+    edges[:n - 1] = cdf[:-1]
+    coords = [np.array(pairs).T for pairs in zip(*maps)]  # (ratios, intercepts)
+    chains = min(CHAOS_CHAINS, points)
+    steps = -(-points // chains)  # ceil
+
+    def run():
+        xs = [np.full(chains, float(s)) for s in start]
+        for i in range(burn_in + steps):
+            u = rng.random(chains)
+            c = np.zeros(chains, dtype=np.intp)
+            for half in halves:
+                c += (edges[half - 1:].take(c) <= u) * half
+            xs = [r[c] * x + k[c] for (r, k), x in zip(coords, xs)]
+            if i >= burn_in:
+                left = points - (i - burn_in) * chains
+                yield tuple(x[:left] for x in xs) if left < chains \
+                    else tuple(xs)
+
+    return run()
+
+
 def box_dimension_2d(sys, m_range: Sequence[int], points: int,
                      seed: int, weights=None) -> ScalingFit:
     """Chaos-game box counting for the 4-corner set; biased down at finite
@@ -209,7 +276,6 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     weights that break its rule.  The chaos game, from (0.5, 0.5), is
     counted step by step (_occupancy), so memory follows the occupied cells
     at the finest scale, not ``points``."""
-    from .fourcorner import FourCornerProb
     ms, window = _window(m_range)
     p = (FourCornerProb.uniform() if weights is None
          else FourCornerProb(weights))
@@ -217,6 +283,31 @@ def box_dimension_2d(sys, m_range: Sequence[int], points: int,
     steps = _chaos_steps(sys.maps(), p.p, (0.5, 0.5), points, seed, top)
     counts = _occupancy((_keys(top, x, y) for x, y in steps), ms, 2, len)
     return _scaling_fit(ms, window, counts)
+
+
+def render_attractor_ppm(sys, points: int, seed: int, out_path: str,
+                         size: int = 600) -> None:
+    """Binary PPM (P6) raster of chaos-game points, marked step by step in
+    a flat image: memory does not grow with ``points``.  The RGB body is
+    written a block of rows at a time, never as a full RGB copy.  The chaos
+    game runs from (0.5, 0.5), burned in for the pixel scale."""
+    steps = _chaos_steps(sys.maps(), None, (0.5, 0.5), points, seed,
+                         (size - 1).bit_length())
+    import numpy as np
+    img = np.full(size * size, 255, dtype=np.uint8)
+    for x, y in steps:
+        xi = (x * size).astype(int)
+        yi = ((1.0 - y) * size).astype(int)
+        np.minimum(np.maximum(xi, 0, out=xi), size - 1, out=xi)
+        np.minimum(np.maximum(yi, 0, out=yi), size - 1, out=yi)
+        yi *= size
+        yi += xi
+        img[yi] = 0
+    block = max(1, (1 << 16) // size) * size    # whole rows, ~64 K pixels
+    with open(out_path, "wb") as fh:
+        fh.write(f"P6\n{size} {size}\n255\n".encode())
+        for start in range(0, size * size, block):
+            fh.write(np.repeat(img[start:start + block], 3))
 
 
 def entropy_slope(sys: CFSystem, p: ProbVector, samples: int,

@@ -1,5 +1,5 @@
-"""The generalised 4-corner self-affine system: four axis-aligned affine
-maps placed at the corners of the unit square.
+"""Dimensions and cylinder picture of the generalised 4-corner system
+(``ifs.FourCornerSystem``: four affine maps at the unit square's corners).
 
 Both coordinate projections are common-fixed-point systems on the line
 (x: maps 1,2 fixed at 0 and 3,4 at 1; y: maps 1,3 at 0 and 2,4 at 1).  The
@@ -10,12 +10,11 @@ corrections by the Ledrappier-Young rule, in four cases.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .dimension import DimensionReport, _root
 from .entropy import lyapunov, phi_series, shannon_entropy
-from .ifs import (BudgetExceeded, CFSystem, ProbVector, ValidationError,
-                  _chaos_steps, _Value, _refuse, _total, weight_errors)
+from .ifs import (BudgetExceeded, CFSystem, FourCornerProb, FourCornerSystem,
+                  ValidationError, _total, validate_4c)
 
 # The SVG holds only the 4**(d-1) rectangles of its last level but one, at
 # about 220 B each, and writes the last as it forms it: about 14 MB traced
@@ -30,88 +29,6 @@ class ConditionsNotMet(ValidationError):
 
 class RootOutsideBracket(ValidationError):
     """The natural-weight equation has no positive root."""
-
-
-class FourCornerSystem(_Value):
-    """gamma are the x-contractions, lam the y-contractions, both 2x2:
-    row 1 holds the ratios of the maps fixed at coordinate 0."""
-
-    __slots__ = ("gamma", "lam")
-
-    def __init__(self, gamma: Sequence[Sequence[float]],
-                 lam: Sequence[Sequence[float]]):
-        object.__setattr__(self, "gamma",
-                           tuple(tuple(float(v) for v in row) for row in gamma))
-        object.__setattr__(self, "lam",
-                           tuple(tuple(float(v) for v in row) for row in lam))
-        for grid, name in ((self.gamma, "gamma"), (self.lam, "lambda")):
-            if len(grid) != 2 or any(len(r) != 2 for r in grid):
-                raise ValidationError("gamma and lambda must be 2x2")
-            for i in range(2):
-                for j in range(2):
-                    if not (0 < grid[i][j] < 1):
-                        raise ValidationError(
-                            f"{name}[{i+1}][{j+1}] not in (0,1)")
-
-    def maps(self):
-        """The four affine maps as ((rx, cx), (ry, cy)) per map index 1..4."""
-        g, l = self.gamma, self.lam
-        return (
-            ((g[0][0], 0.0), (l[0][0], 0.0)),
-            ((g[0][1], 0.0), (l[1][0], 1.0 - l[1][0])),
-            ((g[1][0], 1.0 - g[1][0]), (l[0][1], 0.0)),
-            ((g[1][1], 1.0 - g[1][1]), (l[1][1], 1.0 - l[1][1])),
-        )
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FourCornerSystem":
-        if d.get("type") != "four_corner":
-            raise ValidationError(f"not a four_corner descriptor: {d.get('type')!r}")
-        return cls(d["gamma"], d["lambda"])
-
-
-class FourCornerProb(_Value):
-    __slots__ = ("p",)
-
-    def __init__(self, p: Sequence[float]):
-        vals = tuple(float(v) for v in p)
-        _refuse(weight_errors(vals) if len(vals) == 4
-                else [f"ShapeMismatch: p needs 4 weights, got {len(vals)}"])
-        object.__setattr__(self, "p", vals)
-
-    @classmethod
-    def uniform(cls) -> "FourCornerProb":
-        return cls((0.25, 0.25, 0.25, 0.25))
-
-    def x_grouping(self) -> ProbVector:
-        """Groups {F1,F2} at x=0 and {F3,F4} at x=1."""
-        return ProbVector([[self.p[0], self.p[1]], [self.p[2], self.p[3]]])
-
-    def y_grouping(self) -> ProbVector:
-        """Groups {F1,F3} at y=0 and {F2,F4} at y=1."""
-        return ProbVector([[self.p[0], self.p[2]], [self.p[1], self.p[3]]])
-
-
-def validate_4c(sys: FourCornerSystem) -> dict:
-    """Check the rectangular-open-set inequalities and (separately) the
-    domination inequalities; report-style output."""
-    g, l = sys.gamma, sys.lam
-    base = [text for broken, text in (
-        (g[0][0] + g[1][0] > 1, "gamma11 + gamma21 > 1"),
-        (g[0][1] + g[1][1] > 1, "gamma12 + gamma22 > 1"),
-        (l[0][0] + l[1][0] > 1, "lambda11 + lambda21 > 1"),
-        (l[0][1] + l[1][1] > 1, "lambda12 + lambda22 > 1"),
-        (min(g[0][1] + g[1][0], l[0][1] + l[1][0]) > 1,
-         "min(gamma12+gamma21, lambda12+lambda21) > 1"),
-        (min(g[0][0] + g[1][1], l[0][0] + l[1][1]) > 1,
-         "min(gamma11+gamma22, lambda11+lambda22) > 1")) if broken]
-    dom = [text for broken, text in (
-        (l[0][0] > g[0][0], "lambda11 > gamma11"),
-        (l[1][1] > g[1][1], "lambda22 > gamma22"),
-        (l[0][1] > g[1][0], "lambda12 > gamma21"),
-        (l[1][0] > g[0][1], "lambda21 > gamma12")) if broken]
-    return {"open_set_ok": not base, "open_set_violations": base,
-            "domination_ok": not dom, "domination_violations": dom}
 
 
 def _projections(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
@@ -273,28 +190,3 @@ def render_cylinders_svg(sys: FourCornerSystem, depth: int, out_path: str,
             f'stroke="black" stroke-width="1"/>\n'
             for x0, y0, w, h in rects)
         fh.write("</svg>\n")
-
-
-def render_attractor_ppm(sys: FourCornerSystem, points: int, seed: int,
-                         out_path: str, size: int = 600) -> None:
-    """Binary PPM (P6) raster of chaos-game points, marked step by step in
-    a flat image: memory does not grow with ``points``.  The RGB body is
-    written a block of rows at a time, never as a full RGB copy.  The chaos
-    game runs from (0.5, 0.5), burned in for the pixel scale."""
-    steps = _chaos_steps(sys.maps(), None, (0.5, 0.5), points, seed,
-                         (size - 1).bit_length())
-    import numpy as np
-    img = np.full(size * size, 255, dtype=np.uint8)
-    for x, y in steps:
-        xi = (x * size).astype(int)
-        yi = ((1.0 - y) * size).astype(int)
-        np.clip(xi, 0, size - 1, out=xi)
-        np.clip(yi, 0, size - 1, out=yi)
-        yi *= size
-        yi += xi
-        img[yi] = 0
-    block = max(1, (1 << 16) // size) * size    # whole rows, ~64 K pixels
-    with open(out_path, "wb") as fh:
-        fh.write(f"P6\n{size} {size}\n255\n".encode())
-        for start in range(0, size * size, block):
-            fh.write(np.repeat(img[start:start + block], 3))

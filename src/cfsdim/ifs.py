@@ -3,7 +3,8 @@
 A system is a family of similarities f_{i,j}(x) = lam[i][j]*x + t[i]*(1 - lam[i][j]):
 group ``i`` collects the maps fixed at t[i].  All values may be floats or
 exact rationals (``fractions.Fraction``); symbolic operations honour the
-rational mode, root-finding always runs in floating point.
+rational mode, root-finding always runs in floating point.  The 4-corner
+system of ``fourcorner`` and its weights are modelled here too.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from typing import Sequence
 
 PROB_SUM_TOL = 1e-12
 # The samplers draw and count their samples a chunk at a time (SAMPLE_CHUNK
-# runs, CHAOS_CHAINS chaos-game points), so no sampler keeps its samples;
+# runs, estimate.CHAOS_CHAINS chaos-game points), so none keeps its samples;
 # the cell counters of the entropy slope and box2d keep the occupied cells
 # at the finest scale, which grow with the sample count while that grid
 # has more cells than there are samples
 SAMPLE_CAP = 10**7
 SAMPLE_CHUNK = 1 << 14
 MC_RUN_CAP = 10**6      # the longest sampled run: in one group, or a burn-in
-CHAOS_CHAINS = 4096
 
 
 class ValidationError(ValueError):
@@ -183,6 +183,88 @@ class ProbVector(_Value):
         return cls([[1.0 / L] * n for n in sys.group_sizes])
 
 
+class FourCornerSystem(_Value):
+    """gamma are the x-contractions, lam the y-contractions, both 2x2:
+    row 1 holds the ratios of the maps fixed at coordinate 0."""
+
+    __slots__ = ("gamma", "lam")
+
+    def __init__(self, gamma: Sequence[Sequence[float]],
+                 lam: Sequence[Sequence[float]]):
+        object.__setattr__(self, "gamma",
+                           tuple(tuple(float(v) for v in row) for row in gamma))
+        object.__setattr__(self, "lam",
+                           tuple(tuple(float(v) for v in row) for row in lam))
+        for grid, name in ((self.gamma, "gamma"), (self.lam, "lambda")):
+            if len(grid) != 2 or any(len(r) != 2 for r in grid):
+                raise ValidationError("gamma and lambda must be 2x2")
+            for i in range(2):
+                for j in range(2):
+                    if not (0 < grid[i][j] < 1):
+                        raise ValidationError(
+                            f"{name}[{i+1}][{j+1}] not in (0,1)")
+
+    def maps(self):
+        """The four affine maps as ((rx, cx), (ry, cy)) per map index 1..4."""
+        g, l = self.gamma, self.lam
+        return (
+            ((g[0][0], 0.0), (l[0][0], 0.0)),
+            ((g[0][1], 0.0), (l[1][0], 1.0 - l[1][0])),
+            ((g[1][0], 1.0 - g[1][0]), (l[0][1], 0.0)),
+            ((g[1][1], 1.0 - g[1][1]), (l[1][1], 1.0 - l[1][1])),
+        )
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "FourCornerSystem":
+        if d.get("type") != "four_corner":
+            raise ValidationError(f"not a four_corner descriptor: {d.get('type')!r}")
+        return cls(d["gamma"], d["lambda"])
+
+
+class FourCornerProb(_Value):
+    __slots__ = ("p",)
+
+    def __init__(self, p: Sequence[float]):
+        vals = tuple(float(v) for v in p)
+        _refuse(weight_errors(vals) if len(vals) == 4
+                else [f"ShapeMismatch: p needs 4 weights, got {len(vals)}"])
+        object.__setattr__(self, "p", vals)
+
+    @classmethod
+    def uniform(cls) -> "FourCornerProb":
+        return cls((0.25, 0.25, 0.25, 0.25))
+
+    def x_grouping(self) -> ProbVector:
+        """Groups {F1,F2} at x=0 and {F3,F4} at x=1."""
+        return ProbVector([[self.p[0], self.p[1]], [self.p[2], self.p[3]]])
+
+    def y_grouping(self) -> ProbVector:
+        """Groups {F1,F3} at y=0 and {F2,F4} at y=1."""
+        return ProbVector([[self.p[0], self.p[2]], [self.p[1], self.p[3]]])
+
+
+def validate_4c(sys: FourCornerSystem) -> dict:
+    """Check the rectangular-open-set inequalities and (separately) the
+    domination inequalities; report-style output."""
+    g, l = sys.gamma, sys.lam
+    base = [text for broken, text in (
+        (g[0][0] + g[1][0] > 1, "gamma11 + gamma21 > 1"),
+        (g[0][1] + g[1][1] > 1, "gamma12 + gamma22 > 1"),
+        (l[0][0] + l[1][0] > 1, "lambda11 + lambda21 > 1"),
+        (l[0][1] + l[1][1] > 1, "lambda12 + lambda22 > 1"),
+        (min(g[0][1] + g[1][0], l[0][1] + l[1][0]) > 1,
+         "min(gamma12+gamma21, lambda12+lambda21) > 1"),
+        (min(g[0][0] + g[1][1], l[0][0] + l[1][1]) > 1,
+         "min(gamma11+gamma22, lambda11+lambda22) > 1")) if broken]
+    dom = [text for broken, text in (
+        (l[0][0] > g[0][0], "lambda11 > gamma11"),
+        (l[1][1] > g[1][1], "lambda22 > gamma22"),
+        (l[0][1] > g[1][0], "lambda12 > gamma21"),
+        (l[1][0] > g[0][1], "lambda21 > gamma12")) if broken]
+    return {"open_set_ok": not base, "open_set_violations": base,
+            "domination_ok": not dom, "domination_violations": dom}
+
+
 def _double(v) -> float:
     """``v`` as a double; a rational past the range as a signed infinity."""
     try:
@@ -234,62 +316,6 @@ def check_samples(n: int, seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if n > SAMPLE_CAP:
         raise BudgetExceeded(f"{n} samples exceed the cap {SAMPLE_CAP}")
-
-
-def _chaos_steps(maps: Sequence, weights, start: Sequence, points: int,
-                 seed: int, scale: int):
-    """The chaos game, one recorded step at a time: each step a tuple of
-    one array over the chains per coordinate, the last step cut so that
-    ``points`` points come out.
-
-    ``maps`` holds one (ratio, intercept) pair per coordinate for each map;
-    a step's map is drawn with ``weights``, uniformly when None, by the
-    inverse of their normalised cumulative sum at a uniform draw (the
-    indices ``Generator.choice(n, size, p=weights)`` returns).
-    CHAOS_CHAINS chains start at ``start`` and advance in lockstep, so the
-    recursion vectorizes.  Each chain is burned in for B steps, the larger
-    of 1 (for an m_a that underflows to 0) and (scale + 42) log 2 / -log m_a
-    over the coordinates a, m_a = sum_i p_i r_{i,a} the expected ratio.  By
-    Markov's inequality a product of B ratios then exceeds 2^-(scale+2)
-    with probability at most m_a^B 2^(scale+2) <= 2^-40, so B needs no
-    floor; below it, each coordinate of a recorded point lies within
-    2^-(scale+2) hull widths of a point drawn from the invariant measure, as
-    the chain and the backward composition have the same law at each
-    step.  A B past MC_RUN_CAP raises BudgetExceeded.  The
-    sample rule and the burn-in are checked on the call; the iterator
-    returned draws.  Deterministic given seed."""
-    check_samples(points, seed)
-    n = len(maps)
-    p = [1.0 / n] * n if weights is None else [float(w) for w in weights]
-    need = (scale + 42) * math.log(2.0)
-    burn_in = 1
-    for pairs in zip(*maps):
-        m = _total(w * r for w, (r, _) in zip(p, pairs))
-        rate = -math.log(m) if m > 0 else math.inf   # m may underflow to 0
-        if not need < rate * MC_RUN_CAP:
-            raise BudgetExceeded(
-                f"a burn-in at expected ratio {m} may need over {MC_RUN_CAP} "
-                f"steps to reach 2^-{scale + 2}")
-        burn_in = max(burn_in, math.ceil(need / rate))
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    coords = [np.array(pairs).T for pairs in zip(*maps)]  # (ratios, intercepts)
-    chains = min(CHAOS_CHAINS, points)
-    steps = -(-points // chains)  # ceil
-
-    def run():
-        xs = [np.full(chains, float(s)) for s in start]
-        for i in range(burn_in + steps):
-            c = cdf.searchsorted(rng.random(chains), side="right")
-            xs = [r[c] * x + k[c] for (r, k), x in zip(coords, xs)]
-            if i >= burn_in:
-                left = points - (i - burn_in) * chains
-                yield tuple(x[:left] for x in xs) if left < chains \
-                    else tuple(xs)
-
-    return run()
 
 
 def weight_errors(weights: Sequence) -> list:

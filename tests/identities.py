@@ -10,8 +10,8 @@ determinant of the matrix with -1 diagonal and x_j - 1 off it has a closed
 form.
 
 The library finds every root by Brent's method; the plain halving it
-replaced stays here as its oracle, with the attractor equation's excess and
-a bound on its rounding.
+replaced stays here as its oracle, with the attractor equation's excess,
+evaluated as the library does, and a bound on its rounding.
 
 The library's signature DP takes its block sums from binomial marginals and
 its suffix sums from the multinomial theorem; the direct log-space sweep and
@@ -59,13 +59,39 @@ def bisect_root(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def attractor_excess(sys: CFSystem) -> tuple:
-    """F(s) - (N - 1) as the library computes it, its derivative, and a
-    bound on its rounding: each 1 - lam^s is within 3u, so a group's product
-    P of m factors, each at least P, within 4 m u; the sum of the N terms
-    below N and the last subtraction add N^2 u + u."""
+    """F(s) - (N - 1) as the library evaluates it, its derivative, and a
+    bound on its rounding.
+
+    The excess is P_g - sum_{i != g} Q_i: each group's product P of
+    1 - x_j, x_j = lam_j^s, and Q = 1 - P follow member by member from
+    P' = P (1 - x), Q' = Q + P x, and g is the first group of least P.
+    With u the unit roundoff, to first order:
+    - the powers, each within 2u x_j, move P and Q = 1 - P by at most
+      2u sum_j x_j <= 2 m u, for a group of m maps;
+    - on those powers P is a product of m rounded factors 1 - x_j, within
+      2 m u P, and Q a sum of nonnegative terms P_{j-1} x_j whose error
+      telescopes to (3 m + 1) u Q;
+    - sum of the N - 1 values Q_i <= 1 adds (N - 2)(N - 1) u, and the last
+      subtraction (N - 1) u.
+    Over M maps that is (5M + N(N - 1)) u; N u more covers the higher-order
+    terms."""
+    rows = [[float(lam) for lam in row] for row in sys.ratios]
+
     def F(s):
-        return sum(math.prod(1.0 - float(lam)**s for lam in row)
-                   for row in sys.ratios) - (sys.n_groups - 1)
+        products = []
+        for row in rows:
+            P, Q = 1.0, 0.0
+            for lam in row:
+                x = lam**s
+                Q += P * x
+                P *= 1.0 - x
+            products.append((P, Q))
+        g = min(range(len(products)), key=lambda i: products[i][0])
+        rest = 0
+        for i, (_, Q) in enumerate(products):
+            if i != g:
+                rest += Q
+        return products[g][0] - rest
 
     def dF(s):
         return sum(-float(lam)**s * math.log(float(lam))
@@ -73,7 +99,7 @@ def attractor_excess(sys: CFSystem) -> tuple:
                                for k, mu in enumerate(row) if k != j)
                    for row in sys.ratios for j, lam in enumerate(row))
 
-    error = (4 * sys.n_maps + sys.n_groups**2 + 1) * 2.0**-53
+    error = (5 * sys.n_maps + sys.n_groups**2) * 2.0**-53
     return F, dF, error
 
 

@@ -263,10 +263,10 @@ def measure_samples(sys, p, samples, min_scale, seed, chunk_size):
 
 def line_chaos_points(sys, p, samples: int, scale: int, seed: int):
     """numpy array of the points of the chaos game on the line that
-    estimate.entropy_slope counts: ifs._chaos_steps from t_min with the
+    estimate.entropy_slope counts: its _chaos_steps from t_min with the
     weights p, burned in for ``scale``, one step after the other."""
     import numpy as np
-    from cfsdim.ifs import _chaos_steps
+    from cfsdim.estimate import _chaos_steps
     maps = [((float(r), float(c)),) for r, c in sys.maps()]
     steps = _chaos_steps(maps, p.flat(), (float(min(sys.fixed_points)),),
                          samples, seed, scale)
@@ -277,11 +277,11 @@ def chaos_game_points(sys, points: int, seed: int, scale: int,
                       weights=None):
     """(points, 2) numpy array of the points of the 4-corner chaos game that
     box_dimension_2d and render_attractor_ppm read step by step:
-    ifs._chaos_steps from (0.5, 0.5), burned in for ``scale`` (the raster's
-    is (size - 1).bit_length(), 6 for 64 pixels), one step after the
-    other."""
+    estimate._chaos_steps from (0.5, 0.5), burned in for ``scale`` (the
+    raster's is (size - 1).bit_length(), 6 for 64 pixels), one step after
+    the other."""
     import numpy as np
-    from cfsdim.ifs import _chaos_steps
+    from cfsdim.estimate import _chaos_steps
     steps = _chaos_steps(sys.maps(), weights, (0.5, 0.5), points, seed,
                          scale)
     return np.concatenate([np.column_stack(step) for step in steps])
@@ -292,7 +292,7 @@ def attractor_ppm(sys, points: int, seed: int, size: int) -> bytes:
     as a 2-D image: each chunk's pixels marked black, then the whole image
     repeated into RGB."""
     import numpy as np
-    from cfsdim.ifs import _chaos_steps
+    from cfsdim.estimate import _chaos_steps
     img = np.full((size, size), 255, dtype=np.uint8)
     for x, y in _chaos_steps(sys.maps(), None, (0.5, 0.5), points, seed,
                              (size - 1).bit_length()):

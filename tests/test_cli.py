@@ -674,14 +674,41 @@ class TestLazyImports:
          {"ifs", "entropy", "dimension", "fourcorner"}),
         (["render", FOUR_CORNER, "--mode", "attractor", "--points", "1000",
           "--seed", "0", "--out", "{tmp}/attractor.ppm"],
-         {"ifs", "entropy", "dimension", "fourcorner"}),
+         {"ifs", "estimate"}),
         (["estimate", CANTOR, "--kind", "box1d", "--m-lo", "6",
           "--m-hi", "10"], {"ifs", "estimate"}),
+        (["estimate", FOUR_CORNER, "--kind", "box2d", "--points", "1000",
+          "--m-lo", "2", "--m-hi", "6"], {"ifs", "estimate"}),
+        (["render", FOUR_CORNER, "--mode", "cylinders", "--depth", "2",
+          "--out", "{tmp}/cylinders.svg"],
+         {"ifs", "entropy", "dimension", "fourcorner"}),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_readme_command_loads_only_its_modules(self, argv, modules,
                                                    tmp_path):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert loaded_modules(argv) == modules
+
+    def test_descriptors_load_with_ifs_alone(self):
+        """Loading and validating every descriptor in configs/, as a
+        caller of the package would, loads cfsdim.ifs and nothing else."""
+        script = f"""
+import glob, json, os, sys
+import cfsdim
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "*.json"))):
+    with open(path) as fh:
+        desc = json.load(fh)
+    if desc["type"] == "four_corner":
+        rep = cfsdim.validate_4c(cfsdim.FourCornerSystem.from_json_dict(desc))
+        assert rep["open_set_ok"], path
+    else:
+        assert not cfsdim.validate_system(cfsdim.load_system(desc)[0]), path
+print(*sorted(m for m in sys.modules if {FLOOR}))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.path.dirname(CANTOR)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["cfsdim", "cfsdim.ifs"]
 
     def test_star_import_and_unknown_names(self):
         script = """

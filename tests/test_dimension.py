@@ -24,6 +24,19 @@ from identities import (attractor_excess, bisect_root, bn_matrix_check,
 import oracles
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
+# The root for the doubles of [[0.999] * 399 + [1e-200], [0.5]], by
+# 400-digit arithmetic (mpmath.findroot on F(s) - (N - 1))
+S0_ROUNDED_GROUP = 519.67352085283427809
+# s0 at the default tol of each cfs descriptor in configs/, as found when
+# the excess was the direct sum of the group products minus N - 1
+S0_DIRECT_SUM = {
+    "all_third.json": 0.8760357589718848,
+    "cantor_quarter.json": 0.49999999999990075,
+    "equal_halves.json": 1.0,
+    "exact_coincidence.json": 1.584962500721152,
+    "rational_three_symbol.json": 0.6962498846734093,
+    "two_group_overlap.json": 0.6949210051017765,
+}
 
 
 class TestSimilarityDimension:
@@ -99,6 +112,24 @@ class TestAttractorDimension:
         sim = similarity_dimension(
             [r for row in two_group_overlap.ratios for r in row])
         assert s0 <= sim + 1e-12
+
+    def test_root_past_rounded_group_products(self):
+        """1 - 0.5^s rounds to 1 from s = 54 on, where the direct sum of
+        the group products read an excess of exactly 0 and returned 64.0;
+        the root is near 519.67 and its bracket must hold it."""
+        sys = CFSystem([0, 1], [[0.999] * 399 + [1e-200], [0.5]])
+        rep = attractor_dimension(sys)
+        assert rep.raw == pytest.approx(S0_ROUNDED_GROUP, rel=1e-9)
+        lo, hi = rep.diagnostics["bracket"]
+        assert lo <= S0_ROUNDED_GROUP <= hi
+
+    def test_config_roots_match_direct_sum(self):
+        """On every cfs descriptor in configs/ the evaluation of the
+        excess moves s0 by at most 1e-12."""
+        assert sorted(S0_DIRECT_SUM) == _cfs_configs()
+        for name, s0 in S0_DIRECT_SUM.items():
+            raw = attractor_dimension(load_config(name)[0]).raw
+            assert abs(raw - s0) <= 1e-12, name
 
 
 def _sums(sys, s, depth) -> list:

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     ValidationError, attractor_dimension, box_dimension_1d,
                     box_dimension_2d, cover_boxes_1d, entropy_slope,
-                    estimate, ifs, measure_dimension)
+                    estimate, measure_dimension)
 from cfsdim.estimate import _fit, _keys, _occupancy
 from cfsdim.ifs import SAMPLE_CHUNK
 from oracles import cell_counts, line_chaos_points, measure_samples
@@ -267,7 +267,7 @@ class TestSampleMeasurePoints:
         a cap of 200 and scale 8 the threshold is m = 2^(-50/200) = 0.8409:
         m = 0.5 burns in for 50 steps and m = 0.84 for 199, each then draws
         once for 10 points, and m = 0.842 would need 202."""
-        monkeypatch.setattr(ifs, "MC_RUN_CAP", 200)
+        monkeypatch.setattr(estimate, "MC_RUN_CAP", 200)
         sys = CFSystem([0.0, 1.0], [[ratio], [ratio]])
         p = ProbVector.uniform(sys)
         real, draws = np.random.default_rng, []
@@ -307,27 +307,28 @@ class TestSampleMeasurePoints:
 
 
 class TestChaosDraw:
-    """The map choice of ifs._chaos_steps: one inverse-CDF draw for uniform
-    and weighted games alike."""
+    """The map choice of estimate._chaos_steps: one inverse-CDF draw for
+    uniform and weighted games alike."""
 
     @settings(max_examples=40, deadline=None)
     @given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=8)
            .filter(any),
-           points=st.integers(1, 3 * ifs.CHAOS_CHAINS),
+           points=st.integers(1, 3 * estimate.CHAOS_CHAINS),
            seed=st.integers(0, 2**32))
-    @example(counts=[0, 1, 0], points=2 * ifs.CHAOS_CHAINS + 5, seed=0)
+    @example(counts=[0, 1, 0], points=2 * estimate.CHAOS_CHAINS + 5, seed=0)
+    @example(counts=[0, 2, 0, 1, 5] * 80, points=5_000, seed=1)
     def test_draw_is_generator_choice(self, counts, points, seed):
         """Each step's maps are the indices Generator.choice(n, size, p=w)
-        draws on a twin generator, zero weights and a cut last step
-        included.  Maps of ratio 0 send every chain to its map's index and
-        burn in for the floor of one step."""
+        draws on a twin generator, zero weights, a cut last step and 400
+        maps (nine halving passes) included.  Maps of ratio 0 send every
+        chain to its map's index and burn in for the floor of one step."""
         n, total = len(counts), sum(counts)
         w = [c / total for c in counts]
         maps = [((0.0, float(i)),) for i in range(n)]
-        got = np.concatenate([x for x, in ifs._chaos_steps(
+        got = np.concatenate([x for x, in estimate._chaos_steps(
             maps, w, (0.0,), points, seed, 8)])
         twin = np.random.default_rng(seed)
-        chains = min(ifs.CHAOS_CHAINS, points)
+        chains = min(estimate.CHAOS_CHAINS, points)
         draws = [twin.choice(n, size=chains, p=w)
                  for _ in range(1 + -(-points // chains))]
         assert np.array_equal(got, np.concatenate(draws[1:])[:points])
@@ -336,7 +337,7 @@ class TestChaosDraw:
         """weights=None and explicit uniform weights give the same bytes, so
         a caller may pass its resolved weights either way."""
         def steps(weights):
-            return [x.tobytes() for step in ifs._chaos_steps(
+            return [x.tobytes() for step in estimate._chaos_steps(
                 four_corner_main.maps(), weights, (0.5, 0.5), 10_001, 3, 10)
                 for x in step]
 

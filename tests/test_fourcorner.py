@@ -13,10 +13,10 @@ from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
                     FourCornerProb, FourCornerSystem, ProbVector,
                     ValidationError, box_dimension_2d, fourcorner, lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
-                    phi_series, set_dimension_4c, shannon_entropy,
-                    validate_4c)
-from cfsdim.fourcorner import (RootOutsideBracket, render_attractor_ppm,
-                               render_cylinders_svg, _cylinders)
+                    phi_series, render_attractor_ppm, set_dimension_4c,
+                    shannon_entropy, validate_4c)
+from cfsdim.fourcorner import (RootOutsideBracket, render_cylinders_svg,
+                               _cylinders)
 from cfsdim.cli import main
 from oracles import attractor_ppm, chaos_game_points
 
