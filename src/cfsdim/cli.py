@@ -220,77 +220,80 @@ SHARED_OPTIONS = {
     "seed": dict(type=int, default=0),
 }
 
+# name, help, function, the shared options it reads after its system path
+# (None: no system path, shared options or --out of its own), its own
+# options after --out
+COMMANDS = (
+    ("measure-dim", "dimension of the self-similar measure", cmd_measure_dim,
+     ("probabilities", "tol"), ()),
+    ("attractor-dim", "dimension of the attractor", cmd_attractor_dim,
+     ("tol",),
+     (("--gd-depth", dict(type=int, default=0,
+                          help="also report the graph-directed roots "
+                               "s_1..s_k")),
+      ("--box", dict(type=int, default=0,
+                     help="also report a box-counting fit up to this "
+                          "exponent")))),
+    ("phi", "overlap entropy correction Phi(p)", cmd_phi,
+     ("probabilities", "tol", "seed"),
+     (("--mc-samples", dict(type=int, default=0)),)),
+    ("rw-entropy", "random-walk entropy", cmd_rw_entropy,
+     ("probabilities", "tol"),
+     (("--depth", dict(type=int, default=0,
+                       help="also run the brute-force H_n to this depth")),)),
+    ("esc-probe", "finite-depth separation probe", cmd_esc_probe, (),
+     (("--n-max", dict(type=int, default=6)),
+      ("--csv", dict(default=None,
+                     help="also write the per-n table as CSV")))),
+    ("fourcorner", "4-corner conditions and dimensions", cmd_fourcorner,
+     ("probabilities", "tol"), ()),
+    ("render", "render 4-corner cylinders or attractor", cmd_render, None,
+     (("system", {}),
+      ("--mode", dict(choices=["cylinders", "attractor"],
+                      default="cylinders")),
+      ("--depth", dict(type=int, default=1)),
+      ("--points", dict(type=int, default=100_000)),
+      ("--seed", dict(type=int, default=0)),
+      ("--out", dict(required=True)))),
+    ("estimate", "empirical dimension estimates", cmd_estimate,
+     ("probabilities", "seed"),
+     (("--kind", dict(choices=["box1d", "box2d", "entropy"],
+                      default="box1d")),
+      ("--m-lo", dict(type=int, default=4)),
+      ("--m-hi", dict(type=int, default=14)),
+      ("--points", dict(type=int, default=200_000)))),
+)
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  With ``argv`` only the subcommand
+    that argv[0] names gets its arguments, as argparse builds a help
+    formatter, which reads the terminal size, for each one it adds; the
+    others keep their name and help for the top-level usage and help."""
     parser = argparse.ArgumentParser(
         prog="cfsdim",
         description="Dimensions of self-similar measures and attractors for "
                     "common-fixed-point IFSs on the line.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *shared):
-        p.add_argument("system", help="JSON system descriptor path")
-        for name in shared:
-            p.add_argument("--" + name, **SHARED_OPTIONS[name])
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-    p = sub.add_parser("measure-dim", help="dimension of the self-similar measure")
-    add_common(p, "probabilities", "tol")
-    p.set_defaults(fn=cmd_measure_dim)
-
-    p = sub.add_parser("attractor-dim", help="dimension of the attractor")
-    add_common(p, "tol")
-    p.add_argument("--gd-depth", type=int, default=0,
-                   help="also report the graph-directed roots s_1..s_k")
-    p.add_argument("--box", type=int, default=0,
-                   help="also report a box-counting fit up to this exponent")
-    p.set_defaults(fn=cmd_attractor_dim)
-
-    p = sub.add_parser("phi", help="overlap entropy correction Phi(p)")
-    add_common(p, "probabilities", "tol", "seed")
-    p.add_argument("--mc-samples", type=int, default=0)
-    p.set_defaults(fn=cmd_phi)
-
-    p = sub.add_parser("rw-entropy", help="random-walk entropy")
-    add_common(p, "probabilities", "tol")
-    p.add_argument("--depth", type=int, default=0,
-                   help="also run the brute-force H_n to this depth")
-    p.set_defaults(fn=cmd_rw_entropy)
-
-    p = sub.add_parser("esc-probe", help="finite-depth separation probe")
-    add_common(p)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--csv", default=None, help="also write the per-n table as CSV")
-    p.set_defaults(fn=cmd_esc_probe)
-
-    p = sub.add_parser("fourcorner", help="4-corner conditions and dimensions")
-    add_common(p, "probabilities", "tol")
-    p.set_defaults(fn=cmd_fourcorner)
-
-    p = sub.add_parser("render", help="render 4-corner cylinders or attractor")
-    p.add_argument("system")
-    p.add_argument("--mode", choices=["cylinders", "attractor"],
-                   default="cylinders")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--points", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_render)
-
-    p = sub.add_parser("estimate", help="empirical dimension estimates")
-    add_common(p, "probabilities", "seed")
-    p.add_argument("--kind", choices=["box1d", "box2d", "entropy"],
-                   default="box1d")
-    p.add_argument("--m-lo", type=int, default=4)
-    p.add_argument("--m-hi", type=int, default=14)
-    p.add_argument("--points", type=int, default=200_000)
-    p.set_defaults(fn=cmd_estimate)
-
+    for name, summary, fn, shared, own in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if argv and argv[0] != name:
+            continue
+        if shared is not None:
+            p.add_argument("system", help="JSON system descriptor path")
+            for option in shared:
+                p.add_argument("--" + option, **SHARED_OPTIONS[option])
+            p.add_argument("--out", default=None,
+                           help="write JSON here instead of stdout")
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:

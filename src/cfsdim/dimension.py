@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
     _json_value, _total, check_tol
 
@@ -120,7 +119,9 @@ def similarity_dimension(ratios, tol: float = ROOT_TOL) -> float:
 
 def measure_dimension(sys: CFSystem, p: ProbVector,
                       tol: float = 1e-10) -> DimensionReport:
-    """dim = min{1, (h_p + Phi(p)) / chi(p)} for the self-similar measure."""
+    """dim = min{1, (h_p + Phi(p)) / chi(p)} for the self-similar measure.
+    entropy is imported here, so the attractor roots load without it."""
+    from .entropy import lyapunov, phi_series, shannon_entropy
     phi = phi_series(sys, p, tol)
     h = shannon_entropy(p)
     chi = lyapunov(sys, p)
@@ -144,6 +145,16 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
     by member P' = P (1 - x) and Q' = Q + P x, x = lam^s, so no Q_i cancels;
     the plain sum of the P_i is exactly N - 1 once P_g and the other
     groups' 1 - P_i fall below the unit roundoff, maybe far below the root.
+
+    The rounded excess lies within e = (5M + N^2) u of the exact one, for M
+    maps and unit roundoff u: the powers move each group's P and Q by
+    2 m u over its m maps, the product and the telescoping sum add 2 m u
+    and (3 m + 1) u, and the sum over the groups and the subtraction
+    (N - 1) N u, with N u more for higher orders.  A sign change of the
+    rounded excess can miss the root by that much, so each end of _root's
+    bracket moves out by 1, 2, 4, ... ulps until the excess there passes e
+    with the end's sign (at 0 it is 1 - N exactly, so 0 needs no check):
+    the bracket then holds the root of the exact F.
     """
     rows = [[float(lam) for lam in row] for row in sys.ratios]
 
@@ -161,10 +172,20 @@ def attractor_dimension(sys: CFSystem, tol: float = 1e-12) -> DimensionReport:
         return P[g] - _total(Q[:g] + Q[g + 1:])
 
     raw, bracket, evaluations = _root(excess, 0.0, 1.0, tol)
+    error = (5 * sys.n_maps + sys.n_groups**2) * 2.0**-53
+    ends = []
+    for end, sign in zip(bracket, (-1.0, 1.0)):
+        x, step = end, math.ulp(end)
+        while x > 0.0:
+            evaluations += 1
+            if sign * excess(x) > error:
+                break
+            x, step = max(0.0, end + sign * step), 2.0 * step
+        ends.append(x)
     return DimensionReport(
         dimension=min(1.0, raw), raw=raw, method="attractor-formula",
         tolerance=tol,
-        diagnostics={"bracket": list(bracket), "evaluations": evaluations})
+        diagnostics={"bracket": ends, "evaluations": evaluations})
 
 
 def _complete_homogeneous_sums(xs, depth: int) -> float:

@@ -283,15 +283,16 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
                      terms_used=filled, method="series")
 
 
-def _mc_chunk(rng, rho: float, w: float, size: int) -> tuple:
+def _mc_chunk(rng, rho: float, w: float, size: int, start: int) -> tuple:
     """(size, mean, sum of squared deviations) of ``size`` samples of
-    log(Y / (k - 1)) for the symbol of weight w in a group of mass rho: a
-    geometric draw of the runs, then a binomial draw of the counts."""
+    log(Y / (k - 1)) for the symbol of weight w in a group of mass rho whose
+    runs are known to be at least ``start``: a geometric draw of the runs,
+    then a binomial draw of the counts."""
     import numpy as np
     # extra in-group steps after X1: failures before the first out-of-group
-    # draw
+    # draw, past the ``start`` already taken
     run = rng.geometric(1.0 - rho, size=size)
-    run -= 1
+    run += start - 1
     if np.any(run >= MC_RUN_CAP):
         raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
     y = rng.binomial(run, w / rho)
@@ -302,6 +303,41 @@ def _mc_chunk(rng, rho: float, w: float, size: int) -> tuple:
     mean = float(vals.mean())
     vals -= mean
     return size, mean, float(np.dot(vals, vals))
+
+
+def _mc_symbol(rng, rho: float, w: float, drawn: int):
+    """The (size, mean, sum of squared deviations) parts of the ``drawn``
+    samples of the symbol of weight w in a group of mass rho: first a
+    histogram of (run, count), row by row, then the samples left, a chunk
+    at a time.
+
+    A run is geometric, so memoryless: of the samples whose run is at least
+    g, Bin(remaining, 1 - rho) end at g, and their counts Y - 1 ~ Bin(g, q),
+    q = w / rho, fall into the row's g + 1 cells by one multinomial draw on
+    the Bin(g, q) pmf, built from the last row by Pascal's rule.  Rows go on
+    while one expects more samples than it has cells; the rest have runs of
+    g plus a geometric draw and go to _mc_chunk, which checks MC_RUN_CAP.
+    The rows end far below it: row g expects at most SAMPLE_CAP rho^g
+    (1 - rho) <= SAMPLE_CAP / (e g) samples, under g + 1 from g = 1918 on."""
+    import numpy as np
+    # 1 - b is exact (Sterbenz), so q + b == 1 and no row's total drifts
+    b = 1.0 - w / rho
+    q = 1.0 - b
+    remaining, g, pmf = drawn, 0, np.ones(1)
+    while remaining and remaining * (1.0 - rho) > g + 1:
+        size = int(rng.binomial(remaining, 1.0 - rho))
+        if size:
+            counts = rng.multinomial(size, pmf)
+            vals = np.log(np.arange(1.0, g + 2.0) / (g + 1))
+            mean = float(counts @ vals) / size
+            vals -= mean
+            yield size, mean, float(counts @ (vals * vals))
+            remaining -= size
+        g += 1
+        last, pmf = pmf, np.append(pmf * b, 0.0)
+        pmf[1:] += last * q
+    for start in range(0, remaining, SAMPLE_CHUNK):
+        yield _mc_chunk(rng, rho, w, min(SAMPLE_CHUNK, remaining - start), g)
 
 
 def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
@@ -316,11 +352,12 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     one sampled run does.
 
     The symbols' histogram is drawn first, in one multinomial draw.  Then
-    each symbol in turn draws its runs and counts, SAMPLE_CHUNK at a time,
-    a geometric chunk and then a binomial one; a symbol alone in its group
-    has Y = k - 1, so its samples are exact zeros and draw nothing.  The
-    chunks' means and sums of squared deviations merge pairwise (Chan,
-    Golub and LeVeque), so memory does not grow with ``samples``.
+    each symbol in turn draws its (run, count) histogram row by row and the
+    samples past the last row SAMPLE_CHUNK at a time (_mc_symbol); a symbol
+    alone in its group has Y = k - 1, so its samples are exact zeros and
+    draw nothing.  The parts' means and sums of squared deviations merge
+    pairwise (Chan, Golub and LeVeque), so memory does not grow with
+    ``samples``.
     """
     check_samples(samples, seed)
     p = prune_zeros(sys, p)
@@ -343,9 +380,8 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     n, mean, m2 = 0, 0.0, 0.0
     for (members, rho, w), drawn in zip(symbols, histogram):
         # a symbol alone in its group has Y = k - 1: exact zeros, none drawn
-        chunks = [(drawn, 0.0, 0.0)] if members == 1 else (
-            _mc_chunk(rng, rho, w, min(SAMPLE_CHUNK, drawn - start))
-            for start in range(0, drawn, SAMPLE_CHUNK))
+        chunks = ([(drawn, 0.0, 0.0)] if members == 1
+                  else _mc_symbol(rng, rho, w, drawn))
         for size, chunk_mean, chunk_m2 in chunks:
             if size:
                 total = n + size

@@ -20,6 +20,10 @@ of the entropy and box-counting estimators.
 
 The power iteration with two 1-norms and two products a step is the
 reference of ``dimension._gd_radius``, which takes one product a step.
+
+Drawing each Monte-Carlo run and its count one by one, every sample held
+at once, is the independent check of ``entropy.phi_monte_carlo``, which
+draws most samples as a (run, count) histogram row by row.
 The measure sampler that masks a whole chunk at every step and the PPM
 writer that builds the full RGB image are the references of the library's
 sampler and writer, which must give the same bytes.  The chaos game's
@@ -189,6 +193,30 @@ def log_moments_untrimmed(row, rho, n, logs) -> list:
             if len(ps) == 2:
                 d[k] += b * sum(map(mul, reversed(v), logs))
     return [x - lg for x, lg in zip(d, logs)] if members else d
+
+
+def phi_monte_carlo_per_sample(sys, p, samples: int, seed: int) -> tuple:
+    """(mean, stderr) of log(Y / (k - 1)) over ``samples`` runs drawn one
+    by one, for positive weights p: the symbols' histogram by one
+    multinomial draw, then per symbol each run k - 1 ~ Geometric(1 - rho)
+    on 1, 2, ... and its count Y = 1 + Bin(k - 2, w / rho)."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    flat = np.array([float(w) for row in p.weights for w in row])
+    histogram = iter(rng.multinomial(samples, flat / flat.sum()).tolist())
+    vals = []
+    for row in p.weights:
+        rho = math.fsum(map(float, row))
+        for w in row:
+            drawn = next(histogram)
+            if len(row) == 1:
+                vals.append(np.zeros(drawn))
+                continue
+            run = rng.geometric(1.0 - rho, size=drawn)
+            y = 1 + rng.binomial(run - 1, float(w) / rho)
+            vals.append(np.log(y / run))
+    v = np.concatenate(vals)
+    return float(v.mean()), float(v.std(ddof=1)) / math.sqrt(samples)
 
 
 def cell_counts(ms, x, y=None) -> list:

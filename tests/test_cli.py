@@ -1,5 +1,6 @@
 """CLI contract: subcommand behaviour, exit codes, determinism."""
 
+import argparse
 import ast
 import builtins
 import inspect
@@ -663,7 +664,7 @@ class TestLazyImports:
         (["measure-dim", TWO_GROUP, "--probabilities", "uniform"],
          {"ifs", "entropy", "dimension"}),
         (["attractor-dim", config_path("all_third.json"), "--gd-depth", "2",
-          "--box", "8"], {"ifs", "entropy", "dimension", "estimate"}),
+          "--box", "8"], {"ifs", "dimension", "estimate"}),
         (["phi", TWO_GROUP, "--mc-samples", "1000", "--seed", "7"],
          {"ifs", "entropy"}),
         (["rw-entropy", TWO_GROUP, "--depth", "4"], {"ifs", "entropy"}),
@@ -747,6 +748,38 @@ print(json.dumps({
             "shannon_entropy", "similarity_dimension", "validate_4c",
             "validate_probabilities", "validate_system"]
         assert len(cfsdim.__all__) == 41
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nope"]] + [
+        [name, "--help"] for name, *_ in cli.COMMANDS],
+        ids=lambda argv: " ".join(argv) or "missing")
+    def test_prints_what_the_full_parser_prints(self, argv, capsys):
+        """Built for argv, the parser gives the top-level help, each
+        subcommand's help and the errors for an unknown and a missing
+        command in the bytes, and with the exit code, of the parser that
+        gives every subcommand its arguments."""
+        def run(parser):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            out = capsys.readouterr()
+            return exc.value.code, out.out, out.err
+        assert run(cli.build_parser(argv)) == run(cli.build_parser())
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        """Every subcommand keeps its name and help, but only the one
+        argv[0] names holds more than its -h."""
+        full = _subcommands(cli.build_parser())
+        lazy = _subcommands(cli.build_parser(["phi", "x"]))
+        assert list(lazy) == list(full) == [c[0] for c in cli.COMMANDS]
+        assert {name: len(p._actions) for name, p in lazy.items()} == {
+            name: len(p._actions) if name == "phi" else 1
+            for name, p in full.items()}
 
 
 class TestProbabilitiesRule:

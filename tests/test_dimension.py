@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys as _sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
 # The root for the doubles of [[0.999] * 399 + [1e-200], [0.5]], by
 # 400-digit arithmetic (mpmath.findroot on F(s) - (N - 1))
 S0_ROUNDED_GROUP = 519.67352085283427809
+# ln 2 / -ln 0.02 for the double 0.02, by 50-digit Decimal arithmetic: the
+# root of CFSystem([0, 1], [[0.02], [0.02]]), 8.8e-18 below the double
+# 0.17718382013555792 that _root's bracket shrinks to
+S0_TWO_002 = "0.17718382013555790908841000973771785081379438333221"
 # s0 at the default tol of each cfs descriptor in configs/, as found when
 # the excess was the direct sum of the group products minus N - 1
 S0_DIRECT_SUM = {
@@ -122,6 +127,16 @@ class TestAttractorDimension:
         assert rep.raw == pytest.approx(S0_ROUNDED_GROUP, rel=1e-9)
         lo, hi = rep.diagnostics["bracket"]
         assert lo <= S0_ROUNDED_GROUP <= hi
+
+    def test_bracket_holds_the_root_below_its_sign_change(self):
+        """The rounded excess changes sign at 0.17718382013555792 on both
+        sides, an ulp above the root; the ends moved out past the rounding
+        bound hold it, and the root is unchanged."""
+        rep = attractor_dimension(CFSystem([0, 1], [[0.02], [0.02]]))
+        assert rep.raw == 0.17718382013555792
+        lo, hi = map(Decimal, rep.diagnostics["bracket"])
+        assert lo < Decimal(S0_TWO_002) < hi
+        assert hi - lo < Decimal(1e-15)
 
     def test_config_roots_match_direct_sum(self):
         """On every cfs descriptor in configs/ the evaluation of the
@@ -418,14 +433,16 @@ def _count_gd_radius(monkeypatch) -> list:
     return seen
 
 
-def _check_root(fn, root, bracket, tol, oracle, noise):
-    """root lies in a bracket on which fn changes sign, at most tol/2 wide
-    or of adjacent doubles, and within tol plus 4 ulps of the oracle's root
-    once ``noise`` is added: the width about the root where the rounding of
-    fn can set its sign, inside which the two may find different changes."""
+def _check_root(fn, root, bracket, tol, oracle, noise, width=None):
+    """root lies in a bracket on which fn changes sign, at most ``width``
+    (tol/2 by default) wide or of adjacent doubles, and within tol plus 4
+    ulps of the oracle's root once ``noise`` is added: the width about the
+    root where the rounding of fn can set its sign, inside which the two
+    may find different changes."""
     lo, hi = bracket
     assert lo <= root <= hi
-    assert hi - lo <= tol / 2 or math.nextafter(lo, math.inf) >= hi
+    assert hi - lo <= (tol / 2 if width is None else width) \
+        or math.nextafter(lo, math.inf) >= hi
     flo, fhi = fn(lo), fn(hi)
     assert flo == 0.0 or fhi == 0.0 or (flo > 0.0) != (fhi > 0.0)
     assert abs(root - oracle) <= tol + 4 * math.ulp(max(root, oracle)) + noise
@@ -457,13 +474,23 @@ class TestRootFinder:
     @settings(max_examples=200, deadline=None)
     @given(ratios=ratio_rows, exponent=st.floats(-13.0, -1.0))
     def test_attractor_root_against_halving(self, ratios, exponent):
+        """The bracket is _root's, at most tol/2 wide, with each end moved
+        out until the excess passes its rounding bound ``error`` with the
+        end's sign.  An end needs to move at most 2 noise past the root to
+        get there, the width where the rounding can set the sign, and the
+        doubling steps overshoot by at most 2: each end moves by at most
+        4 noise and an ulp or two."""
         sys = CFSystem(list(range(len(ratios))), ratios)
         tol = 10.0**exponent
         rep = attractor_dimension(sys, tol)
         F, dF, error = attractor_excess(sys)
         oracle = bisect_root(F, 0.0, 1.0, tol)
-        _check_root(F, rep.raw, rep.diagnostics["bracket"], tol, oracle,
-                    2.0 * error / dF(oracle))
+        noise = 2.0 * error / dF(oracle)
+        lo, hi = rep.diagnostics["bracket"]
+        assert lo == 0.0 or F(lo) < -error
+        assert F(hi) > error
+        _check_root(F, rep.raw, (lo, hi), tol, oracle, noise,
+                    tol / 2 + 8 * noise + 4 * math.ulp(hi))
 
     @settings(max_examples=25, deadline=None)
     @given(ratios=ratio_rows, depth=st.integers(1, 3),

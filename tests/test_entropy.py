@@ -3,6 +3,7 @@ entropy (closed form vs exact finite-depth brute force)."""
 
 import math
 import random
+import statistics
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -17,7 +18,8 @@ from cfsdim import entropy
 from cfsdim.entropy import (DEFAULT_TOL, TRIM, RunTooLong, _log_moments,
                             _row_cells)
 from identities import dp_entropies, signature_entropies
-from oracles import log_moments_untrimmed, word_records
+from oracles import (log_moments_untrimmed, phi_monte_carlo_per_sample,
+                     word_records)
 
 # Frozen cross-oracle value for groups (2,1), lam=[[0.3,0.2],[0.25]],
 # uniform p: 10^7-sample Monte-Carlo run (seed 12345) gave
@@ -517,18 +519,81 @@ class TestPhiMonteCarlo:
         assert a == b
 
     @pytest.mark.parametrize("weights, samples, seed, value, stderr", [
-        (None, 10**6, 7, -0.21381046816713734, 0.00034984564049897015),
-        ([[0.5, 0.3], [0.2]], 20000, 3, -0.32421260395343793,
-         0.002825234687397704),
+        (None, 10**6, 7, -0.21383616463452143, 0.00035016707676552484),
+        ([[0.5, 0.3], [0.2]], 20000, 3, -0.3204149442593033,
+         0.002784384606583799),
     ], ids=["uniform21", "skewed"])
     def test_pinned_draws(self, two_group_overlap, uniform21, weights,
                           samples, seed, value, stderr):
         """A seed keeps its numbers: the draw order (the multinomial
-        histogram of the symbols, then per symbol its chunks of geometric
-        and binomial draws) and the arithmetic are fixed."""
+        histogram of the symbols, then per symbol its rows of a binomial
+        and a multinomial draw and the chunks of geometric and binomial
+        draws past them) and the arithmetic are fixed."""
         p = uniform21 if weights is None else ProbVector(weights)
         res = phi_monte_carlo(two_group_overlap, p, samples, seed)
         assert (res.value, res.stderr) == (value, stderr)
+
+    @pytest.mark.parametrize("weights", [
+        None, [[0.6, 0.3], [0.1]], [[0.5, 0.49], [0.01]]],
+        ids=["mass2/3", "mass0.9", "mass0.99"])
+    def test_z_scores_over_fixed_seeds(self, two_group_overlap, uniform21,
+                                       weights):
+        """Over seeds 0..39 the z-scores of the row draw against the series
+        look standard normal: their mean within 0.5 (about 3 standard
+        errors of a mean of 40) and their spread within [0.7, 1.35].  A
+        row's count drawn at the wrong rate, a wrong Pascal step or a row
+        value off by one moves the mean by several stderr at 10^5
+        samples."""
+        p = uniform21 if weights is None else ProbVector(weights)
+        series = phi_series(two_group_overlap, p, tol=1e-12).value
+        zs = []
+        for seed in range(40):
+            mc = phi_monte_carlo(two_group_overlap, p, 10**5, seed)
+            zs.append((mc.value - series) / mc.stderr)
+        assert abs(statistics.fmean(zs)) <= 0.5
+        assert 0.7 <= statistics.stdev(zs) <= 1.35
+
+    @pytest.mark.parametrize("weights", [
+        None, [[0.6, 0.3], [0.1]], [[0.5, 0.49], [0.01]]],
+        ids=["mass2/3", "mass0.9", "mass0.99"])
+    def test_agrees_with_per_sample_draw(self, two_group_overlap, uniform21,
+                                         weights):
+        """The row draw and the per-sample draw of every run estimate the
+        same mean: within 5 combined stderr at 10^6 samples each."""
+        p = uniform21 if weights is None else ProbVector(weights)
+        mc = phi_monte_carlo(two_group_overlap, p, 10**6, seed=11)
+        mean, stderr = phi_monte_carlo_per_sample(two_group_overlap, p,
+                                                  10**6, seed=12)
+        assert abs(mc.value - mean) <= 5 * math.hypot(mc.stderr, stderr)
+        assert mc.stderr == pytest.approx(stderr, rel=0.05)
+
+    @pytest.mark.parametrize("weights", [None, [[0.6, 0.3], [0.1]]],
+                             ids=["mass2/3", "mass0.9"])
+    def test_samples_past_the_rows_agree_with_series(
+            self, two_group_overlap, uniform21, weights):
+        """At 3 samples no row expects more than one sample, so every run
+        is drawn by _mc_chunk from run 0, where a run off by one would move
+        the value most: the mean of 3000 seeds' values lies within 5 of its
+        standard errors of the series."""
+        p = uniform21 if weights is None else ProbVector(weights)
+        series = phi_series(two_group_overlap, p, tol=1e-12).value
+        values = [phi_monte_carlo(two_group_overlap, p, 3, seed).value
+                  for seed in range(3000)]
+        stderr = statistics.stdev(values) / math.sqrt(len(values))
+        assert abs(statistics.fmean(values) - series) <= 5 * stderr
+
+    def test_long_run_past_the_rows_is_refused(self, two_group_overlap,
+                                               uniform21, monkeypatch):
+        """The samples left after the last row carry its run length on into
+        _mc_chunk, which refuses a run at MC_RUN_CAP: at 10^4 uniform
+        samples and seed 7 the rows stop at runs 11 and 12 by their own
+        rule, so a cap of 16 passes the check before drawing, and one of
+        the 61 runs of 11 or 12 plus a geometric draw reaches it."""
+        monkeypatch.setattr(entropy, "MC_RUN_CAP", 16)
+        with pytest.raises(RunTooLong, match="exceeded 16"):
+            phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
+        monkeypatch.setattr(entropy, "MC_RUN_CAP", 10**6)
+        phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
 
     def test_peak_memory(self, two_group_overlap, uniform21):
         """The samples stream in chunks of SAMPLE_CHUNK: the traced peak is

@@ -12,7 +12,6 @@ from hypothesis import given, reject, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, ProbVector, attractor_dimension,
                     measure_dimension)
-from identities import attractor_excess
 
 # log-uniform over four decades: one map may hold almost all of its
 # group's mass, and one group almost all of the system's
@@ -41,10 +40,9 @@ def test_measure_dimension_at_most_attractor_dimension(case):
 
     The left side may read high by the Phi bound over chi.  The right side
     is the upper end b of s_0's bracket, where the library's F(b) - (N - 1)
-    is positive; that value may read high by the rounding bound e of F, so
-    s_0 lies below b + e / F'(b).  Equality holds for the natural weights
-    of single-map groups, and there b alone can fall an ulp short of s_0
-    (ratios 0.02 and 0.02 with equal weights)."""
+    exceeds the rounding bound of F, so s_0 lies below b.  Equality holds
+    for the natural weights of single-map groups (ratios 0.02 and 0.02 with
+    equal weights), where b has to hold s_0 to the last bit."""
     sys, p = case
     try:
         rep = measure_dimension(sys, p)
@@ -52,6 +50,5 @@ def test_measure_dimension_at_most_attractor_dimension(case):
         reject()
     d = rep.diagnostics
     lower = rep.raw - d["phi_tail_bound"] / d["lyapunov"]
-    _, dF, error = attractor_excess(sys)
     b = attractor_dimension(sys).diagnostics["bracket"][1]
-    assert min(1.0, lower) <= min(1.0, b + error / dF(b))
+    assert min(1.0, lower) <= min(1.0, b)
