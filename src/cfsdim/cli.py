@@ -105,14 +105,12 @@ def cmd_measure_dim(args) -> int:
 def cmd_attractor_dim(args) -> int:
     from . import dimension
     sys_obj, _ = _load(args)
-    if args.gd_depth > 0:        # the whole sequence's budget, before any root
-        dimension.gd_cells(sys_obj, args.gd_depth, sequence=True)
+    # the sequence first: its depth and cells checks come before any root
+    seq = (dimension.gd_sequence(sys_obj, args.gd_depth, tol=args.tol)
+           if args.gd_depth else None)
     rep = dimension.attractor_dimension(sys_obj, tol=args.tol)
     out = rep.to_json_dict()
-    if args.gd_depth:
-        # a negative depth goes to gd_dimension, which rejects it
-        seq = [dimension.gd_dimension(sys_obj, d, tol=args.tol)
-               for d in range(1, args.gd_depth + 1) or [args.gd_depth]]
+    if seq:
         out["gd_sequence"] = seq
         out["gd_delta"] = rep.raw - seq[-1]
     if args.box:

@@ -18,11 +18,13 @@ from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
 
 ROOT_TOL = 1e-12
 POWER_ITER_CAP = 100_000
-# One evaluation at depth n fills n cells of the homogeneous-sum recurrence
-# per map, about 0.1 us each.  At the cap one evaluation of each of s_1..s_n
-# (n(n+1)/2 cells per map) takes about 1.7 s, and the whole sequence, at 3
-# evaluations per root in the median with s0 bounding each root, 4.2-5.2 s
-# (n = 2581 on three maps: attractor-dim, Python 3.11, a 2-core Xeon VM)
+# One evaluation of s_d fills d cells of the homogeneous-sum recurrence per
+# map, about 0.1 us each.  The one cells rule sums d M over the depths a
+# call asks for, M maps: d M for gd_dimension, D(D+1)/2 M for gd_sequence.
+# At the cap one evaluation of each of s_1..s_D takes about 1.7 s, and the
+# whole sequence, at 3 evaluations per root in the median with s0 bounding
+# each root, 4.2-5.2 s (D = 2581 on three maps: attractor-dim, Python 3.11,
+# a 2-core Xeon VM)
 GD_CELL_CAP = 10**7
 
 
@@ -199,20 +201,6 @@ def _complete_homogeneous_sums(xs, depth: int) -> float:
     return _total(H[1:])
 
 
-def gd_cells(sys: CFSystem, depth: int, sequence: bool = False) -> int:
-    """The homogeneous-sum cells one evaluation of s_depth fills (with
-    ``sequence``, one evaluation of each of s_1..s_depth); BudgetExceeded
-    past GD_CELL_CAP.  Checked before the first root, as count_classes
-    guards the probe."""
-    per_map = depth * (depth + 1) // 2 if sequence else depth
-    cells = per_map * sum(sys.group_sizes)
-    if cells > GD_CELL_CAP:
-        raise BudgetExceeded(
-            f"graph-directed roots to depth {depth} need {cells} "
-            f"homogeneous-sum cells per evaluation, cap {GD_CELL_CAP}")
-    return cells
-
-
 def _gd_radius(c) -> float:
     """rho(C) for the graph-directed quotient C = 1 c^T - diag(c) of
     column sums c >= 0, by power iteration on its symmetric form.
@@ -253,29 +241,44 @@ def _gd_radius(c) -> float:
     raise NonConvergence(f"power iteration did not settle in {POWER_ITER_CAP} steps")
 
 
-def gd_dimension(sys: CFSystem, depth: Optional[int],
-                 tol: float = 1e-10) -> float:
-    """s_n solving rho(C_n^(s)) = 1; rho is strictly decreasing in s and at
-    least N - 1 >= 1 at s = 0, so the root lies in [0, inf).  Depth None is
-    the infinite-depth limit, whose equation is the attractor equation, so
-    it returns attractor_dimension(sys, tol).raw.
-
-    As s_n increases to the attractor root s0, the root is bracketed on
-    [0, hi], hi the upper end of s0's final bracket (at most tol/2 above
-    s0): about 6 evaluations of rho per root.  Should rounding leave g(hi)
-    positive, _root doubles hi.  The cell cap is checked first, so a
-    refused depth evaluates nothing."""
+def _gd_roots(sys: CFSystem, first: int, last: int, tol: float) -> list:
+    """[s_first, ..., s_last], s_n the root of rho(C_n^(s)) = 1: rho is
+    strictly decreasing in s and at least N - 1 >= 1 at s = 0.  The depths,
+    then the one cells rule (n M cells summed over the depths, M maps)
+    against GD_CELL_CAP, are checked before anything is evaluated.  As s_n
+    increases to s0, each root is bracketed on [0, hi], hi the upper end of
+    s0's final bracket, found once: about 6 evaluations of rho per root
+    (_root doubles hi should rounding leave g(hi) positive)."""
     check_tol(tol)
-    if depth is None:
-        return attractor_dimension(sys, tol).raw
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1 or None, got {depth}")
-    gd_cells(sys, depth)
+    if first < 1 or last < first:
+        raise ValidationError(f"depth must be >= 1 or None, got {last}")
+    cells = (first + last) * (last - first + 1) // 2 * sys.n_maps
+    if cells > GD_CELL_CAP:
+        raise BudgetExceeded(
+            f"graph-directed roots to depth {last} need {cells} "
+            f"homogeneous-sum cells per evaluation, cap {GD_CELL_CAP}")
     hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
 
-    def g(s):
-        c = [_complete_homogeneous_sums([float(lam)**s for lam in row], depth)
-             for row in sys.ratios]
-        return _gd_radius(c) - 1.0
+    def root(depth):
+        def g(s):
+            c = [_complete_homogeneous_sums([float(lam)**s for lam in row],
+                                            depth) for row in sys.ratios]
+            return _gd_radius(c) - 1.0
+        return _root(g, 0.0, hi, tol)[0]
 
-    return _root(g, 0.0, hi, tol)[0]
+    return [root(depth) for depth in range(first, last + 1)]
+
+
+def gd_dimension(sys: CFSystem, depth: Optional[int],
+                 tol: float = 1e-10) -> float:
+    """s_depth, from the graph-directed evaluator _gd_roots.  Depth None, the
+    limit, solves the attractor equation: attractor_dimension(sys, tol).raw."""
+    if depth is None:
+        return attractor_dimension(sys, tol).raw
+    return _gd_roots(sys, depth, depth, tol)[0]
+
+
+def gd_sequence(sys: CFSystem, depth: int, tol: float = 1e-10) -> list:
+    """[s_1, ..., s_depth], each equal to gd_dimension(sys, n, tol), from
+    one call of _gd_roots: one cells check and one attractor root."""
+    return _gd_roots(sys, 1, depth, tol)

@@ -55,15 +55,12 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     (chi_x, rx), (chi_y, ry) = ((lyapunov(line, q), phi_series(line, q, tol))
                                 for line, q in _projections(sys, p))
     phi_x, phi_y = rx.value, ry.value
-    eps = 1e-12
-    if chi_y >= chi_x - eps:
+    if chi_y >= chi_x:
         a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y
     else:
         a, chi_a, phi_a, chi_b = "y", chi_y, phi_y, chi_x
-    if chi_a >= h + phi_a - eps:
-        case, dim_a = f"{a}-saturating", (h + phi_a) / chi_a
-    else:
-        case, dim_a = f"{a}-overflow", 1.0
+    case = a + ("-saturating" if chi_a >= h + phi_a else "-overflow")
+    dim_a = min(1.0, (h + phi_a) / chi_a)    # 1 exactly when it overflows
     raw = dim_a + (h - chi_a * dim_a) / chi_b
     return DimensionReport(
         dimension=min(2.0, max(0.0, raw)), raw=raw, method="4corner-case",

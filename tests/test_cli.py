@@ -165,6 +165,33 @@ class TestAttractorDim:
         assert "homogeneous-sum cells" in proc.stderr
         assert proc.stdout == ""
 
+    def test_gd_sequence_finds_the_attractor_root_at_most_twice(
+            self, monkeypatch, capsys):
+        """The report and the sequence's bracket are the only attractor
+        roots: one gd_sequence call serves s_1..s_10, not one root per
+        depth."""
+        calls = []
+        real = dimension.attractor_dimension
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dimension, "attractor_dimension", counted)
+        code, out, _ = run_main(["attractor-dim",
+                                 config_path("all_third.json"),
+                                 "--gd-depth", "10"], capsys)
+        assert code == 0 and len(json.loads(out)["gd_sequence"]) == 10
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("depth", ["-1", "-3", "-100000"])
+    def test_negative_gd_depth(self, depth, capsys):
+        code, out, err = run_main(["attractor-dim", TWO_GROUP, "--gd-depth",
+                                   depth], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"validation error: depth must be >= 1 or None, " \
+                      f"got {depth}\n"
+
 
 class TestPhiAndEntropy:
     def test_phi_with_mc(self, capsys):

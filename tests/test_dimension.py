@@ -400,23 +400,44 @@ class TestGDDimension:
             assert len(seen) <= 9, (depth, len(seen))
 
     def test_depth_budget(self, two_group_overlap, monkeypatch):
-        """A depth past GD_CELL_CAP homogeneous-sum cells per evaluation (the
-        depth times the number of maps; for the sequence s_1..s_D,
-        D(D+1)/2 times it) is refused before any evaluation, of rho or of
-        the attractor root that brackets s_n."""
+        """One cells rule, d M summed over the requested depths (M = 3
+        maps here: d M for gd_dimension, D(D+1)/2 M for gd_sequence), is
+        checked against GD_CELL_CAP before any evaluation, of rho or of the
+        attractor root that brackets s_n.  The root is stubbed to raise, so
+        a depth inside the cap stops at it."""
+        class Reached(Exception):
+            pass
+
+        def root(*args):
+            raise Reached
+
         seen = _count_gd_radius(monkeypatch)
-        roots = []
-        monkeypatch.setattr(dimension, "attractor_dimension",
-                            lambda *a: roots.append(a))
+        monkeypatch.setattr(dimension, "attractor_dimension", root)
         cap_depth = dimension.GD_CELL_CAP // 3
-        assert dimension.gd_cells(two_group_overlap, cap_depth) == 3 * cap_depth
-        with pytest.raises(BudgetExceeded, match="cap"):
-            gd_dimension(two_group_overlap, cap_depth + 1)
-        assert dimension.gd_cells(two_group_overlap, 1000, sequence=True) \
-            == 3 * 1000 * 1001 // 2
-        with pytest.raises(BudgetExceeded, match="cap"):
-            dimension.gd_cells(two_group_overlap, 100_000, sequence=True)
-        assert seen == [] and roots == []
+        # D = 2581 fills 9 996 213 cells, D = 2582 10 003 959
+        for call, last_inside in ((gd_dimension, cap_depth),
+                                  (dimension.gd_sequence, 2581)):
+            with pytest.raises(Reached):
+                call(two_group_overlap, last_inside)
+            for depth in (last_inside + 1, 10**18):
+                with pytest.raises(BudgetExceeded,
+                                   match="homogeneous-sum cells"):
+                    call(two_group_overlap, depth)
+        assert seen == []
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_sequence_depth_rule(self, two_group_overlap, depth):
+        with pytest.raises(ValidationError,
+                           match=f"depth must be >= 1 or None, got {depth}"):
+            dimension.gd_sequence(two_group_overlap, depth)
+
+    @pytest.mark.parametrize("name", _cfs_configs())
+    def test_sequence_is_each_depth(self, name):
+        """gd_sequence's s_1..s_12 are gd_dimension's, bit for bit: each
+        comes from the same _root call on the same bracket."""
+        sys = load_config(name)[0]
+        assert dimension.gd_sequence(sys, 12) == \
+            [gd_dimension(sys, d) for d in range(1, 13)]
 
 
 def _count_gd_radius(monkeypatch) -> list:
