@@ -21,8 +21,8 @@ _EXPORTS = {
     "dimension": ("DimensionReport", "attractor_dimension", "gd_dimension",
                   "measure_dimension", "similarity_dimension"),
     "separation": ("ProbeResult", "SeparationReport", "esc_probe", "min_gap"),
-    "fourcorner": ("ConditionsNotMet", "measure_dimension_4c", "natural_p",
-                   "render_cylinders_svg", "set_dimension_4c"),
+    "fourcorner": ("measure_dimension_4c", "natural_p", "render_cylinders_svg",
+                   "set_dimension_4c"),
     "estimate": ("ScalingFit", "box_dimension_1d", "box_dimension_2d",
                  "cover_boxes_1d", "entropy_slope", "render_attractor_ppm"),
 }

@@ -28,10 +28,6 @@ POWER_ITER_CAP = 100_000
 GD_CELL_CAP = 10**7
 
 
-class NonConvergence(BudgetExceeded):
-    pass
-
-
 class DimensionReport(NamedTuple):
     dimension: float             # capped to [0, 1]
     raw: float                   # uncapped root / ratio
@@ -238,7 +234,7 @@ def _gd_radius(c) -> float:
         # residual stop: ||(S/sigma + I)x - lam x||_1 relative to lam
         if float(np.abs(y - lam * x).sum()) <= 1e-14 * lam:
             return (lam - 1.0) * sigma
-    raise NonConvergence(f"power iteration did not settle in {POWER_ITER_CAP} steps")
+    raise BudgetExceeded(f"power iteration did not settle in {POWER_ITER_CAP} steps")
 
 
 def _gd_roots(sys: CFSystem, first: int, last: int, tol: float) -> list:

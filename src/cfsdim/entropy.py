@@ -25,10 +25,6 @@ RW_DP_CAP = 10**7
 TRIM = 2.0 ** -70     # _log_moments drops row ends below this
 
 
-class RunTooLong(BudgetExceeded):
-    """A Monte-Carlo run stayed inside one group past the step cap."""
-
-
 class PhiResult(NamedTuple):
     value: float
     tail_bound: float
@@ -70,7 +66,9 @@ def lyapunov(sys: CFSystem, p: ProbVector) -> float:
 
 
 def _group_masses(p: ProbVector) -> List[float]:
-    return [float(_total(row)) for row in p.weights]
+    """Each group's mass rho: the fsum of its weights as doubles, correctly
+    rounded, as phi_series' rounding analysis assumes."""
+    return [math.fsum(map(float, row)) for row in p.weights]
 
 
 def _point_mass_bound(p: ProbVector) -> float:
@@ -234,8 +232,8 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     if bound < tol:
         return _point_mass(p, bound)
     # single-member groups drop out: D_k = 0
-    groups = [(math.fsum(map(float, row)), row)
-              for row in p.weights if len(row) > 1]
+    groups = [(rho, row) for rho, row in zip(_group_masses(p), p.weights)
+              if len(row) > 1]
     if any(rho >= 1.0 for rho, _ in groups):
         raise BudgetExceeded(f"a group mass rounds to 1 and the point-mass "
                              f"bound {bound!r} is not below tol {tol!r}")
@@ -294,7 +292,7 @@ def _mc_chunk(rng, rho: float, w: float, size: int, start: int) -> tuple:
     run = rng.geometric(1.0 - rho, size=size)
     run += start - 1
     if np.any(run >= MC_RUN_CAP):
-        raise RunTooLong(f"a run exceeded {MC_RUN_CAP} in-group steps")
+        raise BudgetExceeded(f"a run exceeded {MC_RUN_CAP} in-group steps")
     y = rng.binomial(run, w / rho)
     y += 1
     run += 1
@@ -347,9 +345,9 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     Draw X1 ~ p; run i.i.d. until the first symbol outside group(X1) at step
     k; Y counts X1 among steps 1..k-1; average log(Y/(k-1)).  Equivalently,
     k-1 = 1 + G with G geometric in the group mass and Y = 1 + Binom(G, a/rho),
-    which is what is sampled here.  Raises RunTooLong before drawing when a
-    group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and while drawing when
-    one sampled run does.
+    which is what is sampled here.  Raises BudgetExceeded before drawing
+    when a group's mean run 1/(1 - rho) reaches MC_RUN_CAP, and while
+    drawing when one sampled run does.
 
     The symbols' histogram is drawn first, in one multinomial draw.  Then
     each symbol in turn draws its (run, count) histogram row by row and the
@@ -366,8 +364,8 @@ def phi_monte_carlo(sys: CFSystem, p: ProbVector, samples: int,
     masses = _group_masses(p)
     # a run stays in a group of mass rho for 1/(1 - rho) steps on average
     if (1.0 - max(masses)) * MC_RUN_CAP <= 1.0:
-        raise RunTooLong(f"a group mass rounds to 1 within 1/{MC_RUN_CAP}: "
-                         "its mean run 1/(1 - rho) reaches the step cap")
+        raise BudgetExceeded(f"a group mass rounds to 1 within 1/{MC_RUN_CAP}"
+                             ": its mean run 1/(1 - rho) reaches the step cap")
     import numpy as np
     rng = np.random.default_rng(seed)
     flat = np.array([float(w) for w in p.flat()])

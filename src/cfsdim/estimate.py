@@ -74,39 +74,43 @@ def _scaling_fit(ms: list, window: list, counts: list,
 def cover_boxes_1d(sys: CFSystem, m: int) -> int:
     """The dyadic boxes of side 2^-m that meet a cylinder cover.
 
-    Cylinder intervals f_w([t_min, t_max]) are refined until shorter than
-    2^-m (after rescaling the attractor into [0,1]), and every box meeting
-    one is counted.  Maps with the same ratio at the same fixed point are
-    the same map and have the same subtree, so each distinct (ratio,
-    intercept) pair is refined once.
+    On the hull [t_min, t_max] rescaled to [0, 1], each cylinder [lo, hi]
+    of ratio r >= 2^-m is refined: f_i(u) = lam u + u_i (1 - lam), u_i the
+    rescaled fixed point, gives the child [lo + r a_i, hi - r b_i] of ratio
+    r lam, a_i = f_i(0) and b_i = 1 - f_i(1) rounded from the system's
+    mode.  a_i is 0 at t_min and b_i at t_max, so an end shared with the
+    parent keeps its bits and the hull's ends stay 0 and 1.  Each box that
+    meets a leaf is counted, its index clipped into 0..2^m - 1 as _keys
+    clips the chaos game's cells.  Equal maps are refined once.
     """
-    t_min, t_max = float(min(sys.fixed_points)), float(max(sys.fixed_points))
-    diam = t_max - t_min
-    maps = {(float(r), float(c)) for r, c in sys.maps()}
+    t_min = min(sys.fixed_points)
+    diam = max(sys.fixed_points) - t_min
+    maps = set()
+    for t, row in zip(sys.fixed_points, sys.ratios):
+        u = (t - t_min) / diam
+        maps.update((float(lam), float(u * (1 - lam)),
+                     float((1 - u) * (1 - lam))) for lam in row)
     target = 2.0 ** (-m)
-    scale = 2 ** m
+    scale, last = 2 ** m, 2 ** m - 1
 
     boxes: set = set()
     visited = 0
-    # iterative DFS over cylinder maps as (ratio, intercept)
-    stack = [(1.0, 0.0)]
+    # iterative DFS over the cylinders as (ratio, lo, hi)
+    stack = [(1.0, 0.0, 1.0)]
     while stack:
-        r, c = stack.pop()
-        # rescaled cylinder is [lo, lo + r]: lengths divide out the diameter
-        lo = (c + r * t_min - t_min) / diam
+        r, lo, hi = stack.pop()
         if r >= target:
             visited += len(maps)
             if visited > DEFAULT_COVER_BUDGET:
                 raise BudgetExceeded(
                     f"cover refinement exceeded {DEFAULT_COVER_BUDGET}")
-            for ratio, intercept in maps:
-                stack.append((r * ratio, r * intercept + c))
+            for ratio, a, b in maps:
+                stack.append((r * ratio, lo + r * a, hi - r * b))
             continue
-        hi = lo + r          # rescaled cylinder [lo, lo + r]
-        b0 = int(math.floor(lo * scale))
-        b1 = int(math.floor(min(hi, 1.0 - 1e-15) * scale))
-        boxes.update(range(b0, b1 + 1))
-    return len(boxes)
+        boxes.update(range(math.floor(lo * scale),
+                           math.floor(hi * scale) + 1))
+    # clipping is monotone: a clipped range is the range of clipped ends
+    return len({min(max(b, 0), last) for b in boxes})
 
 
 def box_dimension_1d(sys: CFSystem, m_range: Sequence[int]) -> ScalingFit:

@@ -23,20 +23,21 @@ from .ifs import (BudgetExceeded, CFSystem, FourCornerProb, FourCornerSystem,
 CYLINDER_CAP = 4**9
 
 
-class ConditionsNotMet(ValidationError):
-    """The rectangular open-set inequalities fail."""
-
-
-class RootOutsideBracket(ValidationError):
-    """The natural-weight equation has no positive root."""
-
-
 def _projections(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
     """((x system, x weights), (y system, y weights)): each coordinate
     projection is the common-fixed-point line system on {0, 1} whose group
     rows are that coordinate's ratio rows."""
     return ((CFSystem([0.0, 1.0], sys.gamma), p.x_grouping()),
             (CFSystem([0.0, 1.0], sys.lam), p.y_grouping()))
+
+
+def _open_set_report(sys: FourCornerSystem) -> dict:
+    """validate_4c's report of ``sys``; raises ValidationError naming the
+    violated rectangular open-set inequalities, if any."""
+    rep = validate_4c(sys)
+    if not rep["open_set_ok"]:
+        raise ValidationError("; ".join(rep["open_set_violations"]))
+    return rep
 
 
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
@@ -48,9 +49,7 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     otherwise; the other coordinate b carries the entropy left over, at
     rate chi_b.
     """
-    rep = validate_4c(sys)
-    if not rep["open_set_ok"]:
-        raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
+    _open_set_report(sys)
     h = shannon_entropy(p.x_grouping())
     (chi_x, rx), (chi_y, ry) = ((lyapunov(line, q), phi_series(line, q, tol))
                                 for line, q in _projections(sys, p))
@@ -92,8 +91,8 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
         return _total(weights(s)) - 1.0
 
     if excess(0.0) <= 0.0:
-        raise RootOutsideBracket("the natural-weight equation has no positive "
-                                 "root: sum gamma_i / lambda_i <= 1")
+        raise ValidationError("the natural-weight equation has no positive "
+                              "root: sum gamma_i / lambda_i <= 1")
     root = _root(excess, 0.0, 1.0, tol)
     w = weights(root[0])
     total = _total(w)
@@ -102,7 +101,7 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
 
 def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
     """(FourCornerProb, s): the affinity-natural weights and their root s
-    (_natural_root); RootOutsideBracket when s would not be positive."""
+    (_natural_root); ValidationError when s would not be positive."""
     prob, (s, _, _) = _natural_root(sys, tol)
     return prob, s
 
@@ -131,9 +130,7 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
     only an upper bound and is flagged as such.  The sufficiency expression
     is evaluated at the reported s; diagnostics carry the final bracket of s
     and the evaluations it took."""
-    rep = validate_4c(sys)
-    if not rep["open_set_ok"]:
-        raise ConditionsNotMet("; ".join(rep["open_set_violations"]))
+    rep = _open_set_report(sys)
     prob, (s, bracket, evaluations) = _natural_root(sys, tol)
     value = _suff_value(sys, prob)
     diagnostics = {"conditions": rep, "s": s, "natural_p": list(prob.p),

@@ -18,8 +18,13 @@ Dyadic cell counting over materialised points, one clip and ``np.unique``
 per scale, is likewise the independent check of the streamed cell counter
 of the entropy and box-counting estimators.
 
-The power iteration with two 1-norms and two products a step is the
-reference of ``dimension._gd_radius``, which takes one product a step.
+The power iteration with two 1-norms and two products a step, with its
+own step count and error, is the reference of ``dimension._gd_radius``,
+which takes one product a step.
+
+The cylinder cover refined in ``Fraction``s, each box read from the exact
+ends of a cylinder, is the check of ``estimate.cover_boxes_1d``, which
+refines in doubles and clips its box indices into the grid.
 
 Drawing each Monte-Carlo run and its count one by one, every sample held
 at once, is the independent check of ``entropy.phi_monte_carlo``, which
@@ -33,13 +38,18 @@ library's counters and raster read one step at a time.
 
 import itertools
 import math
+from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from cfsdim import BudgetExceeded, ValidationError
-from cfsdim.dimension import POWER_ITER_CAP, NonConvergence
 
 ENUM_BUDGET = 10**8     # the most words enumerate_words gives: L**n
+POWER_STEPS = 100_000   # the most steps spectral_radius takes
+
+
+class Unsettled(RuntimeError):
+    """spectral_radius did not settle in POWER_STEPS steps."""
 
 
 class EmptyWord(ValidationError):
@@ -247,7 +257,7 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
         return 0.0
     shifted = A / sigma + np.eye(n)
     x = np.full(n, 1.0 / n)
-    for _ in range(POWER_ITER_CAP):
+    for _ in range(POWER_STEPS):
         y = shifted @ x
         lam = float(np.linalg.norm(y, 1))
         if lam == 0.0:
@@ -256,8 +266,32 @@ def spectral_radius(M, tol: float = 1e-12) -> float:
         res = float(np.linalg.norm(shifted @ x - lam * x, 1))
         if res <= max(tol, 1e-15) * lam:
             return (lam - 1.0) * sigma
-    raise NonConvergence(f"power iteration did not settle in "
-                         f"{POWER_ITER_CAP} steps")
+    raise Unsettled(f"power iteration did not settle in {POWER_STEPS} steps")
+
+
+def cover_count(sys, m: int) -> int:
+    """The dyadic boxes of side 2^-m that meet the cylinder cover, in exact
+    arithmetic on the inputs as doubles: each distinct map x -> lam x +
+    t (1 - lam) and every composition as Fractions, cylinders refined while
+    their rescaled length is at least 2^-m, and each cylinder [lo, hi]
+    meeting the boxes floor(lo 2^m) to floor(hi 2^m), the right end 1 in
+    the last box.  Exactly, 0 <= lo and hi <= 1."""
+    fixed = [Fraction(float(t)) for t in sys.fixed_points]
+    maps = {(Fraction(float(lam)), t * (1 - Fraction(float(lam))))
+            for t, row in zip(fixed, sys.ratios) for lam in row}
+    t_min, diam = min(fixed), max(fixed) - min(fixed)
+    scale = 2**m
+    boxes = set()
+    stack = [(Fraction(1), Fraction(0))]
+    while stack:
+        r, c = stack.pop()
+        if r * scale >= 1:
+            stack.extend((r * lam, r * b + c) for lam, b in maps)
+            continue
+        lo = (c + r * t_min - t_min) / diam
+        boxes.update(range(math.floor(lo * scale),
+                           min(math.floor((lo + r) * scale), scale - 1) + 1))
+    return len(boxes)
 
 
 def measure_samples(sys, p, samples, min_scale, seed, chunk_size):

@@ -761,8 +761,7 @@ print(json.dumps({
         (word enumeration, composition, class weights, the chaos game's
         points in one array) lives in the tests."""
         assert cfsdim.__all__ == [
-            "Block", "BudgetExceeded", "CFSystem", "ConditionsNotMet",
-            "DimensionReport", "FourCornerProb", "FourCornerSystem",
+            "Block", "BudgetExceeded", "CFSystem", "DimensionReport", "FourCornerProb", "FourCornerSystem",
             "PhiResult", "ProbVector", "ProbeResult", "RWEntropyResult",
             "ScalingFit", "SeparationReport", "ValidationError",
             "attractor_dimension", "box_dimension_1d", "box_dimension_2d",
@@ -774,7 +773,7 @@ print(json.dumps({
             "rw_entropy_bruteforce", "rw_entropy_closed", "set_dimension_4c",
             "shannon_entropy", "similarity_dimension", "validate_4c",
             "validate_probabilities", "validate_system"]
-        assert len(cfsdim.__all__) == 41
+        assert len(cfsdim.__all__) == 40
 
 
 def _subcommands(parser):
@@ -1143,6 +1142,64 @@ def test_readme_exit_table_matches_exit_codes():
         base = next(code for classes, code, _ in cli.EXIT_CODES
                     if issubclass(cls, classes))
         assert DOCUMENTED_EXIT[cls.__name__] == base
+
+
+_OVERLAP = ifs.CFSystem([0.0, 1.0], [[0.3, 0.2], [0.25]])
+
+
+@pytest.mark.parametrize("call, patch, base, message", [
+    pytest.param(
+        lambda: fourcorner.measure_dimension_4c(
+            ifs.FourCornerSystem([[0.6] * 2] * 2, [[0.6] * 2] * 2),
+            ifs.FourCornerProb.uniform()),
+        None, ifs.ValidationError,
+        "gamma11 + gamma21 > 1; gamma12 + gamma22 > 1; "
+        "lambda11 + lambda21 > 1; lambda12 + lambda22 > 1; "
+        "min(gamma12+gamma21, lambda12+lambda21) > 1; "
+        "min(gamma11+gamma22, lambda11+lambda22) > 1",
+        id="measure-4c-open-set"),
+    pytest.param(
+        lambda: fourcorner.set_dimension_4c(
+            ifs.FourCornerSystem([[0.6] * 2] * 2, [[0.4] * 2] * 2)),
+        None, ifs.ValidationError,
+        "gamma11 + gamma21 > 1; gamma12 + gamma22 > 1",
+        id="set-4c-open-set"),
+    pytest.param(
+        lambda: fourcorner.natural_p(ifs.FourCornerSystem(
+            [[0.1, 0.1], [0.1, 0.1]], [[0.45, 0.45], [0.45, 0.45]])),
+        None, ifs.ValidationError,
+        "the natural-weight equation has no positive root: "
+        "sum gamma_i / lambda_i <= 1",
+        id="natural-root"),
+    pytest.param(
+        lambda: entropy.phi_monte_carlo(
+            _OVERLAP, ProbVector([[0.5, 0.5], [1e-17]]), 10, seed=0),
+        None, ifs.BudgetExceeded,
+        "a group mass rounds to 1 within 1/1000000: its mean run "
+        "1/(1 - rho) reaches the step cap",
+        id="monte-carlo-mean-run"),
+    pytest.param(
+        lambda: entropy.phi_monte_carlo(
+            _OVERLAP, ProbVector.uniform(_OVERLAP), 10**4, seed=7),
+        (entropy, "MC_RUN_CAP", 16), ifs.BudgetExceeded,
+        "a run exceeded 16 in-group steps",
+        id="monte-carlo-drawn-run"),
+    pytest.param(
+        lambda: dimension._gd_radius([1e-9, 1.0, 1e9]),
+        (dimension, "POWER_ITER_CAP", 1), ifs.BudgetExceeded,
+        "power iteration did not settle in 1 steps",
+        id="power-iteration-cap"),
+])
+def test_refusals_raise_their_exit_codes_base_class(call, patch, base,
+                                                    message, monkeypatch):
+    """Each refusal raises the class its exit code maps, not a subclass of
+    it, with the message it printed when it had a subclass of its own."""
+    if patch:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(base) as info:
+        call()
+    assert type(info.value) is base
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("exc_class", _exception_classes(),

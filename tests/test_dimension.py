@@ -263,9 +263,9 @@ class TestSpectralRadius:
         assert _gd_radius([1.0, math.nan]) == math.inf
 
     def test_cap_raises_nonconvergence(self, monkeypatch):
-        """The step cap still ends the iteration, with NonConvergence."""
+        """The step cap still ends the iteration, with BudgetExceeded."""
         monkeypatch.setattr(dimension, "POWER_ITER_CAP", 1)
-        with pytest.raises(dimension.NonConvergence, match="1 steps"):
+        with pytest.raises(BudgetExceeded, match="1 steps"):
             _gd_radius([1e-9, 1.0, 1e9])
 
     @settings(max_examples=200, deadline=None)

@@ -15,8 +15,7 @@ from cfsdim import (BudgetExceeded, CFSystem, ProbVector, ValidationError, ifs,
                     lyapunov, phi_lower_bound, phi_monte_carlo, phi_series,
                     rw_entropy_bruteforce, rw_entropy_closed, shannon_entropy)
 from cfsdim import entropy
-from cfsdim.entropy import (DEFAULT_TOL, TRIM, RunTooLong, _log_moments,
-                            _row_cells)
+from cfsdim.entropy import DEFAULT_TOL, TRIM, _log_moments, _row_cells
 from identities import dp_entropies, signature_entropies
 from oracles import (log_moments_untrimmed, phi_monte_carlo_per_sample,
                      word_records)
@@ -475,7 +474,7 @@ class TestPhiMonteCarlo:
             self, two_group_overlap):
         """Runs inside a group of float mass 1 never end; the sampler says
         so before drawing."""
-        with pytest.raises(RunTooLong, match="rounds to 1"):
+        with pytest.raises(BudgetExceeded, match="rounds to 1"):
             phi_monte_carlo(two_group_overlap,
                             ProbVector([[0.5, 0.5], [1e-17]]), 10, seed=0)
 
@@ -486,7 +485,7 @@ class TestPhiMonteCarlo:
         p = ProbVector([[0.5, 0.499999999999], [1e-12]])
         tracemalloc.start()
         try:
-            with pytest.raises(RunTooLong, match="mean run"):
+            with pytest.raises(BudgetExceeded, match="mean run"):
                 phi_monte_carlo(two_group_overlap, p, 10**6, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -590,7 +589,7 @@ class TestPhiMonteCarlo:
         rule, so a cap of 16 passes the check before drawing, and one of
         the 61 runs of 11 or 12 plus a geometric draw reaches it."""
         monkeypatch.setattr(entropy, "MC_RUN_CAP", 16)
-        with pytest.raises(RunTooLong, match="exceeded 16"):
+        with pytest.raises(BudgetExceeded, match="exceeded 16"):
             phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
         monkeypatch.setattr(entropy, "MC_RUN_CAP", 10**6)
         phi_monte_carlo(two_group_overlap, uniform21, 10**4, seed=7)
@@ -794,6 +793,25 @@ class TestSignatureDP:
         got = dp_entropies(sys, p, n)[-1]
         assert got == pytest.approx(_entropy_by_word_enumeration(sys, p, n),
                                     abs=1e-9)
+
+    def test_series_and_dp_read_one_group_mass(self, monkeypatch):
+        """The Phi series and the DP take a group's mass by one rule, the
+        fsum of its weights: 0.281 + 0.288 + 0.12 is 0.6890000000000001
+        correctly rounded and 0.689 summed left to right."""
+        row = [0.281, 0.288, 0.12]
+        assert ifs._total(row) != math.fsum(row)
+        sys = CFSystem([0.0, 1.0], [[0.3, 0.2, 0.1], [0.25]])
+        p = ProbVector([row, [0.311]])
+        masses = []
+
+        def spy(row, rho, n, logs):
+            masses.append(rho)
+            return _log_moments(row, rho, n, logs)
+
+        monkeypatch.setattr(entropy, "_log_moments", spy)
+        phi_series(sys, p)
+        rw_entropy_bruteforce(sys, p, 5)
+        assert masses == [math.fsum(row), math.fsum(row), 0.311]
 
     @pytest.mark.parametrize("ratios, weights", CERTIFICATE_CASES)
     def test_increments_fall_to_closed_form(self, ratios, weights):

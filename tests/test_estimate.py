@@ -14,7 +14,22 @@ from cfsdim import (BudgetExceeded, CFSystem, FourCornerSystem, ProbVector,
                     estimate, measure_dimension)
 from cfsdim.estimate import _fit, _keys, _occupancy
 from cfsdim.ifs import SAMPLE_CHUNK
-from oracles import cell_counts, line_chaos_points, measure_samples
+from oracles import (cell_counts, cover_count, line_chaos_points,
+                     measure_samples)
+
+
+@st.composite
+def small_line_systems(draw):
+    """Line systems of 2 or 3 groups and at most 4 maps, fixed points in
+    [-2, 2] and ratios in [0.02, 0.35]: a cover at m <= 9 refines a few
+    thousand cylinders, few enough for the Fraction oracle."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 4))
+    fixed = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(sizes),
+                          max_size=len(sizes), unique=True))
+    ratios = [draw(st.lists(st.floats(0.02, 0.35), min_size=k, max_size=k))
+              for k in sizes]
+    return CFSystem(fixed, ratios)
 
 
 class TestFit:
@@ -44,6 +59,22 @@ class TestCoverBoxes1D:
     def test_counts_nondecreasing_in_m(self, cantor_quarter):
         counts = [cover_boxes_1d(cantor_quarter, m) for m in range(4, 14)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    def test_end_rounding_outside_the_grid_counts_no_box(self):
+        """The leftmost cylinder's rescaled left end is 0 exactly and reads
+        -3.97e-17 in doubles; its box index -1 clips to 0, so the counts
+        are the exact cover's, not one more."""
+        sys = CFSystem([0.4152232489332732, 1.813590367009101],
+                       [[0.15202761029576867],
+                        [0.35438497796503027, 0.23889809743044665]])
+        counts = [cover_boxes_1d(sys, m) for m in (4, 8, 12)]
+        assert counts == [cover_count(sys, m) for m in (4, 8, 12)]
+        assert counts == [9, 53, 312]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sys=small_line_systems(), m=st.integers(1, 9))
+    def test_counts_match_exact_cover(self, sys, m):
+        assert cover_boxes_1d(sys, m) == cover_count(sys, m)
 
     def test_sampled_points_fall_in_counted_range(self, cantor_quarter):
         """Every attractor point's dyadic box count is consistent: the

@@ -9,14 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfsdim import (BudgetExceeded, CFSystem, ConditionsNotMet,
-                    FourCornerProb, FourCornerSystem, ProbVector,
-                    ValidationError, box_dimension_2d, fourcorner, lyapunov,
+from cfsdim import (BudgetExceeded, CFSystem, FourCornerProb,
+                    FourCornerSystem, ProbVector, ValidationError,
+                    box_dimension_2d, fourcorner, lyapunov,
                     measure_dimension, measure_dimension_4c, natural_p,
                     phi_series, render_attractor_ppm, set_dimension_4c,
                     shannon_entropy, validate_4c)
-from cfsdim.fourcorner import (RootOutsideBracket, render_cylinders_svg,
-                               _cylinders)
+from cfsdim.fourcorner import render_cylinders_svg, _cylinders
 from cfsdim.cli import main
 from oracles import attractor_ppm, chaos_game_points
 
@@ -225,7 +224,7 @@ class TestNaturalP:
         on, so the root 1 + log(2.5) / log(0.45) = -0.15 is not positive."""
         sys = FourCornerSystem([[0.1, 0.1], [0.1, 0.1]],
                                [[0.45, 0.45], [0.45, 0.45]])
-        with pytest.raises(RootOutsideBracket, match="no positive root"):
+        with pytest.raises(ValidationError, match="no positive root"):
             natural_p(sys)
 
     def test_root_satisfies_equation(self, four_corner_main):
@@ -351,7 +350,7 @@ class TestMeasureDimension4C:
 
     def test_open_set_required(self):
         sys = FourCornerSystem([[0.6] * 2] * 2, [[0.6] * 2] * 2)
-        with pytest.raises(ConditionsNotMet):
+        with pytest.raises(ValidationError):
             measure_dimension_4c(sys, FourCornerProb.uniform())
 
     @pytest.mark.parametrize("gamma, lam, p, case", [
@@ -438,7 +437,7 @@ class TestSetDimension4C:
 
     def test_open_set_required(self):
         sys = FourCornerSystem([[0.6] * 2] * 2, [[0.4] * 2] * 2)
-        with pytest.raises(ConditionsNotMet,
+        with pytest.raises(ValidationError,
                            match="^gamma11 \\+ gamma21 > 1; gamma12"):
             set_dimension_4c(sys)
 
