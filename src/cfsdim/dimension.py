@@ -11,6 +11,7 @@ depth the equation is the attractor equation.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .ifs import BudgetExceeded, CFSystem, ProbVector, ValidationError, \
@@ -21,9 +22,9 @@ POWER_ITER_CAP = 100_000
 # One evaluation of s_d fills d cells of the homogeneous-sum recurrence per
 # map, about 0.1 us each.  The one cells rule sums d M over the depths a
 # call asks for, M maps: d M for gd_dimension, D(D+1)/2 M for gd_sequence.
-# At the cap one evaluation of each of s_1..s_D takes about 1.7 s, and the
+# At the cap one evaluation of each of s_1..s_D takes about 1.1 s, and the
 # whole sequence, at 3 evaluations per root in the median with s0 bounding
-# each root, 4.2-5.2 s (D = 2581 on three maps: attractor-dim, Python 3.11,
+# each root, 3.0-3.2 s (D = 2581 on three maps: attractor-dim, Python 3.11,
 # a 2-core Xeon VM)
 GD_CELL_CAP = 10**7
 
@@ -202,37 +203,43 @@ def _gd_radius(c) -> float:
     column sums c >= 0, by power iteration on its symmetric form.
 
     C is similar to S = D C D^-1 under D = diag(sqrt(c)): S has
-    sqrt(c_i) sqrt(c_k) off the diagonal and 0 on it, so rho(S) = rho(C)
+    r_i r_k off the diagonal, r = sqrt(c), and 0 on it, so rho(S) = rho(C)
     (where c_k = 0, expanding along column k leaves both the eigenvalue 0
     and the spectra of C and S without group k).  The square roots are
     taken before the product, so a product of two tiny c never underflows.
-    The iteration runs on S over its largest row sum sigma plus Id, formed
-    once: the shift removes periodicity, and sigma keeps it comparable to
-    the root.  A c that overflowed (inf, or NaN from 0 * inf in the sums)
-    gives inf, as only the sign of rho - 1 is read.
+    The iteration runs on S over its largest row sum sigma plus Id: the
+    shift removes periodicity, and sigma / sqrt(N - 1) <= rho <= sigma, so
+    sigma = 0 gives 0, and a c or sigma that overflowed (inf, or NaN from
+    0 * inf in the sums) gives inf, as only the sign of rho - 1 is read.
 
-    Each step takes one product: y = (S/sigma + I) x is both the step's
-    residual product and the next step's iterate.  y is nonnegative, so its
-    sum is its 1-norm."""
+    Each step takes one O(N) product, y = (S/sigma + I) x, both the step's
+    residual product and the next iterate; y >= 0, so its sum is its 1-norm.
+    (Sx)_i = r_i sum_{k != i} r_k x_k adds the sums before and after i:
+    subtracting r_i x_i from the total cancels where one term dominates."""
     if not all(map(math.isfinite, c)):
         return math.inf
-    import numpy as np
-    root_c = np.sqrt(c)
-    shifted = np.outer(root_c, root_c)
-    np.fill_diagonal(shifted, 0.0)
-    sigma = float(shifted.sum(axis=1).max())
-    if sigma == 0.0:
-        return 0.0
-    shifted /= sigma
-    np.fill_diagonal(shifted, 1.0)
-    n = len(c)
-    y = shifted @ np.full(n, 1.0 / n)
+    r = [math.sqrt(x) for x in c]
+
+    def others(v):
+        before = accumulate(v[:-1], initial=0.0)
+        after = list(accumulate(reversed(v[1:]), initial=0.0))[::-1]
+        return [a + b for a, b in zip(before, after)]
+
+    sigma = max(ri * t for ri, t in zip(r, others(r)))
+    if sigma == 0.0 or sigma == math.inf:
+        return sigma
+
+    def step(x):
+        return [xi + ri * t / sigma for xi, ri, t in
+                zip(x, r, others([ri * xi for ri, xi in zip(r, x)]))]
+
+    y = step([1.0 / len(c)] * len(c))
     for _ in range(POWER_ITER_CAP):
-        lam = float(y.sum())    # >= 1, as y >= x >= 0 and x sums to 1
-        x = y / lam
-        y = shifted @ x
+        lam = _total(y)         # >= 1, as y >= x >= 0 and x sums to 1
+        x = [yi / lam for yi in y]
+        y = step(x)
         # residual stop: ||(S/sigma + I)x - lam x||_1 relative to lam
-        if float(np.abs(y - lam * x).sum()) <= 1e-14 * lam:
+        if _total(abs(yi - lam * xi) for yi, xi in zip(y, x)) <= 1e-14 * lam:
             return (lam - 1.0) * sigma
     raise BudgetExceeded(f"power iteration did not settle in {POWER_ITER_CAP} steps")
 

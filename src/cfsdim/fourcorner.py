@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 from .dimension import DimensionReport, _root
-from .entropy import lyapunov, phi_series, shannon_entropy
 from .ifs import (BudgetExceeded, CFSystem, FourCornerProb, FourCornerSystem,
                   ValidationError, _total, validate_4c)
 
@@ -47,8 +46,9 @@ def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
     Ledrappier-Young: the less contracted coordinate a carries the
     projection's dimension, (h + Phi_a)/chi_a when chi_a >= h + Phi_a and 1
     otherwise; the other coordinate b carries the entropy left over, at
-    rate chi_b.
+    rate chi_b.  entropy loads here, not with the cylinder picture.
     """
+    from .entropy import lyapunov, phi_series, shannon_entropy
     _open_set_report(sys)
     h = shannon_entropy(p.x_grouping())
     (chi_x, rx), (chi_y, ry) = ((lyapunov(line, q), phi_series(line, q, tol))

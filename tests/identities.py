@@ -177,8 +177,8 @@ def quotient_of(c) -> np.ndarray:
 
 def symmetric_form(c) -> np.ndarray:
     """S = D C D^-1 of the quotient C = 1 c^T - diag(c) under
-    D = diag(sqrt(c)): sqrt(c_i) sqrt(c_k) off the diagonal, 0 on it, as
-    the library forms it before its shift and scaling."""
+    D = diag(sqrt(c)): sqrt(c_i) sqrt(c_k) off the diagonal, 0 on it, the
+    matrix whose products the library's power iteration takes in O(N)."""
     root_c = np.sqrt(c)
     S = np.outer(root_c, root_c)
     np.fill_diagonal(S, 0.0)

@@ -256,11 +256,14 @@ class TestSpectralRadius:
 
     def test_zero_and_overflowed_sums(self):
         """All sums 0 give radius 0; a sum that overflowed, to inf or to
-        NaN by 0 * inf, gives inf with no numpy warning (pytest turns one
-        into an error)."""
+        NaN by 0 * inf, gives inf, and so do finite sums whose largest row
+        sum sigma overflows (rho >= sigma / sqrt(N - 1)): three sums of
+        1e308 have sigma = 2e308."""
         assert _gd_radius([0.0, 0.0, 0.0]) == 0.0
         assert _gd_radius([math.inf, 1.0]) == math.inf
         assert _gd_radius([1.0, math.nan]) == math.inf
+        assert _gd_radius([1e308] * 3) == math.inf
+        assert _gd_radius([1e308] * 2) == 1e308
 
     def test_cap_raises_nonconvergence(self, monkeypatch):
         """The step cap still ends the iteration, with BudgetExceeded."""
@@ -269,22 +272,40 @@ class TestSpectralRadius:
             _gd_radius([1e-9, 1.0, 1e9])
 
     @settings(max_examples=200, deadline=None)
-    @given(c=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
-                      min_size=2, max_size=12),
-           g=st.integers(-500, 500))
-    def test_against_numpy_power_iteration(self, c, g):
-        """The evaluator with one product a step against the numpy power
-        iteration with two (tests/oracles.py) on the symmetric form of
-        sums scaled by 2^g, |g| <= 500.  Below 8 rows numpy adds a row
-        left to right, as the sum of y does, and the roots are equal; from 8
-        on numpy sums pairwise, and a sum may differ in its last bit."""
-        c = [x * 2.0 ** g for x in c]
-        got, want = _gd_radius(c), oracles.spectral_radius(
-            symmetric_form(c), 1e-14)
-        if len(c) < 8:
-            assert got == want
-        else:
-            assert abs(got - want) <= 1e-12 * want
+    @given(c=st.lists(st.one_of(st.just(0.0),
+                                st.builds(lambda m, e: m * 10.0**e,
+                                          st.floats(1.0, 10.0),
+                                          st.integers(-300, 300))),
+                      min_size=2, max_size=64))
+    def test_against_numpy_power_iteration(self, c):
+        """The evaluator with one O(N) product a step against the numpy
+        power iteration with two dense ones (tests/oracles.py) and a dense
+        eigensolver, on sums each with its own exponent over 10^+-300, so
+        that a product formed as a total minus its dominant term cancels.
+
+        Both iterations stop at a nonnegative x of 1-norm 1 with
+        ||A x - lam x||_1 <= eps lam for A = S/sigma + I, S the symmetric
+        form and sigma its largest row sum; eps = 1e-14 + 2 N u covers the
+        rounding of the computed residual (u = 2^-53).  A is symmetric,
+        so some eigenvalue mu of A lies within ||A x - lam x||_2 / ||x||_2
+        <= sqrt(N) eps lam of lam (||x||_2 >= ||x||_1 / sqrt(N)); from the
+        positive start it is the Perron one, 1 + rho/sigma.  As lam <= 2
+        (sigma bounds every row sum) and sigma <= sqrt(N - 1) rho (rho is
+        the 2-norm of S, at least a column's 1-norm over sqrt(N - 1)), the
+        root (lam - 1) sigma lies within 2 sqrt(N) sqrt(N - 1) eps rho <
+        2 N eps rho of rho.  So the two evaluators lie within 4 N eps rho of
+        each other, and each within 4 N eps rho of the dense Perron root,
+        whose backward-stable solve adds O(N u) rho.  The dense solve runs
+        on S over its largest entry (rho is at least that entry), so no
+        norm of S overflows."""
+        n = len(c)
+        eps = 1e-14 + 2 * n * 2.0**-53
+        S = symmetric_form(c)
+        top = float(S.max())
+        dense = perron_root(S / top) * top if top > 0.0 else 0.0
+        got = _gd_radius(c)
+        for want in (oracles.spectral_radius(S, 1e-14), dense):
+            assert abs(got - want) <= 4 * n * eps * want
 
 
 def _cfs_configs() -> list:
@@ -316,8 +337,8 @@ class TestGDDimension:
     def test_overflowing_sums_answer(self):
         """400 members of ratio 0.001 at depth 1000 (401 000 cells, under
         GD_CELL_CAP): at s = 0 the group's sum overflows to inf, which
-        reads as rho > 1, so the root comes with no numpy warning (pytest
-        turns one into an error), at or below s0's bracket end."""
+        reads as rho > 1, so the root comes, at or below s0's bracket
+        end."""
         sys = CFSystem([0, 1], [[0.001] * 400, [0.5]])
         s = gd_dimension(sys, 1000)
         assert s == gd_dimension(sys, 100)
