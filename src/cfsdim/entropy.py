@@ -11,7 +11,7 @@ brute force for H_n over block-signature classes.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import add, mul
 from typing import List, NamedTuple, Optional
 
@@ -22,7 +22,7 @@ from .ifs import (MC_RUN_CAP, SAMPLE_CHUNK, BudgetExceeded, CFSystem,
 DEFAULT_TOL = 1e-10
 PHI_TERM_CAP = 10**8
 RW_DP_CAP = 10**7
-TRIM = 2.0 ** -70     # _log_moments drops row ends below this
+TRIM = 2.0 ** -70     # the DP's floor, and the least of the series' floors
 
 
 class PhiResult(NamedTuple):
@@ -110,7 +110,8 @@ def _row_cells(row, n: int) -> int:
     return rows * (n - 1) * (n + 2) // 2
 
 
-def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
+def _log_moments(row, rho: float, n: int, logs: List[float],
+                 floors: List[float]) -> tuple:
     """(D, lost, cells): D_k = sum_j q_j E log(Y_jk + 1) - log(k + 1),
     Y_jk ~ Bin(k, q_j), for k < n over the members p_j = rho q_j of a group;
     logs[c] = log(c + 1).  As E log Y_{k+1}! - E log Y_k! = q E log(Y_k + 1),
@@ -121,16 +122,20 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
     member's term is added in member order, so sharing changes no bit.
     ``cells`` counts the cells filled.
 
-    After each step the row is trimmed at both ends while its end entry is
-    below TRIM; lo and hi count the cells cut below and above, so the row
-    reads logs from lo forwards and from hi backwards.  Pascal's rule is
-    linear, keeps mass and has nonnegative coefficients, so the full row
+    After step k the row is trimmed at both ends while its end entry is
+    below floors[k]; lo and hi count the cells cut below and above, so the
+    row reads logs from lo forwards and from hi backwards.  Pascal's rule
+    is linear, keeps mass and has nonnegative coefficients, so the full row
     minus the trimmed one is nonnegative and sums to the mass cut so far:
     each dot with logs reads at most that mass times log(k + 1) too little.
     lost_k is that mass, weighted as D_k weighs the dots: q_j per member, 1
     for a pair.  Each step adds one cell and a row keeps one, so at most k
-    cells are cut by row k and lost_k <= k TRIM, 2.6e-18 (below u) at
-    k = 3066.  A row with nothing cut reads logs in place, in the same
+    cells are cut by row k, each below its row's floor: at floors of TRIM,
+    lost_k <= k TRIM, 2.6e-18 (below u) at k = 3066.  Floors at most
+    1/(2 (k + 1)^2), which falls with k, cut less than sum_k
+    1/(2 (k + 1)^2) < 1/3 of the mass, so row k keeps at least 2/3 over
+    its k + 1 cells, more than the floor in one of them, and no row
+    empties.  A row with nothing cut reads logs in place, in the same
     order, and its D_k are the untrimmed kernel's bits."""
     ps = [float(w) for w in row]
     pair = len(ps) == 2
@@ -144,17 +149,27 @@ def _log_moments(row, rho: float, n: int, logs: List[float]) -> tuple:
         t, c = [0.0] * n, [0.0] * n
         v, lo, hi = [1.0], 0, 0         # v is row k less lo and hi end cells
         for k in range(1, n):
-            v = [b * x + q * y for x, y in zip(v + [0.0], [0.0] + v)]
-            cells += len(v)
-            if v[0] < TRIM or v[-1] < TRIM:
-                i, j = 0, len(v)
-                while v[i] < TRIM:
-                    i += 1
-                while v[j - 1] < TRIM:
-                    j -= 1
-                cut = sum(v[:i]) + sum(v[j:])
-                c[k] = cut if pair else q * cut
-                lo, hi, v = lo + i, hi + len(v) - j, v[i:j]
+            # Pascal's rule, b x + q y along the last row padded by 0.0 on
+            # each side; leading cells below the floor are cut as they form
+            floor, last, y, cut = floors[k], iter(v), 0.0, 0.0
+            cells += len(v) + 1
+            v = []
+            for x in last:
+                z = b * x + q * y
+                y = x
+                if z >= floor:
+                    v.append(z)
+                    break
+                cut += z
+                lo += 1
+            for x in last:
+                v.append(b * x + q * y)
+                y = x
+            v.append(b * 0.0 + q * y)
+            while v[-1] < floor:
+                cut += v.pop()
+                hi += 1
+            c[k] = cut if pair else q * cut
             t[k] = q * sum(map(mul, v, logs[lo:lo + len(v)] if lo else logs))
             if pair:
                 t[k] += b * sum(map(mul, reversed(v),
@@ -209,9 +224,19 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     gamma_{4k+3m+13} rho^k (L + 1).  The trimmed series reads D_k at most
     lost_k L low; the computed lost_k sums at most k cut cells and m
     members, so it is exact to theta_{3k+m+1}, and 2 rho^k lost_k L covers
-    that, rho**k and the sums, as the cap keeps 4k u far below 1.  With
-    lost_k <= k 2^-70 that term stays below 1e-17 at every depth the cap
-    allows a pair, and it is 0 when nothing was cut.  The fsums, rho and
+    that, rho**k and the sums, as the cap keeps 4k u far below 1.  It is 0
+    when nothing was cut, and it is the mass actually cut, so it holds
+    whatever the floors.  Those are chosen a priori to keep the term within
+    a share of tol: row k is trimmed at max(2^-70, theta / rho^k), theta =
+    tol (1 - rho) / (16 G (K + 2) (L_K + 1)), L_K = log(K + 1), lowered
+    where needed so that no floor passes 1/(2 (k + 1)^2) and no row
+    empties.  A cell cut at row j lies below that floor, so rho^j times it
+    is below theta + 2^-70 rho^j, and at most j cells are cut by row j
+    (_log_moments); as sum_{k>=j} rho^k L <= L_K rho^j / (1 - rho),
+    2 rho (1 - rho) sum_k rho^k lost_k L is at most 2 rho L_K (K theta +
+    2^-70 rho / (1 - rho)): under tol rho (1 - rho) / (8G) past the part
+    floors of 2^-70 alone may cost, 1.6e-17 for a pair of mass 0.999 at
+    the default tol.  The fsums, rho and
     the last two products give theta_5 and 1 - rho a relative
     gamma_1 / (1 - rho), x <= gamma_6 / (1 - rho) in all, so at most
     2 x |series| as the cap keeps 1 - rho above 1e-6; the two sums that
@@ -257,15 +282,23 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
         raise BudgetExceeded(
             f"Phi series needs {cells} binomial-row cells, cap {PHI_TERM_CAP}")
     logs = [math.log(c + 1.0) for c in range(max(depths, default=0) + 1)]
+    u = math.ulp(0.5)
     values, bounds, filled = [], [], 0
     for (rho, row), K in zip(groups, depths):
         out, m = 1.0 - rho, len(row)
         powers = [rho ** k for k in range(K + 1)]
-        d, lost, used = _log_moments(row, rho, K + 1, logs)
+        # row k is trimmed at max(TRIM, theta / rho^k), each floor at most
+        # 1/(2 (k + 1)^2): the trimmed-mass term's budget (docstring)
+        theta = min(tol * out / (16 * len(groups) * (K + 2) * (logs[K] + 1)),
+                    0.5 * powers[K] / (K + 1) ** 2)
+        floors = [theta / x if theta > TRIM * x else TRIM for x in powers]
+        d, lost, used = _log_moments(row, rho, K + 1, logs, floors)
         series = rho * out * math.fsum(map(mul, powers, d))
-        rounding = math.fsum(
-            powers[k] * (logs[k] + 1.0) * _gamma(4 * k + 3 * m + 13)
-            for k in range(1, K + 1))
+        # rho^k (L + 1) gamma_n, n = 4k + 3m + 13, for k = 1..K: _gamma's
+        # doubles, with no call a row
+        rounding = math.fsum([x * (lg + 1.0) * (n * u / (1.0 - n * u))
+                              for x, lg, n in zip(powers[1:], logs[1:],
+                                                  count(3 * m + 17, 4))])
         if lost[-1]:        # the trimmed rows read each D_k lost_k L low
             rounding += 2.0 * math.fsum(map(mul, map(mul, powers, logs), lost))
         h = -math.fsum(q * math.log(q) for q in (float(w) / rho for w in row))
@@ -453,7 +486,8 @@ def rw_entropy_bruteforce(sys: CFSystem, p: ProbVector,
     deltas = [0.0] * n           # H_r - H_{r-1} for r = 1..n
     for row, rho in zip(p.weights, _group_masses(p)):
         slope = math.fsum(float(w) / rho * math.log(float(w)) for w in row)
-        excess = accumulate(_log_moments(row, rho, n, logs)[0], initial=0.0)
+        excess = accumulate(_log_moments(row, rho, n, logs, [TRIM] * n)[0],
+                            initial=0.0)
         sl = [rho ** ell * (ell * slope - x) for ell, x in enumerate(excess)]
         a, c = 1.0 - 2.0 * rho, (1.0 - rho) ** 2
         prefix = 0.0             # sum_{0<l<r-1} SL(l)

@@ -12,7 +12,7 @@ and ``sys.fixed_points``.
 
 The untrimmed binomial-row kernel, every row carried in full, is the
 independent check of ``entropy._log_moments``, which trims each row where
-its entries fall below 2^-70.
+its entries fall below that row's floor.
 
 Dyadic cell counting over materialised points, one clip and ``np.unique``
 per scale, is likewise the independent check of the streamed cell counter

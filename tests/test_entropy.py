@@ -96,6 +96,16 @@ def stopped_depths(monkeypatch, sys, p, tol):
 NEAR_POINT_MASS = [[0.5, 0.4999999999999999], [1e-16]]
 
 
+def recording_kernel(calls):
+    """_log_moments that appends (rho, logs, floors, its result) of each
+    call to ``calls``, logs cut to the call's depth."""
+    def kernel(row, rho, n, logs, floors):
+        out = _log_moments(row, rho, n, logs, floors)
+        calls.append((rho, logs[:n], floors, out))
+        return out
+    return kernel
+
+
 class TestShannonEntropy:
     def test_uniform_four_symbols(self):
         p = ProbVector([[0.25, 0.25], [0.25, 0.25]])
@@ -251,8 +261,8 @@ class TestPhiSeries:
     ], ids=["mass0.99", "mass0.99-tol1e-13", "mass0.995", "mass0.997"])
     def test_trimmed_rows_within_bound_near_mass_one(
             self, two_group_overlap, weights, tol):
-        """Near group mass one most cells of a row lie below 2^-70 and are
-        trimmed; the bound, which adds the mass they carried, still holds
+        """Near group mass one most cells of a row lie below their floors
+        and are trimmed; the bound, which adds the mass they carried, holds
         against the log-space series (its own truncation below tol / 1000)
         and the 40-digit value."""
         p = ProbVector(weights)
@@ -295,22 +305,29 @@ class TestPhiSeries:
 
 
 class TestTrimmedRows:
-    """entropy._log_moments trims each binomial row where its entries fall
-    below 2^-70; the untrimmed kernel in tests/oracles.py carries every
-    row in full."""
+    """entropy._log_moments trims row k where its entries fall below
+    floors[k]: 2^-70 at every depth for the signature DP, max(2^-70,
+    theta / rho^k) for the Phi series.  The untrimmed kernel in
+    tests/oracles.py carries every row in full."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
-           st.floats(0.5, 0.999), st.integers(1, 600))
-    def test_within_lost_mass_of_untrimmed(self, raw, mass, n):
-        """Each trimmed D_k reads at most lost_k log(k + 1) below the
-        untrimmed one, up to the rounding of both; lost_k grows with k and
-        is at most k 2^-70.  While it is zero, nothing but exact zeros was
+           st.floats(0.5, 0.999), st.integers(1, 600),
+           st.one_of(st.just(0.0), st.floats(-30.0, -3.0).map(
+               lambda t: 10.0 ** t)))
+    def test_within_lost_mass_of_untrimmed(self, raw, mass, n, theta):
+        """Row k trimmed at max(2^-70, theta / rho^k), at most 1/(2 (k +
+        1)^2): each D_k reads at most lost_k log(k + 1) below the untrimmed
+        one, up to the rounding of both; lost_k grows with k and is at most
+        k times the highest floor so far; no row empties (it would raise
+        IndexError).  While lost_k is zero, nothing but exact zeros was
         cut, and D_k is the untrimmed kernel's double."""
         row = [mass * x / sum(raw) for x in raw]
         rho = math.fsum(row)
         logs = [math.log(c + 1.0) for c in range(n)]
-        d, lost, cells = _log_moments(row, rho, n, logs)
+        floors = [min(max(TRIM, theta / rho ** k), 0.5 / (k + 1) ** 2)
+                  for k in range(n)]
+        d, lost, cells = _log_moments(row, rho, n, logs, floors)
         want = log_moments_untrimmed(row, rho, n, logs)
         for k in range(n):
             # each computed D_k is within gamma_{3k+3m+10} (L + 1) of its
@@ -319,7 +336,7 @@ class TestTrimmedRows:
                 logs[k] + 1.0)
             missed = lost[k] * logs[k] * (1.0 + rounding)
             assert want[k] - missed - rounding <= d[k] <= want[k] + rounding
-            assert lost[k] <= k * TRIM
+            assert lost[k] <= k * max(floors[:k + 1]) * (1.0 + 1e-12)
         assert lost == sorted(lost)
         assert cells <= _row_cells(row, n)
         if lost[-1] == 0.0:
@@ -335,7 +352,7 @@ class TestTrimmedRows:
         rho = math.fsum(row)
         logs = [math.log(c + 1.0) for c in range(depth + 2)]
         for n, cut in ((depth, False), (depth + 2, True)):
-            d, lost, cells = _log_moments(row, rho, n, logs)
+            d, lost, cells = _log_moments(row, rho, n, logs, [TRIM] * n)
             assert (cells < _row_cells(row, n), lost[-1] > 0.0) == (cut, cut)
             if not cut:
                 want = log_moments_untrimmed(row, rho, n, logs)
@@ -354,7 +371,7 @@ class TestTrimmedRows:
         row = [mass * x / sum(raw) for x in raw]
         rho = math.fsum(row)
         logs = [math.log(c + 1.0) for c in range(n)]
-        d, lost, cells = _log_moments(row, rho, n, logs)
+        d, lost, cells = _log_moments(row, rho, n, logs, [TRIM] * n)
         assert _row_cells(row, n) == len(set(row)) * (n - 1) * (n + 2) // 2
         assert cells <= _row_cells(row, n)
         if lost[-1] == 0.0:
@@ -363,26 +380,141 @@ class TestTrimmedRows:
             assert list(map(float.hex, d)) == list(map(float.hex, want))
 
     def test_equal_weights_fill_one_row(self):
-        """Three members of weight 0.3 fill one row: 12 023 cells at the
-        default tol, fewer than one untrimmed row and a third of what three
-        rows of distinct weights take."""
+        """Three members of weight 0.3 fill one row: 8 725 cells at the
+        default tol, trimmed at its floors, fewer than one untrimmed row
+        and a third of what three rows of distinct weights take."""
         three = CFSystem([0.0, 1.0], [[0.2, 0.3, 0.25], [0.25]])
         K = jensen_depth(math.fsum([0.3] * 3), 3, DEFAULT_TOL / 2)
         one_row = _row_cells([0.3, 0.3, 0.3], K + 1)
         assert 3 * one_row == _row_cells([0.3, 0.31, 0.32], K + 1)
         res = phi_series(three, ProbVector([[0.3, 0.3, 0.3], [0.1]]))
-        assert res.terms_used == 12023 < one_row
+        assert res.terms_used == 8725 < one_row
 
     def test_dp_matches_untrimmed_kernel_at_depth_3000(
             self, two_group_overlap, uniform21, monkeypatch):
         """The signature DP on trimmed rows against the same DP on full rows,
         within 1e-12 relative in H_n / n and every increment."""
         got = rw_entropy_bruteforce(two_group_overlap, uniform21, 3000)
-        monkeypatch.setattr(entropy, "_log_moments", lambda *a: (
-            log_moments_untrimmed(*a), None, None))
+        monkeypatch.setattr(
+            entropy, "_log_moments", lambda row, rho, n, logs, floors: (
+                log_moments_untrimmed(row, rho, n, logs), None, None))
         want = rw_entropy_bruteforce(two_group_overlap, uniform21, 3000)
         assert got.value == pytest.approx(want.value, rel=1e-12)
         assert got.increments == pytest.approx(want.increments, rel=1e-12)
+
+    def test_dp_trims_at_trim_and_keeps_its_bits(self, monkeypatch):
+        """The signature DP trims every row at 2^-70: on a pair, a group of
+        three and a single member, H_300 / 300 and the last increment are
+        the doubles pinned from the kernel that trimmed at that floor
+        alone."""
+        sys = CFSystem([0.0, 1.0, 2.0], [[0.3, 0.2], [0.25, 0.2, 0.15],
+                                         [0.1]])
+        p = ProbVector([[0.3, 0.2], [0.2, 0.15, 0.1], [0.05]])
+        calls = []
+        monkeypatch.setattr(entropy, "_log_moments", recording_kernel(calls))
+        res = rw_entropy_bruteforce(sys, p, 300)
+        assert [floors for _, _, floors, _ in calls] == [[TRIM] * 300] * 3
+        assert res.value.hex() == "0x1.73ad84e0028d6p+0"
+        assert res.increments[-1].hex() == "0x1.73702759b3d4ap+0"
+
+
+class TestSeriesFloors:
+    """phi_series trims row k of a group of mass rho at max(2^-70,
+    theta / rho^k), theta within tol (1 - rho) / (16 G (K + 2)
+    (log(K + 1) + 1)): the trimmed-mass term of its bound stays within
+    tol rho (1 - rho) / (8G) a group, past what a floor of 2^-70 costs."""
+
+    # (weights, tol) -> value and tail bound, as float.hex, with every row
+    # trimmed at 2^-70, from the kernel that trimmed at that floor alone
+    FIXED_FLOOR_BITS = [
+        ([[1 / 3, 1 / 3], [1 / 3]], 1e-10,
+         "-0x1.b5f6302e494c0p-3", "0x1.435d44c3941f3p-35"),
+        ([[0.5, 0.49], [0.01]], 1e-10,
+         "-0x1.515f9746c159ep-1", "0x1.b8bca872e4197p-35"),
+        ([[0.3, 0.25, 0.2], [0.25]], 1e-12,
+         "-0x1.a6382edf0c1b4p-2", "0x1.b67f5fe9da508p-42"),
+    ]
+
+    @staticmethod
+    def _fixed_floor(row, rho, n, logs, floors):
+        return _log_moments(row, rho, n, logs, [TRIM] * n)
+
+    @pytest.mark.parametrize("weights, tol, value, bound", FIXED_FLOOR_BITS,
+                             ids=["pair2/3", "pair0.99", "three0.75"])
+    def test_fixed_floors_give_the_same_bits(self, weights, tol, value,
+                                             bound, monkeypatch):
+        """With every floor at 2^-70 the series and its bound are the pinned
+        doubles: the rounding term forms each rho^k (L + 1) gamma_n as
+        before, with no call a row."""
+        sys = CFSystem([0.0, 1.0], [[0.3, 0.2, 0.1][:len(weights[0])],
+                                    [0.25]])
+        monkeypatch.setattr(entropy, "_log_moments", self._fixed_floor)
+        res = phi_series(sys, ProbVector(weights), tol)
+        assert (res.value.hex(), res.tail_bound.hex()) == (value, bound)
+
+    def test_subnormal_tol_trims_at_trim(self, two_group_overlap, uniform21,
+                                         monkeypatch):
+        """At tol = 5e-324 theta rounds to 0, so every floor is 2^-70: the
+        series fills the cells of the fixed floor and returns its bits."""
+        calls = []
+        monkeypatch.setattr(entropy, "_log_moments", recording_kernel(calls))
+        res = phi_series(two_group_overlap, uniform21, 5e-324)
+        monkeypatch.setattr(entropy, "_log_moments", self._fixed_floor)
+        ((_, _, floors, _),) = calls
+        assert set(floors) == {TRIM}
+        assert res == phi_series(two_group_overlap, uniform21, 5e-324)
+
+    @pytest.mark.parametrize("mass, tol", [(0.3, 1e-1), (0.5, 1e-6),
+                                           (0.7, 1e-6)])
+    def test_floors_stay_under_their_cap(self, mass, tol, monkeypatch):
+        """A group of 300 members (299 share a row) stops at a small depth
+        K, where theta / rho^K would pass 1/(2 (K + 1)^2): the floors stay
+        in [2^-70, 1/(2 (k + 1)^2)], the last one at that cap, and the
+        value meets the log-space series within its bound."""
+        row = [1.0] * 299 + [1.01]
+        row = [mass * x / math.fsum(row) for x in row]
+        p = ProbVector([row, [1.0 - math.fsum(row)]])
+        sys = CFSystem([0.0, 1.0], [[0.01] * 300, [0.25]])
+        calls = []
+        monkeypatch.setattr(entropy, "_log_moments", recording_kernel(calls))
+        res = phi_series(sys, p, tol)
+        ((_, _, floors, _),) = calls
+        caps = [0.5 / (k + 1) ** 2 for k in range(len(floors))]
+        assert all(TRIM <= f <= cap for f, cap in zip(floors, caps))
+        assert floors[-1] == pytest.approx(caps[-1], rel=1e-12)
+        assert abs(res.value - _phi_log_space(p)) <= res.tail_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4),
+           st.floats(0.3, 0.99), st.sampled_from([1e-6, 1e-10, 1e-12]))
+    def test_bound_holds_and_grows_by_its_share(self, raw, mass, tol):
+        """A group of 2-4 members of mass 0.3 to 0.99 beside one member:
+        the value meets the log-space series within its bound; the
+        trimmed-mass term, 2 rho (1 - rho) sum_k rho^k lost_k log(k + 1),
+        stays within tol rho (1 - rho) / 8 plus 2 rho^2 log(K + 1) 2^-70 /
+        (1 - rho), the most floors of 2^-70 can cut; against the same
+        series at floors of 2^-70 the bound grows by at most that share,
+        stays at or below tol wherever that one does, and no more cells
+        are filled."""
+        row = [mass * x / sum(raw) for x in raw]
+        p = ProbVector([row, [1.0 - math.fsum(row)]])
+        sys = CFSystem([0.0, 1.0], [[0.3, 0.2, 0.15, 0.1][:len(row)],
+                                    [0.25]])
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_log_moments", recording_kernel(calls))
+            res = phi_series(sys, p, tol)
+            mp.setattr(entropy, "_log_moments", self._fixed_floor)
+            fixed = phi_series(sys, p, tol)
+        assert abs(res.value - _phi_log_space(p)) <= res.tail_bound
+        ((rho, logs, _, (_, lost, _)),) = calls
+        term = 2 * rho * (1 - rho) * math.fsum(
+            rho ** k * lg * x for k, (lg, x) in enumerate(zip(logs, lost)))
+        share = tol * rho * (1 - rho) / 8
+        assert term <= share + 2 * rho ** 2 * logs[-1] * TRIM / (1 - rho)
+        assert res.tail_bound <= fixed.tail_bound + share
+        assert fixed.tail_bound > tol or res.tail_bound <= tol
+        assert res.terms_used <= fixed.terms_used
 
 
 class TestTruncationDepth:
@@ -804,9 +936,9 @@ class TestSignatureDP:
         p = ProbVector([row, [0.311]])
         masses = []
 
-        def spy(row, rho, n, logs):
+        def spy(row, rho, n, logs, floors):
             masses.append(rho)
-            return _log_moments(row, rho, n, logs)
+            return _log_moments(row, rho, n, logs, floors)
 
         monkeypatch.setattr(entropy, "_log_moments", spy)
         phi_series(sys, p)

@@ -11,7 +11,7 @@ import math
 from hypothesis import given, reject, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, ProbVector, attractor_dimension,
-                    measure_dimension)
+                    ifs, measure_dimension, phi_lower_bound, phi_series)
 
 # log-uniform over four decades: one map may hold almost all of its
 # group's mass, and one group almost all of the system's
@@ -52,3 +52,24 @@ def test_measure_dimension_at_most_attractor_dimension(case):
     lower = rep.raw - d["phi_tail_bound"] / d["lyapunov"]
     b = attractor_dimension(sys).diagnostics["bracket"][1]
     assert min(1.0, lower) <= min(1.0, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weighted_systems())
+def test_phi_between_jensen_bound_and_zero(case):
+    """phi_lower_bound(p) <= Phi <= 0.  The lower end is Jensen's
+    inequality, the upper one h_RW <= h_p.  The series value may read off
+    by its tail bound.  phi_lower_bound sums n terms w log(w + 1 - rho):
+    rho, 1 - rho and the sum inside the log move its argument, at least
+    w, by at most 3u, so each term by 3u; the log (2u), the product and
+    the n - 1 sums add at most gamma_{n+2} of the total.  gamma_{4n}
+    (1 + |bound|) covers both."""
+    sys, p = case
+    try:
+        res = phi_series(sys, p)
+    except BudgetExceeded:
+        reject()
+    lower = phi_lower_bound(sys, p)
+    rounding = ifs._gamma(4 * len(p.flat())) * (1.0 + abs(lower))
+    assert lower - rounding <= res.value + res.tail_bound
+    assert res.value - res.tail_bound <= 0.0
