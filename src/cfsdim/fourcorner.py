@@ -3,15 +3,15 @@
 
 Both coordinate projections are common-fixed-point systems on the line
 (x: maps 1,2 fixed at 0 and 3,4 at 1; y: maps 1,3 at 0 and 2,4 at 1).  The
-measure dimension follows from their Lyapunov exponents and overlap
-corrections by the Ledrappier-Young rule, in four cases.
+measure dimension combines their two line measure-dimension reports by the
+Ledrappier-Young rule, in four cases.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dimension import DimensionReport, _root
+from .dimension import DimensionReport, _root, measure_dimension
 from .ifs import (BudgetExceeded, CFSystem, FourCornerProb, FourCornerSystem,
                   ValidationError, _total, validate_4c)
 
@@ -20,14 +20,6 @@ from .ifs import (BudgetExceeded, CFSystem, FourCornerProb, FourCornerSystem,
 # (33 MB resident) and a 28 MB file at the cap, which bounds the file and
 # the time
 CYLINDER_CAP = 4**9
-
-
-def _projections(sys: FourCornerSystem, p: FourCornerProb) -> tuple:
-    """((x system, x weights), (y system, y weights)): each coordinate
-    projection is the common-fixed-point line system on {0, 1} whose group
-    rows are that coordinate's ratio rows."""
-    return ((CFSystem([0.0, 1.0], sys.gamma), p.x_grouping()),
-            (CFSystem([0.0, 1.0], sys.lam), p.y_grouping()))
 
 
 def _open_set_report(sys: FourCornerSystem) -> dict:
@@ -41,33 +33,33 @@ def _open_set_report(sys: FourCornerSystem) -> dict:
 
 def measure_dimension_4c(sys: FourCornerSystem, p: FourCornerProb,
                          tol: float = 1e-12) -> DimensionReport:
-    """Four-case self-affine measure dimension on the 4-corner set.
-
-    Ledrappier-Young: the less contracted coordinate a carries the
-    projection's dimension, (h + Phi_a)/chi_a when chi_a >= h + Phi_a and 1
-    otherwise; the other coordinate b carries the entropy left over, at
-    rate chi_b.  entropy loads here, not with the cylinder picture.
+    """Four-case self-affine measure dimension on the 4-corner set, from
+    measure_dimension's reports of the two projections at the regrouped
+    weights, each on {0, 1} with its coordinate's ratio rows.  h is the x
+    report's, as the y report sums it in another order.  Ledrappier-Young:
+    the less contracted coordinate a carries the projection's dimension,
+    (h + Phi_a)/chi_a when chi_a >= h + Phi_a and 1 otherwise; the other
+    coordinate b carries the entropy left over, at rate chi_b.
     """
-    from .entropy import lyapunov, phi_series, shannon_entropy
     _open_set_report(sys)
-    h = shannon_entropy(p.x_grouping())
-    (chi_x, rx), (chi_y, ry) = ((lyapunov(line, q), phi_series(line, q, tol))
-                                for line, q in _projections(sys, p))
-    phi_x, phi_y = rx.value, ry.value
-    if chi_y >= chi_x:
-        a, chi_a, phi_a, chi_b = "x", chi_x, phi_x, chi_y
-    else:
-        a, chi_a, phi_a, chi_b = "y", chi_y, phi_y, chi_x
+    x, y = (measure_dimension(CFSystem([0.0, 1.0], rows), q, tol).diagnostics
+            for rows, q in ((sys.gamma, p.x_grouping()),
+                            (sys.lam, p.y_grouping())))
+    h = x["entropy"]
+    a, diag_a, diag_b = (("x", x, y) if y["lyapunov"] >= x["lyapunov"]
+                         else ("y", y, x))
+    chi_a, phi_a = diag_a["lyapunov"], diag_a["phi"]
     case = a + ("-saturating" if chi_a >= h + phi_a else "-overflow")
     dim_a = min(1.0, (h + phi_a) / chi_a)    # 1 exactly when it overflows
-    raw = dim_a + (h - chi_a * dim_a) / chi_b
+    raw = dim_a + (h - chi_a * dim_a) / diag_b["lyapunov"]
     return DimensionReport(
         dimension=min(2.0, max(0.0, raw)), raw=raw, method="4corner-case",
         tolerance=tol,
-        diagnostics={"case": case, "entropy": h, "chi_x": chi_x,
-                     "chi_y": chi_y, "phi_x": phi_x, "phi_y": phi_y,
-                     "phi_x_tail_bound": rx.tail_bound,
-                     "phi_y_tail_bound": ry.tail_bound})
+        diagnostics={"case": case, "entropy": h, "chi_x": x["lyapunov"],
+                     "chi_y": y["lyapunov"], "phi_x": x["phi"],
+                     "phi_y": y["phi"],
+                     "phi_x_tail_bound": x["phi_tail_bound"],
+                     "phi_y_tail_bound": y["phi_tail_bound"]})
 
 
 def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
@@ -126,9 +118,11 @@ def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
 
 def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionReport:
     """Hausdorff dimension s of the generalised 4-corner set when the open
-    set, domination, and sufficiency conditions all hold; otherwise s is
-    only an upper bound and is flagged as such.  The sufficiency expression
-    is evaluated at the reported s; diagnostics carry the final bracket of s
+    set, domination, and sufficiency conditions all hold.  Where only
+    sufficiency fails, s is an upper bound only; where domination fails, s
+    bounds nothing, as a Bernoulli measure's measure_dimension_4c can exceed
+    it.  Either is flagged in a note.  The sufficiency expression is
+    evaluated at the reported s; diagnostics carry the final bracket of s
     and the evaluations it took."""
     rep = _open_set_report(sys)
     prob, (s, bracket, evaluations) = _natural_root(sys, tol)
@@ -138,7 +132,7 @@ def set_dimension_4c(sys: FourCornerSystem, tol: float = 1e-12) -> DimensionRepo
                    "suff_value": value,
                    "certified": rep["domination_ok"] and value > 0.0}
     if not rep["domination_ok"]:
-        diagnostics["note"] = "domination fails: s is an upper bound only"
+        diagnostics["note"] = "domination fails: s bounds nothing"
     elif value <= 0.0:
         diagnostics["note"] = "sufficiency fails: s is an upper bound only"
     return DimensionReport(dimension=min(2.0, s), raw=s, method="4corner-set",

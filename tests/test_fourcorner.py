@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cfsdim import (BudgetExceeded, CFSystem, FourCornerProb,
                     FourCornerSystem, ProbVector, ValidationError,
@@ -33,6 +34,24 @@ SVG_SHA256 = "88f7afe2d81e2855dc0a228550d5531ac5a221c16a899fab485be6c4776f1cfd"
 # (oracles.chaos_game_points and cell_counts)
 BOX2D_COUNTS = (200, 558, 1590, 4209, 9110, 17942, 33240, 55116, 88200,
                 132286, 186143)
+# repr of measure_dimension_4c(four_corner_main, p) at the default tol:
+# reading h, chi and Phi from the two line reports must not move a bit
+MAIN_REPORTS = {
+    "uniform": "DimensionReport(dimension=1.0612123721948756, "
+    "raw=1.0612123721948756, method='4corner-case', tolerance=1e-12, "
+    "diagnostics={'case': 'x-saturating', 'entropy': 1.3862943611198906, "
+    "'chi_x': 1.2628643221541276, 'chi_y': 1.6032266524348218, "
+    "'phi_x': -0.21727499923703245, 'phi_y': -0.21727499923703245, "
+    "'phi_x_tail_bound': 4.1178481647147117e-13, "
+    "'phi_y_tail_bound': 4.1178481647147117e-13})",
+    "natural": "DimensionReport(dimension=1.643016706635022, "
+    "raw=1.643016706635022, method='4corner-case', tolerance=1e-12, "
+    "diagnostics={'case': 'x-overflow', 'entropy': 0.8690180968732635, "
+    "'chi_x': 0.3115608360842286, 'chi_y': 0.8669405554114927, "
+    "'phi_x': -0.036193953397556544, 'phi_y': -0.036193953397556544, "
+    "'phi_x_tail_bound': 4.1164743761900743e-13, "
+    "'phi_y_tail_bound': 4.1164743761900743e-13})",
+}
 
 
 def log_space_excess(sys, s):
@@ -401,6 +420,42 @@ class TestMeasureDimension4C:
         assert rep.raw == pytest.approx(
             measure_dimension(*other, tol=1e-12).raw, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+                    min_size=4, max_size=4))
+    def test_random_weights_match_line_reports(self, four_corner_main,
+                                               weights):
+        """Beyond the point masses: at any weights, zeros included, each
+        coordinate's chi, Phi and Phi bound are those of measure_dimension
+        on that projection's line system, bit for bit, and h is the x
+        report's."""
+        total = math.fsum(weights)
+        assume(total > 0.0)
+        prob = FourCornerProb([w / total for w in weights])
+        try:
+            diag = measure_dimension_4c(four_corner_main, prob).diagnostics
+        except BudgetExceeded:     # a group mass near 1: the cell cap
+            assume(False)
+        for axis, ratios, q in (("x", four_corner_main.gamma,
+                                 prob.x_grouping()),
+                                ("y", four_corner_main.lam,
+                                 prob.y_grouping())):
+            line = measure_dimension(CFSystem([0.0, 1.0], ratios), q,
+                                     tol=1e-12).diagnostics
+            assert (diag[f"chi_{axis}"], diag[f"phi_{axis}"],
+                    diag[f"phi_{axis}_tail_bound"]) == (
+                line["lyapunov"], line["phi"], line["phi_tail_bound"])
+            if axis == "x":
+                assert diag["entropy"] == line["entropy"]
+
+    @pytest.mark.parametrize("weights", ["uniform", "natural"])
+    def test_main_reports_pinned(self, four_corner_main, weights):
+        prob = (FourCornerProb.uniform() if weights == "uniform"
+                else natural_p(four_corner_main)[0])
+        assert repr(measure_dimension_4c(four_corner_main, prob)) == \
+            MAIN_REPORTS[weights]
+
     def test_one_map_is_a_point(self, four_corner_main):
         """All mass on one map: both projections are point masses, and the
         Ledrappier-Young rule gives 0 with no special case."""
@@ -449,6 +504,21 @@ class TestSetDimension4C:
         assert rep.diagnostics["certified"] is False
         assert rep.diagnostics["suff_value"] == pytest.approx(
             _suff_value(sys), abs=1e-10)
+
+    def test_domination_failure_bounds_nothing(self):
+        """Domination fails and s = 0.6168 lies below a Bernoulli measure's
+        dimension, 1.0702, while dim mu <= dim K: s is no upper bound, and
+        the note must not call it one."""
+        sys = FourCornerSystem([[0.206, 0.095], [0.091, 0.177]],
+                               [[0.548, 0.137], [0.052, 0.403]])
+        rep = set_dimension_4c(sys)
+        assert rep.raw == 0.6168030819069712
+        mu = measure_dimension_4c(
+            sys, FourCornerProb([0.4411, 0.0451, 0.1030, 0.4108]))
+        assert mu.raw == pytest.approx(1.0702032538783146, abs=1e-12)
+        assert mu.raw > rep.raw
+        assert rep.diagnostics["certified"] is False
+        assert rep.diagnostics["note"] == "domination fails: s bounds nothing"
 
 
 class TestRendering:
