@@ -94,15 +94,14 @@ def _load(args, kind: str = "cfs"):
     return sys_obj, p
 
 
-def cmd_measure_dim(args) -> int:
+def cmd_measure_dim(args) -> None:
     from . import dimension
     sys_obj, p = _load(args)
     rep = dimension.measure_dimension(sys_obj, p, tol=args.tol)
     _emit(rep, args)
-    return EXIT_OK
 
 
-def cmd_attractor_dim(args) -> int:
+def cmd_attractor_dim(args) -> None:
     from . import dimension
     sys_obj, _ = _load(args)
     # the sequence first: its depth and cells checks come before any root
@@ -119,10 +118,9 @@ def cmd_attractor_dim(args) -> int:
         out["box_fit"] = fit
         out["box_delta"] = rep.dimension - fit.slope
     _emit(out, args)
-    return EXIT_OK
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> None:
     from . import entropy
     sys_obj, p = _load(args)
     series = entropy.phi_series(sys_obj, p, tol=args.tol)
@@ -132,10 +130,9 @@ def cmd_phi(args) -> int:
         mc = entropy.phi_monte_carlo(sys_obj, p, args.mc_samples, args.seed)
         out["monte_carlo"] = mc
     _emit(out, args)
-    return EXIT_OK
 
 
-def cmd_rw_entropy(args) -> int:
+def cmd_rw_entropy(args) -> None:
     from . import entropy
     sys_obj, p = _load(args)
     closed = entropy.rw_entropy_closed(sys_obj, p, tol=args.tol)
@@ -144,10 +141,9 @@ def cmd_rw_entropy(args) -> int:
         out["brute_force"] = entropy.rw_entropy_bruteforce(sys_obj, p,
                                                            args.depth)
     _emit(out, args)
-    return EXIT_OK
 
 
-def cmd_esc_probe(args) -> int:
+def cmd_esc_probe(args) -> None:
     from . import separation
     sys_obj, _ = _load(args)
     res = separation.esc_probe(sys_obj, args.n_max)
@@ -160,10 +156,9 @@ def cmd_esc_probe(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     _emit(res, args)
-    return EXIT_OK
 
 
-def cmd_fourcorner(args) -> int:
+def cmd_fourcorner(args) -> None:
     from . import fourcorner
     sys_obj, p = _load(args, "four_corner")
     conditions = validate_4c(sys_obj)
@@ -177,10 +172,9 @@ def cmd_fourcorner(args) -> int:
         out["measure_dimension"] = fourcorner.measure_dimension_4c(
             sys_obj, p, tol=args.tol)
     _emit(out, args)
-    return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     sys_obj, _ = _load(args, "four_corner")
     if args.mode == "cylinders":
         from . import fourcorner
@@ -190,10 +184,9 @@ def cmd_render(args) -> int:
         estimate.render_attractor_ppm(sys_obj, args.points, args.seed,
                                       args.out)
     print(json.dumps({"written": args.out, "mode": args.mode}, sort_keys=True))
-    return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> None:
     from . import estimate
     m_range = range(args.m_lo, args.m_hi + 1)
     sys_obj, p = _load(args, "four_corner" if args.kind == "box2d" else "cfs")
@@ -206,7 +199,6 @@ def cmd_estimate(args) -> int:
         fit = estimate.entropy_slope(sys_obj, p, args.points, m_range,
                                      args.seed)
     _emit(fit, args)
-    return EXIT_OK
 
 
 # Options several subcommands take; each subcommand names the ones it reads.
@@ -293,13 +285,14 @@ def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except Exception as exc:
         for classes, code, label in EXIT_CODES:
             if isinstance(exc, classes):
                 print(f"{label}: {exc}", file=_sys.stderr)
                 return code
         raise
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ brute force for H_n over block-signature classes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import accumulate, count
 from operator import add, mul
 from typing import List, NamedTuple, Optional
@@ -205,8 +206,8 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
     -H rho^(K+2) + R with 0 <= R <= w = (m - 1) rho^(K+2) / (K + 2): the
     value adds the centre -H rho^(K+2) + w/2 and the bound w/2.  K is the
     smallest depth with w/2 <= tol/(2G), G the groups of two or more
-    members (one member has D_k = 0), found by bisection below the depth
-    where (m - 1) rho^K reaches tol / G.
+    members (one member has D_k = 0), found by bisect.bisect_left below
+    the depth where (m - 1) rho^K reaches tol / G.
 
     The tail bound adds rounding, against the series at the weights as
     doubles (Higham, Accuracy and Stability of Numerical Algorithms, 3.1,
@@ -267,16 +268,11 @@ def phi_series(sys: CFSystem, p: ProbVector, tol: float = DEFAULT_TOL) -> PhiRes
         m1, share = len(row) - 1, tol / (2 * len(groups))
         # (m - 1) rho^hi <= tol / G, so w/2 at hi is within the share; the
         # logs keep tol / G from underflowing
-        lo = 0
         hi = max(0, math.ceil((math.log(tol) - math.log(m1 * len(groups)))
                               / math.log(rho)))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if m1 * rho ** (mid + 2) / (2 * (mid + 2)) <= share:
-                hi = mid
-            else:
-                lo = mid + 1
-        depths.append(hi)
+        depths.append(bisect_left(
+            range(hi + 1), True,
+            key=lambda k: m1 * rho ** (k + 2) / (2 * (k + 2)) <= share))
     cells = sum(_row_cells(row, K + 1) for (_, row), K in zip(groups, depths))
     if cells > PHI_TERM_CAP:
         raise BudgetExceeded(

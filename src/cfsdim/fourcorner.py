@@ -67,14 +67,20 @@ def _natural_root(sys: FourCornerSystem, tol: float) -> tuple:
     weights p_i = gamma_i * lambda_i^{s-1} and _root's report of s, the root
     of their sum = 1.  The excess sum - 1 strictly decreases in s towards
     -1, so a root exists, and is positive, exactly when the excess at 0 is
-    positive; _root brackets it from 0 by doubling.  A term whose power
-    lambda_i^{s-1} leaves the doubles is taken in logs, +inf past them."""
+    positive; _root brackets it from 0 by doubling.  Below s = 1 a term is
+    gamma_i / lambda_i^{1-s}: the power of a base in (0, 1) to an exponent
+    in [0, 1] stays in the doubles, and the quotient goes to +inf past
+    them.  A power below the normals has lost digits, so there the term
+    divides twice by the half-power, which is at least sqrt(lambda_i) >
+    1e-162."""
     def term(g, l, s):
-        try:
+        if s >= 1.0:
             return g * l ** (s - 1)
-        except OverflowError:   # a subnormal lambda_i: e^709 < DBL_MAX
-            x = math.log(g) + (s - 1) * math.log(l)
-            return math.exp(x) if x < 709.0 else math.inf
+        power = l ** (1 - s)
+        if power >= 2.0 ** -1022:
+            return g / power
+        half = l ** ((1 - s) / 2)
+        return g / half / half
 
     def weights(s):
         return [term(g, l, s) for (g, _), (l, _) in sys.maps()]
@@ -101,17 +107,16 @@ def natural_p(sys: FourCornerSystem, tol: float = 1e-14) -> tuple:
 def _suff_value(sys: FourCornerSystem, p: FourCornerProb) -> float:
     """The sufficiency expression sum_i p_i log((1 - p_j) gamma_i / p_i) at
     the natural weights p, through lambda_i^{s-1} = p_i / gamma_i, where j
-    is the other map of i's column.  A term is 0 at p_i = 0, its limit, and
-    goes through logs when the quotient leaves the doubles, with 1 - p_j
-    summed from the other weights."""
+    is the other map of i's column.  A term is 0 at p_i = 0, its limit;
+    else it sums the logs, 1 - p_j as the fsum of the other weights, so no
+    quotient leaves the doubles."""
     g, p = sum(sys.gamma, ()), p.p
 
     def term(i, j):
         if p[i] == 0.0:
             return 0.0
-        x = (1.0 - p[j]) * g[i] / p[i]
-        return p[i] * (math.log(x) if 0.0 < x < math.inf else math.log(
-            math.fsum(p[:j] + p[j + 1:])) + math.log(g[i]) - math.log(p[i]))
+        return p[i] * (math.log(math.fsum(p[:j] + p[j + 1:]))
+                       + (math.log(g[i]) - math.log(p[i])))
 
     return term(0, 1) + term(1, 0) + term(2, 3) + term(3, 2)
 

@@ -7,7 +7,8 @@ oracles on ``numpy.linalg.eigvals``: the quotient itself, built from
 column sums summed by enumeration, has the symmetric form's spectral
 radius, the full matrix B_n^(s) has the quotient's, the infinite-depth limit of C_n^(s) has a closed form, and the
 determinant of the matrix with -1 diagonal and x_j - 1 off it has a closed
-form.
+form.  The secular equation sum_k c_k / (1 + c_k) = 1 locates
+rho(C_n^(s)) = 1 from the column sums alone.
 
 The library finds every root by Brent's method; the plain halving it
 replaced stays here as its oracle, with the attractor equation's excess,
@@ -26,7 +27,7 @@ import numpy as np
 
 from cfsdim import CFSystem, ValidationError, rw_entropy_bruteforce
 from cfsdim.dimension import _gd_radius
-from cfsdim.ifs import prune_zeros
+from cfsdim.ifs import _total, prune_zeros
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float) -> float:
@@ -173,6 +174,15 @@ def gd_quotient_matrix(sys: CFSystem, s: float, depth: int) -> np.ndarray:
 def quotient_of(c) -> np.ndarray:
     """The matrix 1 c^T - diag(c): c_k in column k off the diagonal."""
     return np.tile(c, (len(c), 1)) - np.diag(c)
+
+
+def secular_excess(c) -> float:
+    """sum_k c_k / (1 + c_k) - 1 for column sums c >= 0, summed left to
+    right.  For C = 1 c^T - diag(c) the matrix determinant lemma gives
+    det(x I - C) = prod_k (x + c_k) (1 - sum_k c_k / (x + c_k)), and the
+    sum falls in x, so the Perron root rho(C) is where it reaches 1 and
+    rho(C) - 1 has the sign of this excess at x = 1."""
+    return _total(x / (1.0 + x) for x in c) - 1.0
 
 
 def symmetric_form(c) -> np.ndarray:

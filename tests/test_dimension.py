@@ -21,7 +21,8 @@ from cfsdim.dimension import _gd_radius
 from conftest import CONFIG_DIR, config_path, load_config
 from identities import (attractor_excess, bisect_root, bn_matrix_check,
                         gd_limit_matrix, gd_quotient_matrix, perron_root,
-                        quotient_of, special_det, symmetric_form)
+                        quotient_of, secular_excess, special_det,
+                        symmetric_form)
 import oracles
 
 S0_ALL_THIRD = math.log(2 / (3 - math.sqrt(5))) / math.log(3)  # ~0.876036
@@ -316,6 +317,44 @@ def _cfs_configs() -> list:
             if json.load(fh)["type"] == "cfs":
                 names.append(os.path.basename(path))
     return names
+
+
+class TestSecularEquation:
+    """The identity that can replace the power iteration: rho(C) - 1 and
+    the secular excess sum_k c_k / (1 + c_k) - 1 share their sign."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(c=st.lists(st.one_of(st.just(0.0),
+                                st.floats(-300.0, 300.0).map(
+                                    lambda e: 10.0**e)),
+                      min_size=2, max_size=64))
+    def test_sign_of_the_radius(self, c):
+        """Sums log-uniform over 10^+-300, zeros included: _gd_radius - 1
+        and the secular excess have the same sign wherever both lie
+        outside their rounding bands.  The radius is within 2 N eps rho of
+        rho, eps = 1e-14 + 2 N u, the residual stop and its rounding
+        (TestSpectralRadius); the excess is within (N + 2) u (1 + |e|) of
+        the exact one, N - 1 sums, two roundings a quotient and the final
+        subtraction."""
+        n, u = len(c), 2.0**-53
+        rho, excess = _gd_radius(c), secular_excess(c)
+        if (abs(rho - 1.0) > 2 * n * (1e-14 + 2 * n * u) * rho
+                and abs(excess) > (n + 2) * u * (1.0 + abs(excess))):
+            assert (rho > 1.0) == (excess > 0.0)
+
+    @pytest.mark.parametrize("name", _cfs_configs())
+    def test_roots_match_gd_dimension(self, name):
+        """On each cfs config at depths 1-20, _root over the secular excess
+        of the same column sums, on the same bracket, finds gd_dimension's
+        s_n within tol."""
+        sys, _ = load_config(name)
+        tol = 1e-10
+        hi = attractor_dimension(sys, tol).diagnostics["bracket"][1]
+        for depth in range(1, 21):
+            root = dimension._root(
+                lambda s: secular_excess(_sums(sys, s, depth)), 0.0, hi,
+                tol)[0]
+            assert abs(root - gd_dimension(sys, depth, tol)) <= tol
 
 
 class TestGDDimension:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cfsdim import (BudgetExceeded, CFSystem, FourCornerProb,
                     phi_series, render_attractor_ppm, set_dimension_4c,
                     shannon_entropy, validate_4c)
 from cfsdim.fourcorner import render_cylinders_svg, _cylinders
+from cfsdim.ifs import _gamma
 from cfsdim.cli import main
 from oracles import attractor_ppm, chaos_game_points
 
@@ -268,6 +270,17 @@ class TestNaturalP:
                             > log_space_excess(sys, hi))
         assert sum(prob.p) == pytest.approx(1.0, abs=1e-15)
 
+    def test_subnormal_terms_keep_their_digits(self):
+        """Every gamma and lambda 5e-324: 4 lambda^s = 1 gives s = log 4 /
+        -log(5e-324) = 0.00186.  There lambda^{1-s} is 4 * 5e-324, a
+        subnormal of three significant bits, which put the root 1.5e-4
+        high when a term divided by it; each half-power is about 2e-162."""
+        sys = FourCornerSystem([[5e-324, 5e-324], [5e-324, 5e-324]],
+                               [[5e-324, 5e-324], [5e-324, 5e-324]])
+        prob, s = natural_p(sys)
+        assert abs(s - math.log(4) / -math.log(5e-324)) <= 1e-14
+        assert prob.p == pytest.approx((0.25,) * 4, abs=1e-14)
+
     @pytest.mark.parametrize("argv", [
         ["fourcorner", "--probabilities", "natural"],
         ["estimate", "--kind", "box2d", "--probabilities", "natural",
@@ -322,6 +335,116 @@ class TestSuffCheck:
                     - math.log(p[i]))
             for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)))
         assert diag["suff_value"] == pytest.approx(oracle, rel=1e-12)
+
+
+# Ratios at and near the bottom of the doubles: beside ratios in (0, 1) they
+# put the natural root below 0.05 as well as in (0.05, 1) and above 1
+TINY_RATIOS = (5e-324, 1e-310, 1e-300)
+U = Decimal(math.ulp(0.5))              # the unit roundoff
+ETA = Decimal(2) ** -1075               # a result's error below the normals
+
+
+def decimal_excess(sys, s) -> tuple:
+    """(E, beta) at the double s, to 60 digits: E = sum_i gamma_i
+    lambda_i^{s-1} - 1 on the ratios as doubles, and beta a bound on the
+    rounding of the library's evaluation of it.  A term rounds its exponent
+    (s - 1, 1 - s, or 1 - s halved), which moves it by a relative
+    u kappa_i, kappa_i = |s - 1| |log lambda_i|, and takes a pow within an
+    ulp, or where that power is below the normals a half-power twice, and
+    at most two more roundings: a relative (1 + u)^6 exp(u kappa_i) - 1,
+    and an absolute 2 eta / sqrt(lambda_i) at most for results below the
+    normals, as each half-power is at least sqrt(lambda_i).  Summing the
+    four terms from 0 adds gamma_3 of their total and the final
+    subtraction u of its result."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, total, beta = Decimal(s), Decimal(0), Decimal(0)
+        for (g, _), (l, _) in sys.maps():
+            log_l = Decimal(l).ln()
+            term = Decimal(g) * ((x - 1) * log_l).exp()
+            total += term
+            beta += (term * ((1 + U) ** 6 * (U * abs(x - 1) * -log_l).exp()
+                             - 1) + 2 * ETA / Decimal(l).sqrt())
+        beta = beta * (1 + 3 * U / (1 - 3 * U)) + 3 * U / (1 - 3 * U) * total
+        return total - 1, beta + U * (abs(total - 1) + beta)
+
+
+def decimal_suff(sys, p) -> tuple:
+    """(D, mu): the sufficiency expression sum_i p_i (log(sum_{k != j} p_k)
+    + (log gamma_i - log p_i)) at the doubles p, to 60 digits, and a bound
+    on the rounding of the library's evaluation of it, from the values that
+    evaluation computes (Higham, 3.3): the fsum and each operation round by
+    u of their result, each log by an ulp, 2u of its result, and each
+    product by eta more below the normals.  A term of weight 0 is 0."""
+    g = sum(sys.gamma, ())
+
+    def size(*values):
+        return sum(Decimal(abs(v)) for v in values)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        value, mu, total = Decimal(0), Decimal(0), 0.0
+        for i, j in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            if p[i] == 0.0:
+                continue
+            rest = sum(Decimal(p[k]) for k in range(4) if k != j)
+            value += Decimal(p[i]) * (rest.ln() + Decimal(g[i]).ln()
+                                      - Decimal(p[i]).ln())
+            # the library's operations: the fsum moves its log by u
+            a = math.log(math.fsum(p[:j] + p[j + 1:]))
+            b, c = math.log(g[i]), math.log(p[i])
+            d = b - c
+            e = a + d
+            t = p[i] * e
+            mu += (Decimal(p[i]) * (U + 2 * U * size(a, b, c)
+                                    + U * size(d, e))
+                   + U * size(t) + ETA)
+            if total:                # adding to 0 is exact
+                mu += U * size(total + t)
+            total += t
+        return value, mu
+
+
+RATIO = st.one_of(st.sampled_from(TINY_RATIOS),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+GRID = st.lists(RATIO, min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]])
+
+
+class TestDecimalOracle:
+    def test_natural_root_and_suff_value(self):
+        """Over random systems with subnormal and near-subnormal ratios:
+        _root's final bracket of the natural root brackets the sign change
+        of the 60-digit excess within the rounding of each end (the float
+        excess changes sign across it), the natural weights sum to 1
+        within their rounding (gamma_3 of the total, u of each quotient,
+        and fsum's rounding), and the sufficiency value lies within the
+        rounding of its evaluation of the 60-digit value.  The roots fall
+        below 0.05, in (0.05, 1) and above 1, so each arm of the weight
+        form is reached at the root."""
+        bands = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(GRID, GRID)
+        def check(gamma, lam):
+            sys = FourCornerSystem(gamma, lam)
+            try:
+                prob, (s, (lo, hi), _) = fourcorner._natural_root(sys, 1e-14)
+            except ValidationError:          # no positive root
+                assume(False)
+            assert natural_p(sys) == (prob, s) and s in (lo, hi)
+            assert hi - lo <= max(0.5e-14, 2 * math.ulp(hi))
+            excess_lo, beta_lo = decimal_excess(sys, lo)
+            excess_hi, beta_hi = decimal_excess(sys, hi)
+            assert excess_lo >= -beta_lo and excess_hi <= beta_hi
+            assert abs(math.fsum(prob.p) - 1.0) <= _gamma(5)
+            value, mu = decimal_suff(sys, prob.p)
+            assert abs(Decimal(fourcorner._suff_value(sys, prob))
+                       - value) <= mu
+            bands.add("below 0.05" if s < 0.05 else
+                      "below 1" if s < 1.0 else "from 1")
+
+        check()
+        assert bands == {"below 0.05", "below 1", "from 1"}
 
 
 class TestMeasureDimension4C:
